@@ -9,10 +9,15 @@ trajectory and control pair,
     q[j]   = E[p[j+1] dB' | F_j] / dt
     p[j]   = E[p[j+1] | F_j] + G_x dt      (backward)
 
-where G_v is the costate combination b_v' p + sigma_v' q - f_v' k + l_iv,
-assembled here directly from the coefficient partials.  The same vectors are
-exposed by the `hamiltonian` module as gradients of a scalar; the two builds
-are kept independent so tests can cross-check them.
+where G_v is the costate combination b_v' p + sigma_v' q - f_v' k + l_iv.
+Its partials depend only on (t, x, y, z, u1, u2), which a solve holds fixed,
+so `solve_adjoint` evaluates them once per step and stacks them into one
+matrix per step acting on (p, q flattened, k), with l_iv kept beside it;
+each Picard pass then makes one contraction per step forward (for G_y, G_z)
+and one backward (for G_x).
+`costate_combination` assembles the same vectors from the callbacks at a
+single step and is the reference the solver is tested against.  The
+`hamiltonian` module exposes them again as gradients of a scalar.
 
 Because the combination is linear in (k, p, q), the damped pass-to-pass
 iteration used by `solve_fbsde` applies unchanged and contracts geometrically
@@ -87,17 +92,72 @@ def costate_combination(
     return out
 
 
-def _forward_k(problem, traj, u, player, backend, ps, qs, k0) -> list[Array]:
-    grid = backend.grid
-    m = problem.dims.m
+def _costate_matrix(problem: GameProblem, player: int, var_names: tuple[str, ...], args):
+    """(M, l) with G = M @ [p, q flattened, k] + l per scenario, G the
+    concatenated G_v for v in var_names.
+
+    M has shape (S, sum of dim_v, n + n*d + m); column for column it is
+    costate_combination's b_v' p + sigma_v' q - f_v' k, and l stacks the
+    l_iv.  When every Jacobian is a view shared by all scenarios (stride 0
+    on the scenario axis, as in LQ problems), M is one such view as well, so
+    its memory does not grow with the scenario count.
+    """
+    co = problem.coefficients
+    jacs = [[getattr(co, f"{name}_{v}")(*args) for name in ("b", "sigma", "f")]
+            for v in var_names]
+    S = args[1].shape[0]
+    shared = all(a.strides[0] == 0 for group in jacs for a in group)
+    blocks = []
+    for b, sigma, f in jacs:
+        if shared:
+            b, sigma, f = b[:1], sigma[:1], f[:1]
+        rows, dim_v = b.shape[0], b.shape[-1]
+        blocks.append(np.concatenate(
+            [
+                b.transpose(0, 2, 1),
+                sigma.transpose(0, 3, 2, 1).reshape(rows, dim_v, -1),
+                -f.transpose(0, 2, 1),
+            ],
+            axis=2,
+        ))
+    mat = np.concatenate(blocks, axis=1)
+    l_iv = np.concatenate([problem.costs.running_grad(player, v)(*args) for v in var_names], axis=1)
+    return np.broadcast_to(mat, (S,) + mat.shape[1:]), l_iv
+
+
+def _step_partials(problem, traj, u, player, backend):
+    """Per step, what every adjoint pass reuses: (M, l) of (G_y, G_z) for
+    the forward k-step, (M, l) of G_x for the backward step, and the
+    regressors of the step's regressions (None on the lattice).  All depend
+    on (t, x, y, z, u1, u2) only, which the solve holds fixed."""
+    knots = backend.grid.knots
+    regression = getattr(backend, "regression", None)
+    forward, backward, regressors = [], [], []
+    for j in range(backend.grid.steps):
+        args = (float(knots[j]), traj.x[j], traj.y[j], traj.z[j], u.u1[j], u.u2[j])
+        forward.append(_costate_matrix(problem, player, ("y", "z"), args))
+        backward.append(_costate_matrix(problem, player, ("x",), args))
+        if regression is None:
+            regressors.append(None)
+        elif regression.include_y:
+            regressors.append(np.concatenate([traj.x[j], traj.y[j]], axis=1))
+        else:
+            regressors.append(traj.x[j])
+    return forward, backward, regressors
+
+
+def _combine(partials, p: Array, q: Array, k: Array) -> Array:
+    mat, l_iv = partials
+    stacked = np.concatenate([p, q.reshape(p.shape[0], -1), k], axis=1)
+    return np.einsum("svr,sr->sv", mat, stacked) + l_iv
+
+
+def _forward_k(problem, backend, forward, ps, qs, k0) -> list[Array]:
+    m, d = problem.dims.m, backend.d
     ks = [k0]
-    for j in range(grid.steps):
-        t = float(grid.knots[j])
-        state = (t, traj.x[j], traj.y[j], traj.z[j], u.u1[j], u.u2[j])
-        gy = costate_combination(problem, player, "y", *state, ps[j], qs[j], ks[j])
-        gz = costate_combination(problem, player, "z", *state, ps[j], qs[j], ks[j])
-        diffusion = -gz.reshape(gz.shape[0], m, backend.d)
-        nxt = backend.step_forward(j, ks[j], -gy, diffusion)
+    for j in range(backend.grid.steps):
+        g = _combine(forward[j], ps[j], qs[j], ks[j])  # (G_y, G_z flattened)
+        nxt = backend.step_forward(j, ks[j], -g[:, :m], -g[:, m:].reshape(g.shape[0], m, d))
         if not np.all(np.isfinite(nxt)):
             bad = np.argwhere(~np.isfinite(nxt))
             raise NonFiniteStateError(step=j + 1, scenario=int(bad[0][0]))
@@ -105,26 +165,17 @@ def _forward_k(problem, traj, u, player, backend, ps, qs, k0) -> list[Array]:
     return ks
 
 
-def _backward_pq(problem, traj, u, player, backend, ks, p_terminal):
-    grid = backend.grid
-    N, dt = grid.steps, grid.dt
-    regression = getattr(backend, "regression", None)
-    include_y = regression is not None and regression.include_y
+def _backward_pq(backend, backward, regressors, ks, p_terminal):
+    N, dt = backend.grid.steps, backend.grid.dt
     ps: list[Array | None] = [None] * (N + 1)
     qs: list[Array | None] = [None] * N
     ps[N] = p_terminal
     ridge_events = 0
     for j in range(N - 1, -1, -1):
-        regressors = traj.x[j]
-        if include_y:
-            regressors = np.concatenate([traj.x[j], traj.y[j]], axis=1)
-        qv, r1 = backend.cond_exp_increment(j, ps[j + 1], regressors)
+        qv, r1 = backend.cond_exp_increment(j, ps[j + 1], regressors[j])
         q = qv / dt
-        p_hat, r2 = backend.cond_exp(j, ps[j + 1], regressors)
-        t = float(grid.knots[j])
-        state = (t, traj.x[j], traj.y[j], traj.z[j], u.u1[j], u.u2[j])
-        gx = costate_combination(problem, player, "x", *state, p_hat, q, ks[j])
-        ps[j] = p_hat + gx * dt
+        p_hat, r2 = backend.cond_exp(j, ps[j + 1], regressors[j])
+        ps[j] = p_hat + _combine(backward[j], p_hat, q, ks[j]) * dt
         qs[j] = q
         ridge_events += int(r1) + int(r2)
     return ps, qs, ridge_events
@@ -160,6 +211,7 @@ def solve_adjoint(
         ps_in = [np.zeros((backend.scenario_count(j), n)) for j in range(N + 1)]
         qs_in = [np.zeros((backend.scenario_count(j), n, d)) for j in range(N)]
     ps_in[N] = p_terminal
+    forward, backward, regressors = _step_partials(problem, traj, u, player, backend)
     prev_p, prev_q = ps_in, qs_in
     theta = config.damping
     history: list[float] = []
@@ -169,8 +221,8 @@ def solve_adjoint(
     converged = False
     ps_out = qs_out = None
     for it in range(1, config.max_picard + 1):
-        ks = _forward_k(problem, traj, u, player, backend, ps_in, qs_in, k0)
-        ps_out, qs_out, ridge = _backward_pq(problem, traj, u, player, backend, ks, p_terminal)
+        ks = _forward_k(problem, backend, forward, ps_in, qs_in, k0)
+        ps_out, qs_out, ridge = _backward_pq(backend, backward, regressors, ks, p_terminal)
         ridge_total += ridge
         residual = _update_metric(backend, ps_out, qs_out, prev_p, prev_q)
         history.append(residual)
@@ -197,7 +249,7 @@ def solve_adjoint(
         prev_p, prev_q = ps_out, qs_out
     if not converged and best is not None:
         _, ps_out, qs_out = best
-    ks = _forward_k(problem, traj, u, player, backend, ps_out, qs_out, k0)
+    ks = _forward_k(problem, backend, forward, ps_out, qs_out, k0)
     adj = AdjointTrajectory(player=player, k=tuple(ks), p=tuple(ps_out), q=tuple(qs_out))
     diagnostics = SolveDiagnostics(
         iterations=len(history),

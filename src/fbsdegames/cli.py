@@ -333,7 +333,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     name = _as_str(raw.get("name", "run"), "name")
     seed = _as_int(raw.get("seed", 0), "seed", minimum=0, maximum=2**64 - 1)
     if seed_override is not None:
-        seed = seed_override
+        seed = _as_int(seed_override, "--seed", minimum=0, maximum=2**64 - 1)
     horizon = _as_float(raw.get("horizon", 1.0), "horizon", positive=True)
     steps = _as_int(raw.get("steps", 64), "steps", minimum=1)
 
@@ -779,11 +779,25 @@ def cmd_verify(args) -> int:
     }[certificate.verdict]
 
 
+def _read_solve_report(path: str) -> tuple[float, float]:
+    """(j1, j2) from a solve run's report.json; ConfigError if unusable."""
+    try:
+        solved = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(path, f"cannot read solve report: {exc}") from None
+    solved = _require_mapping(solved, path)
+    return (
+        _as_float(solved.get("j1"), f"{path}: j1"),
+        _as_float(solved.get("j2"), f"{path}: j2"),
+    )
+
+
 def cmd_oracle(args) -> int:
     started = time.perf_counter()
     cfg, backend, out = _prepare(args)
     if cfg.oracle is None:
         raise ConfigError("oracle", "the oracle command needs an 'oracle' config block")
+    solved = _read_solve_report(args.solve_report) if args.solve_report else None
     try:
         result = brute_force_nash(
             cfg.problem, backend,
@@ -828,14 +842,9 @@ def cmd_oracle(args) -> int:
         "riccati": riccati_payload,
     }
     _write_json(out / "oracle.json", payload)
-    if args.solve_report:
-        try:
-            solved = json.loads(Path(args.solve_report).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read solve report {args.solve_report}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        gap1 = abs(solved["j1"] - result.j1)
-        gap2 = abs(solved["j2"] - result.j2)
+    if solved is not None:
+        gap1 = abs(solved[0] - result.j1)
+        gap2 = abs(solved[1] - result.j2)
         print(f"cost gap player 1: {gap1:.6g} (bound {result.resolution_bound_1:.6g})")
         print(f"cost gap player 2: {gap2:.6g} (bound {result.resolution_bound_2:.6g})")
     elapsed = time.perf_counter() - started

@@ -7,7 +7,9 @@ Two interchangeable backends drive every solver:
   transition has probability 1/2.  Conditional expectations are exact node
   averages, which makes the backend suitable for brute-force oracles.
 * ``MonteCarloBackend``: a seeded path ensemble with least-squares
-  regression onto a polynomial basis for conditional expectations.
+  regression onto a polynomial basis for conditional expectations.  Each
+  step's design matrix is factored once and reused while its regressors
+  stay the same (Gobet, Lemor & Warin 2005).
 
 Scenario-indexed processes are stored per step as arrays with a leading
 scenario axis: lattice step j has j + 1 rows, Monte Carlo always P rows.
@@ -38,6 +40,9 @@ class TimeGrid:
             raise ValueError("horizon must be positive")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        knots = np.linspace(0.0, self.horizon, self.steps + 1)
+        knots.setflags(write=False)
+        object.__setattr__(self, "_knots", knots)
 
     @property
     def dt(self) -> float:
@@ -45,7 +50,8 @@ class TimeGrid:
 
     @property
     def knots(self) -> Array:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
+        """Read-only t_0..t_N, built once per grid."""
+        return self._knots
 
 
 def _path_generator(seed: int, path: int) -> np.random.Generator:
@@ -140,14 +146,39 @@ def polynomial_design(regressors: Array, degree: int) -> Array:
     return np.stack(cols, axis=1)
 
 
-def _lstsq_fit(design: Array, targets: Array, ridge: float) -> tuple[Array, bool]:
-    """Fitted values of OLS with SVD; ridge fallback on rank deficiency."""
-    coef, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
-    if rank == design.shape[1]:
-        return design @ coef, False
-    gram = design.T @ design + ridge * np.eye(design.shape[1])
-    coef = np.linalg.solve(gram, design.T @ targets)
-    return design @ coef, True
+@dataclass(frozen=True, eq=False)
+class _Projection:
+    """One step's least-squares projection, factored once by SVD.
+
+    Full rank by lstsq's rule (singular values above eps * max(P, K) times
+    the largest): basis is U, the left singular vectors, and the fitted
+    values are U U' v.  Rank deficient: basis is the design D itself and the
+    fit solves the ridge normal equations (D'D + ridge I) c = D'v.
+    """
+
+    regressors: Array  # a private copy: the projection is reused only for equal regressors
+    basis: Array
+    gram: Array | None  # D'D + ridge I on the ridge fallback
+
+    @classmethod
+    def factor(cls, regressors: Array, degree: int, ridge: float) -> "_Projection":
+        design = polynomial_design(regressors, degree)
+        u, s, _ = np.linalg.svd(design, full_matrices=False)
+        cutoff = np.finfo(design.dtype).eps * max(design.shape) * s[0]
+        if np.count_nonzero(s > cutoff) == design.shape[1]:
+            return cls(np.array(regressors), u, None)
+        gram = design.T @ design + ridge * np.eye(design.shape[1])
+        return cls(np.array(regressors), design, gram)
+
+    @property
+    def used_ridge(self) -> bool:
+        return self.gram is not None
+
+    def fit(self, targets: Array) -> Array:
+        coef = self.basis.T @ targets
+        if self.gram is not None:
+            coef = np.linalg.solve(self.gram, coef)
+        return self.basis @ coef
 
 
 class LatticeBackend:
@@ -159,7 +190,13 @@ class LatticeBackend:
         self.grid = grid
         self.d = 1
         self.lattice = BinomialLattice(grid)
+        self._root_dt = np.sqrt(grid.dt)
         self._weights = [self.lattice.level_weights(j) for j in range(grid.steps + 1)]
+        # conditional arrival probabilities of the up and down edges into level j + 1
+        self._arrival = []
+        for j in range(grid.steps):
+            w_up = np.arange(j + 2, dtype=float) / (j + 1)
+            self._arrival.append((w_up, 1.0 - w_up))
 
     def scenario_count(self, j: int) -> int:
         return j + 1
@@ -172,7 +209,8 @@ class LatticeBackend:
 
     def expect(self, j: int, values: Array) -> Array:
         """Expectation over level-j nodes; works on any trailing shape."""
-        return np.tensordot(self._weights[j], np.asarray(values), axes=(0, 0))
+        v = np.asarray(values)
+        return (self._weights[j] @ v.reshape(v.shape[0], -1)).reshape(v.shape[1:])
 
     def cond_exp(self, j: int, values_next: Array, regressors: Array | None = None):
         v = np.asarray(values_next)
@@ -181,8 +219,7 @@ class LatticeBackend:
     def cond_exp_increment(self, j: int, values_next: Array, regressors: Array | None = None):
         """E[V dB' | node], shape (j + 1, ..., 1)."""
         v = np.asarray(values_next)
-        root_dt = np.sqrt(self.grid.dt)
-        return (0.5 * root_dt * (v[1:] - v[:-1]))[..., None], False
+        return (0.5 * self._root_dt * (v[1:] - v[:-1]))[..., None], False
 
     def step_forward(self, j: int, state: Array, drift: Array, diffusion: Array) -> Array:
         """Push a level-j node process one step with arrival-weighted recombination.
@@ -191,15 +228,12 @@ class LatticeBackend:
         a node there averages its incoming edge values with the conditional
         arrival probabilities l'/(j+1) (up edge) and (j+1-l')/(j+1) (down).
         """
-        dt = self.grid.dt
-        root_dt = np.sqrt(dt)
-        base = state + drift * dt
-        up = base + diffusion[..., 0] * root_dt  # from node l to node l+1
-        down = base - diffusion[..., 0] * root_dt  # from node l to node l
+        base = state + drift * self.grid.dt
+        up = base + diffusion[..., 0] * self._root_dt  # from node l to node l+1
+        down = base - diffusion[..., 0] * self._root_dt  # from node l to node l
         out = np.zeros((j + 2,) + state.shape[1:])
-        lprime = np.arange(j + 2, dtype=float).reshape((j + 2,) + (1,) * (state.ndim - 1))
-        w_up = lprime / (j + 1)
-        w_down = 1.0 - w_up
+        shape = (j + 2,) + (1,) * (state.ndim - 1)
+        w_up, w_down = (w.reshape(shape) for w in self._arrival[j])
         out[1:] += w_up[1:] * up
         out[: j + 1] += w_down[: j + 1] * down
         return out
@@ -216,6 +250,7 @@ class MonteCarloBackend:
         self.d = ensemble.d
         self.regression = regression or RegressionConfig()
         self._brownian = ensemble.cumulative()
+        self._projections: dict[int, _Projection] = {}
 
     def scenario_count(self, j: int) -> int:
         return self.ensemble.paths
@@ -230,17 +265,27 @@ class MonteCarloBackend:
     def expect(self, j: int, values: Array) -> Array:
         return np.asarray(values).mean(axis=0)
 
-    def _fit(self, values: Array, regressors: Array) -> tuple[Array, bool]:
+    def _fit(self, j: int, values: Array, regressors: Array) -> tuple[Array, bool]:
+        """Project values onto step j's regression basis.
+
+        The factored design is cached per step with a copy of its regressors
+        and reused while equal regressors come back, so both fits of a
+        backward step and every pass over a fixed trajectory share one SVD.
+        Comparing contents costs one pass over the regressors, far less than
+        a factorisation, and stays correct when a caller refills an array.
+        """
+        proj = self._projections.get(j)
+        if proj is None or not np.array_equal(proj.regressors, regressors):
+            proj = _Projection.factor(regressors, self.regression.degree, self.regression.ridge)
+            self._projections[j] = proj
         v = np.asarray(values)
-        design = polynomial_design(regressors, self.regression.degree)
-        flat = v.reshape(v.shape[0], -1)
-        fitted, used_ridge = _lstsq_fit(design, flat, self.regression.ridge)
-        return fitted.reshape(v.shape), used_ridge
+        fitted = proj.fit(v.reshape(v.shape[0], -1))
+        return fitted.reshape(v.shape), proj.used_ridge
 
     def cond_exp(self, j: int, values_next: Array, regressors: Array | None = None):
         if regressors is None:
             raise ValueError("Monte Carlo conditional expectation needs regressors")
-        return self._fit(values_next, regressors)
+        return self._fit(j, values_next, regressors)
 
     def cond_exp_increment(self, j: int, values_next: Array, regressors: Array | None = None):
         if regressors is None:
@@ -248,7 +293,7 @@ class MonteCarloBackend:
         v = np.asarray(values_next)
         db = self.ensemble.increments[j]  # (P, d)
         prod = v[..., None] * db.reshape((v.shape[0],) + (1,) * (v.ndim - 1) + (self.d,))
-        return self._fit(prod, regressors)
+        return self._fit(j, prod, regressors)
 
     def step_forward(self, j: int, state: Array, drift: Array, diffusion: Array) -> Array:
         db = self.ensemble.increments[j]

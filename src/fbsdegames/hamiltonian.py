@@ -10,6 +10,8 @@ projected-gradient stationary points of box-constrained controls), and runs
 the two sufficient-condition probes a verdict rests on: pointwise
 minimization of H_i over a control grid and randomized midpoint convexity
 sampling.  Convexity passes are reported as "not refuted", never proved.
+The pointwise probe evaluates H_i over (candidate, scenario) pairs in a few
+bounded blocks per step, keeping the first candidate among equal gains.
 
 Gradient assembly repeats the costate-combination arithmetic from the
 `adjoint` module on purpose; agreement between the two is a test invariant,
@@ -226,6 +228,17 @@ def _control_grid(box: ControlBox, density: int, radius: float | None) -> Array:
     return np.array(list(itertools.product(*axes)))
 
 
+# Rows per batched Hamiltonian call in check_pointwise_min: the (candidate,
+# scenario) pairs of a step are evaluated in blocks of at most this many, so
+# memory stays bounded when the control grid has density**k points.
+_POINTWISE_ROWS = 1 << 16
+
+
+def _tile_rows(a: Array, count: int) -> Array:
+    """count copies of a stacked along the leading (scenario) axis."""
+    return np.tile(a, (count,) + (1,) * (a.ndim - 1))
+
+
 def check_pointwise_min(
     problem: GameProblem,
     traj: StateTrajectory,
@@ -244,6 +257,7 @@ def check_pointwise_min(
     backend = traj.backend
     grid = backend.grid
     candidates = _control_grid(problem.box(player), grid_density, radius)
+    C = candidates.shape[0]
     worst = -np.inf
     worst_loc = (0, 0)
     worst_alt: Array | None = None
@@ -253,24 +267,34 @@ def check_pointwise_min(
         x, y, z = traj.x[j], traj.y[j], traj.z[j]
         u1, u2 = u.u1[j], u.u2[j]
         pj, qj, kj = adj.p[j], adj.q[j], adj.k[j]
+        S = x.shape[0]
         base = _value(problem, player, (t, x, y, z, u1, u2), pj, qj, kj)
-        step_best = np.full(base.shape, -np.inf)
-        step_alt = np.zeros((base.shape[0], candidates.shape[1]))
-        for c in candidates:
-            cu = np.broadcast_to(c, (base.shape[0], c.shape[0]))
-            trial_u1 = cu if player == 1 else u1
-            trial_u2 = cu if player == 2 else u2
-            trial = _value(problem, player, (t, x, y, z, trial_u1, trial_u2), pj, qj, kj)
-            gain = base - trial
-            better = gain > step_best
-            step_best = np.where(better, gain, step_best)
-            step_alt[better] = c
+        # candidates in blocks of at most _POINTWISE_ROWS rows (candidate c,
+        # scenario s) at index c * S + s; a block's tiled slice is a prefix
+        # of the first block's
+        block = min(C, max(1, _POINTWISE_ROWS // S))
+        other = u2 if player == 1 else u1
+        tiled = [_tile_rows(a, block) for a in (x, y, z, other, pj, qj, kj)]
+        step_best = np.full(S, -np.inf)
+        best = np.zeros(S, dtype=int)
+        for c0 in range(0, C, block):
+            chunk = candidates[c0 : c0 + block]
+            tx, ty, tz, t_other, tp, tq, tk = (a[: chunk.shape[0] * S] for a in tiled)
+            cu = np.repeat(chunk, S, axis=0)
+            trial_u = (cu, t_other) if player == 1 else (t_other, cu)
+            trial = _value(problem, player, (t, tx, ty, tz, *trial_u), tp, tq, tk)
+            gain = base - trial.reshape(-1, S)
+            idx = np.argmax(gain, axis=0)  # first maximum, as a candidate loop keeps
+            chunk_best = gain[idx, np.arange(S)]
+            better = chunk_best > step_best  # strict: earlier blocks win ties
+            step_best = np.where(better, chunk_best, step_best)
+            best = np.where(better, c0 + idx, best)
         per_step.append(step_best)
         s = int(np.argmax(step_best))
         if step_best[s] > worst:
             worst = float(step_best[s])
             worst_loc = (j, s)
-            worst_alt = step_alt[s].copy()
+            worst_alt = candidates[best[s]].copy()
     return PointwiseMinReport(
         player=player,
         passed=worst <= tol,

@@ -14,6 +14,7 @@ import pytest
 from fbsdegames import (
     AffineMap,
     ControlBox,
+    ControlProcess,
     Dims,
     LatticeBackend,
     LQGameSpec,
@@ -22,6 +23,7 @@ from fbsdegames import (
     RegressionConfig,
     TimeGrid,
     lq_to_problem,
+    random_lq_spec,
     sample_ensemble,
 )
 
@@ -213,3 +215,33 @@ def montecarlo(
     grid = TimeGrid(horizon, steps)
     ensemble = sample_ensemble(grid, paths, d, seed)
     return MonteCarloBackend(ensemble, RegressionConfig(degree=degree, include_y=include_y))
+
+
+# Roundoff budget when a result is recomputed in another summation order
+# (a stacked contraction against separate einsums, a batch of another size):
+# the two agree to a few ulps of the largest term; 2**8 eps leaves ample room.
+ROUNDOFF_TOL = 2.0**8 * np.finfo(float).eps
+
+
+def reference_cases():
+    """(spec, backend factory) pairs: the coupled game and a random
+    multi-dimensional game on both backends (the lattice needs d = 1)."""
+    return [
+        pytest.param(coupled_lq_spec(), lambda: lattice(16), id="lattice-coupled"),
+        pytest.param(coupled_lq_spec(), lambda: montecarlo(8, paths=512), id="montecarlo-coupled"),
+        pytest.param(random_lq_spec(3, Dims(2, 2, 1, 2, 2)), lambda: lattice(16),
+                     id="lattice-random"),
+        pytest.param(random_lq_spec(3, Dims(2, 2, 2, 2, 2)),
+                     lambda: montecarlo(8, paths=512, d=2), id="montecarlo-random"),
+    ]
+
+
+def random_controls(problem, backend, seed: int = 0) -> ControlProcess:
+    """Per-scenario controls drawn uniformly from [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    N = backend.grid.steps
+
+    def draw(k):
+        return tuple(rng.uniform(-1.0, 1.0, (backend.scenario_count(j), k)) for j in range(N))
+
+    return ControlProcess(u1=draw(problem.dims.k1), u2=draw(problem.dims.k2))

@@ -7,15 +7,27 @@ import pytest
 
 from fbsdegames import (
     ControlProcess,
+    Dims,
     FbsdeConfig,
     costate_combination,
     duality_residual,
     lq_to_problem,
+    random_lq_spec,
     solve_adjoint,
     solve_fbsde,
 )
+from fbsdegames.adjoint import _step_partials
 
-from conftest import backward_only_spec, coupled_lq_spec, lattice, zero_spec
+from conftest import (
+    ROUNDOFF_TOL,
+    backward_only_spec,
+    coupled_lq_spec,
+    lattice,
+    montecarlo,
+    random_controls,
+    reference_cases,
+    zero_spec,
+)
 
 
 def _setup(spec, backend, tol=1e-12, u_values=None):
@@ -183,3 +195,77 @@ class TestDuality:
         adj8, _ = solve_adjoint(problem8, traj8, u8, 1, other)
         with pytest.raises(ValueError):
             duality_residual(problem, traj, traj8, adj8, u, u8, backend)
+
+
+def _close(got, ref):
+    scale = 1.0 + np.abs(ref).max()
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=ROUNDOFF_TOL * scale)
+
+
+def _dense_jacobians(problem):
+    """The same problem with each coefficient Jacobian returned as a dense
+    per-scenario array instead of a view shared by all scenarios."""
+    co = problem.coefficients
+
+    def dense(fn):
+        return lambda *args: np.array(fn(*args))
+
+    names = [f.name for f in dataclasses.fields(co) if "_" in f.name]
+    jacobians = {name: dense(getattr(co, name)) for name in names}
+    return dataclasses.replace(problem, coefficients=dataclasses.replace(co, **jacobians))
+
+
+@pytest.mark.parametrize("spec, make_backend", reference_cases())
+@pytest.mark.parametrize("player", [1, 2])
+@pytest.mark.parametrize("jacobians", ["shared", "dense"])
+def test_solved_costates_satisfy_recursions_of_costate_combination(
+    spec, make_backend, player, jacobians
+):
+    # k holds its forward step at the returned triple by construction; p and q
+    # hold their backward step once the iteration has reached the roundoff
+    # floor, which tol=1e-28 on the mean-square update enforces
+    problem = lq_to_problem(spec)
+    if jacobians == "dense":
+        problem = _dense_jacobians(problem)
+    backend = make_backend()
+    u = random_controls(problem, backend)
+    deep = FbsdeConfig(tol=1e-28, max_picard=200, damping=1.0)
+    traj, _ = solve_fbsde(problem, u, backend, deep)
+    adj, diag = solve_adjoint(problem, traj, u, player, backend, deep)
+    assert diag.converged
+    m, d = problem.dims.m, problem.dims.d
+    dt = backend.grid.dt
+    regressors = traj.x if backend.kind == "montecarlo" else [None] * len(traj.x)
+    for j in range(backend.grid.steps):
+        state = (float(backend.grid.knots[j]), traj.x[j], traj.y[j], traj.z[j], u.u1[j], u.u2[j])
+        p, q, k = adj.p[j], adj.q[j], adj.k[j]
+        gy = costate_combination(problem, player, "y", *state, p, q, k)
+        gz = costate_combination(problem, player, "z", *state, p, q, k)
+        k_next = backend.step_forward(j, k, -gy, -gz.reshape(-1, m, d))
+        _close(adj.k[j + 1], k_next)
+        qv, _ = backend.cond_exp_increment(j, adj.p[j + 1], regressors[j])
+        p_hat, _ = backend.cond_exp(j, adj.p[j + 1], regressors[j])
+        _close(q, qv / dt)
+        gx = costate_combination(problem, player, "x", *state, p_hat, qv / dt, k)
+        _close(p, p_hat + gx * dt)
+
+
+@pytest.mark.parametrize("jacobians", ["shared", "dense"])
+def test_step_matrices_stay_shared_when_the_jacobians_are(jacobians):
+    # LQ Jacobians are views with stride 0 over scenarios; the per-solve step
+    # matrices keep that, so their memory does not grow with the path count
+    problem = lq_to_problem(random_lq_spec(3, Dims(2, 2, 2, 2, 2)))
+    if jacobians == "dense":
+        problem = _dense_jacobians(problem)
+    backend = montecarlo(4, paths=64, d=2)
+    u = random_controls(problem, backend)
+    traj, _ = solve_fbsde(problem, u, backend)
+    forward, backward, _ = _step_partials(problem, traj, u, 1, backend)
+    dims = problem.dims
+    R = dims.n + dims.n * dims.d + dims.m
+    for (mat_f, l_f), (mat_b, l_b) in zip(forward, backward, strict=True):
+        assert mat_f.shape == (64, dims.m + dims.m * dims.d, R)
+        assert mat_b.shape == (64, dims.n, R)
+        assert l_f.shape == (64, dims.m + dims.m * dims.d) and l_b.shape == (64, dims.n)
+        shared = mat_f.strides[0] == 0 and mat_b.strides[0] == 0
+        assert shared == (jacobians == "shared")

@@ -106,6 +106,20 @@ class TestSolve:
         assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
         assert (a / "trajectory.csv").read_bytes() != (c / "trajectory.csv").read_bytes()
 
+    def test_montecarlo_ridge_fallbacks_only_at_the_shared_start(self, tmp_path):
+        # every path starts at x(0), so step 0's design has rank one and both
+        # of its fits take the ridge fallback on every pass; the later steps
+        # have full rank
+        cfg = base_config()
+        cfg["backend"] = {"kind": "montecarlo", "paths": 256}
+        cfg["gradient"]["max_iterations"] = 5
+        cfg["gradient"]["tolerance"] = 1e-3
+        path = write_config(tmp_path, cfg)
+        run("solve", "--config", path, "--out", str(tmp_path / "a"))
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        for diag in (report["fbsde"], *report["adjoint"]):
+            assert diag["ridge_fallbacks"] == 2 * diag["iterations"] > 0
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
@@ -136,6 +150,16 @@ class TestConfigValidation:
         assert run(
             "solve", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)
         ) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("kind", ["lattice", "montecarlo"])
+    def test_seed_override_outside_u64_exits_64(self, tmp_path, capsys, seed, kind):
+        cfg = base_config()
+        cfg["backend"] = {"kind": kind} if kind == "lattice" else {"kind": kind, "paths": 8}
+        path = write_config(tmp_path, cfg)
+        code = run("solve", "--config", path, "--out", str(tmp_path / "o"), "--seed", seed)
+        assert code == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -254,6 +278,22 @@ class TestOracle:
         assert payload["riccati"] is not None
         assert payload["riccati"]["p0"][0][0] == pytest.approx(1.40777839, rel=1e-5)
         assert "cost gap player 1" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize(
+        "report",
+        [{"j2": 0.1}, {"j1": 0.1}, {"j1": "0.1", "j2": 0.1}, {"j1": 0.1, "j2": None}, [0.1, 0.2]],
+    )
+    def test_malformed_solve_report_exits_64(self, tmp_path, capsys, report):
+        path = write_config(tmp_path, self._tiny_cfg())
+        solved = tmp_path / "report.json"
+        solved.write_text(json.dumps(report))
+        code = run(
+            "oracle", "--config", path, "--out", str(tmp_path / "o"),
+            "--solve-report", str(solved),
+        )
+        assert code == EXIT_CONFIG
+        assert "report.json" in capsys.readouterr().err
 
 
 class TestCheck:

@@ -21,6 +21,8 @@ def test_time_grid_basics():
     grid = TimeGrid(2.0, 8)
     assert grid.dt == 0.25
     np.testing.assert_allclose(grid.knots[[0, -1]], [0.0, 2.0])
+    assert grid.knots is grid.knots  # built once per grid
+    assert not grid.knots.flags.writeable
     with pytest.raises(ValueError):
         TimeGrid(0.0, 8)
     with pytest.raises(ValueError):
@@ -183,3 +185,75 @@ def test_regression_config_bounds():
         RegressionConfig(degree=0)
     with pytest.raises(ValueError):
         RegressionConfig(degree=5)
+
+
+def _lstsq_fitted(regressors, targets, degree):
+    design = polynomial_design(regressors, degree)
+    coef, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
+    return design @ coef, rank < design.shape[1]
+
+
+def _regression_cases(paths):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(paths, 1))
+    return {
+        "full-rank": np.concatenate([x, rng.normal(size=(paths, 1))], axis=1),
+        "shared-start": np.full((paths, 2), 0.5),  # step 0: every path at x(0)
+        "collinear": np.concatenate([x, 2.0 * x], axis=1),
+        "rank-one-column": np.concatenate([x, np.ones((paths, 1))], axis=1),
+    }
+
+
+@pytest.mark.parametrize("case", ["full-rank", "shared-start", "collinear", "rank-one-column"])
+def test_mc_projection_matches_lstsq_and_its_rank_rule(case):
+    paths = 512
+    backend = montecarlo(steps=4, paths=paths, seed=7, degree=2)
+    regressors = _regression_cases(paths)[case]
+    targets = np.random.default_rng(5).normal(size=(paths, 3))
+    fitted, used_ridge = backend.cond_exp(1, targets, regressors)
+    reference, deficient = _lstsq_fitted(regressors, targets, degree=2)
+    assert used_ridge == deficient
+    assert used_ridge == (case != "full-rank")
+    if not used_ridge:
+        # both are backward-stable least-squares solves of a well-scaled design
+        tol = np.finfo(float).eps * paths * (1.0 + np.abs(reference).max())
+        np.testing.assert_allclose(fitted, reference, rtol=0.0, atol=tol)
+    else:
+        assert np.all(np.isfinite(fitted))
+
+
+def test_mc_projection_is_independent_of_earlier_fits():
+    paths = 256
+    fresh = montecarlo(steps=4, paths=paths, seed=3, degree=2)
+    used = montecarlo(steps=4, paths=paths, seed=3, degree=2)
+    cases = _regression_cases(paths)
+    regressors = cases["full-rank"]
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(paths, 2))
+    # warm the used backend: this step with other regressors, other steps,
+    # and the same regressors twice
+    used.cond_exp(2, rng.normal(size=(paths, 2)), cases["collinear"])
+    used.cond_exp(1, values, regressors)
+    used.cond_exp_increment(2, values, cases["shared-start"])
+    used.cond_exp(2, values, regressors.copy())
+    for _ in range(2):  # the second round reuses the cached factorisation
+        for method in ("cond_exp", "cond_exp_increment"):
+            got, got_ridge = getattr(used, method)(2, values, regressors)
+            ref, ref_ridge = getattr(fresh, method)(2, values, regressors.copy())
+            assert got_ridge == ref_ridge
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_mc_projection_follows_regressors_refilled_in_place():
+    paths = 256
+    backend = montecarlo(steps=4, paths=paths, seed=3, degree=2)
+    cases = _regression_cases(paths)
+    values = np.random.default_rng(9).normal(size=(paths, 2))
+    buffer = cases["collinear"].copy()
+    assert backend.cond_exp(1, values, buffer)[1]
+    buffer[...] = cases["full-rank"]  # the same array, new contents
+    got, got_ridge = backend.cond_exp(1, values, buffer)
+    fresh = montecarlo(steps=4, paths=paths, seed=3, degree=2)
+    ref, ref_ridge = fresh.cond_exp(1, values, cases["full-rank"])
+    assert got_ridge == ref_ridge is False
+    assert got.tobytes() == ref.tobytes()

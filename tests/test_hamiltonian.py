@@ -4,13 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbsdegames import (
     CertificateOptions,
     ControlBox,
     ControlProcess,
+    Dims,
     FbsdeConfig,
     build_certificate,
     certificate_as_dict,
@@ -19,13 +20,23 @@ from fbsdegames import (
     control_gradient,
     eval_hamiltonian,
     lq_to_problem,
+    random_lq_spec,
     solve_adjoint,
     solve_fbsde,
     vi_residual,
 )
+from fbsdegames import hamiltonian
 from fbsdegames.hamiltonian import CONVENTION_NOTE, _control_grid
 
-from conftest import coupled_lq_spec, lattice, zero_spec
+from conftest import (
+    ROUNDOFF_TOL,
+    coupled_lq_spec,
+    lattice,
+    montecarlo,
+    random_controls,
+    reference_cases,
+    zero_spec,
+)
 
 
 def _random_point(problem, S=6, seed=0):
@@ -162,17 +173,22 @@ def test_vi_invariant_to_constant_cost_shift():
     u=st.floats(-1.0, 1.0),
     g=st.floats(-3.0, 3.0),
 )
+@example(u=1.0, g=1e-12)
+@example(u=-1.0, g=-1e-12)
 @settings(max_examples=300, deadline=None)
 def test_projection_residual_iff_inner_condition(u, g):
     # classical equivalence on a box: |u - proj(u - g)| = 0 exactly when
-    # <g, v - u> >= 0 for all v in the box
+    # <g, v - u> >= 0 for all v in the box.  In floats: a nonzero residual
+    # always exposes a descent direction, and the most negative pairing is
+    # at most max(2, |g|) times the residual plus two ulps at that scale
+    # (the rounding of u - g and of the products).
     box = ControlBox(np.array([-1.0]), np.array([1.0]))
     r = abs(u - box.project(np.array([u - g]))[0])
     inner_min = min(g * (v - u) for v in (-1.0, 1.0))
-    if r < 1e-12:
-        assert inner_min >= -1e-12
-    else:
+    if r > 0.0:
         assert inner_min < 0.0
+    scale = max(2.0, abs(g))
+    assert inner_min >= -scale * r - 2.0 * scale * np.spacing(max(abs(u), abs(g), 1.0))
 
 
 def _solved_equilibrium(backend):
@@ -311,3 +327,93 @@ class TestCertificate:
         assert cert.verdict in ("inconclusive", "refuted")
         if cert.verdict == "inconclusive":
             assert any("radius" in n or "unbounded" in n for n in cert.notes)
+
+
+def _candidate_loop(problem, traj, adj, u, player, candidates):
+    """check_pointwise_min's search as one Hamiltonian call per candidate."""
+    from fbsdegames.hamiltonian import _value
+
+    grid = traj.backend.grid
+    worst, worst_loc, worst_alt, per_step = -np.inf, (0, 0), None, []
+    for j in range(grid.steps):
+        t = float(grid.knots[j])
+        x, y, z, u1, u2 = traj.x[j], traj.y[j], traj.z[j], u.u1[j], u.u2[j]
+        pj, qj, kj = adj.p[j], adj.q[j], adj.k[j]
+        base = _value(problem, player, (t, x, y, z, u1, u2), pj, qj, kj)
+        step_best = np.full(base.shape, -np.inf)
+        step_alt = np.zeros((base.shape[0], candidates.shape[1]))
+        for c in candidates:
+            cu = np.broadcast_to(c, (base.shape[0], c.shape[0]))
+            trial_u1 = cu if player == 1 else u1
+            trial_u2 = cu if player == 2 else u2
+            gain = base - _value(problem, player, (t, x, y, z, trial_u1, trial_u2), pj, qj, kj)
+            better = gain > step_best
+            step_best = np.where(better, gain, step_best)
+            step_alt[better] = c
+        per_step.append(step_best)
+        s = int(np.argmax(step_best))
+        if step_best[s] > worst:
+            worst, worst_loc, worst_alt = float(step_best[s]), (j, s), step_alt[s].copy()
+    return worst, worst_loc, worst_alt, per_step
+
+
+def _assert_matches_candidate_loop(problem, backend, player, density):
+    u = random_controls(problem, backend, seed=player)
+    traj, adj1, adj2 = _resolve(problem, u, backend)
+    adj = adj1 if player == 1 else adj2
+    out = check_pointwise_min(problem, traj, adj, u, player, grid_density=density)
+    candidates = _control_grid(problem.box(player), density, None)
+    worst, (step, scenario), alt, per_step = _candidate_loop(
+        problem, traj, adj, u, player, candidates
+    )
+    # a batch of another size may round H differently in the last bits
+    close = dict(rtol=0.0, atol=ROUNDOFF_TOL * (1.0 + abs(worst)))
+    assert out.violation > 0.0  # random controls leave room to improve
+    np.testing.assert_allclose(out.violation, worst, **close)
+    assert (out.step, out.scenario) == (step, scenario)
+    np.testing.assert_array_equal(out.best_alternative, alt)
+    for got, ref in zip(out.per_step_violation, per_step, strict=True):
+        np.testing.assert_allclose(got, ref, **close)
+
+
+@pytest.mark.parametrize("spec, make_backend", reference_cases())
+@pytest.mark.parametrize("player", [1, 2])
+def test_batched_pointwise_min_matches_candidate_loop(spec, make_backend, player):
+    problem = lq_to_problem(spec)
+    density = 9 if problem.dims.control_dim(player) > 1 else 21
+    _assert_matches_candidate_loop(problem, make_backend(), player, density)
+
+
+def test_pointwise_min_blocks_at_default_density_match_candidate_loop():
+    # k = 2 at the default density: 33**2 candidates x 512 paths is 8.5 times
+    # _POINTWISE_ROWS, so each step runs in blocks of 128 candidates
+    problem = lq_to_problem(random_lq_spec(3, Dims(2, 2, 2, 2, 2)))
+    backend = montecarlo(4, paths=512, d=2)
+    assert 33**2 * 512 > hamiltonian._POINTWISE_ROWS
+    _assert_matches_candidate_loop(problem, backend, 1, 33)
+
+
+@pytest.mark.parametrize("rows", [1, 40, 100])
+def test_pointwise_min_small_blocks_match_candidate_loop(monkeypatch, rows):
+    # one candidate per call (fewer rows than scenarios), uneven blocks with
+    # a partial last one, and blocks spanning scenario counts that vary by step
+    monkeypatch.setattr(hamiltonian, "_POINTWISE_ROWS", rows)
+    problem = lq_to_problem(random_lq_spec(3, Dims(2, 2, 1, 2, 2)))
+    _assert_matches_candidate_loop(problem, lattice(16), 2, 7)
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_pointwise_min_ties_keep_the_first_candidate(monkeypatch, rows):
+    # zero_spec's H_1 does not depend on u1, so every candidate ties at gain 0;
+    # with 3 rows per call the tie also spans blocks
+    if rows is not None:
+        monkeypatch.setattr(hamiltonian, "_POINTWISE_ROWS", rows)
+    problem = lq_to_problem(zero_spec())
+    backend = lattice(4)
+    u = random_controls(problem, backend)
+    traj, adj1, _ = _resolve(problem, u, backend)
+    out = check_pointwise_min(problem, traj, adj1, u, 1, grid_density=5)
+    candidates = _control_grid(problem.box(1), 5, None)
+    assert _candidate_loop(problem, traj, adj1, u, 1, candidates)[2] == candidates[0]
+    assert (out.violation, out.step, out.scenario) == (0.0, 0, 0)
+    np.testing.assert_array_equal(out.best_alternative, candidates[0])
