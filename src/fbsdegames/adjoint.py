@@ -16,12 +16,13 @@ matrix per step acting on (p, q flattened, k), with l_iv kept beside it;
 each Picard pass then makes one contraction per step forward (for G_y, G_z)
 and one backward (for G_x).
 `costate_combination` assembles the same vectors from the callbacks at a
-single step and is the reference the solver is tested against.  The
-`hamiltonian` module exposes them again as gradients of a scalar.
+single step; it is the reference the solver is tested against, and the
+`hamiltonian` module's gradients of H_i call it.
 
-Because the combination is linear in (k, p, q), the damped pass-to-pass
-iteration used by `solve_fbsde` applies unchanged and contracts geometrically
-for moderate coupling.
+The costate system is itself a coupled forward-backward system, k forward
+and (p, q) backward, and linear in (k, p, q): `solve_adjoint` runs it
+through `fbsde.damped_picard`, the iteration of the state solve, which
+contracts geometrically for moderate coupling.
 
 `duality_residual` evaluates the discrete integration-by-parts identity that
 links a costate solved at one control to the state perturbation induced by
@@ -40,10 +41,10 @@ from .fbsde import (
     ControlProcess,
     FbsdeConfig,
     NonFiniteStateError,
-    PicardDivergenceError,
     SolveDiagnostics,
     StateTrajectory,
-    _update_metric,
+    _start_pair,
+    damped_picard,
 )
 from .problem import GameProblem
 
@@ -199,67 +200,22 @@ def solve_adjoint(
     """
     if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
-    grid = backend.grid
-    N = grid.steps
+    N = backend.grid.steps
     n, d = problem.dims.n, problem.dims.d
     p_terminal = np.asarray(problem.costs.terminal_grad(player)(traj.x[N]), dtype=float)
     k0 = -np.asarray(problem.costs.initial_grad(player)(traj.y[0]), dtype=float)
-    if initial is not None:
-        ps_in = [np.array(a, dtype=float) for a in initial[0]]
-        qs_in = [np.array(a, dtype=float) for a in initial[1]]
-    else:
-        ps_in = [np.zeros((backend.scenario_count(j), n)) for j in range(N + 1)]
-        qs_in = [np.zeros((backend.scenario_count(j), n, d)) for j in range(N)]
-    ps_in[N] = p_terminal
+    ps_in, qs_in = _start_pair(backend, initial, (n,), (n, d))
+    ps_in[N] = p_terminal  # p[N] is data: the first residual sees no update there
     forward, backward, regressors = _step_partials(problem, traj, u, player, backend)
-    prev_p, prev_q = ps_in, qs_in
-    theta = config.damping
-    history: list[float] = []
-    warnings: list[str] = []
-    ridge_total = 0
-    best = None
-    converged = False
-    ps_out = qs_out = None
-    for it in range(1, config.max_picard + 1):
-        ks = _forward_k(problem, backend, forward, ps_in, qs_in, k0)
-        ps_out, qs_out, ridge = _backward_pq(backend, backward, regressors, ks, p_terminal)
-        ridge_total += ridge
-        residual = _update_metric(backend, ps_out, qs_out, prev_p, prev_q)
-        history.append(residual)
-        if len(history) > 1 and residual > history[-2]:
-            warnings.append(f"costate residual non-monotone at iteration {it}")
-        if best is None or residual < best[0]:
-            best = (residual, ps_out, qs_out)
-        if residual <= config.tol:
-            converged = True
-            break
-        if history[0] > 0.0 and residual > 10.0 * history[0]:
-            diag = SolveDiagnostics(
-                iterations=it,
-                final_residual=residual,
-                converged=False,
-                residual_history=tuple(history),
-                ridge_fallbacks=ridge_total,
-                warnings=tuple(warnings),
-            )
-            raise PicardDivergenceError(diag)
-        ps_in = [theta * new + (1.0 - theta) * old for new, old in zip(ps_out, ps_in)]
-        qs_in = [theta * new + (1.0 - theta) * old for new, old in zip(qs_out, qs_in)]
-        ps_in[N] = p_terminal
-        prev_p, prev_q = ps_out, qs_out
-    if not converged and best is not None:
-        _, ps_out, qs_out = best
-    ks = _forward_k(problem, backend, forward, ps_out, qs_out, k0)
-    adj = AdjointTrajectory(player=player, k=tuple(ks), p=tuple(ps_out), q=tuple(qs_out))
-    diagnostics = SolveDiagnostics(
-        iterations=len(history),
-        final_residual=history[-1] if history else 0.0,
-        converged=converged,
-        residual_history=tuple(history),
-        ridge_fallbacks=ridge_total,
-        warnings=tuple(warnings),
+    ks, ps, qs, diagnostics = damped_picard(
+        lambda ps, qs: _forward_k(problem, backend, forward, ps, qs, k0),
+        lambda ks, ps: _backward_pq(backend, backward, regressors, ks, p_terminal),
+        (ps_in, qs_in),
+        backend,
+        config,
+        "costate",
     )
-    return adj, diagnostics
+    return AdjointTrajectory(player=player, k=tuple(ks), p=tuple(ps), q=tuple(qs)), diagnostics
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ to zeros or to the documented defaults; unknown keys are rejected):
     }
 
 Outputs are deterministic byte-for-byte for a fixed config and seed: wall
-time goes to stdout only, never into a file, and --threads influences
-nothing but scheduling.  CSV floats carry 17 significant digits.
+time goes to stdout only, never into a file.  CSV floats carry 17
+significant digits.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -67,6 +68,7 @@ from .equilibrium import (
 from .fbsde import (
     ControlProcess,
     FbsdeConfig,
+    NonFiniteStateError,
     PicardDivergenceError,
     solve_fbsde,
 )
@@ -647,6 +649,8 @@ def read_controls(path: Path, problem: GameProblem, backend: Backend) -> Control
             values = [float(c) for c in cells[2:]]
         except ValueError:
             raise ConfigError(f"{path}:{ln}", "malformed numeric cell") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{path}:{ln}", "control values must be finite")
         if not 0 <= j < N or not 0 <= s < backend.scenario_count(j):
             raise ConfigError(f"{path}:{ln}", f"step/scenario ({j}, {s}) outside the grid")
         u1[j][s] = values[: dims.k1]
@@ -712,23 +716,16 @@ def _prepare(args) -> tuple[RunConfig, Backend, Path]:
 def cmd_solve(args) -> int:
     started = time.perf_counter()
     cfg, backend, out = _prepare(args)
-    try:
-        report = solve_nash(
-            cfg.problem, backend,
-            fbsde_config=cfg.fbsde,
-            grad_config=cfg.gradient,
-            certificate_options=cfg.certificate,
-        )
-    except (PicardDivergenceError, NonConvergenceError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
+    report = solve_nash(
+        cfg.problem, backend,
+        fbsde_config=cfg.fbsde,
+        grad_config=cfg.gradient,
+        certificate_options=cfg.certificate,
+    )
     u = report.controls
-    traj, _ = solve_fbsde(cfg.problem, u, backend, cfg.fbsde)
-    adj1, _ = solve_adjoint(cfg.problem, traj, u, 1, backend, cfg.fbsde)
-    adj2, _ = solve_adjoint(cfg.problem, traj, u, 2, backend, cfg.fbsde)
     write_report(out / "report.json", cfg, report)
     write_history(out / "history.csv", report)
-    write_trajectory(out / "trajectory.csv", cfg.problem, traj, u, adj1, adj2)
+    write_trajectory(out / "trajectory.csv", cfg.problem, report.trajectory, u, *report.adjoints)
     write_controls(out / "controls.csv", cfg.problem, backend, u)
     elapsed = time.perf_counter() - started
     print(f"solve: converged={report.converged} verdict={report.certificate.verdict} "
@@ -745,13 +742,9 @@ def cmd_verify(args) -> int:
     started = time.perf_counter()
     cfg, backend, out = _prepare(args)
     u = read_controls(Path(args.controls), cfg.problem, backend)
-    try:
-        traj, fdiag = solve_fbsde(cfg.problem, u, backend, cfg.fbsde)
-        adj1, d1 = solve_adjoint(cfg.problem, traj, u, 1, backend, cfg.fbsde)
-        adj2, d2 = solve_adjoint(cfg.problem, traj, u, 2, backend, cfg.fbsde)
-    except PicardDivergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
+    traj, fdiag = solve_fbsde(cfg.problem, u, backend, cfg.fbsde)
+    adj1, d1 = solve_adjoint(cfg.problem, traj, u, 1, backend, cfg.fbsde)
+    adj2, d2 = solve_adjoint(cfg.problem, traj, u, 2, backend, cfg.fbsde)
     vi = vi_residual(cfg.problem, traj, adj1, adj2, u)
     certificate = build_certificate(cfg.problem, traj, (adj1, adj2), u, cfg.certificate)
     payload = {
@@ -897,8 +890,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker hint; affects speed only, never results")
         if name == "verify":
             p.add_argument("--controls", required=True, help="controls.csv to verify")
         if name == "oracle":
@@ -911,6 +902,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
+    except (PicardDivergenceError, NonConvergenceError, NonFiniteStateError) as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
 
 
 if __name__ == "__main__":

@@ -18,8 +18,7 @@ scenario axis: lattice step j has j + 1 rows, Monte Carlo always P rows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,31 +95,6 @@ def sample_ensemble(grid: TimeGrid, paths: int, d: int, seed: int) -> PathEnsemb
 
 
 @dataclass(frozen=True)
-class BinomialLattice:
-    """Node bookkeeping for the recombining tree."""
-
-    grid: TimeGrid
-
-    def node_count(self, j: int) -> int:
-        return j + 1
-
-    def brownian(self, j: int) -> Array:
-        """Node B values at level j, shape (j + 1, 1)."""
-        l = np.arange(j + 1, dtype=float)
-        return ((2.0 * l - j) * np.sqrt(self.grid.dt))[:, None]
-
-    def level_weights(self, j: int) -> Array:
-        """Binomial(1/2) node probabilities at level j."""
-        w = np.array([1.0])
-        for _ in range(j):
-            nxt = np.zeros(w.shape[0] + 1)
-            nxt[1:] += 0.5 * w
-            nxt[:-1] += 0.5 * w
-            w = nxt
-        return w
-
-
-@dataclass(frozen=True)
 class RegressionConfig:
     """Least-squares conditional expectation settings for Monte Carlo."""
 
@@ -189,9 +163,15 @@ class LatticeBackend:
     def __init__(self, grid: TimeGrid):
         self.grid = grid
         self.d = 1
-        self.lattice = BinomialLattice(grid)
         self._root_dt = np.sqrt(grid.dt)
-        self._weights = [self.lattice.level_weights(j) for j in range(grid.steps + 1)]
+        # Binomial(1/2) node probabilities, level by level
+        self._weights = [np.array([1.0])]
+        for _ in range(grid.steps):
+            w = self._weights[-1]
+            nxt = np.zeros(w.shape[0] + 1)
+            nxt[1:] += 0.5 * w
+            nxt[:-1] += 0.5 * w
+            self._weights.append(nxt)
         # conditional arrival probabilities of the up and down edges into level j + 1
         self._arrival = []
         for j in range(grid.steps):
@@ -202,10 +182,9 @@ class LatticeBackend:
         return j + 1
 
     def brownian(self, j: int) -> Array:
-        return self.lattice.brownian(j)
-
-    def weights(self, j: int) -> Array:
-        return self._weights[j]
+        """Node B values at level j, shape (j + 1, 1)."""
+        l = np.arange(j + 1, dtype=float)
+        return ((2.0 * l - j) * self._root_dt)[:, None]
 
     def expect(self, j: int, values: Array) -> Array:
         """Expectation over level-j nodes; works on any trailing shape."""
@@ -258,10 +237,6 @@ class MonteCarloBackend:
     def brownian(self, j: int) -> Array:
         return self._brownian[j]
 
-    def weights(self, j: int) -> Array:
-        P = self.ensemble.paths
-        return np.full(P, 1.0 / P)
-
     def expect(self, j: int, values: Array) -> Array:
         return np.asarray(values).mean(axis=0)
 
@@ -301,16 +276,3 @@ class MonteCarloBackend:
 
 
 Backend = LatticeBackend | MonteCarloBackend
-
-
-def conditional_expectation(
-    backend: Backend, j: int, values_next: Array, regressors: Array | None = None
-) -> Array:
-    """E[values at step j+1 | info at step j] under the backend's scheme.
-
-    Lattice: exact half-half average of the two successor nodes (regressors
-    ignored).  Monte Carlo: fitted values of a least-squares projection onto
-    monomials of the regressors up to the configured degree.
-    """
-    out, _ = backend.cond_exp(j, values_next, regressors)
-    return out

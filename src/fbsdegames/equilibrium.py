@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import solve_adjoint
+from .adjoint import AdjointTrajectory, solve_adjoint
 from .drivers import Backend
 from .fbsde import (
     ControlProcess,
@@ -99,6 +99,10 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class EquilibriumReport:
+    """The returned controls with the state and costates they were certified
+    along: rho_i, the certificate and the diagnostics all belong to
+    `trajectory` and `adjoints`."""
+
     controls: ControlProcess
     j1: float
     j2: float
@@ -111,6 +115,8 @@ class EquilibriumReport:
     converged: bool
     fbsde_diagnostics: SolveDiagnostics
     adjoint_diagnostics: tuple[SolveDiagnostics, SolveDiagnostics]
+    trajectory: StateTrajectory
+    adjoints: tuple[AdjointTrajectory, AdjointTrajectory]
     warnings: tuple[str, ...] = ()
 
     @property
@@ -230,8 +236,8 @@ def gateaux_derivative(
 @dataclass
 class _EvalState:
     traj: StateTrajectory
-    adj1: object
-    adj2: object
+    adj1: AdjointTrajectory
+    adj2: AdjointTrajectory
     vi: ViResidualReport
     fbsde_diag: SolveDiagnostics
     adj_diag: tuple[SolveDiagnostics, SolveDiagnostics]
@@ -361,6 +367,8 @@ def solve_nash(
         converged=converged,
         fbsde_diagnostics=state.fbsde_diag,
         adjoint_diagnostics=state.adj_diag,
+        trajectory=state.traj,
+        adjoints=(state.adj1, state.adj2),
         warnings=tuple(warnings),
     )
 

@@ -12,6 +12,8 @@ Backward half (conditional-expectation recursion from y[N] = xi(B_T)):
 ``solve_fbsde`` couples the two halves by damped Picard iteration on the
 backward pair (y, z) and finishes with one forward pass at the converged
 pair, so the returned trajectory satisfies the forward recursion exactly.
+``damped_picard`` is that iteration for any forward sweep and backward
+sweep; the costate systems of the ``adjoint`` module run through it too.
 """
 
 from __future__ import annotations
@@ -126,12 +128,16 @@ class StateTrajectory:
         return len(self.x) - 1
 
 
-def _zero_backward(problem: GameProblem, backend: Backend):
+def _start_pair(backend: Backend, initial, a_shape: tuple, b_shape: tuple):
+    """Float copies of a warm start (a, b), or zeros: a on steps 0..N with
+    trailing shape a_shape, b on steps 0..N-1 with trailing shape b_shape."""
+    if initial is not None:
+        a, b = initial
+        return [np.array(v, dtype=float) for v in a], [np.array(v, dtype=float) for v in b]
     N = backend.grid.steps
-    m, d = problem.dims.m, problem.dims.d
-    ys = [np.zeros((backend.scenario_count(j), m)) for j in range(N + 1)]
-    zs = [np.zeros((backend.scenario_count(j), m, d)) for j in range(N)]
-    return ys, zs
+    a = [np.zeros((backend.scenario_count(j),) + a_shape) for j in range(N + 1)]
+    b = [np.zeros((backend.scenario_count(j),) + b_shape) for j in range(N)]
+    return a, b
 
 
 def forward_pass(
@@ -209,6 +215,59 @@ def _update_metric(backend: Backend, ys_new, zs_new, ys_old, zs_old) -> float:
     return worst
 
 
+def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfig, label: str):
+    """Damped Picard iteration on a backward pair (a, b) on steps 0..N, 0..N-1.
+
+    Each pass runs ``forward(a, b)`` and then ``backward(fwd, a)``, which
+    returns the next (a, b) and its ridge-fallback count; the residual is
+    `_update_metric` between consecutive outputs, the first against `start`.
+    The iterate moves by damping theta toward each output.  Divergence
+    (residual above 10x its first value) raises PicardDivergenceError;
+    hitting max_picard keeps the best output with converged = False.  A last
+    forward sweep at the returned pair makes the forward recursion hold
+    there.  Returns (fwd, a, b, diagnostics); warnings name `label`.
+    """
+    a_in, b_in = start
+    prev_a, prev_b = start
+    theta = config.damping
+    history: list[float] = []
+    warnings: list[str] = []
+    ridge_total = 0
+    best = None
+    converged = False
+
+    def diagnostics() -> SolveDiagnostics:
+        return SolveDiagnostics(
+            iterations=len(history),
+            final_residual=history[-1],
+            converged=converged,
+            residual_history=tuple(history),
+            ridge_fallbacks=ridge_total,
+            warnings=tuple(warnings),
+        )
+
+    for it in range(1, config.max_picard + 1):
+        a_out, b_out, ridge = backward(forward(a_in, b_in), a_in)
+        ridge_total += ridge
+        residual = _update_metric(backend, a_out, b_out, prev_a, prev_b)
+        history.append(residual)
+        if len(history) > 1 and residual > history[-2]:
+            warnings.append(f"{label} residual non-monotone at iteration {it}")
+        if best is None or residual < best[0]:
+            best = (residual, a_out, b_out)
+        if residual <= config.tol:
+            converged = True
+            break
+        if history[0] > 0.0 and residual > 10.0 * history[0]:
+            raise PicardDivergenceError(diagnostics())
+        a_in = [theta * new + (1.0 - theta) * old for new, old in zip(a_out, a_in)]
+        b_in = [theta * new + (1.0 - theta) * old for new, old in zip(b_out, b_in)]
+        prev_a, prev_b = a_out, b_out
+    if not converged:
+        _, a_out, b_out = best
+    return forward(a_out, b_out), a_out, b_out, diagnostics()
+
+
 def solve_fbsde(
     problem: GameProblem,
     u: ControlProcess,
@@ -219,60 +278,17 @@ def solve_fbsde(
     """Damped Picard iteration until the (y, z) pass output stabilizes.
 
     `initial` warm-starts the backward pair with (ys, zs) from an earlier
-    solve.  Divergence (residual above 10x its first value) raises
-    PicardDivergenceError; hitting max_picard returns the best iterate with
-    converged = False.
+    solve.  Divergence and the iteration cap behave as in `damped_picard`.
     """
-    if initial is not None:
-        ys_in = [np.array(a, dtype=float) for a in initial[0]]
-        zs_in = [np.array(a, dtype=float) for a in initial[1]]
-    else:
-        ys_in, zs_in = _zero_backward(problem, backend)
-    prev_y, prev_z = ys_in, zs_in
-    theta = config.damping
-    history: list[float] = []
-    warnings: list[str] = []
-    ridge_total = 0
-    best: tuple[float, list, list, list] | None = None
-    converged = False
-    xs = ys_out = zs_out = None
-    for it in range(1, config.max_picard + 1):
-        xs = forward_pass(problem, u, ys_in, zs_in, backend)
-        ys_out, zs_out, ridge = backward_pass(problem, u, xs, backend, y_guess=ys_in)
-        ridge_total += ridge
-        residual = _update_metric(backend, ys_out, zs_out, prev_y, prev_z)
-        history.append(residual)
-        if len(history) > 1 and residual > history[-2]:
-            warnings.append(f"picard residual non-monotone at iteration {it}")
-        if best is None or residual < best[0]:
-            best = (residual, xs, ys_out, zs_out)
-        if residual <= config.tol:
-            converged = True
-            break
-        if history[0] > 0.0 and residual > 10.0 * history[0]:
-            diag = SolveDiagnostics(
-                iterations=it,
-                final_residual=residual,
-                converged=False,
-                residual_history=tuple(history),
-                ridge_fallbacks=ridge_total,
-                warnings=tuple(warnings),
-            )
-            raise PicardDivergenceError(diag)
-        ys_in = [theta * new + (1.0 - theta) * old for new, old in zip(ys_out, ys_in)]
-        zs_in = [theta * new + (1.0 - theta) * old for new, old in zip(zs_out, zs_in)]
-        prev_y, prev_z = ys_out, zs_out
-    if not converged and best is not None:
-        _, xs, ys_out, zs_out = best
-    # one more forward sweep so the forward recursion holds at the returned pair
-    xs = forward_pass(problem, u, ys_out, zs_out, backend)
-    traj = StateTrajectory(x=tuple(xs), y=tuple(ys_out), z=tuple(zs_out), backend=backend)
-    diagnostics = SolveDiagnostics(
-        iterations=len(history),
-        final_residual=history[-1] if history else 0.0,
-        converged=converged,
-        residual_history=tuple(history),
-        ridge_fallbacks=ridge_total,
-        warnings=tuple(warnings),
+    m, d = problem.dims.m, problem.dims.d
+    # the sweeps look forward_pass and backward_pass up at call time, so a
+    # wrapper rebound over either module name sees every pass
+    xs, ys, zs, diagnostics = damped_picard(
+        lambda ys, zs: forward_pass(problem, u, ys, zs, backend),
+        lambda xs, ys: backward_pass(problem, u, xs, backend, y_guess=ys),
+        _start_pair(backend, initial, (m,), (m, d)),
+        backend,
+        config,
+        "picard",
     )
-    return traj, diagnostics
+    return StateTrajectory(x=tuple(xs), y=tuple(ys), z=tuple(zs), backend=backend), diagnostics

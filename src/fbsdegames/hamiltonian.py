@@ -12,10 +12,6 @@ minimization of H_i over a control grid and randomized midpoint convexity
 sampling.  Convexity passes are reported as "not refuted", never proved.
 The pointwise probe evaluates H_i over (candidate, scenario) pairs in a few
 bounded blocks per step, keeping the first candidate among equal gains.
-
-Gradient assembly repeats the costate-combination arithmetic from the
-`adjoint` module on purpose; agreement between the two is a test invariant,
-not a code-sharing artifact.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import AdjointTrajectory
+from .adjoint import AdjointTrajectory, costate_combination
 from .fbsde import ControlProcess, StateTrajectory
 from .problem import ControlBox, GameProblem
 
@@ -40,15 +36,6 @@ def _value(problem: GameProblem, player: int, args, p: Array, q: Array, k: Array
     out += np.einsum("soc,soc->s", q, co.sigma(*args))
     out -= np.einsum("so,so->s", k, co.f(*args))
     out += problem.costs.running(player)(*args)
-    return out
-
-
-def _gradient(problem: GameProblem, player: int, var: str, args, p, q, k) -> Array:
-    co = problem.coefficients
-    out = np.einsum("so,sov->sv", p, getattr(co, f"b_{var}")(*args))
-    out += np.einsum("soc,scov->sv", q, getattr(co, f"sigma_{var}")(*args))
-    out -= np.einsum("so,sov->sv", k, getattr(co, f"f_{var}")(*args))
-    out += problem.costs.running_grad(player, var)(*args)
     return out
 
 
@@ -91,7 +78,11 @@ def eval_hamiltonian(
     if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
     args = (t, x, y, z, u1, u2)
-    gz = _gradient(problem, player, "z", args, p, q, k)
+
+    def grad(var: str) -> Array:
+        return costate_combination(problem, player, var, *args, p, q, k)
+
+    gz = grad("z")
     return HamiltonianPoint(
         player=player,
         t=t,
@@ -104,11 +95,11 @@ def eval_hamiltonian(
         q=q,
         k=k,
         value=_value(problem, player, args, p, q, k),
-        grad_x=_gradient(problem, player, "x", args, p, q, k),
-        grad_y=_gradient(problem, player, "y", args, p, q, k),
+        grad_x=grad("x"),
+        grad_y=grad("y"),
         grad_z=gz.reshape(gz.shape[0], problem.dims.m, problem.dims.d),
-        grad_u1=_gradient(problem, player, "u1", args, p, q, k),
-        grad_u2=_gradient(problem, player, "u2", args, p, q, k),
+        grad_u1=grad("u1"),
+        grad_u2=grad("u2"),
     )
 
 
@@ -125,7 +116,7 @@ def control_gradient(
     for j in range(grid.steps):
         args = (float(grid.knots[j]), traj.x[j], traj.y[j], traj.z[j], u.u1[j], u.u2[j])
         out.append(
-            _gradient(problem, player, f"u{player}", args, adj.p[j], adj.q[j], adj.k[j])
+            costate_combination(problem, player, f"u{player}", *args, adj.p[j], adj.q[j], adj.k[j])
         )
     return out
 

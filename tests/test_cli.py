@@ -1,18 +1,27 @@
 """Command-line surface: exit codes, file formats, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fbsdegames
 from fbsdegames.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_REFUTED,
+    EXIT_SOLVER_FAILURE,
+    build_backend,
+    load_config,
     main,
 )
+from fbsdegames.equilibrium import solve_nash
 
 
 def base_config() -> dict:
@@ -47,6 +56,17 @@ def run(*argv) -> int:
     return main(list(argv))
 
 
+def run_process(*argv) -> subprocess.CompletedProcess:
+    """The command line in a child interpreter, so stderr shows any traceback."""
+    src = str(Path(fbsdegames.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "fbsdegames", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
 class TestSolve:
     def test_writes_all_artifacts_and_exits_zero(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -73,15 +93,35 @@ class TestSolve:
         history_header = (out / "history.csv").read_text().splitlines()[0]
         assert history_header == "iteration,J1,J2,rho1,rho2,alpha"
 
-    def test_byte_reproducibility_and_threads_neutrality(self, tmp_path):
+    def test_byte_reproducibility(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
-        outs = [tmp_path / f"run{i}" for i in range(3)]
+        outs = [tmp_path / f"run{i}" for i in range(2)]
         run("solve", "--config", cfg, "--out", str(outs[0]))
         run("solve", "--config", cfg, "--out", str(outs[1]))
-        run("solve", "--config", cfg, "--out", str(outs[2]), "--threads", "7")
         for name in ("report.json", "trajectory.csv", "history.csv", "controls.csv"):
             blobs = [(o / name).read_bytes() for o in outs]
-            assert blobs[0] == blobs[1] == blobs[2]
+            assert blobs[0] == blobs[1]
+
+    def test_trajectory_is_the_certified_state(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "run"
+        assert run("solve", "--config", cfg, "--out", str(out)) == EXIT_OK
+        config = load_config(cfg)
+        report = solve_nash(
+            config.problem, build_backend(config),
+            fbsde_config=config.fbsde,
+            grad_config=config.gradient,
+            certificate_options=config.certificate,
+        )
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [line.split(",") for line in lines[1:]]
+        traj, (adj1, adj2) = report.trajectory, report.adjoints
+        for name, field in (("x_1", traj.x), ("y_1", traj.y), ("p1_1", adj1.p), ("k2_1", adj2.k)):
+            col = header.index(name)
+            for j, expected in enumerate(field):
+                written = [float(row[col]) for row in rows if int(row[0]) == j]
+                np.testing.assert_array_equal(written, expected[:, 0], err_msg=f"{name} step {j}")
 
     def test_concave_control_cost_exits_refuted(self, tmp_path):
         cfg = base_config()
@@ -213,6 +253,22 @@ class TestVerify:
         assert code == EXIT_CONFIG
         assert "cover" in capsys.readouterr().err
 
+    def test_nonfinite_control_cell_exits_64(self, tmp_path):
+        cfg = base_config()
+        path = write_config(tmp_path, cfg)
+        rows = ["step,scenario_id,u1_1,u2_1"]
+        rows += [f"{j},{s},0.0,0.0" for j in range(cfg["steps"]) for s in range(j + 1)]
+        rows[5] = rows[5].rsplit(",", 1)[0] + ",nan"
+        controls = tmp_path / "controls.csv"
+        controls.write_text("\n".join(rows) + "\n")
+        done = run_process(
+            "verify", "--config", path, "--out", str(tmp_path / "v"),
+            "--controls", str(controls),
+        )
+        assert done.returncode == EXIT_CONFIG
+        assert "Traceback" not in done.stderr
+        assert "finite" in done.stderr
+
     def test_unbounded_box_without_radius_is_inconclusive(self, tmp_path):
         cfg = base_config()
         cfg["box1"] = "unbounded"
@@ -245,6 +301,18 @@ class TestOracle:
         assert payload["equilibrium"] is True
         assert payload["evaluations"] > 0
         assert len(payload["assignment_1"]) == 3  # nodes on a 2-step tree
+
+    def test_diverging_solve_exits_1(self, tmp_path):
+        config = Path(__file__).resolve().parents[1] / "configs" / "two_step_oracle.json"
+        cfg = json.loads(config.read_text())
+        cfg["horizon"] = 2.0
+        cfg["drift"]["B"] = [[8.0]]
+        cfg["driver"]["A"] = [[8.0]]
+        path = write_config(tmp_path, cfg)
+        done = run_process("oracle", "--config", path, "--out", str(tmp_path / "o"))
+        assert done.returncode == EXIT_SOLVER_FAILURE
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("solver failure: Picard iteration diverged")
 
     def test_budget_one_exits_65(self, tmp_path):
         cfg = self._tiny_cfg()

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from fbsdegames import (
-    BinomialLattice,
     LatticeBackend,
     MonteCarloBackend,
     RegressionConfig,
     TimeGrid,
-    conditional_expectation,
     sample_ensemble,
 )
 from fbsdegames.drivers import polynomial_design
@@ -54,16 +52,20 @@ def test_cumulative_starts_at_zero_and_sums():
 
 
 def test_lattice_node_values():
-    lat = BinomialLattice(TimeGrid(1.0, 4))
-    b3 = lat.brownian(3)[:, 0]
+    backend = LatticeBackend(TimeGrid(1.0, 4))
+    b3 = backend.brownian(3)[:, 0]
     np.testing.assert_allclose(b3, np.array([-3.0, -1.0, 1.0, 3.0]) * 0.5)
 
 
 def test_lattice_level_weights_are_binomial():
-    lat = BinomialLattice(TimeGrid(1.0, 4))
-    np.testing.assert_allclose(lat.level_weights(4), np.array([1, 4, 6, 4, 1]) / 16.0)
+    backend = LatticeBackend(TimeGrid(1.0, 4))
+
+    def weights(j):
+        return backend.expect(j, np.eye(j + 1))
+
+    np.testing.assert_allclose(weights(4), np.array([1, 4, 6, 4, 1]) / 16.0)
     for j in range(5):
-        assert lat.level_weights(j).sum() == pytest.approx(1.0)
+        assert weights(j).sum() == pytest.approx(1.0)
 
 
 def test_lattice_moments_are_exact():
@@ -78,7 +80,7 @@ def test_lattice_conditional_expectation_is_martingale_average():
     backend = lattice(8)
     j = 5
     b_next = backend.brownian(j + 1)
-    ce = conditional_expectation(backend, j, b_next)
+    ce = backend.cond_exp(j, b_next)[0]
     np.testing.assert_allclose(ce, backend.brownian(j), atol=1e-14)
 
 

@@ -16,11 +16,14 @@ from fbsdegames import (
     LQGameSpec,
     QuadraticCost,
     brute_force_nash,
+    build_certificate,
+    certificate_as_dict,
     eval_cost,
     gateaux_derivative,
     lq_to_problem,
     solve_fbsde,
     solve_nash,
+    vi_residual,
 )
 
 from conftest import coupled_lq_spec, lattice, montecarlo, riccati_spec, zero_spec
@@ -181,6 +184,26 @@ class TestSolveNash:
         assert not report.converged
         assert len(report.history) == 2
         assert report.certificate.verdict in ("refuted", "inconclusive", "certified")
+
+    @pytest.mark.parametrize(
+        "backend, max_iterations",
+        [
+            pytest.param(lambda: lattice(12), 400, id="lattice-converged"),
+            pytest.param(lambda: lattice(12), 2, id="lattice-capped"),
+            pytest.param(lambda: montecarlo(6, paths=256), 3, id="montecarlo-capped"),
+        ],
+    )
+    def test_report_carries_the_certified_state(self, backend, max_iterations):
+        problem, report = _nash(coupled_lq_spec(), backend(), max_iterations=max_iterations)
+        u, traj, adjoints = report.controls, report.trajectory, report.adjoints
+        assert [adj.player for adj in adjoints] == [1, 2]
+        vi = vi_residual(problem, traj, *adjoints, u)
+        assert (vi.rho1, vi.rho2) == (report.rho1, report.rho2)
+        assert (report.j1, report.stderr1) == eval_cost(problem, traj, u, 1)
+        assert (report.j2, report.stderr2) == eval_cost(problem, traj, u, 2)
+        assert certificate_as_dict(build_certificate(problem, traj, adjoints, u)) == (
+            certificate_as_dict(report.certificate)
+        )
 
     def test_inert_opponent_single_player_solve(self):
         problem, report = _nash(riccati_spec(), lattice(16), step=0.3)

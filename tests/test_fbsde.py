@@ -14,6 +14,7 @@ from fbsdegames import (
     eval_cost,
     forward_pass,
     lq_to_problem,
+    solve_adjoint,
     solve_fbsde,
 )
 
@@ -160,6 +161,55 @@ def test_strong_coupling_raises_divergence():
     u = ControlProcess.midpoint(problem, backend)
     with pytest.raises(PicardDivergenceError):
         solve_fbsde(problem, u, backend, FbsdeConfig(damping=1.0, max_picard=50))
+
+
+def _opposed_coupling_problem(strength: float):
+    # b sees +strength * y and f sees -strength * x: the Picard map overshoots
+    spec = coupled_lq_spec()
+    return lq_to_problem(dataclasses.replace(
+        spec,
+        drift=dataclasses.replace(spec.drift, B=np.array([[strength]])),
+        driver=dataclasses.replace(spec.driver, A=np.array([[-strength]])),
+    ))
+
+
+def _capped_solve(solver, problem, u, backend, config):
+    """(forward field, pair, diagnostics) of the state or player-1 costate solve."""
+    if solver == "state":
+        traj, diag = solve_fbsde(problem, u, backend, config)
+        return traj.x, (traj.y, traj.z), diag
+    traj, _ = solve_fbsde(problem, u, backend, FbsdeConfig(tol=1e-24, max_picard=500))
+    adj, diag = solve_adjoint(problem, traj, u, 1, backend, config)
+    return adj.k, (adj.p, adj.q), diag
+
+
+@pytest.mark.parametrize("solver, prefix", [("state", "picard"), ("costate", "costate")])
+@pytest.mark.parametrize(
+    "strength, damping, best",
+    [
+        pytest.param(2.0, 0.8, 1, id="slowly-contracting"),  # ~200 passes to converge
+        pytest.param(2.5, 1.0, 0, id="overshooting"),  # second residual up 2-3x, under 10x
+    ],
+)
+def test_iteration_cap_returns_the_best_iterate(solver, prefix, strength, damping, best):
+    problem = _opposed_coupling_problem(strength)
+    backend = lattice(8)
+    u = ControlProcess.midpoint(problem, backend)
+    capped = FbsdeConfig(max_picard=2, damping=damping, tol=1e-30)
+    fwd, pair, diag = _capped_solve(solver, problem, u, backend, capped)
+    assert not diag.converged
+    assert diag.iterations == len(diag.residual_history) == 2
+    assert diag.final_residual == diag.residual_history[-1]
+    assert int(np.argmin(diag.residual_history)) == best
+    expected = (f"{prefix} residual non-monotone at iteration 2",) if best == 0 else ()
+    assert diag.warnings == expected
+    # the same passes, stopped by the tolerance right at the best output
+    stop = FbsdeConfig(max_picard=2, damping=damping, tol=diag.residual_history[best])
+    ref_fwd, ref_pair, ref_diag = _capped_solve(solver, problem, u, backend, stop)
+    assert ref_diag.converged and ref_diag.iterations == best + 1
+    for got, ref in zip((fwd, *pair), (ref_fwd, *ref_pair)):
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_forward_pass_names_nonfinite_step():
