@@ -3,10 +3,12 @@
 Two lattice steps leave three control nodes per player.  With 5-point
 grids that is 125 profiles each, small enough to enumerate every best
 response exactly.  The solver should land inside the grid's resolution
-bound of the enumerated equilibrium.
+bound of the enumerated equilibrium; the script exits 1 when either cost
+gap is outside its bound.
 """
 
 import dataclasses
+import sys
 
 import numpy as np
 
@@ -59,7 +61,7 @@ def two_step_game():
     return lq_to_problem(spec)
 
 
-def main() -> None:
+def main() -> int:
     problem = two_step_game()
     backend = LatticeBackend(TimeGrid(0.5, 2))
     grid = np.linspace(-2.0, 2.0, 5).reshape(5, 1)
@@ -91,7 +93,8 @@ def main() -> None:
     print(f"|J2 gap| = {gap2:.3e} (bound {oracle.resolution_bound_2:.3e})")
     ok = gap1 <= oracle.resolution_bound_1 and gap2 <= oracle.resolution_bound_2
     print("within resolution bounds" if ok else "OUTSIDE resolution bounds")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

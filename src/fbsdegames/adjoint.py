@@ -207,7 +207,7 @@ def solve_adjoint(
     ps_in, qs_in = _start_pair(backend, initial, (n,), (n, d))
     ps_in[N] = p_terminal  # p[N] is data: the first residual sees no update there
     forward, backward, regressors = _step_partials(problem, traj, u, player, backend)
-    ks, ps, qs, diagnostics = damped_picard(
+    ks, ps, qs, (diagnostics,) = damped_picard(
         lambda ps, qs: _forward_k(problem, backend, forward, ps, qs, k0),
         lambda ks, ps: _backward_pq(backend, backward, regressors, ks, p_terminal),
         (ps_in, qs_in),

@@ -62,6 +62,7 @@ from .equilibrium import (
     EquilibriumReport,
     GradientConfig,
     NonConvergenceError,
+    NonFiniteCostError,
     brute_force_nash,
     solve_nash,
 )
@@ -273,9 +274,14 @@ def _parse_grid(obj, box: ControlBox, k: int, where: str) -> np.ndarray:
     obj = _require_mapping(obj, where)
     if "values" in obj:
         _reject_unknown(obj, where, {"values"})
-        values = np.asarray(obj["values"], dtype=float)
+        try:
+            values = np.asarray(obj["values"], dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}.values", "expected a numeric array") from None
         if values.ndim != 2 or values.shape[1] != k:
             raise ConfigError(f"{where}.values", f"expected shape [G, {k}]")
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"{where}.values", "entries must be finite")
         return values
     _reject_unknown(obj, where, {"points", "lower", "upper"})
     points = _as_int(obj.get("points", 5), f"{where}.points", minimum=2)
@@ -902,7 +908,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
-    except (PicardDivergenceError, NonConvergenceError, NonFiniteStateError) as exc:
+    except (PicardDivergenceError, NonConvergenceError, NonFiniteStateError,
+            NonFiniteCostError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
 

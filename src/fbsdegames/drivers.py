@@ -6,6 +6,8 @@ Two interchangeable backends drive every solver:
   j + 1 nodes; node (j, l) carries B = (2l - j) sqrt(dt) and the up/down
   transition has probability 1/2.  Conditional expectations are exact node
   averages, which makes the backend suitable for brute-force oracles.
+  ``MemberLattice`` stacks independent copies of one lattice problem, so
+  the grid oracle solves many control profiles in one pass.
 * ``MonteCarloBackend``: a seeded path ensemble with least-squares
   regression onto a polynomial basis for conditional expectations.  Each
   step's design matrix is factored once and reused while its regressors
@@ -218,6 +220,72 @@ class LatticeBackend:
         return out
 
 
+class MemberLattice:
+    """`members` independent problems on one lattice, stacked node-major.
+
+    Row l * B + b of level j is node l of member b (B = members), so level j
+    holds (j + 1) * B rows.  Every operation views its rows as (j + 1, B, ...)
+    and runs the lattice's own arithmetic on that trailing shape, so a
+    member's rows get the values a plain `LatticeBackend` gives them alone,
+    bit for bit, as long as the problem's callbacks act row by row.
+    `expect` returns one value per member, shape (B, ...).
+    """
+
+    kind = "lattice"
+
+    def __init__(self, lattice: LatticeBackend, members: int):
+        if members < 1:
+            raise ValueError("members must be >= 1")
+        self.lattice = lattice
+        self.grid = lattice.grid
+        self.d = 1
+        self.members = members
+
+    # explicit lengths, not -1: a control of an inert player has no columns
+    def _nodes(self, rows: Array) -> Array:
+        v = np.asarray(rows)
+        return v.reshape((v.shape[0] // self.members, self.members) + v.shape[1:])
+
+    @staticmethod
+    def _rows(nodes: Array) -> Array:
+        return nodes.reshape((nodes.shape[0] * nodes.shape[1],) + nodes.shape[2:])
+
+    def stack(self, arrays) -> Array:
+        """Rows of one level from each member's (j + 1, ...) array, in member order."""
+        return self._rows(np.stack(arrays, axis=1))
+
+    def member_rows(self, j: int, mask: Array) -> Array:
+        """Level-j row mask selecting the members where mask (shape (B,)) holds."""
+        return np.tile(mask, j + 1)
+
+    def scenario_count(self, j: int) -> int:
+        return (j + 1) * self.members
+
+    def brownian(self, j: int) -> Array:
+        return np.repeat(self.lattice.brownian(j), self.members, axis=0)
+
+    def expect(self, j: int, values: Array) -> Array:
+        # member-major and contiguous, so each member's average is the same
+        # matrix-vector product that LatticeBackend.expect makes on its rows
+        v = np.ascontiguousarray(np.swapaxes(self._nodes(values), 0, 1))
+        flat = v.reshape(self.members, j + 1, -1)
+        return (self.lattice._weights[j] @ flat).reshape((self.members,) + v.shape[2:])
+
+    def cond_exp(self, j: int, values_next: Array, regressors: Array | None = None):
+        out, ridge = self.lattice.cond_exp(j, self._nodes(values_next))
+        return self._rows(out), ridge
+
+    def cond_exp_increment(self, j: int, values_next: Array, regressors: Array | None = None):
+        out, ridge = self.lattice.cond_exp_increment(j, self._nodes(values_next))
+        return self._rows(out), ridge
+
+    def step_forward(self, j: int, state: Array, drift: Array, diffusion: Array) -> Array:
+        nxt = self.lattice.step_forward(
+            j, self._nodes(state), self._nodes(drift), self._nodes(diffusion)
+        )
+        return self._rows(nxt)
+
+
 class MonteCarloBackend:
     """Path-ensemble backend with regression conditional expectations."""
 
@@ -275,4 +343,4 @@ class MonteCarloBackend:
         return state + drift * self.grid.dt + np.einsum("s...d,sd->s...", diffusion, db)
 
 
-Backend = LatticeBackend | MonteCarloBackend
+Backend = LatticeBackend | MonteCarloBackend | MemberLattice

@@ -10,7 +10,10 @@ merit sequence is non-increasing by construction.
 Validators, deliberately decoupled from the search: cost evaluation with a
 standard error on sampled backends, a directional-derivative pair (costate
 form against a two-sided cost difference), and an exhaustive grid oracle for
-tiny recombining trees.
+tiny recombining trees.  The oracle solves the candidate profiles of a best
+response in batches: one damped Picard solve over a member axis
+(``drivers.MemberLattice``) in which every member gets, bit for bit, the
+solve its profile would get alone.
 """
 
 from __future__ import annotations
@@ -21,14 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import AdjointTrajectory, solve_adjoint
-from .drivers import Backend
+from .drivers import Backend, MemberLattice
 from .fbsde import (
     ControlProcess,
     FbsdeConfig,
+    NonFiniteStateError,
     PicardDivergenceError,
     SolveDiagnostics,
     StateTrajectory,
     solve_fbsde,
+    solve_members,
 )
 from .hamiltonian import (
     CertificateOptions,
@@ -54,6 +59,10 @@ class NonConvergenceError(RuntimeError):
 
 class BudgetExceededError(RuntimeError):
     """Enumeration oracle ran out of allowed cost evaluations."""
+
+
+class NonFiniteCostError(RuntimeError):
+    """Enumeration oracle met a control profile whose cost is not finite."""
 
 
 @dataclass(frozen=True)
@@ -137,7 +146,8 @@ def eval_cost(
     terminal part at x(T), initial part at y(0).
 
     Returns (estimate, standard error); the error is zero on the lattice
-    where the expectation is exact.
+    where the expectation is exact.  On a ``drivers.MemberLattice`` the
+    estimate is an array with one cost per member.
     """
     backend = traj.backend
     grid = backend.grid
@@ -157,12 +167,11 @@ def eval_cost(
     value = 0.0
     for j in range(N):
         t = float(grid.knots[j])
-        value += dt * float(
-            backend.expect(j, l(t, traj.x[j], traj.y[j], traj.z[j], u.u1[j], u.u2[j]))
-        )
-    value += float(backend.expect(N, phi(traj.x[N])))
-    value += float(backend.expect(0, h(traj.y[0])))
-    return value, 0.0
+        running = l(t, traj.x[j], traj.y[j], traj.z[j], u.u1[j], u.u2[j])
+        value = value + dt * backend.expect(j, running)
+    value = value + backend.expect(N, phi(traj.x[N]))
+    value = value + backend.expect(0, h(traj.y[0]))
+    return (float(value) if np.ndim(value) == 0 else value), 0.0
 
 
 @dataclass(frozen=True)
@@ -408,6 +417,44 @@ def _node_offsets(steps: int) -> list[int]:
     return offsets
 
 
+# Control profiles per batched state solve in brute_force_nash: a best
+# response's uncached profiles are solved together in chunks of at most this
+# many members, so memory stays bounded for large grids.
+_ORACLE_MEMBERS = 256
+
+# what fails a batched chunk and sends its profiles through one at a time
+_ORACLE_FAILURES = (
+    PicardDivergenceError, NonFiniteStateError, NonConvergenceError, NonFiniteCostError
+)
+
+
+def _profile_costs(problem, backend, profiles, config) -> list[tuple[float, float]]:
+    """Both players' costs of each (u1, u2) profile, from one member-batched solve.
+
+    Any member that fails (divergence, a non-finite state, no convergence or
+    a non-finite cost) fails the whole call.  A one-member call fails as that
+    profile's own `solve_fbsde` does, with NonConvergenceError when it stops
+    unconverged and with NonFiniteCostError when a cost is not finite.
+    """
+    view = MemberLattice(backend, len(profiles))
+    steps = range(backend.grid.steps)
+    u = ControlProcess(
+        u1=tuple(view.stack([p[0][j] for p in profiles]) for j in steps),
+        u2=tuple(view.stack([p[1][j] for p in profiles]) for j in steps),
+    )
+    traj, diagnostics = solve_members(problem, u, view, config)
+    for diag in diagnostics:
+        if not diag.converged:
+            raise NonConvergenceError("oracle cost evaluation did not converge", diag)
+    j1, _ = eval_cost(problem, traj, u, 1)
+    j2, _ = eval_cost(problem, traj, u, 2)
+    costs = list(zip(j1.tolist(), j2.tolist()))
+    for a, b in costs:
+        if not (np.isfinite(a) and np.isfinite(b)):
+            raise NonFiniteCostError(f"oracle cost is not finite (J1={a}, J2={b})")
+    return costs
+
+
 def brute_force_nash(
     problem: GameProblem,
     backend: Backend,
@@ -424,6 +471,17 @@ def brute_force_nash(
     the other frozen.  Ties go to the lexicographically smallest assignment,
     which makes the result deterministic.  Every cost evaluation is a full
     coupled solve; the budget caps their number.
+
+    A best response, and the neighbours the resolution bounds read, are
+    solved in batches: the uncached profiles, in enumeration order, go
+    through one member-batched Picard solve per chunk of `_ORACLE_MEMBERS`.
+    Each member is the solve of its profile alone, bit for bit, so the costs,
+    the evaluation count and the result do not depend on the chunking.  When
+    a chunk fails, its profiles are solved again one at a time, in order, and
+    the first failure is raised as the unbatched loop would raise it.  Past
+    the budget, the profiles that fit are evaluated and then
+    BudgetExceededError is raised.  A non-finite cost raises
+    NonFiniteCostError.
     """
     if backend.kind != "lattice":
         raise ValueError("the enumeration oracle requires the lattice backend")
@@ -440,36 +498,38 @@ def brute_force_nash(
     def controls_for(assignment: tuple[int, ...], grid: Array) -> list[Array]:
         return [grid[list(assignment[offsets[j]:offsets[j + 1]])] for j in range(N)]
 
-    def costs_at(a1: tuple[int, ...], a2: tuple[int, ...]) -> tuple[float, float]:
+    def solve(keys) -> None:
+        """Fill the cache for keys, evaluating the uncached ones in order."""
         nonlocal evaluations
-        key = (a1, a2)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if evaluations >= budget:
+        missing = list(dict.fromkeys(key for key in keys if key not in cache))
+        fitting = missing[:max(budget - evaluations, 0)]
+        for start in range(0, len(fitting), _ORACLE_MEMBERS):
+            chunk = fitting[start:start + _ORACLE_MEMBERS]
+            profiles = [(controls_for(a1, grid1), controls_for(a2, grid2)) for a1, a2 in chunk]
+            try:
+                costs = _profile_costs(problem, backend, profiles, fbsde_config)
+            except _ORACLE_FAILURES:
+                costs = None
+            if costs is None:
+                # one at a time, in order: the first failing profile raises as it would alone
+                costs = [_profile_costs(problem, backend, [p], fbsde_config)[0] for p in profiles]
+            cache.update(zip(chunk, costs))
+            evaluations += len(chunk)
+        if len(fitting) < len(missing):
             raise BudgetExceededError(
                 f"enumeration budget of {budget} cost evaluations exhausted; "
                 "use a smaller grid or fewer steps"
             )
-        evaluations += 1
-        u = ControlProcess(
-            u1=tuple(controls_for(a1, grid1)), u2=tuple(controls_for(a2, grid2))
-        )
-        traj, diag = solve_fbsde(problem, u, backend, fbsde_config)
-        if not diag.converged:
-            raise NonConvergenceError("oracle cost evaluation did not converge", diag)
-        j1, _ = eval_cost(problem, traj, u, 1)
-        j2, _ = eval_cost(problem, traj, u, 2)
-        cache[key] = (j1, j2)
-        return cache[key]
 
     def best_response(player: int, frozen: tuple[int, ...]) -> tuple[int, ...]:
         G = grid1.shape[0] if player == 1 else grid2.shape[0]
+        cands = list(itertools.product(range(G), repeat=node_count))
+        pairs = [(cand, frozen) if player == 1 else (frozen, cand) for cand in cands]
+        solve(pairs)
         best_a: tuple[int, ...] | None = None
         best_j = np.inf
-        for cand in itertools.product(range(G), repeat=node_count):
-            pair = (cand, frozen) if player == 1 else (frozen, cand)
-            j_own = costs_at(*pair)[player - 1]
+        for cand, pair in zip(cands, pairs):
+            j_own = cache[pair][player - 1]
             if j_own < best_j:
                 best_j = j_own
                 best_a = cand
@@ -493,60 +553,60 @@ def brute_force_nash(
             cycle = True
             break
         seen.add((a1, a2))
-    j1, j2 = costs_at(a1, a2)
-
-    def spacing(grid: Array) -> float:
-        gaps = []
-        for c in range(grid.shape[1]):
-            vals = np.unique(grid[:, c])
-            if vals.size > 1:
-                gaps.append(float(np.diff(vals).max()))
-        return max(gaps) if gaps else 0.0
+    solve([(a1, a2)])
+    j1, j2 = cache[(a1, a2)]
 
     def bound_for(player: int) -> float:
+        # the grid spacing d cancels: a half-cell move costs curvature/d^2 *
+        # (d/2)^2 / 2 and slope/d * d/2, so the terms are index differences,
+        # each scaled before subtracting so that no intermediate overflows
         own_assign = a1 if player == 1 else a2
         other_assign = a2 if player == 1 else a1
-        own_grid = grid1 if player == 1 else grid2
-        other_grid = grid2 if player == 1 else grid1
-        d_own = spacing(own_grid)
-        d_other = spacing(other_grid)
-        own_G = own_grid.shape[0]
-        other_G = other_grid.shape[0]
+        own_G = (grid1 if player == 1 else grid2).shape[0]
+        other_G = (grid2 if player == 1 else grid1).shape[0]
 
         def pair(own, other):
             return (own, other) if player == 1 else (other, own)
 
-        j_here = costs_at(*pair(own_assign, other_assign))[player - 1]
-        own_term = 0.0
+        def moved(assign, node, idx):
+            out = list(assign)
+            out[node] = idx
+            return tuple(out)
+
+        here = pair(own_assign, other_assign)
+        own_moves = []  # per node: (up, down) inside the grid, (neighbour,) at its edge
         for node in range(node_count):
             idx = own_assign[node]
-            curv = 0.0
             if 0 < idx < own_G - 1:
-                up = list(own_assign); up[node] = idx + 1
-                dn = list(own_assign); dn[node] = idx - 1
-                j_up = costs_at(*pair(tuple(up), other_assign))[player - 1]
-                j_dn = costs_at(*pair(tuple(dn), other_assign))[player - 1]
-                curv = abs(j_up - 2.0 * j_here + j_dn) / max(d_own**2, 1e-300)
+                own_moves.append((pair(moved(own_assign, node, idx + 1), other_assign),
+                                  pair(moved(own_assign, node, idx - 1), other_assign)))
             elif own_G > 1:
                 step = 1 if idx == 0 else -1
-                nb = list(own_assign); nb[node] = idx + step
-                j_nb = costs_at(*pair(tuple(nb), other_assign))[player - 1]
-                # boundary: fall back to the one-sided slope as a curvature proxy
-                curv = 2.0 * abs(j_nb - j_here) / max(d_own**2, 1e-300)
-            own_term += 0.5 * curv * (0.5 * d_own) ** 2
-        cross_term = 0.0
+                own_moves.append((pair(moved(own_assign, node, idx + step), other_assign),))
+        cross_moves = []  # per node: (up, down, index distance)
         for node in range(node_count):
             idx = other_assign[node]
             lo = max(idx - 1, 0)
             hi = min(idx + 1, other_G - 1)
-            if hi == lo:
-                continue
-            up = list(other_assign); up[node] = hi
-            dn = list(other_assign); dn[node] = lo
-            j_up = costs_at(*pair(own_assign, tuple(up)))[player - 1]
-            j_dn = costs_at(*pair(own_assign, tuple(dn)))[player - 1]
-            slope = abs(j_up - j_dn) / ((hi - lo) * max(d_other, 1e-300))
-            cross_term += slope * 0.5 * d_other
+            if hi > lo:
+                cross_moves.append((pair(own_assign, moved(other_assign, node, hi)),
+                                    pair(own_assign, moved(other_assign, node, lo)), hi - lo))
+        solve([here] + [key for keys in own_moves for key in keys]
+              + [key for up, dn, _ in cross_moves for key in (up, dn)])
+
+        def J(key):
+            return cache[key][player - 1]
+
+        own_term = 0.0
+        for keys in own_moves:
+            if len(keys) == 2:
+                own_term += abs(0.125 * J(keys[0]) - 0.25 * J(here) + 0.125 * J(keys[1]))
+            else:
+                # boundary: fall back to the one-sided slope as a curvature proxy
+                own_term += abs(0.25 * J(keys[0]) - 0.25 * J(here))
+        cross_term = 0.0
+        for up, dn, width in cross_moves:
+            cross_term += abs(0.5 * J(up) - 0.5 * J(dn)) / width
         return own_term + cross_term
 
     bound1 = bound_for(1)

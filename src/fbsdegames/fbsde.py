@@ -201,9 +201,10 @@ def backward_pass(
     return ys, zs, ridge_events
 
 
-def _update_metric(backend: Backend, ys_new, zs_new, ys_old, zs_old) -> float:
-    """Sup over time of the scenario-mean squared update of (y, z)."""
-    worst = 0.0
+def _update_metric(backend: Backend, ys_new, zs_new, ys_old, zs_old) -> Array:
+    """Sup over time of the scenario-mean squared update of (y, z), one value
+    per member (a plain backend is one member)."""
+    worst = np.zeros(getattr(backend, "members", 1))
     N = len(zs_new)
     for j in range(N + 1):
         dy = ys_new[j] - ys_old[j]
@@ -211,7 +212,7 @@ def _update_metric(backend: Backend, ys_new, zs_new, ys_old, zs_old) -> float:
         if j < N:
             dz = (zs_new[j] - zs_old[j]).reshape(dy.shape[0], -1)
             total = total + np.einsum("sk,sk->s", dz, dz)
-        worst = max(worst, float(backend.expect(j, total)))
+        np.fmax(worst, backend.expect(j, total), out=worst)  # a NaN mean leaves worst
     return worst
 
 
@@ -225,47 +226,112 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
     (residual above 10x its first value) raises PicardDivergenceError;
     hitting max_picard keeps the best output with converged = False.  A last
     forward sweep at the returned pair makes the forward recursion hold
-    there.  Returns (fwd, a, b, diagnostics); warnings name `label`.
+    there.  Returns (fwd, a, b, diagnostics), one SolveDiagnostics per
+    member; warnings name `label`.
+
+    On a member view (``drivers.MemberLattice``) every member runs this
+    iteration on its own rows: its own residuals, warnings, best output,
+    stop and divergence check.  A member that has stopped keeps its iterate,
+    so the passes the others still need repeat its last input and cannot
+    change its result.  A plain backend is the one-member case.
     """
+    members = getattr(backend, "members", 1)
     a_in, b_in = start
     prev_a, prev_b = start
     theta = config.damping
-    history: list[float] = []
-    warnings: list[str] = []
+    histories: list[list[float]] = [[] for _ in range(members)]
+    warnings: list[list[str]] = [[] for _ in range(members)]
+    best = [np.inf] * members
+    converged = [False] * members
+    running = list(range(members))
     ridge_total = 0
-    best = None
-    converged = False
+    best_a, best_b = a_in, b_in
 
-    def diagnostics() -> SolveDiagnostics:
+    def pick(chosen: list[int], new: list, old: list) -> list:
+        """Per step, the rows of the chosen members from new, the rest from old."""
+        if len(chosen) == members:
+            return new
+        if not chosen:
+            return old
+        mask = np.zeros(members, dtype=bool)
+        mask[chosen] = True
+        out = []
+        for j, (a, b) in enumerate(zip(new, old)):
+            rows = backend.member_rows(j, mask).reshape((-1,) + (1,) * (a.ndim - 1))
+            out.append(np.where(rows, a, b))
+        return out
+
+    def damped(new, old):
+        return [theta * n + (1.0 - theta) * o for n, o in zip(new, old)]
+
+    def diagnostics(b: int) -> SolveDiagnostics:
         return SolveDiagnostics(
-            iterations=len(history),
-            final_residual=history[-1],
-            converged=converged,
-            residual_history=tuple(history),
+            iterations=len(histories[b]),
+            final_residual=histories[b][-1],
+            converged=converged[b],
+            residual_history=tuple(histories[b]),
             ridge_fallbacks=ridge_total,
-            warnings=tuple(warnings),
+            warnings=tuple(warnings[b]),
         )
 
     for it in range(1, config.max_picard + 1):
         a_out, b_out, ridge = backward(forward(a_in, b_in), a_in)
         ridge_total += ridge
-        residual = _update_metric(backend, a_out, b_out, prev_a, prev_b)
-        history.append(residual)
-        if len(history) > 1 and residual > history[-2]:
-            warnings.append(f"{label} residual non-monotone at iteration {it}")
-        if best is None or residual < best[0]:
-            best = (residual, a_out, b_out)
-        if residual <= config.tol:
-            converged = True
+        residual = _update_metric(backend, a_out, b_out, prev_a, prev_b).tolist()
+        improved, still = [], []
+        for b in running:
+            r, history = residual[b], histories[b]
+            if history and r > history[-1]:
+                warnings[b].append(f"{label} residual non-monotone at iteration {it}")
+            history.append(r)
+            # a stopping member's residual is its lowest (every earlier one
+            # was above tol), so its best output is the one it stops at
+            if it == 1 or r < best[b]:
+                best[b] = r
+                improved.append(b)
+            if r <= config.tol:
+                converged[b] = True
+            else:
+                still.append(b)
+        best_a = pick(improved, a_out, best_a)
+        best_b = pick(improved, b_out, best_b)
+        running = still
+        for b in running:
+            first = histories[b][0]
+            if first > 0.0 and histories[b][-1] > 10.0 * first:
+                raise PicardDivergenceError(diagnostics(b))
+        if not running:
             break
-        if history[0] > 0.0 and residual > 10.0 * history[0]:
-            raise PicardDivergenceError(diagnostics())
-        a_in = [theta * new + (1.0 - theta) * old for new, old in zip(a_out, a_in)]
-        b_in = [theta * new + (1.0 - theta) * old for new, old in zip(b_out, b_in)]
+        a_in = pick(running, damped(a_out, a_in), a_in)
+        b_in = pick(running, damped(b_out, b_in), b_in)
         prev_a, prev_b = a_out, b_out
-    if not converged:
-        _, a_out, b_out = best
-    return forward(a_out, b_out), a_out, b_out, diagnostics()
+    return forward(best_a, best_b), best_a, best_b, tuple(diagnostics(b) for b in range(members))
+
+
+def solve_members(
+    problem: GameProblem,
+    u: ControlProcess,
+    backend: Backend,
+    config: FbsdeConfig = FbsdeConfig(),
+    initial=None,
+) -> tuple[StateTrajectory, tuple[SolveDiagnostics, ...]]:
+    """`solve_fbsde` with one SolveDiagnostics per member of the backend.
+
+    On a ``drivers.MemberLattice`` the returned trajectory stacks every
+    member's own solve; a plain backend is one member.
+    """
+    m, d = problem.dims.m, problem.dims.d
+    # the sweeps look forward_pass and backward_pass up at call time, so a
+    # wrapper rebound over either module name sees every pass
+    xs, ys, zs, diagnostics = damped_picard(
+        lambda ys, zs: forward_pass(problem, u, ys, zs, backend),
+        lambda xs, ys: backward_pass(problem, u, xs, backend, y_guess=ys),
+        _start_pair(backend, initial, (m,), (m, d)),
+        backend,
+        config,
+        "picard",
+    )
+    return StateTrajectory(x=tuple(xs), y=tuple(ys), z=tuple(zs), backend=backend), diagnostics
 
 
 def solve_fbsde(
@@ -280,15 +346,5 @@ def solve_fbsde(
     `initial` warm-starts the backward pair with (ys, zs) from an earlier
     solve.  Divergence and the iteration cap behave as in `damped_picard`.
     """
-    m, d = problem.dims.m, problem.dims.d
-    # the sweeps look forward_pass and backward_pass up at call time, so a
-    # wrapper rebound over either module name sees every pass
-    xs, ys, zs, diagnostics = damped_picard(
-        lambda ys, zs: forward_pass(problem, u, ys, zs, backend),
-        lambda xs, ys: backward_pass(problem, u, xs, backend, y_guess=ys),
-        _start_pair(backend, initial, (m,), (m, d)),
-        backend,
-        config,
-        "picard",
-    )
-    return StateTrajectory(x=tuple(xs), y=tuple(ys), z=tuple(zs), backend=backend), diagnostics
+    traj, (diagnostics,) = solve_members(problem, u, backend, config, initial)
+    return traj, diagnostics

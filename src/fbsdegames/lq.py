@@ -2,10 +2,15 @@
 
 Drift, diffusion columns and driver are affine in (x, y, z_vec, u1, u2);
 running costs are pure quadratic forms.  z_vec is z flattened C-order.
+
+The value callbacks act row by row bit for bit (see ``problem``): every
+matrix product that is a sum goes through `_times`, whose sums do not
+depend on how many rows are passed together.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,6 +35,21 @@ def _mat(value, shape: tuple[int, ...], name: str) -> Array:
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
+
+
+def _times(v: Array, M: Array) -> Array:
+    """v @ M.T, each row summed over the columns of v in order.
+
+    BLAS kernels round a row's sum differently depending on how many rows
+    come with it; elementwise products and sums do not.  With one column or
+    none there is no sum, and the matmul is kept.
+    """
+    if M.shape[1] < 2:
+        return v @ M.T
+    out = v[:, :1] * M[:, 0]
+    for i in range(1, M.shape[1]):
+        out = out + v[:, i:i + 1] * M[:, i]
+    return out
 
 
 @dataclass(frozen=True)
@@ -64,13 +84,23 @@ class AffineMap:
             const=_mat(self.const, (rows,), f"{name}.const"),
         )
 
+    @functools.cached_property
+    def _wide(self) -> bool:
+        """Some matrix has two or more columns, so some product is a sum."""
+        return max(M.shape[1] for M in (self.A, self.B, self.C, self.D1, self.D2)) > 1
+
     def __call__(self, x: Array, y: Array, zv: Array, u1: Array, u2: Array) -> Array:
+        if not self._wide:
+            # every product is one term, so the matmuls act row by row; this
+            # skips five calls on the hot path of the one-dimensional games
+            return (x @ self.A.T + y @ self.B.T + zv @ self.C.T
+                    + u1 @ self.D1.T + u2 @ self.D2.T + self.const)
         return (
-            x @ self.A.T
-            + y @ self.B.T
-            + zv @ self.C.T
-            + u1 @ self.D1.T
-            + u2 @ self.D2.T
+            _times(x, self.A)
+            + _times(y, self.B)
+            + _times(zv, self.C)
+            + _times(u1, self.D1)
+            + _times(u2, self.D2)
             + self.const
         )
 
@@ -163,7 +193,10 @@ class LQGameSpec:
 
 
 def _quad(v: Array, M: Array) -> Array:
-    return 0.5 * np.einsum("si,ij,sj->s", v, M, v)
+    if M.shape[1] < 2:
+        return 0.5 * np.einsum("si,ij,sj->s", v, M, v)
+    # the two-operand row contraction is row by row; the three-operand one is not
+    return 0.5 * np.einsum("sj,sj->s", _times(v, M), v)
 
 
 def lq_to_problem(spec: LQGameSpec) -> GameProblem:
@@ -295,7 +328,7 @@ def lq_to_problem(spec: LQGameSpec) -> GameProblem:
         L, c = spec.xi_linear, spec.xi
 
         def _xi(bt: Array, _L=L, _c=c) -> Array:
-            return bt @ _L.T + _c
+            return _times(bt, _L) + _c
 
         terminal = TerminalData(xi=_xi, description="affine in B(T)")
 

@@ -20,6 +20,13 @@ whose derivative keeps the Brownian column first:
 
 z enters all derivative layouts flattened C-order, so dim_z = m*d and the
 entry (i, j) of z maps to index i*d + j.
+
+Callbacks must act row by row: row s of a result depends on row s of the
+arguments only, bit for bit, whatever rows come with it.  The grid oracle
+relies on this when it stacks many control profiles along the scenario axis
+(``drivers.MemberLattice``) and expects each to be solved as if alone.  The
+LQ family satisfies it (``lq`` sums its matrix products in a fixed order
+rather than through BLAS, whose rounding depends on the row count).
 """
 
 from __future__ import annotations

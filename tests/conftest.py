@@ -217,6 +217,12 @@ def montecarlo(
     return MonteCarloBackend(ensemble, RegressionConfig(degree=degree, include_y=include_y))
 
 
+def member(view, rows, b: int):
+    """Member b's rows of one level of a MemberLattice: row l * B + b is
+    node l of member b."""
+    return rows.reshape((rows.shape[0] // view.members, view.members) + rows.shape[1:])[:, b]
+
+
 # Roundoff budget when a result is recomputed in another summation order
 # (a stacked contraction against separate einsums, a batch of another size):
 # the two agree to a few ulps of the largest term; 2**8 eps leaves ample room.

@@ -314,6 +314,26 @@ class TestOracle:
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("solver failure: Picard iteration diverged")
 
+    def test_nonfinite_grid_value_exits_64(self, tmp_path, capsys):
+        cfg = self._tiny_cfg()
+        cfg["oracle"]["grid1"] = {"values": [[float("nan")], [0.0]]}
+        path = write_config(tmp_path, cfg)
+        assert run("oracle", "--config", path, "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "oracle.grid1.values" in err and "finite" in err
+
+    def test_nonfinite_cost_exits_1(self, tmp_path):
+        # u = 1e308 makes the quadratic cost overflow (it also used to
+        # overflow the resolution bound's squared grid spacing)
+        config = Path(__file__).resolve().parents[1] / "configs" / "two_step_oracle.json"
+        cfg = json.loads(config.read_text())
+        cfg["oracle"]["grid1"] = {"values": [[1e308], [0.0]]}
+        path = write_config(tmp_path, cfg)
+        done = run_process("oracle", "--config", path, "--out", str(tmp_path / "o"))
+        assert done.returncode == EXIT_SOLVER_FAILURE
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("solver failure: oracle cost is not finite")
+
     def test_budget_one_exits_65(self, tmp_path):
         cfg = self._tiny_cfg()
         cfg["oracle"]["budget"] = 1

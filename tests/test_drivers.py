@@ -10,9 +10,9 @@ from fbsdegames import (
     TimeGrid,
     sample_ensemble,
 )
-from fbsdegames.drivers import polynomial_design
+from fbsdegames.drivers import MemberLattice, polynomial_design
 
-from conftest import lattice, montecarlo
+from conftest import lattice, member, montecarlo
 
 
 def test_time_grid_basics():
@@ -259,3 +259,52 @@ def test_mc_projection_follows_regressors_refilled_in_place():
     ref, ref_ridge = fresh.cond_exp(1, values, cases["full-rank"])
     assert got_ridge == ref_ridge is False
     assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("members", [1, 2, 7, 125])
+@pytest.mark.parametrize("trailing", [(), (2,), (2, 3)])
+def test_member_lattice_gives_each_member_its_lattice_values(members, trailing):
+    # levels up to 6: from level 3 on the binomial weights are not powers of
+    # two and a product over all members at once would round differently
+    base = lattice(6)
+    view = MemberLattice(base, members)
+    rng = np.random.default_rng(members)
+    for j in range(7):
+        assert view.scenario_count(j) == (j + 1) * members
+        alone = [rng.standard_normal((j + 1,) + trailing) * 10.0 ** rng.uniform(-4, 4)
+                 for _ in range(members)]
+        rows = view.stack(alone)
+        assert rows.shape == ((j + 1) * members,) + trailing
+        expected = view.expect(j, rows)
+        assert expected.shape == (members,) + trailing
+        brownian = view.brownian(j)
+        for b in range(members):
+            np.testing.assert_array_equal(member(view, rows, b), alone[b])
+            np.testing.assert_array_equal(expected[b], base.expect(j, alone[b]))
+            np.testing.assert_array_equal(member(view, brownian, b), base.brownian(j))
+        mask = np.arange(members) % 2 == 0
+        picked = view.member_rows(j, mask)
+        np.testing.assert_array_equal(picked, np.repeat(mask[None], j + 1, axis=0).ravel())
+        if j == 6:
+            continue
+        nxt = [rng.standard_normal((j + 2,) + trailing) for _ in range(members)]
+        drift = [rng.standard_normal((j + 1,) + trailing) for _ in range(members)]
+        diffusion = [rng.standard_normal((j + 1,) + trailing + (1,)) for _ in range(members)]
+        cond, _ = view.cond_exp(j, view.stack(nxt))
+        incr, _ = view.cond_exp_increment(j, view.stack(nxt))
+        stepped = view.step_forward(j, rows, view.stack(drift), view.stack(diffusion))
+        for b in range(members):
+            np.testing.assert_array_equal(member(view, cond, b), base.cond_exp(j, nxt[b])[0])
+            np.testing.assert_array_equal(
+                member(view, incr, b), base.cond_exp_increment(j, nxt[b])[0])
+            np.testing.assert_array_equal(
+                member(view, stepped, b), base.step_forward(j, alone[b], drift[b], diffusion[b]))
+
+
+def test_member_lattice_keeps_columnless_controls():
+    view = MemberLattice(lattice(2), 3)
+    rows = view.stack([np.zeros((2, 0))] * 3)
+    assert rows.shape == (6, 0)
+    assert member(view, rows, 1).shape == (2, 0)
+    with pytest.raises(ValueError):
+        MemberLattice(lattice(2), 0)

@@ -1,6 +1,8 @@
 """Nash search, cost evaluation, directional derivatives, enumeration oracle."""
 
 import dataclasses
+import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from fbsdegames import (
     FbsdeConfig,
     GradientConfig,
     LQGameSpec,
+    NonConvergenceError,
+    NonFiniteCostError,
     QuadraticCost,
     brute_force_nash,
     build_certificate,
@@ -21,12 +25,33 @@ from fbsdegames import (
     eval_cost,
     gateaux_derivative,
     lq_to_problem,
+    random_lq_spec,
     solve_fbsde,
     solve_nash,
     vi_residual,
 )
+from fbsdegames import equilibrium
+from fbsdegames.cli import build_backend, load_config
 
-from conftest import coupled_lq_spec, lattice, montecarlo, riccati_spec, zero_spec
+from conftest import (
+    coupled_lq_spec,
+    lattice,
+    montecarlo,
+    riccati_spec,
+    two_step_spec,
+    zero_spec,
+)
+
+ORACLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "two_step_oracle.json"
+
+# chunk sizes for the grid oracle's batched solves; None keeps the default
+CHUNKS = [pytest.param(1, id="members-1"), pytest.param(7, id="members-7"),
+          pytest.param(None, id="default")]
+
+
+def _chunked(monkeypatch, members):
+    if members is not None:
+        monkeypatch.setattr(equilibrium, "_ORACLE_MEMBERS", members)
 
 
 def _nash(spec, backend, **grad_kw):
@@ -233,7 +258,9 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="width"):
             brute_force_nash(problem, backend, np.zeros((3, 2)), np.zeros((3, 1)))
 
-    def test_zero_cost_game_returns_lexicographically_first(self):
+    @pytest.mark.parametrize("members", CHUNKS)
+    def test_zero_cost_game_returns_lexicographically_first(self, monkeypatch, members):
+        _chunked(monkeypatch, members)
         spec = dataclasses.replace(
             coupled_lq_spec(),
             horizon=0.5,
@@ -274,7 +301,9 @@ class TestBruteForce:
             assert j1_star <= cost_of(cand, a2, 1) + 1e-12
             assert j2_star <= cost_of(a1, cand, 2) + 1e-12
 
-    def test_one_step_quadratic_matches_closed_form_argmin(self):
+    @pytest.mark.parametrize("members", CHUNKS)
+    def test_one_step_quadratic_matches_closed_form_argmin(self, monkeypatch, members):
+        _chunked(monkeypatch, members)
         # J(u) = u^2/2 + (1 + u)^2/2 is minimized at -1/2, a grid point
         dims = Dims(n=1, m=1, d=1, k1=1, k2=0)
         spec = LQGameSpec(
@@ -318,3 +347,149 @@ def test_gradient_config_validation():
         GradientConfig(mode="newton")
     with pytest.raises(ValueError):
         GradientConfig(max_iterations=0)
+
+
+# ---------------------------------------------------------------------------
+# the batched grid oracle against the unbatched loop
+# ---------------------------------------------------------------------------
+
+_batched_costs = equilibrium._profile_costs
+
+
+def _sequential_costs(problem, backend, profiles, config):
+    """The unbatched oracle's evaluation: one solve_fbsde and eval_cost per profile."""
+    out = []
+    for u1, u2 in profiles:
+        u = ControlProcess(u1=tuple(u1), u2=tuple(u2))
+        traj, diag = solve_fbsde(problem, u, backend, config)
+        if not diag.converged:
+            raise NonConvergenceError("oracle cost evaluation did not converge", diag)
+        out.append((eval_cost(problem, traj, u, 1)[0], eval_cost(problem, traj, u, 2)[0]))
+    return out
+
+
+def _recorded(monkeypatch, costs_fn, log):
+    """Route the oracle's evaluations through costs_fn, logging each call's
+    profiles (as bytes, in order) and costs."""
+
+    def recording(problem, backend, profiles, config):
+        out = costs_fn(problem, backend, profiles, config)
+        log.append([(tuple(a.tobytes() for half in p for a in half), c)
+                    for p, c in zip(profiles, out)])
+        return out
+
+    monkeypatch.setattr(equilibrium, "_profile_costs", recording)
+
+
+def _oracle_case(name):
+    if name == "two-step":
+        grid = np.linspace(-2.0, 2.0, 5)[:, None]
+        return lq_to_problem(two_step_spec()), lattice(2, horizon=0.5), grid, grid
+    grid = np.array([[-1.0, -0.5], [0.3, 0.7], [1.0, -0.2]])
+    spec = random_lq_spec(5, Dims(n=2, m=2, d=1, k1=2, k2=2), horizon=0.5)
+    return lq_to_problem(spec), lattice(2, horizon=0.5), grid, grid
+
+
+def _summary(report):
+    return (report.j1, report.j2, report.equilibrium, report.cycle_detected, report.rounds,
+            report.evaluations, report.resolution_bound_1, report.resolution_bound_2,
+            report.assignment_1, report.assignment_2)
+
+
+@functools.lru_cache(maxsize=None)
+def _sequential_oracle(name):
+    log = []
+    with pytest.MonkeyPatch.context() as mp:
+        _recorded(mp, _sequential_costs, log)
+        report = brute_force_nash(*_oracle_case(name))
+    return _summary(report), [entry for call in log for entry in call]
+
+
+@pytest.mark.parametrize("members", CHUNKS)
+@pytest.mark.parametrize("case", ["two-step", "random"])
+def test_batched_oracle_equals_the_sequential_loop(monkeypatch, case, members):
+    _chunked(monkeypatch, members)
+    limit = equilibrium._ORACLE_MEMBERS
+    log = []
+    _recorded(monkeypatch, _batched_costs, log)
+    report = brute_force_nash(*_oracle_case(case))
+    summary, costs = _sequential_oracle(case)
+    assert max(len(call) for call in log) <= limit
+    if members is None and case == "two-step":
+        assert len(log[0]) == 125  # a whole best response in one solve
+    # every profile, in evaluation order, with bitwise the same two costs
+    assert [entry for call in log for entry in call] == costs
+    assert report.evaluations == len(costs)
+    assert _summary(report) == summary
+
+
+def _config_oracle(budget):
+    cfg = load_config(ORACLE_CONFIG)
+    return brute_force_nash(cfg.problem, build_backend(cfg), cfg.oracle.grid1, cfg.oracle.grid2,
+                            budget=budget)
+
+
+@pytest.mark.parametrize("members", CHUNKS[1:])
+def test_budget_covers_exactly_the_evaluations(monkeypatch, members):
+    _chunked(monkeypatch, members)
+    assert _config_oracle(373).evaluations == 373
+    log = []
+    _recorded(monkeypatch, _batched_costs, log)
+    with pytest.raises(BudgetExceededError):
+        _config_oracle(372)
+    assert sum(len(call) for call in log) == 372  # the profiles that fit, then the error
+
+
+def _failing_case(kind):
+    spec = two_step_spec()
+    if kind == "nonfinite-state":
+        # the second profile moves one node to 1e308, and b = 4 u overflows
+        drift = dataclasses.replace(spec.drift, D1=np.array([[4.0]]))
+        spec = dataclasses.replace(spec, drift=drift)
+        grid = np.array([[0.0], [1e308]])
+        return lq_to_problem(spec), lattice(2, horizon=0.5), grid, grid
+    spec = dataclasses.replace(
+        spec, horizon=2.0,
+        drift=dataclasses.replace(spec.drift, B=np.array([[8.0]])),
+        driver=dataclasses.replace(spec.driver, A=np.array([[8.0]])),
+    )
+    grid = np.linspace(-1.0, 1.0, 3)[:, None]
+    return lq_to_problem(spec), lattice(2, horizon=2.0), grid, grid
+
+
+def _raised(args):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(Exception) as err:
+            brute_force_nash(*args)
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("members", CHUNKS)
+@pytest.mark.parametrize("kind", ["nonfinite-state", "divergence"])
+def test_failing_profile_raises_as_the_sequential_loop(monkeypatch, kind, members):
+    _chunked(monkeypatch, members)
+    batched = _raised(_failing_case(kind))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equilibrium, "_profile_costs", _sequential_costs)
+        sequential = _raised(_failing_case(kind))
+    assert batched == sequential
+    assert batched[0].__name__ == {"nonfinite-state": "NonFiniteStateError",
+                                   "divergence": "PicardDivergenceError"}[kind]
+
+
+def test_nonfinite_cost_is_a_solver_failure():
+    problem, backend, _, _ = _oracle_case("two-step")
+    grid = np.array([[1e308], [0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteCostError, match="not finite"):
+            brute_force_nash(problem, backend, grid, grid)
+
+
+def test_resolution_bounds_survive_a_huge_grid_spacing():
+    # the spacing squared would overflow; the bound never forms it
+    problem, backend, _, _ = _oracle_case("two-step")
+    grid = np.array([[1e154], [-1e154]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = brute_force_nash(problem, backend, grid, grid)
+    assert np.isfinite(report.j1) and np.isfinite(report.j2)
+    assert np.isfinite(report.resolution_bound_1) and np.isfinite(report.resolution_bound_2)

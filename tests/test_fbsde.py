@@ -8,15 +8,19 @@ import pytest
 from fbsdegames import (
     AffineMap,
     ControlProcess,
+    Dims,
     FbsdeConfig,
     NonFiniteStateError,
     PicardDivergenceError,
     eval_cost,
     forward_pass,
     lq_to_problem,
+    random_lq_spec,
     solve_adjoint,
     solve_fbsde,
 )
+from fbsdegames.drivers import MemberLattice
+from fbsdegames.fbsde import solve_members
 
 import reference_values as ref
 from conftest import (
@@ -24,7 +28,9 @@ from conftest import (
     coupled_lq_spec,
     lattice,
     martingale_spec,
+    member,
     montecarlo,
+    random_controls,
     zero_spec,
 )
 
@@ -210,6 +216,71 @@ def test_iteration_cap_returns_the_best_iterate(solver, prefix, strength, dampin
     for got, ref in zip((fwd, *pair), (ref_fwd, *ref_pair)):
         for a, b in zip(got, ref):
             np.testing.assert_array_equal(a, b)
+
+
+def _member_batch(problem, backend, profiles):
+    view = MemberLattice(backend, len(profiles))
+    steps = range(backend.grid.steps)
+    u = ControlProcess(
+        u1=tuple(view.stack([p.u1[j] for p in profiles]) for j in steps),
+        u2=tuple(view.stack([p.u2[j] for p in profiles]) for j in steps),
+    )
+    return view, u
+
+
+def _scaled_profiles(problem, backend):
+    """Profiles whose solves start farther and farther from their fixed points."""
+    out = []
+    for seed, scale in enumerate((0.0, 1.0, 30.0, 1000.0)):
+        u = random_controls(problem, backend, seed)
+        out.append(ControlProcess(u1=tuple(scale * a for a in u.u1),
+                                  u2=tuple(scale * a for a in u.u2)))
+    return out
+
+
+@pytest.mark.parametrize("spec", [coupled_lq_spec(), random_lq_spec(3, Dims(2, 2, 1, 2, 2))],
+                         ids=["coupled", "random"])
+@pytest.mark.parametrize("capped", [False, True], ids=["tolerance", "capped"])
+def test_member_solve_is_each_solve_alone(spec, capped):
+    problem = lq_to_problem(spec)
+    backend = lattice(5)
+    profiles = _scaled_profiles(problem, backend)
+    config = FbsdeConfig(tol=1e-12, max_picard=200)
+    alone = [solve_fbsde(problem, u, backend, config) for u in profiles]
+    passes = [diag.iterations for _, diag in alone]
+    assert len(set(passes)) > 1  # members stop at different passes
+    if capped:
+        # the last member to stop now hits the cap and keeps its best output,
+        # while the passes it still needs run over members that have stopped
+        config = FbsdeConfig(tol=1e-12, max_picard=max(passes) - 1)
+        alone = [solve_fbsde(problem, u, backend, config) for u in profiles]
+        assert not all(diag.converged for _, diag in alone)
+    view, u = _member_batch(problem, backend, profiles)
+    traj, diagnostics = solve_members(problem, u, view, config)
+    assert traj.backend is view
+    for b, (ref, ref_diag) in enumerate(alone):
+        assert diagnostics[b] == ref_diag
+        for field in ("x", "y", "z"):
+            for got, want in zip(getattr(traj, field), getattr(ref, field)):
+                np.testing.assert_array_equal(member(view, got, b), want)
+        j_alone = eval_cost(problem, ref, profiles[b], 1)[0]
+        assert eval_cost(problem, traj, u, 1)[0][b] == j_alone
+
+
+def test_member_solve_raises_the_first_divergence():
+    problem = _opposed_coupling_problem(8.0)
+    backend = lattice(3, horizon=2.0)
+    profiles = _scaled_profiles(problem, backend)
+    config = FbsdeConfig()
+    first = []
+    for b, u in enumerate(profiles):
+        with pytest.raises(PicardDivergenceError) as alone:
+            solve_fbsde(problem, u, backend, config)
+        first.append((alone.value.diagnostics.iterations, b, alone.value.diagnostics))
+    view, u = _member_batch(problem, backend, profiles)
+    with pytest.raises(PicardDivergenceError) as batched:
+        solve_members(problem, u, view, config)
+    assert batched.value.diagnostics == min(first, key=lambda item: item[:2])[2]
 
 
 def test_forward_pass_names_nonfinite_step():

@@ -14,6 +14,7 @@ from fbsdegames import (
     TerminalData,
     check_derivatives,
     lq_to_problem,
+    random_lq_spec,
     validate_problem,
 )
 from fbsdegames.problem import FunctionBundle, PartialSpec
@@ -189,3 +190,31 @@ def test_validate_is_deterministic_in_seed():
     worst1 = [(c.partial, c.max_error) for rep in r1.derivative_reports for c in rep.checks]
     worst2 = [(c.partial, c.max_error) for rep in r2.derivative_reports for c in rep.checks]
     assert worst1 == worst2
+
+
+@pytest.mark.parametrize("dims", [Dims(1, 1, 1, 1, 1), Dims(2, 2, 1, 2, 2), Dims(3, 2, 2, 3, 0)])
+def test_lq_value_callbacks_act_row_by_row(dims):
+    # a row's value must not depend on the rows evaluated with it, bit for bit:
+    # the grid oracle stacks many profiles along the scenario axis
+    spec = random_lq_spec(4, dims)
+    spec = dataclasses.replace(spec, xi_linear=np.full((dims.m, dims.d), 0.3))
+    problem = lq_to_problem(spec)
+    co, costs = problem.coefficients, problem.costs
+    rng = np.random.default_rng(0)
+    S = 300
+    x, y = rng.standard_normal((S, dims.n)), rng.standard_normal((S, dims.m))
+    z = rng.standard_normal((S, dims.m, dims.d))
+    u1, u2 = rng.standard_normal((S, dims.k1)), rng.standard_normal((S, dims.k2))
+    bt = rng.standard_normal((S, dims.d))
+    calls = {
+        name: (lambda rows, fn=fn: fn(0.3, x[rows], y[rows], z[rows], u1[rows], u2[rows]))
+        for name, fn in (("b", co.b), ("sigma", co.sigma), ("f", co.f),
+                         ("l1", costs.l1), ("l2", costs.l2))
+    }
+    calls.update(phi1=lambda rows: costs.phi1(x[rows]), h2=lambda rows: costs.h2(y[rows]),
+                 xi=lambda rows: problem.terminal.xi(bt[rows]))
+    for name, call in calls.items():
+        together = call(slice(None))
+        for start, stop in ((0, 1), (5, 7), (10, 13), (17, 300)):
+            np.testing.assert_array_equal(call(slice(start, stop)), together[start:stop],
+                                          err_msg=name)
