@@ -149,13 +149,15 @@ def _as_str(value, where: str, choices: tuple[str, ...] | None = None) -> str:
     return value
 
 
-def _as_array(value, shape: tuple[int, ...], where: str) -> np.ndarray:
+def _as_array(value, shape: tuple[int | None, ...], where: str) -> np.ndarray:
+    """A finite float array of the given shape; a None entry matches any length."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(where, "expected a numeric array") from None
-    if arr.shape != shape:
-        raise ConfigError(where, f"expected shape {list(shape)}, got {list(arr.shape)}")
+    if arr.ndim != len(shape) or any(w is not None and a != w for a, w in zip(arr.shape, shape)):
+        expected = ", ".join("*" if w is None else str(w) for w in shape)
+        raise ConfigError(where, f"expected shape [{expected}], got {list(arr.shape)}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ConfigError(where, "entries must be finite")
     return arr
@@ -274,15 +276,7 @@ def _parse_grid(obj, box: ControlBox, k: int, where: str) -> np.ndarray:
     obj = _require_mapping(obj, where)
     if "values" in obj:
         _reject_unknown(obj, where, {"values"})
-        try:
-            values = np.asarray(obj["values"], dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}.values", "expected a numeric array") from None
-        if values.ndim != 2 or values.shape[1] != k:
-            raise ConfigError(f"{where}.values", f"expected shape [G, {k}]")
-        if not np.all(np.isfinite(values)):
-            raise ConfigError(f"{where}.values", "entries must be finite")
-        return values
+        return _as_array(obj["values"], (None, k), f"{where}.values")
     _reject_unknown(obj, where, {"points", "lower", "upper"})
     points = _as_int(obj.get("points", 5), f"{where}.points", minimum=2)
     if "lower" in obj or "upper" in obj:

@@ -4,13 +4,12 @@ Drift, diffusion columns and driver are affine in (x, y, z_vec, u1, u2);
 running costs are pure quadratic forms.  z_vec is z flattened C-order.
 
 The value callbacks act row by row bit for bit (see ``problem``): every
-matrix product that is a sum goes through `_times`, whose sums do not
-depend on how many rows are passed together.
+matrix product goes through `_sum_products`, whose sums do not depend on
+how many rows are passed together.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,19 +36,29 @@ def _mat(value, shape: tuple[int, ...], name: str) -> Array:
     return arr
 
 
-def _times(v: Array, M: Array) -> Array:
-    """v @ M.T, each row summed over the columns of v in order.
+def _sum_products(terms: Sequence[tuple[Array, Array]], const: Array | None = None) -> Array:
+    """sum of v @ M.T over the (v, M) pairs, plus const: shape (rows, len(M)).
 
-    BLAS kernels round a row's sum differently depending on how many rows
-    come with it; elementwise products and sums do not.  With one column or
-    none there is no sum, and the matmul is kept.
+    Each product v[:, j] M[i, j] is added on its own, pair by pair and
+    column by column in order.  BLAS kernels round a row's sum differently
+    depending on how many rows come with it; elementwise products and sums
+    do not.  The sum is built transposed, so every operation runs along
+    the rows.
     """
-    if M.shape[1] < 2:
-        return v @ M.T
-    out = v[:, :1] * M[:, 0]
-    for i in range(1, M.shape[1]):
-        out = out + v[:, i:i + 1] * M[:, i]
-    return out
+    out = None
+    for v, M in terms:
+        for j in range(M.shape[1]):
+            product = M[:, j:j + 1] * v[:, j]
+            if out is None:
+                out = product
+            else:
+                out += product
+    if out is None:
+        v, M = terms[0]
+        out = np.zeros((M.shape[0], v.shape[0]))
+    if const is not None:
+        out += const[:, None]
+    return np.ascontiguousarray(out.T)
 
 
 @dataclass(frozen=True)
@@ -84,24 +93,10 @@ class AffineMap:
             const=_mat(self.const, (rows,), f"{name}.const"),
         )
 
-    @functools.cached_property
-    def _wide(self) -> bool:
-        """Some matrix has two or more columns, so some product is a sum."""
-        return max(M.shape[1] for M in (self.A, self.B, self.C, self.D1, self.D2)) > 1
-
     def __call__(self, x: Array, y: Array, zv: Array, u1: Array, u2: Array) -> Array:
-        if not self._wide:
-            # every product is one term, so the matmuls act row by row; this
-            # skips five calls on the hot path of the one-dimensional games
-            return (x @ self.A.T + y @ self.B.T + zv @ self.C.T
-                    + u1 @ self.D1.T + u2 @ self.D2.T + self.const)
-        return (
-            _times(x, self.A)
-            + _times(y, self.B)
-            + _times(zv, self.C)
-            + _times(u1, self.D1)
-            + _times(u2, self.D2)
-            + self.const
+        return _sum_products(
+            [(x, self.A), (y, self.B), (zv, self.C), (u1, self.D1), (u2, self.D2)],
+            self.const,
         )
 
 
@@ -193,10 +188,8 @@ class LQGameSpec:
 
 
 def _quad(v: Array, M: Array) -> Array:
-    if M.shape[1] < 2:
-        return 0.5 * np.einsum("si,ij,sj->s", v, M, v)
     # the two-operand row contraction is row by row; the three-operand one is not
-    return 0.5 * np.einsum("sj,sj->s", _times(v, M), v)
+    return 0.5 * np.einsum("sj,sj->s", _sum_products([(v, M)]), v)
 
 
 def lq_to_problem(spec: LQGameSpec) -> GameProblem:
@@ -328,7 +321,7 @@ def lq_to_problem(spec: LQGameSpec) -> GameProblem:
         L, c = spec.xi_linear, spec.xi
 
         def _xi(bt: Array, _L=L, _c=c) -> Array:
-            return _times(bt, _L) + _c
+            return _sum_products([(bt, _L)], _c)
 
         terminal = TerminalData(xi=_xi, description="affine in B(T)")
 

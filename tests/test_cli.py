@@ -322,6 +322,19 @@ class TestOracle:
         err = capsys.readouterr().err
         assert "oracle.grid1.values" in err and "finite" in err
 
+    @pytest.mark.parametrize("values, message", [
+        ([[0.0, 1.0]], "expected shape [*, 1], got [1, 2]"),
+        ([0.0, 1.0], "expected shape [*, 1], got [2]"),
+        ([["a"]], "expected a numeric array"),
+    ])
+    def test_malformed_grid_values_exit_64(self, tmp_path, capsys, values, message):
+        cfg = self._tiny_cfg()
+        cfg["oracle"]["grid1"] = {"values": values}
+        path = write_config(tmp_path, cfg)
+        assert run("oracle", "--config", path, "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "oracle.grid1.values" in err and message in err
+
     def test_nonfinite_cost_exits_1(self, tmp_path):
         # u = 1e308 makes the quadratic cost overflow (it also used to
         # overflow the resolution bound's squared grid spacing)
