@@ -1,0 +1,67 @@
+"""SHA-256 of every artifact the command line writes, as one JSON object.
+
+    PYTHONPATH=src python3 scripts/artifact_digests.py [CONFIG ...]
+
+For each config (default: the three configs under configs/ and
+perfbench/configs/coupled_mc.json) it runs, at seed 0, `solve`, `verify` on
+the controls.csv that solve wrote, and `oracle` when the config has an
+"oracle" block, each into a fresh temporary directory, and prints
+{config: {"<command>/<artifact>": sha256, "<command>.exit": code}}.  The
+configs are only read.  The package comes from PYTHONPATH, so pointing it at
+another checkout's src/ digests that checkout, and a byte-identity check
+between two commits is a diff of two outputs.  CLI output goes to stderr.
+"""
+
+import contextlib
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from fbsdegames.cli import EXIT_CONFIG
+from fbsdegames.cli import main as cli_main
+
+ROOT = Path(__file__).resolve().parent.parent
+DEFAULT_CONFIGS = (
+    "configs/coupled_game.json",
+    "configs/single_player_lqr.json",
+    "configs/two_step_oracle.json",
+    "perfbench/configs/coupled_mc.json",
+)
+SEED = "0"
+
+
+def _run(command: str, config: Path, out: Path, *extra: str) -> dict:
+    with contextlib.redirect_stdout(sys.stderr):
+        code = cli_main([command, "--config", str(config), "--out", str(out),
+                         "--seed", SEED, *extra])
+    digests = {f"{command}.exit": code}
+    for artifact in sorted(out.iterdir()) if out.exists() else ():
+        digests[f"{command}/{artifact.name}"] = hashlib.sha256(artifact.read_bytes()).hexdigest()
+    return digests
+
+
+def digests(config: Path) -> dict:
+    """Exit codes and artifact digests of solve, verify and (if configured) oracle."""
+    with tempfile.TemporaryDirectory() as tmp:
+        solved = Path(tmp) / "solve"
+        out = _run("solve", config, solved)
+        out.update(_run("verify", config, Path(tmp) / "verify",
+                        "--controls", str(solved / "controls.csv")))
+        # a config solve rejected (exit 64) need not be valid JSON
+        rejected = out["solve.exit"] == EXIT_CONFIG
+        if not rejected and json.loads(config.read_text()).get("oracle") is not None:
+            out.update(_run("oracle", config, Path(tmp) / "oracle"))
+    return out
+
+
+def main(argv=None) -> int:
+    names = sys.argv[1:] if argv is None else list(argv)
+    configs = {n: Path(n) for n in names} or {n: ROOT / n for n in DEFAULT_CONFIGS}
+    print(json.dumps({n: digests(p) for n, p in configs.items()}, indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

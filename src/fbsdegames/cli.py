@@ -522,17 +522,33 @@ def build_backend(cfg: RunConfig) -> Backend:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    v = float(value)
-    if v == 0.0:
-        v = 0.0  # normalize -0.0 so equal values print identically
-    return f"{v:.17g}"
+def _cells(width: int, blank: bool = False) -> str:
+    """Row-template cells for `width` float columns, each led by its comma."""
+    return ("," if blank else ",%.17g") * width
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _format_rows(template: str, block: np.ndarray) -> str:
+    """One line per row of `block` through `template`, in one % operation.
+
+    Floats print with 17 significant digits; adding 0.0 turns -0.0 into
+    0.0, so equal values print identically.
+    """
+    block = block + 0.0
+    return (template * len(block)) % tuple(block.ravel().tolist())
+
+
+def _scenario_block(*columns: np.ndarray) -> np.ndarray:
+    """(S, 1 + widths) float block: the scenario index, then each column group."""
+    count = len(columns[0])
+    return np.concatenate(
+        [np.arange(count, dtype=float)[:, None]] + [c.reshape(count, -1) for c in columns], axis=1)
+
+
+def _write_csv(path: Path, header: list[str], blocks) -> None:
+    """The header line, then each text block as it is produced."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(blocks)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -583,82 +599,110 @@ def write_trajectory(
         + _vector_header("p2", dims.n)
         + _matrix_header("q2", dims.n, dims.d)
     )
-    rows = []
-    for j in range(N + 1):
-        live = j < N
-        blank_z = [""] * (dims.m * dims.d)
-        blank_q = [""] * (dims.n * dims.d)
-        for s in range(backend.scenario_count(j)):
-            row = [str(j), _fmt(knots[j]), str(s)]
-            row += [_fmt(v) for v in traj.x[j][s]]
-            row += [_fmt(v) for v in traj.y[j][s]]
-            row += [_fmt(v) for v in traj.z[j][s].ravel()] if live else blank_z
-            row += [_fmt(v) for v in u.u1[j][s]] if live else [""] * dims.k1
-            row += [_fmt(v) for v in u.u2[j][s]] if live else [""] * dims.k2
-            row += [_fmt(v) for v in adj1.k[j][s]]
-            row += [_fmt(v) for v in adj1.p[j][s]]
-            row += [_fmt(v) for v in adj1.q[j][s].ravel()] if live else blank_q
-            row += [_fmt(v) for v in adj2.k[j][s]]
-            row += [_fmt(v) for v in adj2.p[j][s]]
-            row += [_fmt(v) for v in adj2.q[j][s].ravel()] if live else blank_q
-            rows.append(row)
-    _write_csv(path, header, rows)
+    dz, dq = dims.m * dims.d, dims.n * dims.d
+
+    def step_block(j: int) -> str:
+        # z, the controls and q end at step N - 1: their cells are blank at N
+        end = j == N
+        template = (
+            f"{j},{knots[j] + 0.0:.17g},%d" + _cells(dims.n) + _cells(dims.m)
+            + _cells(dz, end) + _cells(dims.k1, end) + _cells(dims.k2, end)
+            + (_cells(dims.m) + _cells(dims.n) + _cells(dq, end)) * 2 + "\n"
+        )
+        if end:
+            columns = (traj.x[j], traj.y[j], adj1.k[j], adj1.p[j], adj2.k[j], adj2.p[j])
+        else:
+            columns = (traj.x[j], traj.y[j], traj.z[j], u.u1[j], u.u2[j],
+                       adj1.k[j], adj1.p[j], adj1.q[j], adj2.k[j], adj2.p[j], adj2.q[j])
+        return _format_rows(template, _scenario_block(*columns))
+
+    _write_csv(path, header, map(step_block, range(N + 1)))
+
+
+def _controls_header(dims: Dims) -> list[str]:
+    return ["step", "scenario_id"] + _vector_header("u1", dims.k1) + _vector_header("u2", dims.k2)
 
 
 def write_controls(path: Path, problem: GameProblem, backend: Backend, u: ControlProcess) -> None:
-    dims = problem.dims
-    header = (
-        ["step", "scenario_id"]
-        + _vector_header("u1", dims.k1)
-        + _vector_header("u2", dims.k2)
-    )
-    rows = []
-    for j in range(backend.grid.steps):
-        for s in range(backend.scenario_count(j)):
-            row = [str(j), str(s)]
-            row += [_fmt(v) for v in u.u1[j][s]]
-            row += [_fmt(v) for v in u.u2[j][s]]
-            rows.append(row)
-    _write_csv(path, header, rows)
+    cells = _cells(problem.dims.k1 + problem.dims.k2) + "\n"
+    _write_csv(path, _controls_header(problem.dims), (
+        _format_rows(f"{j},%d" + cells, _scenario_block(u.u1[j], u.u2[j]))
+        for j in range(backend.grid.steps)
+    ))
 
 
-def read_controls(path: Path, problem: GameProblem, backend: Backend) -> ControlProcess:
-    dims = problem.dims
-    expected_header = (
-        ["step", "scenario_id"]
-        + _vector_header("u1", dims.k1)
-        + _vector_header("u2", dims.k2)
-    )
+def _controls_table(body: list[str], width: int, counts: list[int]) -> np.ndarray | None:
+    """The values of every line in step-major order, or None if a line is bad.
+
+    Checks all lines at once: column count, integer step and scenario,
+    finite values, inside the grid, and each (step, scenario) exactly once.
+    """
+    if any(line.count(",") != width - 1 for line in body):
+        return None
+    # an object array of str casts cell by cell with int() and float()
+    table = np.array(",".join(body).split(",") if body else [], dtype=object)
+    table = table.reshape(len(body), width)
     try:
-        lines = Path(path).read_text().strip().splitlines()
-    except OSError as exc:
-        raise ConfigError(str(path), f"cannot read controls: {exc}") from None
-    if not lines or lines[0].split(",") != expected_header:
-        raise ConfigError(str(path), "controls header does not match the configured dimensions")
-    N = backend.grid.steps
-    u1 = [np.zeros((backend.scenario_count(j), dims.k1)) for j in range(N)]
-    u2 = [np.zeros((backend.scenario_count(j), dims.k2)) for j in range(N)]
-    filled = [np.zeros(backend.scenario_count(j), dtype=bool) for j in range(N)]
-    for ln, line in enumerate(lines[1:], start=2):
+        steps = table[:, 0].astype(np.int64)
+        scenarios = table[:, 1].astype(np.int64)
+        values = table[:, 2:].astype(float)
+    except (ValueError, OverflowError):
+        return None
+    if not ((steps >= 0) & (steps < len(counts))).all():
+        return None
+    sizes = np.array(counts)
+    if not ((scenarios >= 0) & (scenarios < sizes[steps])).all():
+        return None
+    rows = np.cumsum(sizes)[steps] - sizes[steps] + scenarios
+    if not (np.isfinite(values).all() and (np.bincount(rows, minlength=sizes.sum()) == 1).all()):
+        return None
+    ordered = np.empty_like(values)
+    ordered[rows] = values
+    return ordered
+
+
+def _first_controls_error(
+    path: Path, body: list[str], width: int, counts: list[int]
+) -> ConfigError:
+    """The error of the first offending line in file order, else the coverage error."""
+    seen: dict[tuple[int, int], int] = {}
+    for ln, line in enumerate(body, start=2):
         cells = line.split(",")
-        if len(cells) != len(expected_header):
-            raise ConfigError(f"{path}:{ln}", "wrong column count")
+        if len(cells) != width:
+            return ConfigError(f"{path}:{ln}", "wrong column count")
         try:
             j = int(cells[0])
             s = int(cells[1])
             values = [float(c) for c in cells[2:]]
         except ValueError:
-            raise ConfigError(f"{path}:{ln}", "malformed numeric cell") from None
+            return ConfigError(f"{path}:{ln}", "malformed numeric cell")
         if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"{path}:{ln}", "control values must be finite")
-        if not 0 <= j < N or not 0 <= s < backend.scenario_count(j):
-            raise ConfigError(f"{path}:{ln}", f"step/scenario ({j}, {s}) outside the grid")
-        u1[j][s] = values[: dims.k1]
-        u2[j][s] = values[dims.k1:]
-        filled[j][s] = True
-    if not all(f.all() for f in filled):
-        raise ConfigError(str(path), "controls file does not cover every (step, scenario)")
-    return ControlProcess(u1=tuple(u1), u2=tuple(u2))
+            return ConfigError(f"{path}:{ln}", "control values must be finite")
+        if not 0 <= j < len(counts) or not 0 <= s < counts[j]:
+            return ConfigError(f"{path}:{ln}", f"step/scenario ({j}, {s}) outside the grid")
+        if (j, s) in seen:
+            return ConfigError(
+                f"{path}:{ln}", f"step/scenario ({j}, {s}) repeats line {seen[j, s]}")
+        seen[j, s] = ln
+    return ConfigError(str(path), "controls file does not cover every (step, scenario)")
+
+
+def read_controls(path: Path, problem: GameProblem, backend: Backend) -> ControlProcess:
+    k1 = problem.dims.k1
+    header = _controls_header(problem.dims)
+    try:
+        lines = Path(path).read_text().strip().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(str(path), f"cannot read controls: {exc}") from None
+    if not lines or lines[0].split(",") != header:
+        raise ConfigError(str(path), "controls header does not match the configured dimensions")
+    counts = [backend.scenario_count(j) for j in range(backend.grid.steps)]
+    ordered = _controls_table(lines[1:], len(header), counts)
+    if ordered is None:
+        raise _first_controls_error(path, lines[1:], len(header), counts)
+    steps = np.split(ordered, np.cumsum(counts)[:-1])
+    return ControlProcess(u1=tuple(v[:, :k1].copy() for v in steps),
+                          u2=tuple(v[:, k1:].copy() for v in steps))
 
 
 def _diag_dict(diag) -> dict:
@@ -693,12 +737,12 @@ def write_report(path: Path, cfg: RunConfig, report: EquilibriumReport) -> None:
 
 def write_history(path: Path, report: EquilibriumReport) -> None:
     header = ["iteration", "J1", "J2", "rho1", "rho2", "alpha"]
-    rows = [
-        [str(rec.iteration), _fmt(rec.j1), _fmt(rec.j2),
-         _fmt(rec.rho1), _fmt(rec.rho2), _fmt(rec.step_size)]
-        for rec in report.history
-    ]
-    _write_csv(path, header, rows)
+    block = np.array(
+        [(rec.iteration, rec.j1, rec.j2, rec.rho1, rec.rho2, rec.step_size)
+         for rec in report.history],
+        dtype=float,
+    ).reshape(-1, len(header))
+    _write_csv(path, header, [_format_rows("%d" + _cells(len(header) - 1) + "\n", block)])
 
 
 # ---------------------------------------------------------------------------
@@ -902,8 +946,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
-    except (PicardDivergenceError, NonConvergenceError, NonFiniteStateError,
-            NonFiniteCostError) as exc:
+    except (PicardDivergenceError, NonConvergenceError) as exc:
+        history = exc.diagnostics.residual_history
+        print(f"solver failure: {exc}", file=sys.stderr)
+        print(f"residual history (last {min(len(history), 10)} of {len(history)}): "
+              + " ".join(f"{r:.3e}" for r in history[-10:]), file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
+    except (NonFiniteStateError, NonFiniteCostError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,13 +57,14 @@ def run(*argv) -> int:
     return main(list(argv))
 
 
-def run_process(*argv) -> subprocess.CompletedProcess:
-    """The command line in a child interpreter, so stderr shows any traceback."""
+def run_process(*argv, module=True) -> subprocess.CompletedProcess:
+    """The command line (or, with module=False, bare interpreter arguments)
+    in a child interpreter, so stderr shows any traceback."""
     src = str(Path(fbsdegames.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "fbsdegames", *argv],
+        [sys.executable, *(["-m", "fbsdegames"] if module else []), *argv],
         capture_output=True, text=True, env=env, timeout=300,
     )
 
@@ -313,6 +315,38 @@ class TestOracle:
         assert done.returncode == EXIT_SOLVER_FAILURE
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("solver failure: Picard iteration diverged")
+        failure, history = done.stderr.splitlines()
+        count = int(failure.split("diverged after ")[1].split()[0])
+        shown = min(count, 10)
+        assert history.startswith(f"residual history (last {shown} of {count}): ")
+        values = history.split(": ")[1].split()
+        assert len(values) == shown and all(re.fullmatch(r"\d\.\d{3}e[+-]\d\d", v) for v in values)
+        assert values[-1] == failure.split("(residual ")[1].rstrip(")")
+
+    def test_nonconvergence_prints_last_ten_residuals(self, tmp_path):
+        # no shipped config stops the oracle's inner solve unconverged, so the
+        # child raises NonConvergenceError from the enumeration itself
+        path = write_config(tmp_path, self._tiny_cfg())
+        code = (
+            "import sys, fbsdegames.cli as cli\n"
+            "from fbsdegames.equilibrium import NonConvergenceError\n"
+            "from fbsdegames.fbsde import SolveDiagnostics\n"
+            "def stalled(*args, **kwargs):\n"
+            "    history = tuple(2.0 ** -i for i in range(12))\n"
+            "    diag = SolveDiagnostics(12, history[-1], False, history)\n"
+            "    raise NonConvergenceError('oracle cost evaluation did not converge', diag)\n"
+            "cli.brute_force_nash = stalled\n"
+            f"sys.exit(cli.main(['oracle', '--config', {path!r}, '--out', {str(tmp_path / 'o')!r}]))\n"
+        )
+        done = run_process("-c", code, module=False)
+        assert done.returncode == EXIT_SOLVER_FAILURE
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines() == [
+            "solver failure: oracle cost evaluation did not converge "
+            "(residual 4.883e-04 after 12 iterations)",
+            "residual history (last 10 of 12): 2.500e-01 1.250e-01 6.250e-02 3.125e-02 "
+            "1.562e-02 7.812e-03 3.906e-03 1.953e-03 9.766e-04 4.883e-04",
+        ]
 
     def test_nonfinite_grid_value_exits_64(self, tmp_path, capsys):
         cfg = self._tiny_cfg()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -30,3 +31,33 @@ def test_compare_oracle_fails_outside_the_resolution_bounds(monkeypatch, capsys)
     monkeypatch.setattr(module, "brute_force_nash", without_bounds)
     assert module.main() == 1
     assert "OUTSIDE resolution bounds" in capsys.readouterr().out
+
+
+def test_artifact_digests_repeat_and_cover_every_artifact(tmp_path, capsys):
+    config = {
+        "steps": 2,
+        "horizon": 0.5,
+        "initial": [0.5],
+        "drift": {"A": [[-0.3]], "D1": [[0.4]], "D2": [[0.2]]},
+        "diffusion": [{"const": [0.25]}],
+        "cost1": {"Q": [[1.0]], "N": [[1.0]]},
+        "cost2": {"R": [[0.6]], "N": [[1.2]]},
+        "box1": {"radius": 1.0},
+        "box2": {"radius": 1.0},
+        "oracle": {"grid1": {"points": 3}, "grid2": {"points": 3}},
+    }
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(config))
+    module = _load("artifact_digests")
+    runs = []
+    for _ in range(2):
+        assert module.main([str(path)]) == 0
+        runs.append(json.loads(capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    digests = runs[0][str(path)]
+    assert {k: v for k, v in digests.items() if k.endswith(".exit")} == {
+        "solve.exit": 0, "verify.exit": 0, "oracle.exit": 0}
+    assert sorted(k for k in digests if "/" in k) == [
+        "oracle/oracle.json", "solve/controls.csv", "solve/history.csv", "solve/report.json",
+        "solve/trajectory.csv", "verify/certificate.json"]
+    assert all(len(v) == 64 for k, v in digests.items() if "/" in k)
