@@ -19,7 +19,7 @@ to zeros or to the documented defaults; unknown keys are rejected):
       "box1"|"box2": {"radius":2.0} | {"lower":[..],"upper":[..]} | "unbounded",
       "fbsde": {"max_picard":50,"damping":0.5,"tol":1e-8},
       "gradient": {"step":0.1,"max_iterations":500,"tolerance":1e-6,
-                   "mode":"simultaneous","max_halvings":20,"stall_limit":50},
+                   "mode":"simultaneous","max_halvings":20},
       "certificate": {"radius":null,"grid_density":33,"pointwise_tol":1e-8,
                       "convexity_samples":400,"convexity_tol":1e-9,
                       "anchors":4,"sample_radius":3.0,"seed":0},
@@ -27,6 +27,9 @@ to zeros or to the documented defaults; unknown keys are rejected):
                  "budget":1000000, "max_rounds":50, "riccati":false},
       "check": {"samples":120,"probe_radius":null,"corrupt":null}
     }
+
+The `fbsde` block sets every Picard solve, the oracle's cost evaluations
+included; a config without it gets the defaults shown above.
 
 Outputs are deterministic byte-for-byte for a fixed config and seed: wall
 time goes to stdout only, never into a file.  CSV floats carry 17
@@ -419,7 +422,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     gobj = _require_mapping(raw.get("gradient", {}), "gradient")
     _reject_unknown(
         gobj, "gradient",
-        {"step", "max_iterations", "tolerance", "mode", "max_halvings", "stall_limit"},
+        {"step", "max_iterations", "tolerance", "mode", "max_halvings"},
     )
     gradient = GradientConfig(
         step=_as_float(gobj.get("step", 0.1), "gradient.step", positive=True),
@@ -430,7 +433,6 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
             choices=("simultaneous", "best-response"),
         ),
         max_halvings=_as_int(gobj.get("max_halvings", 20), "gradient.max_halvings", minimum=0),
-        stall_limit=_as_int(gobj.get("stall_limit", 50), "gradient.stall_limit", minimum=1),
     )
 
     cobj = _require_mapping(raw.get("certificate", {}), "certificate")
@@ -498,7 +500,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
 def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from None
     try:
         raw = json.loads(text)
@@ -820,7 +822,7 @@ def _read_solve_report(path: str) -> tuple[float, float]:
     """(j1, j2) from a solve run's report.json; ConfigError if unusable."""
     try:
         solved = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(path, f"cannot read solve report: {exc}") from None
     solved = _require_mapping(solved, path)
     return (
@@ -841,6 +843,7 @@ def cmd_oracle(args) -> int:
             cfg.oracle.grid1, cfg.oracle.grid2,
             budget=cfg.oracle.budget,
             max_rounds=cfg.oracle.max_rounds,
+            fbsde_config=cfg.fbsde,
         )
     except BudgetExceededError as exc:
         print(f"oracle budget exceeded: {exc}", file=sys.stderr)

@@ -67,7 +67,6 @@ class PathEnsemble:
     grid: TimeGrid
     increments: Array  # (N, P, d), read-only
     seed: int
-    generator: str = GENERATOR_NAME
 
     @property
     def paths(self) -> int:

@@ -79,7 +79,6 @@ class GradientConfig:
     tolerance: float = 1e-6
     mode: str = "simultaneous"
     max_halvings: int = 20
-    stall_limit: int = 50
 
     def __post_init__(self) -> None:
         if not self.step > 0.0:
@@ -131,9 +130,6 @@ class EquilibriumReport:
     @property
     def iterations(self) -> int:
         return len(self.history)
-
-    def cost(self, player: int) -> float:
-        return self.j1 if player == 1 else self.j2
 
 
 def eval_cost(
@@ -279,8 +275,7 @@ def _evaluate(problem, u, backend, config, warm=None) -> _EvalState:
 def _stepped(problem, u, state, alpha, players) -> ControlProcess:
     out = u
     for player in players:
-        adj = state.adj1 if player == 1 else state.adj2
-        grads = control_gradient(problem, state.traj, adj, u, player)
+        grads = state.vi.grad1 if player == 1 else state.vi.grad2
         box = problem.box(player)
         out = out.replace_player(
             player,
@@ -301,30 +296,24 @@ def solve_nash(
 
     Trial steps that fail (merit up, or a diverging trial solve) are retried
     at half the length.  A fully failed backtracking round ends the search:
-    the loop is deterministic, so repeating it cannot help.  The best iterate
-    by merit is always the one returned.
+    the loop is deterministic, so repeating it cannot help.  A step is
+    accepted only when the merit strictly decreases, so the current iterate
+    is always the best one so far, and it is the one returned.
     """
     u = initial if initial is not None else ControlProcess.midpoint(problem, backend)
     state = _evaluate(problem, u, backend, fbsde_config)
     history: list[IterationRecord] = []
     warnings: list[str] = []
-    best = (state.merit, u, state)
-    converged = False
     players_by_mode = {
         "simultaneous": ((1, 2),),
         "best-response": ((1,), (2,)),
     }[grad_config.mode]
-    stall = 0
     for it in range(1, grad_config.max_iterations + 1):
         j1, _ = eval_cost(problem, state.traj, u, 1)
         j2, _ = eval_cost(problem, state.traj, u, 2)
         rho1_it, rho2_it = state.vi.rho1, state.vi.rho2
-        merit = state.merit
-        if merit < best[0]:
-            best = (merit, u, state)
-        if merit <= grad_config.tolerance:
+        if state.merit <= grad_config.tolerance:
             history.append(IterationRecord(it, j1, j2, rho1_it, rho2_it, 0.0))
-            converged = True
             break
         accepted_alpha = 0.0
         improved = False
@@ -344,20 +333,10 @@ def solve_nash(
                     break
                 alpha *= 0.5
         history.append(IterationRecord(it, j1, j2, rho1_it, rho2_it, accepted_alpha))
-        if improved:
-            stall = 0
-        else:
-            stall += 1
+        if not improved:
             warnings.append(f"no improving step at iteration {it}; search stopped")
             break
-        if stall >= grad_config.stall_limit:
-            break
-    if state.merit < best[0]:
-        best = (state.merit, u, state)
-    if not converged:
-        _, u, state = best
-        if state.merit <= grad_config.tolerance:
-            converged = True
+    converged = state.merit <= grad_config.tolerance
     j1, se1 = eval_cost(problem, state.traj, u, 1)
     j2, se2 = eval_cost(problem, state.traj, u, 2)
     certificate = build_certificate(
@@ -480,8 +459,10 @@ def brute_force_nash(
     a chunk fails, its profiles are solved again one at a time, in order, and
     the first failure is raised as the unbatched loop would raise it.  Past
     the budget, the profiles that fit are evaluated and then
-    BudgetExceededError is raised.  A non-finite cost raises
-    NonFiniteCostError.
+    BudgetExceededError is raised; a best response with more candidates than
+    the whole budget raises it before anything is enumerated.  Candidates
+    are enumerated lazily, `_ORACLE_MEMBERS` at a time.  A non-finite cost
+    raises NonFiniteCostError.
     """
     if backend.kind != "lattice":
         raise ValueError("the enumeration oracle requires the lattice backend")
@@ -494,6 +475,8 @@ def brute_force_nash(
     node_count = offsets[-1]
     cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, float]] = {}
     evaluations = 0
+    exhausted = (f"enumeration budget of {budget} cost evaluations exhausted; "
+                 "use a smaller grid or fewer steps")
 
     def controls_for(assignment: tuple[int, ...], grid: Array) -> list[Array]:
         return [grid[list(assignment[offsets[j]:offsets[j + 1]])] for j in range(N)]
@@ -516,23 +499,25 @@ def brute_force_nash(
             cache.update(zip(chunk, costs))
             evaluations += len(chunk)
         if len(fitting) < len(missing):
-            raise BudgetExceededError(
-                f"enumeration budget of {budget} cost evaluations exhausted; "
-                "use a smaller grid or fewer steps"
-            )
+            raise BudgetExceededError(exhausted)
 
     def best_response(player: int, frozen: tuple[int, ...]) -> tuple[int, ...]:
         G = grid1.shape[0] if player == 1 else grid2.shape[0]
-        cands = list(itertools.product(range(G), repeat=node_count))
-        pairs = [(cand, frozen) if player == 1 else (frozen, cand) for cand in cands]
-        solve(pairs)
+        if G**node_count > budget:
+            # the cache holds at most `budget` profiles, so some candidate
+            # would have to be evaluated past the budget
+            raise BudgetExceededError(exhausted)
+        cands = itertools.product(range(G), repeat=node_count)
         best_a: tuple[int, ...] | None = None
         best_j = np.inf
-        for cand, pair in zip(cands, pairs):
-            j_own = cache[pair][player - 1]
-            if j_own < best_j:
-                best_j = j_own
-                best_a = cand
+        while chunk := list(itertools.islice(cands, _ORACLE_MEMBERS)):
+            pairs = [(cand, frozen) if player == 1 else (frozen, cand) for cand in chunk]
+            solve(pairs)
+            for cand, pair in zip(chunk, pairs):
+                j_own = cache[pair][player - 1]
+                if j_own < best_j:
+                    best_j = j_own
+                    best_a = cand
         assert best_a is not None
         return best_a
 

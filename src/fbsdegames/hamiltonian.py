@@ -123,30 +123,37 @@ def control_gradient(
 
 @dataclass(frozen=True)
 class ViResidualReport:
-    """Stationarity residuals r_i[j][s] = |u_i - Proj(u_i - grad)| per point.
+    """Stationarity residuals of both players at one (state, costates, u).
 
-    rho_i aggregates as the sup over steps of the root mean square residual.
-    inner_min_i is the sampled form of the first-order condition: the
-    smallest <grad, v - u_i> over candidate v in the box (nonnegative at a
-    stationary point, up to sampling).
+    rho_i is the sup over steps of the root mean square of the per-point
+    residual |u_i - Proj(u_i - grad)|.  grad_i holds player i's per-step
+    control gradients, shape (S_j, k_i), from which the residuals were
+    computed; the search steps along them.  inner_min_i is the sampled form
+    of the first-order condition: the smallest <grad, v - u_i> over candidate
+    v in the box (nonnegative at a stationary point, up to sampling).
     """
 
-    r1: tuple[Array, ...]
-    r2: tuple[Array, ...]
+    grad1: tuple[Array, ...]
+    grad2: tuple[Array, ...]
     rho1: float
     rho2: float
     inner_min_1: float
     inner_min_2: float
     convention: str = CONVENTION_NOTE
 
-    def rho(self, player: int) -> float:
-        return self.rho1 if player == 1 else self.rho2
+
+# The sampled first-order condition in vi_residual: this many candidates per
+# player, drawn from the box clipped to [-_INNER_RADIUS, _INNER_RADIUS] by a
+# generator seeded with _INNER_SEED, so the report is deterministic.
+_INNER_SAMPLES = 32
+_INNER_SEED = 0
+_INNER_RADIUS = 10.0
 
 
-def _sample_box(box: ControlBox, count: int, rng: np.random.Generator, radius: float) -> Array:
-    lo = np.maximum(box.lower, -radius)
-    hi = np.minimum(box.upper, radius)
-    return rng.uniform(lo, hi, size=(count, box.dim))
+def _sample_box(box: ControlBox, rng: np.random.Generator) -> Array:
+    lo = np.maximum(box.lower, -_INNER_RADIUS)
+    hi = np.minimum(box.upper, _INNER_RADIUS)
+    return rng.uniform(lo, hi, size=(_INNER_SAMPLES, box.dim))
 
 
 def vi_residual(
@@ -155,35 +162,30 @@ def vi_residual(
     adj_1: AdjointTrajectory,
     adj_2: AdjointTrajectory,
     u: ControlProcess,
-    inner_samples: int = 32,
-    seed: int = 0,
-    sample_radius: float = 10.0,
 ) -> ViResidualReport:
     backend = traj.backend
-    rng = np.random.default_rng(seed)
-    residuals: dict[int, tuple[Array, ...]] = {}
+    rng = np.random.default_rng(_INNER_SEED)
+    gradients: dict[int, tuple[Array, ...]] = {}
     rhos: dict[int, float] = {}
     inner: dict[int, float] = {}
     for player, adj in ((1, adj_1), (2, adj_2)):
         grads = control_gradient(problem, traj, adj, u, player)
         box = problem.box(player)
-        candidates = _sample_box(box, inner_samples, rng, sample_radius)
-        per_step = []
+        candidates = _sample_box(box, rng)
         worst = 0.0
         inner_min = np.inf
         for j, g in enumerate(grads):
             uj = u.player(player)[j]
             r = np.linalg.norm(uj - box.project(uj - g), axis=1)
-            per_step.append(r)
             worst = max(worst, float(np.sqrt(backend.expect(j, r**2))))
             pairing = g @ candidates.T - np.einsum("sv,sv->s", g, uj)[:, None]
             inner_min = min(inner_min, float(pairing.min()))
-        residuals[player] = tuple(per_step)
+        gradients[player] = tuple(grads)
         rhos[player] = worst
         inner[player] = inner_min
     return ViResidualReport(
-        r1=residuals[1],
-        r2=residuals[2],
+        grad1=gradients[1],
+        grad2=gradients[2],
         rho1=rhos[1],
         rho2=rhos[2],
         inner_min_1=inner[1],

@@ -106,8 +106,7 @@ class QuadraticCost:
     phi = x'Gx / 2 at the terminal time, h = y'Hy / 2 at time zero.
 
     Matrices are symmetrized on use.  N positive definite gives a convex
-    player problem; the flag records the builder's intent, nothing enforces
-    it, so non-convex counterexamples can be built on purpose.
+    player problem.
     """
 
     Q: Array
@@ -117,7 +116,6 @@ class QuadraticCost:
     M: Array
     G: Array
     H: Array
-    convex: bool = True
 
     @classmethod
     def zeros(cls, dims: Dims, own: int, other: int) -> "QuadraticCost":
@@ -141,7 +139,6 @@ class QuadraticCost:
             M=sym(_mat(self.M, (other, other), f"{name}.M")),
             G=sym(_mat(self.G, (dims.n, dims.n), f"{name}.G")),
             H=sym(_mat(self.H, (dims.m, dims.m), f"{name}.H")),
-            convex=self.convex,
         )
 
 

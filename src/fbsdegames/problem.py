@@ -334,39 +334,45 @@ def _scaled_error(claimed: Array, fd: Array) -> Array:
     return diff / np.maximum(1.0, mag)
 
 
+# Finite-difference check settings: central-difference step, the scaled
+# error a partial may show, the sampling bound on every coordinate, and the
+# number of time values the samples are spread over.
+_FD_STEP = 1e-4
+_FD_RTOL = 1e-5
+_FD_BOUND = 10.0
+_FD_ROUNDS = 4
+
+
 def check_derivatives(
     bundle: FunctionBundle,
     samples: int = 120,
     seed: int = 0,
-    step: float = 1e-4,
-    rtol: float = 1e-5,
-    bound: float = 10.0,
     horizon: float = 1.0,
-    rounds: int = 4,
 ) -> DerivativeReport:
     """Compare claimed partials of a bundle against central differences.
 
-    Points are sampled uniformly with every coordinate in [-bound, bound]
-    (or by the bundle's samplers), spread over `rounds` time values.
+    Points are sampled uniformly with every coordinate in
+    [-_FD_BOUND, _FD_BOUND] (or by the bundle's samplers), spread over
+    `_FD_ROUNDS` time values.
     """
     rng = np.random.default_rng(seed)
-    per_round = max(1, int(np.ceil(samples / rounds)))
-    total = per_round * rounds
+    per_round = max(1, int(np.ceil(samples / _FD_ROUNDS)))
+    total = per_round * _FD_ROUNDS
     worst: dict[str, tuple[float, float, int, bool]] = {
         p.name: (0.0, 0.0, -1, False) for p in bundle.partials
     }
     samplers = bundle.samplers or (None,) * len(bundle.arg_shapes)
-    for _ in range(rounds):
+    for _ in range(_FD_ROUNDS):
         t = float(rng.uniform(0.0, horizon))
         args: list[Array] = []
         for shape, sampler in zip(bundle.arg_shapes, samplers):
             if sampler is not None:
                 args.append(np.asarray(sampler(rng, per_round), dtype=float))
             else:
-                args.append(rng.uniform(-bound, bound, size=(per_round,) + shape))
+                args.append(rng.uniform(-_FD_BOUND, _FD_BOUND, size=(per_round,) + shape))
         for spec in bundle.partials:
             claimed = np.asarray(spec.fn(t, *args), dtype=float)
-            fd = _central_difference(bundle.value, t, args, spec.arg_index, step)
+            fd = _central_difference(bundle.value, t, args, spec.arg_index, _FD_STEP)
             if claimed.shape != fd.shape:
                 raise ShapeValidationError(
                     f"{bundle.name}: partial {spec.name} has shape {claimed.shape}, "
@@ -385,12 +391,12 @@ def check_derivatives(
             max_error=e,
             worst_time=t,
             worst_sample=s,
-            passed=bool(e <= rtol and not nf),
+            passed=bool(e <= _FD_RTOL and not nf),
             nonfinite=nf,
         )
         for name, (e, t, s, nf) in worst.items()
     )
-    return DerivativeReport(checks=checks, samples=total, step=step, rtol=rtol, seed=seed)
+    return DerivativeReport(checks=checks, samples=total, step=_FD_STEP, rtol=_FD_RTOL, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +419,9 @@ class ValidationReport:
         return tuple(c for r in self.derivative_reports for c in r.checks if not c.passed)
 
 
-def _box_sampler(box: ControlBox, bound: float):
-    lo = np.maximum(box.lower, -bound)
-    hi = np.minimum(box.upper, bound)
+def _box_sampler(box: ControlBox):
+    lo = np.maximum(box.lower, -_FD_BOUND)
+    hi = np.minimum(box.upper, _FD_BOUND)
 
     def sample(rng: np.random.Generator, size: int) -> Array:
         return rng.uniform(lo, hi, size=(size, box.dim))
@@ -437,7 +443,7 @@ def _expected_value_shapes(dims: Dims) -> dict[str, tuple[int, ...]]:
     }
 
 
-def _coefficient_bundles(problem: GameProblem, bound: float) -> list[FunctionBundle]:
+def _coefficient_bundles(problem: GameProblem) -> list[FunctionBundle]:
     dims = problem.dims
     co = problem.coefficients
     cs = problem.costs
@@ -446,8 +452,8 @@ def _coefficient_bundles(problem: GameProblem, bound: float) -> list[FunctionBun
         None,
         None,
         None,
-        _box_sampler(problem.u1_box, bound),
-        _box_sampler(problem.u2_box, bound),
+        _box_sampler(problem.u1_box),
+        _box_sampler(problem.u2_box),
     )
     names = ("x", "y", "z", "u1", "u2")
 
@@ -599,9 +605,6 @@ def validate_problem(
     problem: GameProblem,
     samples: int = 120,
     seed: int = 0,
-    step: float = 1e-4,
-    rtol: float = 1e-5,
-    bound: float = 10.0,
     probe_radius: float | None = None,
 ) -> ValidationReport:
     """Shape conformance plus finite-difference consistency of all partials.
@@ -611,16 +614,8 @@ def validate_problem(
     """
     _check_shapes(problem)
     reports = tuple(
-        check_derivatives(
-            bundle,
-            samples=samples,
-            seed=seed,
-            step=step,
-            rtol=rtol,
-            bound=bound,
-            horizon=problem.horizon,
-        )
-        for bundle in _coefficient_bundles(problem, bound)
+        check_derivatives(bundle, samples=samples, seed=seed, horizon=problem.horizon)
+        for bundle in _coefficient_bundles(problem)
     )
     warnings: tuple[str, ...] = ()
     if probe_radius is not None:

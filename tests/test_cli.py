@@ -173,6 +173,7 @@ class TestConfigValidation:
             (lambda c: c["cost1"].update(Q=[[1, 2]]), "cost1.Q"),
             (lambda c: c["backend"].update(kind="quantum"), "backend.kind"),
             (lambda c: c.update(box1={"lower": [1.0], "upper": [-1.0]}), "box1"),
+            (lambda c: c["gradient"].update(stall_limit=50), "gradient.stall_limit"),
         ],
     )
     def test_bad_fields_exit_64_and_name_the_path(self, tmp_path, capsys, mutate, needle):
@@ -182,11 +183,16 @@ class TestConfigValidation:
         assert run("solve", "--config", path, "--out", str(tmp_path / "o")) == EXIT_CONFIG
         assert needle in capsys.readouterr().err
 
-    def test_unparseable_json_exits_64_with_location(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content, needle", [
+        (b"{not json", "line 1"),
+        (b"\xff\xfe{}", "cannot read config"),
+    ])
+    def test_unreadable_config_exits_64(self, tmp_path, capsys, content, needle):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_bytes(content)
         assert run("solve", "--config", str(path), "--out", str(tmp_path)) == EXIT_CONFIG
-        assert "line 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error at '{path}'") and needle in err
 
     def test_missing_file_exits_64(self, tmp_path):
         assert run(
@@ -323,9 +329,17 @@ class TestOracle:
         assert len(values) == shown and all(re.fullmatch(r"\d\.\d{3}e[+-]\d\d", v) for v in values)
         assert values[-1] == failure.split("(residual ")[1].rstrip(")")
 
+    def test_config_fbsde_block_sets_the_oracle_solves(self, tmp_path, capsys):
+        cfg = self._tiny_cfg()
+        cfg["fbsde"] = {"max_picard": 1}
+        path = write_config(tmp_path, cfg)
+        assert run("oracle", "--config", path, "--out", str(tmp_path / "o")) == EXIT_SOLVER_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: oracle cost evaluation did not converge")
+
     def test_nonconvergence_prints_last_ten_residuals(self, tmp_path):
-        # no shipped config stops the oracle's inner solve unconverged, so the
-        # child raises NonConvergenceError from the enumeration itself
+        # the child raises NonConvergenceError with a fixed residual history,
+        # so the printed lines can be checked exactly
         path = write_config(tmp_path, self._tiny_cfg())
         code = (
             "import sys, fbsdegames.cli as cli\n"
@@ -387,6 +401,26 @@ class TestOracle:
         path = write_config(tmp_path, cfg)
         assert run("oracle", "--config", path, "--out", str(tmp_path / "o")) == EXIT_BUDGET
 
+    def test_huge_best_response_exits_65_in_bounded_memory(self, tmp_path):
+        # 8 steps make 36 tree nodes, so 5**36 candidates per best response;
+        # the address-space cap turns an enumeration that is built before the
+        # budget check into a quick MemoryError instead of an exhausted machine
+        config = Path(__file__).resolve().parents[1] / "configs" / "two_step_oracle.json"
+        cfg = json.loads(config.read_text())
+        cfg["steps"] = 8
+        path = write_config(tmp_path, cfg)
+        limit = 1 << 30
+        code = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from fbsdegames.cli import main\n"
+            f"sys.exit(main(['oracle', '--config', {path!r}, '--out', {str(tmp_path / 'o')!r}]))\n"
+        )
+        done = run_process("-c", code, module=False)
+        assert done.returncode == EXIT_BUDGET
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("oracle budget exceeded: enumeration budget of 1000000")
+
     def test_riccati_section_and_gap_printing(self, tmp_path, capsys):
         cfg = self._tiny_cfg()
         cfg["dims"] = {"n": 1, "m": 1, "d": 1, "k1": 1, "k2": 0}
@@ -417,12 +451,13 @@ class TestOracle:
 
     @pytest.mark.parametrize(
         "report",
-        [{"j2": 0.1}, {"j1": 0.1}, {"j1": "0.1", "j2": 0.1}, {"j1": 0.1, "j2": None}, [0.1, 0.2]],
+        [{"j2": 0.1}, {"j1": 0.1}, {"j1": "0.1", "j2": 0.1}, {"j1": 0.1, "j2": None}, [0.1, 0.2],
+         b"\xff\xfe{}"],
     )
     def test_malformed_solve_report_exits_64(self, tmp_path, capsys, report):
         path = write_config(tmp_path, self._tiny_cfg())
         solved = tmp_path / "report.json"
-        solved.write_text(json.dumps(report))
+        solved.write_bytes(report if isinstance(report, bytes) else json.dumps(report).encode())
         code = run(
             "oracle", "--config", path, "--out", str(tmp_path / "o"),
             "--solve-report", str(solved),

@@ -30,7 +30,7 @@ from fbsdegames import (
     solve_nash,
     vi_residual,
 )
-from fbsdegames import equilibrium
+from fbsdegames import equilibrium, hamiltonian
 from fbsdegames.cli import build_backend, load_config
 
 from conftest import (
@@ -234,6 +234,25 @@ class TestSolveNash:
         problem, report = _nash(riccati_spec(), lattice(16), step=0.3)
         assert report.converged
         assert report.rho2 == 0.0
+
+    @pytest.mark.parametrize("mode", ["simultaneous", "best-response"])
+    def test_each_evaluation_computes_the_control_gradients_once(self, monkeypatch, mode):
+        # a trial step reads the gradients the VI residual already computed
+        counts = {"evaluate": 0, "gradient": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(equilibrium, "_evaluate", counted("evaluate", equilibrium._evaluate))
+        gradient = counted("gradient", hamiltonian.control_gradient)
+        monkeypatch.setattr(hamiltonian, "control_gradient", gradient)
+        monkeypatch.setattr(equilibrium, "control_gradient", gradient)
+        _, report = _nash(coupled_lq_spec(), lattice(8), max_iterations=4, mode=mode)
+        assert counts["evaluate"] > report.iterations > 1
+        assert counts["gradient"] == 2 * counts["evaluate"]
 
 
 class TestBruteForce:
