@@ -1,4 +1,4 @@
-"""Per-player costate system along a solved trajectory.
+"""Both players' costate systems along a solved trajectory, solved together.
 
 For player i the costate triple (k, p, q) obeys, along a fixed state
 trajectory and control pair,
@@ -11,18 +11,23 @@ trajectory and control pair,
 
 where G_v is the costate combination b_v' p + sigma_v' q - f_v' k + l_iv.
 Its partials depend only on (t, x, y, z, u1, u2), which a solve holds fixed,
-so `solve_adjoint` evaluates them once per step and stacks them into one
-matrix per step acting on (p, q flattened, k), with l_iv kept beside it;
-each Picard pass then makes one contraction per step forward (for G_y, G_z)
-and one backward (for G_x).
+so they are evaluated once per step and stacked into one matrix per step
+acting on (p, q flattened, k), with l_iv kept beside it; each Picard pass
+then makes one contraction per step forward (for G_y, G_z) and one backward
+(for G_x).  The two players' systems share that matrix and differ only in
+l_iv, p[N] and k[0], so `solve_adjoints` solves them as one damped Picard
+solve over a two-member axis (``drivers.MemberLattice`` on the lattice,
+``drivers.MemberPaths`` on Monte Carlo, where both fits of a step reuse its
+one regression projection).  Each player's costates and diagnostics are bit
+for bit those of its solve alone, which `solve_adjoint` is.
 `costate_combination` assembles the same vectors from the callbacks at a
 single step; it is the reference the solver is tested against, and the
 `hamiltonian` module's gradients of H_i call it.
 
 The costate system is itself a coupled forward-backward system, k forward
-and (p, q) backward, and linear in (k, p, q): `solve_adjoint` runs it
-through `fbsde.damped_picard`, the iteration of the state solve, which
-contracts geometrically for moderate coupling.
+and (p, q) backward, and linear in (k, p, q): it runs through
+`fbsde.damped_picard`, the iteration of the state solve, which contracts
+geometrically for moderate coupling.
 
 `duality_residual` evaluates the discrete integration-by-parts identity that
 links a costate solved at one control to the state perturbation induced by
@@ -36,13 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import Backend
+from .drivers import Backend, member_view
 from .fbsde import (
     ControlProcess,
     FbsdeConfig,
-    NonFiniteStateError,
     SolveDiagnostics,
     StateTrajectory,
+    _check_finite,
     _start_pair,
     damped_picard,
 )
@@ -93,20 +98,21 @@ def costate_combination(
     return out
 
 
-def _costate_matrix(problem: GameProblem, player: int, var_names: tuple[str, ...], args):
-    """(M, l) with G = M @ [p, q flattened, k] + l per scenario, G the
-    concatenated G_v for v in var_names.
+def _costate_matrix(problem: GameProblem, players, var_names: tuple[str, ...], args, stack):
+    """(M, l) with G = M @ [p, q flattened, k] + l per row, G the
+    concatenated G_v for v in var_names, on the rows of `players` stacked
+    by `stack`.
 
-    M has shape (S, sum of dim_v, n + n*d + m); column for column it is
-    costate_combination's b_v' p + sigma_v' q - f_v' k, and l stacks the
-    l_iv.  When every Jacobian is a view shared by all scenarios (stride 0
-    on the scenario axis, as in LQ problems), M is one such view as well, so
-    its memory does not grow with the scenario count.
+    M has shape (rows, sum of dim_v, n + n*d + m); column for column it is
+    costate_combination's b_v' p + sigma_v' q - f_v' k, evaluated once for
+    all players, and l stacks each player's l_iv.  When every Jacobian is a
+    view shared by all scenarios (stride 0 on the scenario axis, as in LQ
+    problems), M is one such view over every row, so its memory grows with
+    neither the scenario count nor the players.
     """
     co = problem.coefficients
     jacs = [[getattr(co, f"{name}_{v}")(*args) for name in ("b", "sigma", "f")]
             for v in var_names]
-    S = args[1].shape[0]
     shared = all(a.strides[0] == 0 for group in jacs for a in group)
     blocks = []
     for b, sigma, f in jacs:
@@ -122,22 +128,28 @@ def _costate_matrix(problem: GameProblem, player: int, var_names: tuple[str, ...
             axis=2,
         ))
     mat = np.concatenate(blocks, axis=1)
-    l_iv = np.concatenate([problem.costs.running_grad(player, v)(*args) for v in var_names], axis=1)
-    return np.broadcast_to(mat, (S,) + mat.shape[1:]), l_iv
+    if not shared:
+        mat = stack([mat] * len(players))
+    l_iv = stack([
+        np.concatenate([problem.costs.running_grad(i, v)(*args) for v in var_names], axis=1)
+        for i in players
+    ])
+    return np.broadcast_to(mat, (l_iv.shape[0],) + mat.shape[1:]), l_iv
 
 
-def _step_partials(problem, traj, u, player, backend):
+def _step_partials(problem, traj, u, players, view):
     """Per step, what every adjoint pass reuses: (M, l) of (G_y, G_z) for
     the forward k-step, (M, l) of G_x for the backward step, and the
     regressors of the step's regressions (None on the lattice).  All depend
-    on (t, x, y, z, u1, u2) only, which the solve holds fixed."""
-    knots = backend.grid.knots
-    regression = getattr(backend, "regression", None)
+    on (t, x, y, z, u1, u2) only, which the solve holds fixed.  The rows are
+    those of `view`, one member per player in `players`."""
+    knots = view.grid.knots
+    regression = getattr(view.base, "regression", None)
     forward, backward, regressors = [], [], []
-    for j in range(backend.grid.steps):
+    for j in range(view.grid.steps):
         args = (float(knots[j]), traj.x[j], traj.y[j], traj.z[j], u.u1[j], u.u2[j])
-        forward.append(_costate_matrix(problem, player, ("y", "z"), args))
-        backward.append(_costate_matrix(problem, player, ("x",), args))
+        forward.append(_costate_matrix(problem, players, ("y", "z"), args, view.stack))
+        backward.append(_costate_matrix(problem, players, ("x",), args, view.stack))
         if regression is None:
             regressors.append(None)
         elif regression.include_y:
@@ -159,9 +171,7 @@ def _forward_k(problem, backend, forward, ps, qs, k0) -> list[Array]:
     for j in range(backend.grid.steps):
         g = _combine(forward[j], ps[j], qs[j], ks[j])  # (G_y, G_z flattened)
         nxt = backend.step_forward(j, ks[j], -g[:, :m], -g[:, m:].reshape(g.shape[0], m, d))
-        if not np.all(np.isfinite(nxt)):
-            bad = np.argwhere(~np.isfinite(nxt))
-            raise NonFiniteStateError(step=j + 1, scenario=int(bad[0][0]))
+        _check_finite(backend, j + 1, nxt)
         ks.append(nxt)
     return ks
 
@@ -178,8 +188,77 @@ def _backward_pq(backend, backward, regressors, ks, p_terminal):
         p_hat, r2 = backend.cond_exp(j, ps[j + 1], regressors[j])
         ps[j] = p_hat + _combine(backward[j], p_hat, q, ks[j]) * dt
         qs[j] = q
-        ridge_events += int(r1) + int(r2)
+        ridge_events += r1 + r2
     return ps, qs, ridge_events
+
+
+def solve_adjoints(
+    problem: GameProblem,
+    traj: StateTrajectory,
+    u: ControlProcess,
+    backend: Backend,
+    config: FbsdeConfig = FbsdeConfig(),
+    initial=None,
+    players: tuple[int, ...] = (1, 2),
+) -> tuple[tuple[AdjointTrajectory, ...], tuple[SolveDiagnostics, ...]]:
+    """Solve the costate systems of `players` along one trajectory as one
+    damped Picard solve; returns one AdjointTrajectory and one
+    SolveDiagnostics per player.
+
+    The players' systems share the Jacobians of b, sigma and f, which are
+    evaluated once per step; only l_iv, p[N] and k[0] are each player's own.
+    Each player is one member of a member view (``drivers.member_view``),
+    so its result is bit for bit that of its solve alone; `solve_adjoint`
+    is the one-player case.
+    Per player the iterate is (p, q); k is rebuilt from it each pass and
+    once more after convergence so the forward recursion holds at the
+    returned triple.  The boundary values k[0] and p[N] are evaluated data,
+    never iterated.  `initial` warm-starts the solve with one (ps, qs) per
+    player from an earlier solve.
+
+    A failing player raises as its solve alone would.  When several fail,
+    the first failure in pass order is raised: a non-finite costate in a
+    pass's forward sweep before a divergence, which is checked after the
+    pass in player order.  Within a forward sweep the earliest step wins,
+    and within a step the view's first row: the lowest scenario, then the
+    first player, on the lattice; the first player, then its lowest
+    scenario, on Monte Carlo.
+    """
+    if not players or any(player not in (1, 2) for player in players):
+        raise ValueError("each player must be 1 or 2")
+    view = member_view(backend, len(players))
+    stack = view.stack
+    N = backend.grid.steps
+    n, d = problem.dims.n, problem.dims.d
+    p_terminal = stack([np.asarray(problem.costs.terminal_grad(i)(traj.x[N]), dtype=float)
+                        for i in players])
+    k0 = stack([-np.asarray(problem.costs.initial_grad(i)(traj.y[0]), dtype=float)
+                for i in players])
+    if initial is not None:
+        # per field (ps, qs), per step: the players' arrays stacked once
+        initial = [[stack(arrays) for arrays in zip(*field)] for field in zip(*initial)]
+    ps_in, qs_in = _start_pair(view, initial, (n,), (n, d))
+    ps_in[N] = p_terminal  # p[N] is data: the first residual sees no update there
+    forward, backward, regressors = _step_partials(problem, traj, u, players, view)
+    ks, ps, qs, diagnostics = damped_picard(
+        lambda ps, qs: _forward_k(problem, view, forward, ps, qs, k0),
+        lambda ks, ps: _backward_pq(view, backward, regressors, ks, p_terminal),
+        (ps_in, qs_in),
+        view,
+        config,
+        "costate",
+    )
+    k, p, q = ([view.unstack(a) for a in arrays] for arrays in (ks, ps, qs))
+    adjoints = tuple(
+        AdjointTrajectory(
+            player=player,
+            k=tuple(a[b] for a in k),
+            p=tuple(a[b] for a in p),
+            q=tuple(a[b] for a in q),
+        )
+        for b, player in enumerate(players)
+    )
+    return adjoints, diagnostics
 
 
 def solve_adjoint(
@@ -191,31 +270,15 @@ def solve_adjoint(
     config: FbsdeConfig = FbsdeConfig(),
     initial=None,
 ) -> tuple[AdjointTrajectory, SolveDiagnostics]:
-    """Solve the coupled costate pair for one player by damped iteration.
-
-    The iterate is (p, q); k is rebuilt from it each pass and once more after
-    convergence so the forward recursion holds at the returned triple.  The
-    boundary values k[0] and p[N] are evaluated data, never iterated.
-    `initial` warm-starts the pair with (ps, qs) from an earlier solve.
-    """
-    if player not in (1, 2):
-        raise ValueError("player must be 1 or 2")
-    N = backend.grid.steps
-    n, d = problem.dims.n, problem.dims.d
-    p_terminal = np.asarray(problem.costs.terminal_grad(player)(traj.x[N]), dtype=float)
-    k0 = -np.asarray(problem.costs.initial_grad(player)(traj.y[0]), dtype=float)
-    ps_in, qs_in = _start_pair(backend, initial, (n,), (n, d))
-    ps_in[N] = p_terminal  # p[N] is data: the first residual sees no update there
-    forward, backward, regressors = _step_partials(problem, traj, u, player, backend)
-    ks, ps, qs, (diagnostics,) = damped_picard(
-        lambda ps, qs: _forward_k(problem, backend, forward, ps, qs, k0),
-        lambda ks, ps: _backward_pq(backend, backward, regressors, ks, p_terminal),
-        (ps_in, qs_in),
-        backend,
-        config,
-        "costate",
+    """Solve the coupled costate pair of one player by damped iteration:
+    `solve_adjoints` for that player alone.  `initial` warm-starts the pair
+    with (ps, qs) from an earlier solve."""
+    (adjoint,), (diagnostics,) = solve_adjoints(
+        problem, traj, u, backend, config,
+        initial=None if initial is None else (initial,),
+        players=(player,),
     )
-    return AdjointTrajectory(player=player, k=tuple(ks), p=tuple(ps), q=tuple(qs)), diagnostics
+    return adjoint, diagnostics
 
 
 @dataclass(frozen=True)

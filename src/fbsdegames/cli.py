@@ -50,7 +50,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adjoint import AdjointTrajectory, solve_adjoint
+# solve_adjoint is no longer called here; the name stays bound because
+# perfbench/instrument.py patches cli.solve_adjoint when it installs
+from .adjoint import AdjointTrajectory, solve_adjoint, solve_adjoints  # noqa: F401
 from .drivers import (
     GENERATOR_NAME,
     Backend,
@@ -789,8 +791,7 @@ def cmd_verify(args) -> int:
     cfg, backend, out = _prepare(args)
     u = read_controls(Path(args.controls), cfg.problem, backend)
     traj, fdiag = solve_fbsde(cfg.problem, u, backend, cfg.fbsde)
-    adj1, d1 = solve_adjoint(cfg.problem, traj, u, 1, backend, cfg.fbsde)
-    adj2, d2 = solve_adjoint(cfg.problem, traj, u, 2, backend, cfg.fbsde)
+    (adj1, adj2), (d1, d2) = solve_adjoints(cfg.problem, traj, u, backend, cfg.fbsde)
     vi = vi_residual(cfg.problem, traj, adj1, adj2, u)
     certificate = build_certificate(cfg.problem, traj, (adj1, adj2), u, cfg.certificate)
     payload = {

@@ -7,11 +7,14 @@ Two interchangeable backends drive every solver:
   transition has probability 1/2.  Conditional expectations are exact node
   averages, which makes the backend suitable for brute-force oracles.
   ``MemberLattice`` stacks independent copies of one lattice problem, so
-  the grid oracle solves many control profiles in one pass.
+  the grid oracle solves many control profiles, and the costate solve both
+  players' systems, in one pass.
 * ``MonteCarloBackend``: a seeded path ensemble with least-squares
   regression onto a polynomial basis for conditional expectations.  Each
   step's design matrix is factored once and reused while its regressors
-  stay the same (Gobet, Lemor & Warin 2005).
+  stay the same (Gobet, Lemor & Warin 2005).  ``MemberPaths`` stacks
+  independent problems on one ensemble; the costate solve runs both
+  players' systems through it.
 
 Scenario-indexed processes are stored per step as arrays with a leading
 scenario axis: lattice step j has j + 1 rows, Monte Carlo always P rows.
@@ -219,26 +222,38 @@ class LatticeBackend:
         return out
 
 
-class MemberLattice:
-    """`members` independent problems on one lattice, stacked node-major.
+class _MemberView:
+    """`members` independent problems stacked on one backend.
 
-    Row l * B + b of level j is node l of member b (B = members), so level j
-    holds (j + 1) * B rows.  Every operation views its rows as (j + 1, B, ...)
-    and runs the lattice's own arithmetic on that trailing shape, so a
-    member's rows get the values a plain `LatticeBackend` gives them alone,
-    bit for bit, as long as the problem's callbacks act row by row.
-    `expect` returns one value per member, shape (B, ...).
+    A member's rows get, bit for bit, the values the base backend gives
+    them alone, as long as the problem's callbacks act row by row.  `stack`
+    and `unstack` convert one step between per-member arrays and rows,
+    `member_rows` selects the rows of chosen members, `scenario_of` names a
+    row's scenario within its member, and `expect` returns one value per
+    member, shape (B, ...) for B = members.
+    """
+
+    def __init__(self, base, members: int):
+        if members < 1:
+            raise ValueError("members must be >= 1")
+        self.base = base
+        self.grid = base.grid
+        self.d = base.d
+        self.members = members
+
+    def scenario_count(self, j: int) -> int:
+        return self.base.scenario_count(j) * self.members
+
+
+class MemberLattice(_MemberView):
+    """Member view of a `LatticeBackend`, stacked node-major.
+
+    Row l * B + b of level j is node l of member b, so level j holds
+    (j + 1) * B rows.  Every operation views its rows as (j + 1, B, ...) and
+    runs the lattice's own arithmetic on that trailing shape.
     """
 
     kind = "lattice"
-
-    def __init__(self, lattice: LatticeBackend, members: int):
-        if members < 1:
-            raise ValueError("members must be >= 1")
-        self.lattice = lattice
-        self.grid = lattice.grid
-        self.d = 1
-        self.members = members
 
     # explicit lengths, not -1: a control of an inert player has no columns
     def _nodes(self, rows: Array) -> Array:
@@ -253,36 +268,90 @@ class MemberLattice:
         """Rows of one level from each member's (j + 1, ...) array, in member order."""
         return self._rows(np.stack(arrays, axis=1))
 
+    def unstack(self, rows: Array) -> tuple[Array, ...]:
+        """Each member's own contiguous (j + 1, ...) array; inverse of `stack`."""
+        nodes = self._nodes(rows)
+        return tuple(np.ascontiguousarray(nodes[:, b]) for b in range(self.members))
+
     def member_rows(self, j: int, mask: Array) -> Array:
         """Level-j row mask selecting the members where mask (shape (B,)) holds."""
         return np.tile(mask, j + 1)
 
-    def scenario_count(self, j: int) -> int:
-        return (j + 1) * self.members
+    def scenario_of(self, row: int) -> int:
+        return row // self.members
 
     def brownian(self, j: int) -> Array:
-        return np.repeat(self.lattice.brownian(j), self.members, axis=0)
+        return np.repeat(self.base.brownian(j), self.members, axis=0)
 
     def expect(self, j: int, values: Array) -> Array:
         # member-major and contiguous, so each member's average is the same
         # matrix-vector product that LatticeBackend.expect makes on its rows
         v = np.ascontiguousarray(np.swapaxes(self._nodes(values), 0, 1))
         flat = v.reshape(self.members, j + 1, -1)
-        return (self.lattice._weights[j] @ flat).reshape((self.members,) + v.shape[2:])
+        return (self.base._weights[j] @ flat).reshape((self.members,) + v.shape[2:])
 
     def cond_exp(self, j: int, values_next: Array, regressors: Array | None = None):
-        out, ridge = self.lattice.cond_exp(j, self._nodes(values_next))
+        out, ridge = self.base.cond_exp(j, self._nodes(values_next))
         return self._rows(out), ridge
 
     def cond_exp_increment(self, j: int, values_next: Array, regressors: Array | None = None):
-        out, ridge = self.lattice.cond_exp_increment(j, self._nodes(values_next))
+        out, ridge = self.base.cond_exp_increment(j, self._nodes(values_next))
         return self._rows(out), ridge
 
     def step_forward(self, j: int, state: Array, drift: Array, diffusion: Array) -> Array:
-        nxt = self.lattice.step_forward(
+        nxt = self.base.step_forward(
             j, self._nodes(state), self._nodes(drift), self._nodes(diffusion)
         )
         return self._rows(nxt)
+
+
+class MemberPaths(_MemberView):
+    """Member view of a `MonteCarloBackend`, stacked member-major.
+
+    Rows b * P to (b + 1) * P - 1 of a step are the P paths of member b, so
+    each member's rows are one contiguous block, and every operation runs
+    the backend's own on each block, a view, not a copy.  All members
+    regress on the same regressors, each through the backend's `_fit`, so
+    they share the step's cached projection; one multi-column fit would
+    round differently.  A fit returns its ridge fallbacks as one count per
+    member, shape (B,).
+    """
+
+    def stack(self, arrays) -> Array:
+        """Rows of one step from each member's (P, ...) array, in member order."""
+        return np.concatenate(arrays)
+
+    def unstack(self, rows: Array) -> tuple[Array, ...]:
+        """Each member's own (P, ...) block, a contiguous view; inverse of `stack`."""
+        v = np.asarray(rows)
+        return tuple(v.reshape((self.members, v.shape[0] // self.members) + v.shape[1:]))
+
+    def member_rows(self, j: int, mask: Array) -> Array:
+        """Row mask selecting the members where mask (shape (B,)) holds."""
+        return np.repeat(mask, self.base.ensemble.paths)
+
+    def scenario_of(self, row: int) -> int:
+        return row % self.base.ensemble.paths
+
+    def brownian(self, j: int) -> Array:
+        return np.tile(self.base.brownian(j), (self.members, 1))
+
+    def expect(self, j: int, values: Array) -> Array:
+        return np.array([self.base.expect(j, v) for v in self.unstack(values)])
+
+    def _each(self, op, j: int, values: Array, regressors: Array | None):
+        fits = [op(j, v, regressors) for v in self.unstack(values)]
+        return self.stack([fit for fit, _ in fits]), np.array([r for _, r in fits], dtype=int)
+
+    def cond_exp(self, j: int, values_next: Array, regressors: Array | None = None):
+        return self._each(self.base.cond_exp, j, values_next, regressors)
+
+    def cond_exp_increment(self, j: int, values_next: Array, regressors: Array | None = None):
+        return self._each(self.base.cond_exp_increment, j, values_next, regressors)
+
+    def step_forward(self, j: int, state: Array, drift: Array, diffusion: Array) -> Array:
+        blocks = zip(self.unstack(state), self.unstack(drift), self.unstack(diffusion))
+        return self.stack([self.base.step_forward(j, *args) for args in blocks])
 
 
 class MonteCarloBackend:
@@ -342,4 +411,10 @@ class MonteCarloBackend:
         return state + drift * self.grid.dt + np.einsum("s...d,sd->s...", diffusion, db)
 
 
-Backend = LatticeBackend | MonteCarloBackend | MemberLattice
+def member_view(backend: "LatticeBackend | MonteCarloBackend", members: int) -> _MemberView:
+    """The member view that stacks `members` independent problems on backend."""
+    view = MemberLattice if backend.kind == "lattice" else MemberPaths
+    return view(backend, members)
+
+
+Backend = LatticeBackend | MonteCarloBackend | MemberLattice | MemberPaths

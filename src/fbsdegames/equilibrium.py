@@ -1,8 +1,9 @@
 """Candidate Nash points by projected gradient, with independent validators.
 
 The search loop alternates full system solves (state, then both costate
-triples, warm-started between outer iterations) with box-projected gradient
-steps on the two controls.  Progress is measured by the merit
+triples as one paired solve, ``adjoint.solve_adjoints``, all warm-started
+between outer iterations) with box-projected gradient steps on the two
+controls.  Progress is measured by the merit
 max(rho_1, rho_2) where rho_i is the stationarity residual of player i; a
 step is accepted only when the merit strictly decreases, so the recorded
 merit sequence is non-increasing by construction.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import AdjointTrajectory, solve_adjoint
+from .adjoint import AdjointTrajectory, solve_adjoint, solve_adjoints
 from .drivers import Backend, MemberLattice
 from .fbsde import (
     ControlProcess,
@@ -252,24 +253,22 @@ class _EvalState:
         return max(self.vi.rho1, self.vi.rho2)
 
     def warm(self):
+        """Warm starts for the next evaluation: the state's (y, z) and both
+        players' (p, q)."""
         return (
-            (list(self.traj.y), list(self.traj.z)),
-            (list(self.adj1.p), list(self.adj1.q)),
-            (list(self.adj2.p), list(self.adj2.q)),
+            (self.traj.y, self.traj.z),
+            ((self.adj1.p, self.adj1.q), (self.adj2.p, self.adj2.q)),
         )
 
 
 def _evaluate(problem, u, backend, config, warm=None) -> _EvalState:
-    w0 = warm[0] if warm else None
-    traj, fd = solve_fbsde(problem, u, backend, config, initial=w0)
-    adj1, d1 = solve_adjoint(
-        problem, traj, u, 1, backend, config, initial=warm[1] if warm else None
-    )
-    adj2, d2 = solve_adjoint(
-        problem, traj, u, 2, backend, config, initial=warm[2] if warm else None
+    """The state solve, one paired costate solve and the VI residual at u."""
+    traj, fd = solve_fbsde(problem, u, backend, config, initial=warm[0] if warm else None)
+    (adj1, adj2), adj_diag = solve_adjoints(
+        problem, traj, u, backend, config, initial=warm[1] if warm else None
     )
     vi = vi_residual(problem, traj, adj1, adj2, u)
-    return _EvalState(traj=traj, adj1=adj1, adj2=adj2, vi=vi, fbsde_diag=fd, adj_diag=(d1, d2))
+    return _EvalState(traj=traj, adj1=adj1, adj2=adj2, vi=vi, fbsde_diag=fd, adj_diag=adj_diag)
 
 
 def _stepped(problem, u, state, alpha, players) -> ControlProcess:

@@ -129,15 +129,25 @@ class StateTrajectory:
 
 
 def _start_pair(backend: Backend, initial, a_shape: tuple, b_shape: tuple):
-    """Float copies of a warm start (a, b), or zeros: a on steps 0..N with
-    trailing shape a_shape, b on steps 0..N-1 with trailing shape b_shape."""
+    """A warm start (a, b) as float arrays in new lists, or zeros: a on steps
+    0..N with trailing shape a_shape, b on steps 0..N-1 with trailing shape
+    b_shape.  Warm-start arrays are not copied: nothing writes into them."""
     if initial is not None:
         a, b = initial
-        return [np.array(v, dtype=float) for v in a], [np.array(v, dtype=float) for v in b]
+        return [np.asarray(v, dtype=float) for v in a], [np.asarray(v, dtype=float) for v in b]
     N = backend.grid.steps
     a = [np.zeros((backend.scenario_count(j),) + a_shape) for j in range(N + 1)]
     b = [np.zeros((backend.scenario_count(j),) + b_shape) for j in range(N)]
     return a, b
+
+
+def _check_finite(backend: Backend, step: int, values: Array) -> None:
+    """Raise NonFiniteStateError at the first non-finite row of a step's
+    values, naming its scenario within its own member on a member view."""
+    if not np.all(np.isfinite(values)):
+        row = int(np.argwhere(~np.isfinite(values))[0][0])
+        scenario_of = getattr(backend, "scenario_of", None)
+        raise NonFiniteStateError(step=step, scenario=row if scenario_of is None else scenario_of(row))
 
 
 def forward_pass(
@@ -158,9 +168,7 @@ def forward_pass(
         drift = co.b(t, x, y, z, u.u1[j], u.u2[j])
         diffusion = co.sigma(t, x, y, z, u.u1[j], u.u2[j])
         nxt = backend.step_forward(j, x, drift, diffusion)
-        if not np.all(np.isfinite(nxt)):
-            bad = np.argwhere(~np.isfinite(nxt))
-            raise NonFiniteStateError(step=j + 1, scenario=int(bad[0][0]))
+        _check_finite(backend, j + 1, nxt)
         xs.append(nxt)
     return xs
 
@@ -175,7 +183,8 @@ def backward_pass(
     """Conditional-expectation recursion for (y, z) given x.
 
     The driver is applied explicitly at E[y[j+1] | F_j].  Returns the pair
-    plus the number of steps where regression fell back to ridge.
+    plus the number of fits that fell back to ridge (one count per member on
+    a ``drivers.MemberPaths``).
     """
     grid = backend.grid
     N = grid.steps
@@ -197,7 +206,7 @@ def backward_pass(
         y = yhat + co.f(t, xs[j], yhat, z, u.u1[j], u.u2[j]) * dt
         ys[j] = y
         zs[j] = z
-        ridge_events += int(r1) + int(r2)
+        ridge_events += r1 + r2
     return ys, zs, ridge_events
 
 
@@ -220,7 +229,8 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
     """Damped Picard iteration on a backward pair (a, b) on steps 0..N, 0..N-1.
 
     Each pass runs ``forward(a, b)`` and then ``backward(fwd, a)``, which
-    returns the next (a, b) and its ridge-fallback count; the residual is
+    returns the next (a, b) and its ridge-fallback count (a scalar, or one
+    count per member); the residual is
     `_update_metric` between consecutive outputs, the first against `start`.
     The iterate moves by damping theta toward each output.  Divergence
     (residual above 10x its first value) raises PicardDivergenceError;
@@ -229,11 +239,12 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
     there.  Returns (fwd, a, b, diagnostics), one SolveDiagnostics per
     member; warnings name `label`.
 
-    On a member view (``drivers.MemberLattice``) every member runs this
-    iteration on its own rows: its own residuals, warnings, best output,
-    stop and divergence check.  A member that has stopped keeps its iterate,
-    so the passes the others still need repeat its last input and cannot
-    change its result.  A plain backend is the one-member case.
+    On a member view (``drivers.MemberLattice``, ``drivers.MemberPaths``)
+    every member runs this iteration on its own rows: its own residuals,
+    warnings, best output, ridge-fallback count, stop and divergence check.
+    A member that has stopped keeps its iterate, so the passes the others
+    still need repeat its last input and cannot change its result, and they
+    add nothing to its counts.  A plain backend is the one-member case.
     """
     members = getattr(backend, "members", 1)
     a_in, b_in = start
@@ -244,7 +255,7 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
     best = [np.inf] * members
     converged = [False] * members
     running = list(range(members))
-    ridge_total = 0
+    ridge_counts = [0] * members
     best_a, best_b = a_in, b_in
 
     def pick(chosen: list[int], new: list, old: list) -> list:
@@ -270,13 +281,16 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
             final_residual=histories[b][-1],
             converged=converged[b],
             residual_history=tuple(histories[b]),
-            ridge_fallbacks=ridge_total,
+            ridge_fallbacks=ridge_counts[b],
             warnings=tuple(warnings[b]),
         )
 
     for it in range(1, config.max_picard + 1):
         a_out, b_out, ridge = backward(forward(a_in, b_in), a_in)
-        ridge_total += ridge
+        if np.any(ridge):  # only the members still running count this pass
+            ridge = np.broadcast_to(ridge, (members,))
+            for b in running:
+                ridge_counts[b] += int(ridge[b])
         residual = _update_metric(backend, a_out, b_out, prev_a, prev_b).tolist()
         improved, still = [], []
         for b in running:

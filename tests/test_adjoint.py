@@ -1,6 +1,8 @@
-"""Per-player costate systems and the discrete integration-by-parts residual."""
+"""Per-player and paired costate systems and the discrete
+integration-by-parts residual."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +11,19 @@ from fbsdegames import (
     ControlProcess,
     Dims,
     FbsdeConfig,
+    NonFiniteStateError,
     costate_combination,
     duality_residual,
     lq_to_problem,
     random_lq_spec,
     solve_adjoint,
+    solve_adjoints,
     solve_fbsde,
 )
+from fbsdegames import adjoint, equilibrium
 from fbsdegames.adjoint import _step_partials
+from fbsdegames.cli import build_backend, load_config
+from fbsdegames.drivers import member_view
 
 from conftest import (
     ROUNDOFF_TOL,
@@ -250,22 +257,151 @@ def test_solved_costates_satisfy_recursions_of_costate_combination(
         _close(p, p_hat + gx * dt)
 
 
-@pytest.mark.parametrize("jacobians", ["shared", "dense"])
-def test_step_matrices_stay_shared_when_the_jacobians_are(jacobians):
+@pytest.mark.parametrize(
+    "jacobians, players",
+    [("shared", (1,)), ("dense", (1,)), ("shared", (1, 2)), ("dense", (1, 2))],
+    ids=["shared", "dense", "shared-paired", "dense-paired"],
+)
+def test_step_matrices_stay_shared_when_the_jacobians_are(jacobians, players):
     # LQ Jacobians are views with stride 0 over scenarios; the per-solve step
-    # matrices keep that, so their memory does not grow with the path count
+    # matrices keep that, so their memory grows with neither the path count
+    # nor the players of a paired solve
     problem = lq_to_problem(random_lq_spec(3, Dims(2, 2, 2, 2, 2)))
     if jacobians == "dense":
         problem = _dense_jacobians(problem)
     backend = montecarlo(4, paths=64, d=2)
     u = random_controls(problem, backend)
     traj, _ = solve_fbsde(problem, u, backend)
-    forward, backward, _ = _step_partials(problem, traj, u, 1, backend)
+    view = member_view(backend, len(players))
+    forward, backward, _ = _step_partials(problem, traj, u, players, view)
     dims = problem.dims
     R = dims.n + dims.n * dims.d + dims.m
+    rows = 64 * len(players)
     for (mat_f, l_f), (mat_b, l_b) in zip(forward, backward, strict=True):
-        assert mat_f.shape == (64, dims.m + dims.m * dims.d, R)
-        assert mat_b.shape == (64, dims.n, R)
-        assert l_f.shape == (64, dims.m + dims.m * dims.d) and l_b.shape == (64, dims.n)
+        assert mat_f.shape == (rows, dims.m + dims.m * dims.d, R)
+        assert mat_b.shape == (rows, dims.n, R)
+        assert l_f.shape == (rows, dims.m + dims.m * dims.d) and l_b.shape == (rows, dims.n)
         shared = mat_f.strides[0] == 0 and mat_b.strides[0] == 0
         assert shared == (jacobians == "shared")
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _paired_case(name):
+    """(problem, backend, fbsde config) of a paired-solve case."""
+    if name.endswith(".json"):
+        cfg = load_config(CONFIGS / name)
+        return cfg.problem, build_backend(cfg), cfg.fbsde
+    config = FbsdeConfig(tol=1e-12)
+    if name == "montecarlo-256":
+        return lq_to_problem(coupled_lq_spec()), montecarlo(16, paths=256), config
+    problem = lq_to_problem(random_lq_spec(11, Dims(2, 2, 2, 2, 2)))
+    if name == "montecarlo-2d-dense":
+        problem = _dense_jacobians(problem)
+    return problem, montecarlo(8, paths=256, d=2), config
+
+
+def _assert_same_costates(got, want):
+    assert got.player == want.player
+    for field in ("k", "p", "q"):
+        for a, b in zip(getattr(got, field), getattr(want, field), strict=True):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("start", ["cold", "warm"])
+@pytest.mark.parametrize("case", [
+    "coupled_game.json",
+    "single_player_lqr.json",  # player 2 inert: no control, k2 = 0, empty cost
+    "montecarlo-256",
+    "montecarlo-2d",  # d = 2 runs step_forward's Brownian contraction
+    "montecarlo-2d-dense",  # per-scenario Jacobians, stacked per player
+])
+def test_paired_solve_is_each_solve_alone(case, start):
+    problem, backend, config = _paired_case(case)
+    u = random_controls(problem, backend)
+    traj, _ = solve_fbsde(problem, u, backend, config)
+    initial = None
+    if start == "warm":
+        other = random_controls(problem, backend, seed=1)
+        other_traj, _ = solve_fbsde(problem, other, backend, config)
+        initial = tuple(
+            (adj.p, adj.q)
+            for adj, _ in (solve_adjoint(problem, other_traj, other, i, backend, config)
+                           for i in (1, 2))
+        )
+    alone = [
+        solve_adjoint(problem, traj, u, i, backend, config,
+                      initial=None if initial is None else initial[i - 1])
+        for i in (1, 2)
+    ]
+    adjoints, diagnostics = solve_adjoints(problem, traj, u, backend, config, initial)
+    for (want, want_diag), got, diag in zip(alone, adjoints, diagnostics, strict=True):
+        assert diag == want_diag
+        _assert_same_costates(got, want)
+
+
+def test_paired_ridge_fallbacks_count_each_players_own_passes():
+    # every path starts at x(0), so step 0's two fits take the ridge fallback
+    # on every pass; player 2 needs one pass more than player 1 here, and that
+    # pass must not add to player 1's count
+    problem, backend, config = _paired_case("montecarlo-2d")
+    u = random_controls(problem, backend)
+    traj, _ = solve_fbsde(problem, u, backend, config)
+    _, (d1, d2) = solve_adjoints(problem, traj, u, backend, config)
+    assert d1.iterations < d2.iterations
+    assert d1.ridge_fallbacks == 2 * d1.iterations
+    assert d2.ridge_fallbacks == 2 * d2.iterations
+
+
+@pytest.mark.parametrize("make_backend", [lambda: lattice(64), lambda: montecarlo(16, paths=256)],
+                         ids=["lattice", "montecarlo"])
+@pytest.mark.parametrize("failing", [(1,), (2,), (1, 2)], ids=["player1", "player2", "both"])
+def test_paired_solve_fails_as_the_first_failing_solve_alone(failing, make_backend):
+    # x(T) = 1e308 makes a player whose terminal and running costs see x
+    # overflow, and its costate k turns non-finite; a player whose costs
+    # ignore x stays finite.  One lattice node is enough (q differences
+    # neighbours over sqrt(dt)); a regression averages one path away, so on
+    # Monte Carlo every path gets it.  The paired solve names the
+    # failing player's own step and scenario (not its stacked row); with two
+    # failures at the same step and scenario it is player 1's
+    spec = coupled_lq_spec()
+    blind = dataclasses.replace(spec.cost1, Q=np.zeros((1, 1)), G=np.zeros((1, 1)))
+    spec = dataclasses.replace(
+        spec, **{f"cost{i}": blind for i in (1, 2) if i not in failing})
+    backend = make_backend()
+    problem, u, traj = _setup(spec, backend)
+    x_end = traj.x[-1].copy()
+    x_end[40 if backend.kind == "lattice" else slice(None)] = 1e308
+    huge = dataclasses.replace(traj, x=traj.x[:-1] + (x_end,))
+    errors = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in (1, 2):
+            if i in failing:
+                with pytest.raises(NonFiniteStateError) as alone:
+                    solve_adjoint(problem, huge, u, i, backend)
+                errors[i] = alone.value
+            else:
+                assert solve_adjoint(problem, huge, u, i, backend)[1].converged
+        with pytest.raises(NonFiniteStateError) as paired:
+            solve_adjoints(problem, huge, u, backend)
+    want = errors[failing[0]]
+    assert (paired.value.step, paired.value.scenario) == (want.step, want.scenario)
+    assert str(paired.value) == str(want)
+
+
+def test_one_paired_costate_solve_per_evaluation(monkeypatch):
+    labels = []
+    original = adjoint.damped_picard
+
+    def counting(*args):
+        labels.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(adjoint, "damped_picard", counting)
+    problem, backend, config = _paired_case("coupled_game.json")
+    u = ControlProcess.midpoint(problem, backend)
+    state = equilibrium._evaluate(problem, u, backend, config)
+    assert labels == ["costate"]
+    equilibrium._evaluate(problem, u, backend, config, warm=state.warm())
+    assert labels == ["costate"] * 2

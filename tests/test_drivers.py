@@ -10,7 +10,7 @@ from fbsdegames import (
     TimeGrid,
     sample_ensemble,
 )
-from fbsdegames.drivers import MemberLattice, polynomial_design
+from fbsdegames.drivers import MemberLattice, MemberPaths, member_view, polynomial_design
 
 from conftest import lattice, member, montecarlo
 
@@ -282,6 +282,7 @@ def test_member_lattice_gives_each_member_its_lattice_values(members, trailing):
             np.testing.assert_array_equal(member(view, rows, b), alone[b])
             np.testing.assert_array_equal(expected[b], base.expect(j, alone[b]))
             np.testing.assert_array_equal(member(view, brownian, b), base.brownian(j))
+        assert view.scenario_of(j * members + members - 1) == j
         mask = np.arange(members) % 2 == 0
         picked = view.member_rows(j, mask)
         np.testing.assert_array_equal(picked, np.repeat(mask[None], j + 1, axis=0).ravel())
@@ -308,3 +309,45 @@ def test_member_lattice_keeps_columnless_controls():
     assert member(view, rows, 1).shape == (2, 0)
     with pytest.raises(ValueError):
         MemberLattice(lattice(2), 0)
+
+
+@pytest.mark.parametrize("members", [1, 2, 3])
+@pytest.mark.parametrize("trailing", [(), (2,), (2, 3)])
+def test_member_paths_give_each_member_its_monte_carlo_values(members, trailing):
+    # step 0 regresses on the shared start (the ridge fallback), step 2 on
+    # spread regressors (the SVD projection); d = 2 runs step_forward's
+    # contraction over the Brownian columns
+    base = montecarlo(steps=4, paths=64, seed=5, d=2)
+    view = member_view(base, members)
+    assert isinstance(view, MemberPaths)
+    rng = np.random.default_rng(members)
+    for j, regressors in ((0, np.zeros((64, 1))), (2, rng.standard_normal((64, 1)))):
+        assert view.scenario_count(j) == 64 * members
+        alone = [rng.standard_normal((64,) + trailing) * 10.0 ** rng.uniform(-4, 4)
+                 for _ in range(members)]
+        rows = view.stack(alone)
+        assert rows.shape == (64 * members,) + trailing
+        for got, want in zip(view.unstack(rows), alone, strict=True):
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got, want)
+        assert [view.scenario_of(row) for row in (0, 63, 64 * members - 1)] == [0, 63, 63]
+        expected = view.expect(j, rows)
+        assert expected.shape == (members,) + trailing
+        mask = np.arange(members) % 2 == 0
+        np.testing.assert_array_equal(view.member_rows(j, mask), np.repeat(mask, 64))
+        cond, ridge = view.cond_exp(j, rows, regressors)
+        incr, ridge_incr = view.cond_exp_increment(j, rows, regressors)
+        assert ridge.tolist() == ridge_incr.tolist() == [int(j == 0)] * members
+        drift = [rng.standard_normal((64,) + trailing) for _ in range(members)]
+        diffusion = [rng.standard_normal((64,) + trailing + (2,)) for _ in range(members)]
+        stepped = view.step_forward(j, rows, view.stack(drift), view.stack(diffusion))
+        per_member = zip(view.unstack(view.brownian(j)), view.unstack(cond),
+                         view.unstack(incr), view.unstack(stepped))
+        for b, (brownian, got_cond, got_incr, got_step) in enumerate(per_member):
+            np.testing.assert_array_equal(expected[b], base.expect(j, alone[b]))
+            np.testing.assert_array_equal(brownian, base.brownian(j))
+            np.testing.assert_array_equal(got_cond, base.cond_exp(j, alone[b], regressors)[0])
+            np.testing.assert_array_equal(
+                got_incr, base.cond_exp_increment(j, alone[b], regressors)[0])
+            np.testing.assert_array_equal(
+                got_step, base.step_forward(j, alone[b], drift[b], diffusion[b]))

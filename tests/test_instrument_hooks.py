@@ -68,7 +68,10 @@ def test_traced_solve_counts_layers_and_uninstall_restores(tmp_path):
     assert counts["fbsde.forward_pass.calls"] > 0
     assert counts["fbsde.backward_pass.calls"] > 0
     assert counts["fbsde.solve_fbsde.calls"] > 0
-    assert counts["adjoint.solve_adjoint.calls"] == 2 * counts["fbsde.solve_fbsde.calls"]
+    # both costate systems run as one paired solve (adjoint.solve_adjoints),
+    # which the tracer does not wrap; the backend counters still see its
+    # forward sweeps, four lattice steps per pass beyond the state's
+    assert counts["drivers.step_forward.calls"] > 4 * counts["fbsde.forward_pass.calls"]
     after = _bindings()
     changed = [key for key, value in before.items() if after.get(key) is not value]
     assert changed == []
