@@ -1,7 +1,7 @@
 """Command-line runner: solve / verify / oracle / check on JSON configs.
 
-Config layout (all matrices are nested lists; every omitted block defaults
-to zeros or to the documented defaults; unknown keys are rejected):
+Config layout (all matrices are nested lists of numbers; unknown keys are
+rejected; an omitted key or block takes its default):
 
     {
       "name": "demo",                       optional label
@@ -9,27 +9,35 @@ to zeros or to the documented defaults; unknown keys are rejected):
       "horizon": 1.0, "steps": 64,
       "dims": {"n":1, "m":1, "d":1, "k1":1, "k2":1},
       "backend": {"kind":"lattice"} |
-                 {"kind":"montecarlo", "paths":4096,
-                  "regression":{"degree":2, "include_y":false, "ridge":1e-8}},
+                 {"kind":"montecarlo", "paths":4096, "regression":{..}},
       "initial": [1.0],
       "terminal": {"constant":[0.0], "linear":[[0.0]]},      linear optional
       "drift"|"driver": {"A":..,"B":..,"C":..,"D1":..,"D2":..,"const":..},
       "diffusion": [affine, ...],           one block per Brownian column
       "cost1"|"cost2": {"Q":..,"R":..,"S":0.0,"N":..,"M":..,"G":..,"H":..},
       "box1"|"box2": {"radius":2.0} | {"lower":[..],"upper":[..]} | "unbounded",
-      "fbsde": {"max_picard":50,"damping":0.5,"tol":1e-8},
-      "gradient": {"step":0.1,"max_iterations":500,"tolerance":1e-6,
-                   "mode":"simultaneous","max_halvings":20},
-      "certificate": {"radius":null,"grid_density":33,"pointwise_tol":1e-8,
-                      "convexity_samples":400,"convexity_tol":1e-9,
-                      "anchors":4,"sample_radius":3.0,"seed":0},
-      "oracle": {"grid1":{"points":5}|{"values":[[..]]}, "grid2":...,
-                 "budget":1000000, "max_rounds":50, "riccati":false},
-      "check": {"samples":120,"probe_radius":null,"corrupt":null}
+      "fbsde": {..}, "gradient": {..}, "certificate": {..},
+      "oracle": {"grid1":{"points":5}|{"values":[[..]]}, "grid2":.., ..},
+      "check": {..}
     }
 
-The `fbsde` block sets every Picard solve, the oracle's cost evaluations
-included; a config without it gets the defaults shown above.
+The affine and cost blocks are the fields of `AffineMap` and
+`QuadraticCost`; each key is read at the shape of its field in the zero
+instance (`AffineMap.zeros`, `QuadraticCost.zeros`), and an omitted key or
+a null block stays zero.  Each options block is the fields of one
+dataclass, read by the field's type, with that class's defaults and bounds:
+
+    fbsde                 fbsde.FbsdeConfig
+    gradient              equilibrium.GradientConfig
+    certificate           hamiltonian.CertificateOptions
+    backend.regression    drivers.RegressionConfig
+    oracle                OracleOptions (below); grid1/grid2 default to
+                          5 points per axis over the player's box
+    check                 CheckOptions (below)
+
+A value outside its class's bounds exits 64 naming `block.key`.  The
+`fbsde` block sets every Picard solve, the oracle's cost evaluations
+included.
 
 Outputs are deterministic byte-for-byte for a fixed config and seed: wall
 time goes to stdout only, never into a file.  CSV floats carry 17
@@ -134,7 +142,12 @@ def _as_int(value, where: str, minimum: int | None = None, maximum: int | None =
 def _as_float(value, where: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(where, f"expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(where, f"expected a finite number, got {value!r}")
     if positive and not out > 0.0:
         raise ConfigError(where, f"must be positive, got {out}")
     return out
@@ -154,11 +167,20 @@ def _as_str(value, where: str, choices: tuple[str, ...] | None = None) -> str:
     return value
 
 
+def _numbers_only(value) -> bool:
+    """Every leaf of the nested lists is an int or a float (a bool is neither)."""
+    if type(value) is list:
+        return all(map(_numbers_only, value))
+    return type(value) in (int, float)
+
+
 def _as_array(value, shape: tuple[int | None, ...], where: str) -> np.ndarray:
     """A finite float array of the given shape; a None entry matches any length."""
+    if not _numbers_only(value):
+        raise ConfigError(where, "expected a numeric array")
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (ValueError, OverflowError):  # ragged lists, an integer beyond float
         raise ConfigError(where, "expected a numeric array") from None
     if arr.ndim != len(shape) or any(w is not None and a != w for a, w in zip(arr.shape, shape)):
         expected = ", ".join("*" if w is None else str(w) for w in shape)
@@ -168,34 +190,111 @@ def _as_array(value, shape: tuple[int | None, ...], where: str) -> np.ndarray:
     return arr
 
 
+_READERS = {"int": _as_int, "float": _as_float, "bool": _as_bool, "str": _as_str}
+
+
+def _read_options(cls, obj, where: str, **readers):
+    """Options dataclass `cls` from config block `obj`, one key per field.
+
+    A key is read by its field's type (`T | None` also takes null) and an
+    omitted key keeps the class default.  `readers` read the named fields
+    instead, as read(value or None, path).  The class is built with each
+    given key alone first, so a value outside its bounds is reported at
+    its own path.
+    """
+    obj = _require_mapping(obj, where)
+    fields = dataclasses.fields(cls)
+    _reject_unknown(obj, where, {f.name for f in fields})
+    given = {name: read(obj.get(name), f"{where}.{name}") for name, read in readers.items()}
+    values = dict(given)
+    for f in fields:
+        if f.name not in obj or f.name in readers:
+            continue
+        path = f"{where}.{f.name}"
+        kind, _, nullable = f.type.partition(" | ")
+        value = obj[f.name]
+        if value is not None or not nullable:
+            value = _READERS[kind](value, path)
+        try:
+            cls(**given, **{f.name: value})
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from None
+        values[f.name] = value
+    return cls(**values)
+
+
+def _read_arrays(zero, obj, where: str):
+    """`zero` with the keys of block `obj` replaced, one key per field.
+
+    Each key is read at its field's shape in `zero`, a float field as a
+    number; a null block is `zero` itself.
+    """
+    if obj is None:
+        return zero
+    obj = _require_mapping(obj, where)
+    values = {f.name: getattr(zero, f.name) for f in dataclasses.fields(zero)}
+    _reject_unknown(obj, where, values.keys())
+    for key, base in values.items():
+        if key in obj:
+            path = f"{where}.{key}"
+            values[key] = (_as_float(obj[key], path) if isinstance(base, float)
+                           else _as_array(obj[key], base.shape, path))
+    return type(zero)(**values)
+
+
 # ---------------------------------------------------------------------------
 # config model
 # ---------------------------------------------------------------------------
 
 
+_CORRUPTIBLE = (
+    {f"{fn}_{v}" for fn in ("b", "sigma", "f") for v in ("x", "y", "z", "u1", "u2")}
+    | {f"l{i}_{v}" for i in (1, 2) for v in ("x", "y", "z", "u1", "u2")}
+    | {"phi1_x", "phi2_x", "h1_y", "h2_y"}
+)
+
+
 @dataclass
 class OracleOptions:
+    """Grid oracle: each player's candidate controls, one per row, the
+    enumeration budget in cost evaluations, the best-response round cap,
+    and whether to add the Riccati solution of player 1's problem."""
+
     grid1: np.ndarray
     grid2: np.ndarray
-    budget: int
-    max_rounds: int
-    riccati: bool
+    budget: int = 10**6
+    max_rounds: int = 50
+    riccati: bool = False
+
+    def __post_init__(self) -> None:
+        if self.budget < 1:
+            raise ValueError(f"budget must be >= 1, got {self.budget}")
+        if self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
 
 
 @dataclass
 class CheckOptions:
-    samples: int
-    probe_radius: float | None
-    corrupt: str | None
+    """Derivative self-test: random points per map, the probe radius of an
+    unbounded coordinate, and a partial to corrupt so the check must fail."""
+
+    samples: int = 120
+    probe_radius: float | None = None
+    corrupt: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.probe_radius is not None and not self.probe_radius > 0.0:
+            raise ValueError(f"probe_radius must be None or positive, got {self.probe_radius}")
+        if self.corrupt is not None and self.corrupt not in _CORRUPTIBLE:
+            raise ValueError(f"unknown derivative name {self.corrupt!r}")
 
 
 @dataclass
 class RunConfig:
-    name: str
     seed: int
-    horizon: float
     steps: int
-    dims: Dims
     backend_kind: str
     paths: int
     regression: RegressionConfig
@@ -207,53 +306,6 @@ class RunConfig:
     oracle: OracleOptions | None
     check: CheckOptions
     echo: dict
-
-
-def _parse_affine(obj, dims: Dims, rows: int, where: str) -> AffineMap:
-    if obj is None:
-        return AffineMap.zeros(rows, dims)
-    obj = _require_mapping(obj, where)
-    _reject_unknown(obj, where, {"A", "B", "C", "D1", "D2", "const"})
-    base = AffineMap.zeros(rows, dims)
-    shapes = {
-        "A": (rows, dims.n),
-        "B": (rows, dims.m),
-        "C": (rows, dims.dz),
-        "D1": (rows, dims.k1),
-        "D2": (rows, dims.k2),
-        "const": (rows,),
-    }
-    fields = {}
-    for key, shape in shapes.items():
-        if key in obj:
-            fields[key] = _as_array(obj[key], shape, f"{where}.{key}")
-        else:
-            fields[key] = getattr(base, key)
-    return AffineMap(**fields)
-
-
-def _parse_cost(obj, dims: Dims, own: int, other: int, where: str) -> QuadraticCost:
-    base = QuadraticCost.zeros(dims, own, other)
-    if obj is None:
-        return base
-    obj = _require_mapping(obj, where)
-    _reject_unknown(obj, where, {"Q", "R", "S", "N", "M", "G", "H"})
-    shapes = {
-        "Q": (dims.n, dims.n),
-        "R": (dims.m, dims.m),
-        "N": (own, own),
-        "M": (other, other),
-        "G": (dims.n, dims.n),
-        "H": (dims.m, dims.m),
-    }
-    fields = {}
-    for key, shape in shapes.items():
-        if key in obj:
-            fields[key] = _as_array(obj[key], shape, f"{where}.{key}")
-        else:
-            fields[key] = getattr(base, key)
-    fields["S"] = _as_float(obj.get("S", 0.0), f"{where}.S")
-    return QuadraticCost(**fields)
 
 
 def _parse_box(obj, k: int, where: str) -> ControlBox:
@@ -273,7 +325,8 @@ def _parse_box(obj, k: int, where: str) -> ControlBox:
     return ControlBox(lower, upper)
 
 
-def _parse_grid(obj, box: ControlBox, k: int, where: str) -> np.ndarray:
+def _parse_grid(obj, where: str, box: ControlBox) -> np.ndarray:
+    k = box.dim
     if k == 0:
         return np.zeros((1, 0))
     if obj is None:
@@ -296,13 +349,6 @@ def _parse_grid(obj, box: ControlBox, k: int, where: str) -> np.ndarray:
     axes = [np.linspace(lower[c], upper[c], points) for c in range(k)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-_CORRUPTIBLE = (
-    {f"{fn}_{v}" for fn in ("b", "sigma", "f") for v in ("x", "y", "z", "u1", "u2")}
-    | {f"l{i}_{v}" for i in (1, 2) for v in ("x", "y", "z", "u1", "u2")}
-    | {"phi1_x", "phi2_x", "h1_y", "h2_y"}
-)
 
 
 def _corrupt_problem(problem: GameProblem, target: str) -> GameProblem:
@@ -337,7 +383,7 @@ _TOP_KEYS = {
 def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     raw = _require_mapping(raw, "")
     _reject_unknown(raw, "", _TOP_KEYS)
-    name = _as_str(raw.get("name", "run"), "name")
+    _as_str(raw.get("name", ""), "name")  # a label: only echoed in the metadata
     seed = _as_int(raw.get("seed", 0), "seed", minimum=0, maximum=2**64 - 1)
     if seed_override is not None:
         seed = _as_int(seed_override, "--seed", minimum=0, maximum=2**64 - 1)
@@ -365,13 +411,8 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     else:
         _reject_unknown(bobj, "backend", {"kind", "paths", "regression"})
         paths = _as_int(bobj.get("paths", 4096), "backend.paths", minimum=2)
-        robj = _require_mapping(bobj.get("regression", {}), "backend.regression")
-        _reject_unknown(robj, "backend.regression", {"degree", "include_y", "ridge"})
-        regression = RegressionConfig(
-            degree=_as_int(robj.get("degree", 2), "backend.regression.degree", minimum=1, maximum=4),
-            include_y=_as_bool(robj.get("include_y", False), "backend.regression.include_y"),
-            ridge=_as_float(robj.get("ridge", 1e-8), "backend.regression.ridge", positive=True),
-        )
+        regression = _read_options(
+            RegressionConfig, bobj.get("regression", {}), "backend.regression")
 
     initial = _as_array(raw.get("initial", [0.0] * dims.n), (dims.n,), "initial")
     tobj = _require_mapping(raw.get("terminal", {"constant": [0.0] * dims.m}), "terminal")
@@ -383,14 +424,13 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
 
     diffusion_raw = raw.get("diffusion")
     if diffusion_raw is None:
-        diffusion = tuple(AffineMap.zeros(dims.n, dims) for _ in range(dims.d))
-    else:
-        if not isinstance(diffusion_raw, list) or len(diffusion_raw) != dims.d:
-            raise ConfigError("diffusion", f"expected a list of {dims.d} affine blocks")
-        diffusion = tuple(
-            _parse_affine(entry, dims, dims.n, f"diffusion[{i}]")
-            for i, entry in enumerate(diffusion_raw)
-        )
+        diffusion_raw = [None] * dims.d
+    elif not isinstance(diffusion_raw, list) or len(diffusion_raw) != dims.d:
+        raise ConfigError("diffusion", f"expected a list of {dims.d} affine blocks")
+    diffusion = tuple(
+        _read_arrays(AffineMap.zeros(dims.n, dims), entry, f"diffusion[{i}]")
+        for i, entry in enumerate(diffusion_raw)
+    )
 
     box1 = _parse_box(raw.get("box1"), dims.k1, "box1")
     box2 = _parse_box(raw.get("box2"), dims.k2, "box2")
@@ -400,101 +440,33 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         initial=initial,
         xi=xi,
         xi_linear=xi_linear,
-        drift=_parse_affine(raw.get("drift"), dims, dims.n, "drift"),
+        drift=_read_arrays(AffineMap.zeros(dims.n, dims), raw.get("drift"), "drift"),
         diffusion=diffusion,
-        driver=_parse_affine(raw.get("driver"), dims, dims.m, "driver"),
-        cost1=_parse_cost(raw.get("cost1"), dims, dims.k1, dims.k2, "cost1"),
-        cost2=_parse_cost(raw.get("cost2"), dims, dims.k2, dims.k1, "cost2"),
+        driver=_read_arrays(AffineMap.zeros(dims.m, dims), raw.get("driver"), "driver"),
+        cost1=_read_arrays(QuadraticCost.zeros(dims, dims.k1, dims.k2), raw.get("cost1"), "cost1"),
+        cost2=_read_arrays(QuadraticCost.zeros(dims, dims.k2, dims.k1), raw.get("cost2"), "cost2"),
         u1_box=box1,
         u2_box=box2,
     )
-    problem = lq_to_problem(spec)
-
-    fobj = _require_mapping(raw.get("fbsde", {}), "fbsde")
-    _reject_unknown(fobj, "fbsde", {"max_picard", "damping", "tol"})
-    damping = _as_float(fobj.get("damping", 0.5), "fbsde.damping", positive=True)
-    if damping > 1.0:
-        raise ConfigError("fbsde.damping", f"must be in (0, 1], got {damping}")
-    fbsde = FbsdeConfig(
-        max_picard=_as_int(fobj.get("max_picard", 50), "fbsde.max_picard", minimum=1),
-        damping=damping,
-        tol=_as_float(fobj.get("tol", 1e-8), "fbsde.tol", positive=True),
-    )
-
-    gobj = _require_mapping(raw.get("gradient", {}), "gradient")
-    _reject_unknown(
-        gobj, "gradient",
-        {"step", "max_iterations", "tolerance", "mode", "max_halvings"},
-    )
-    gradient = GradientConfig(
-        step=_as_float(gobj.get("step", 0.1), "gradient.step", positive=True),
-        max_iterations=_as_int(gobj.get("max_iterations", 500), "gradient.max_iterations", minimum=1),
-        tolerance=_as_float(gobj.get("tolerance", 1e-6), "gradient.tolerance", positive=True),
-        mode=_as_str(
-            gobj.get("mode", "simultaneous"), "gradient.mode",
-            choices=("simultaneous", "best-response"),
-        ),
-        max_halvings=_as_int(gobj.get("max_halvings", 20), "gradient.max_halvings", minimum=0),
-    )
-
-    cobj = _require_mapping(raw.get("certificate", {}), "certificate")
-    _reject_unknown(
-        cobj, "certificate",
-        {"radius", "grid_density", "pointwise_tol", "convexity_samples",
-         "convexity_tol", "anchors", "sample_radius", "seed"},
-    )
-    radius = cobj.get("radius")
-    certificate = CertificateOptions(
-        radius=None if radius is None else _as_float(radius, "certificate.radius", positive=True),
-        grid_density=_as_int(cobj.get("grid_density", 33), "certificate.grid_density", minimum=3),
-        pointwise_tol=_as_float(cobj.get("pointwise_tol", 1e-8), "certificate.pointwise_tol", positive=True),
-        convexity_samples=_as_int(cobj.get("convexity_samples", 400), "certificate.convexity_samples", minimum=1),
-        convexity_tol=_as_float(cobj.get("convexity_tol", 1e-9), "certificate.convexity_tol", positive=True),
-        anchors=_as_int(cobj.get("anchors", 4), "certificate.anchors", minimum=1),
-        sample_radius=_as_float(cobj.get("sample_radius", 3.0), "certificate.sample_radius", positive=True),
-        seed=_as_int(cobj.get("seed", 0), "certificate.seed", minimum=0),
-    )
-
-    oracle = None
-    if raw.get("oracle") is not None:
-        oobj = _require_mapping(raw["oracle"], "oracle")
-        _reject_unknown(oobj, "oracle", {"grid1", "grid2", "budget", "max_rounds", "riccati"})
-        oracle = OracleOptions(
-            grid1=_parse_grid(oobj.get("grid1"), box1, dims.k1, "oracle.grid1"),
-            grid2=_parse_grid(oobj.get("grid2"), box2, dims.k2, "oracle.grid2"),
-            budget=_as_int(oobj.get("budget", 10**6), "oracle.budget", minimum=1),
-            max_rounds=_as_int(oobj.get("max_rounds", 50), "oracle.max_rounds", minimum=1),
-            riccati=_as_bool(oobj.get("riccati", False), "oracle.riccati"),
-        )
-
-    kobj = _require_mapping(raw.get("check", {}), "check")
-    _reject_unknown(kobj, "check", {"samples", "probe_radius", "corrupt"})
-    probe = kobj.get("probe_radius")
-    corrupt = kobj.get("corrupt")
-    check = CheckOptions(
-        samples=_as_int(kobj.get("samples", 120), "check.samples", minimum=1),
-        probe_radius=None if probe is None else _as_float(probe, "check.probe_radius", positive=True),
-        corrupt=None if corrupt is None else _as_str(corrupt, "check.corrupt"),
-    )
-    if check.corrupt is not None and check.corrupt not in _CORRUPTIBLE:
-        raise ConfigError("check.corrupt", f"unknown derivative name {check.corrupt!r}")
 
     return RunConfig(
-        name=name,
         seed=seed,
-        horizon=horizon,
         steps=steps,
-        dims=dims,
         backend_kind=kind,
         paths=paths,
         regression=regression,
         spec=spec,
-        problem=problem,
-        fbsde=fbsde,
-        gradient=gradient,
-        certificate=certificate,
-        oracle=oracle,
-        check=check,
+        problem=lq_to_problem(spec),
+        fbsde=_read_options(FbsdeConfig, raw.get("fbsde", {}), "fbsde"),
+        gradient=_read_options(GradientConfig, raw.get("gradient", {}), "gradient"),
+        certificate=_read_options(CertificateOptions, raw.get("certificate", {}), "certificate"),
+        # "oracle": null is an absent block
+        oracle=None if raw.get("oracle") is None else _read_options(
+            OracleOptions, raw["oracle"], "oracle",
+            grid1=lambda obj, where: _parse_grid(obj, where, box1),
+            grid2=lambda obj, where: _parse_grid(obj, where, box2),
+        ),
+        check=_read_options(CheckOptions, raw.get("check", {}), "check"),
         echo=raw,
     )
 
@@ -510,16 +482,17 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         raise ConfigError(
             str(path), f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer literal longer than int() will convert
+        raise ConfigError(str(path), f"invalid JSON: {exc}") from None
     return parse_config(raw, seed_override)
 
 
 def build_backend(cfg: RunConfig) -> Backend:
-    grid = TimeGrid(horizon=cfg.horizon, steps=cfg.steps)
+    grid = TimeGrid(horizon=cfg.spec.horizon, steps=cfg.steps)
     if cfg.backend_kind == "lattice":
         return LatticeBackend(grid)
-    ensemble = sample_ensemble(grid, cfg.paths, cfg.dims.d, cfg.seed)
+    ensemble = sample_ensemble(grid, cfg.paths, cfg.spec.dims.d, cfg.seed)
     return MonteCarloBackend(ensemble, cfg.regression)
-
 
 # ---------------------------------------------------------------------------
 # deterministic writers
@@ -858,7 +831,7 @@ def cmd_oracle(args) -> int:
             Q=spec.cost1.Q,
             R=spec.cost1.N,
             G=spec.cost1.G,
-            horizon=cfg.horizon,
+            horizon=spec.horizon,
             steps=cfg.steps,
         )
         sigma_const = np.stack([c.const for c in spec.diffusion], axis=1)
@@ -956,7 +929,7 @@ def main(argv=None) -> int:
         print(f"residual history (last {min(len(history), 10)} of {len(history)}): "
               + " ".join(f"{r:.3e}" for r in history[-10:]), file=sys.stderr)
         return EXIT_SOLVER_FAILURE
-    except (NonFiniteStateError, NonFiniteCostError) as exc:
+    except (NonFiniteStateError, NonFiniteCostError, np.linalg.LinAlgError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
 

@@ -108,7 +108,9 @@ class RegressionConfig:
 
     def __post_init__(self) -> None:
         if not 1 <= self.degree <= 4:
-            raise ValueError("degree must be in 1..4")
+            raise ValueError(f"degree must be in 1..4, got {self.degree}")
+        if not self.ridge > 0.0:
+            raise ValueError(f"ridge must be positive, got {self.ridge}")
 
 
 def polynomial_design(regressors: Array, degree: int) -> Array:

@@ -83,13 +83,15 @@ class GradientConfig:
 
     def __post_init__(self) -> None:
         if not self.step > 0.0:
-            raise ValueError("step must be positive")
+            raise ValueError(f"step must be positive, got {self.step}")
         if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.mode not in ("simultaneous", "best-response"):
-            raise ValueError("mode must be 'simultaneous' or 'best-response'")
+            raise ValueError(f"mode must be 'simultaneous' or 'best-response', got {self.mode!r}")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.max_halvings < 0:
+            raise ValueError(f"max_halvings must be >= 0, got {self.max_halvings}")
 
 
 @dataclass(frozen=True)

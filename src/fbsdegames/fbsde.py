@@ -58,11 +58,11 @@ class FbsdeConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must be in (0, 1]")
+            raise ValueError(f"damping must be in (0, 1], got {self.damping}")
         if self.max_picard < 1:
-            raise ValueError("max_picard must be >= 1")
+            raise ValueError(f"max_picard must be >= 1, got {self.max_picard}")
         if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)

@@ -353,6 +353,9 @@ def check_convexity(
 
 @dataclass(frozen=True)
 class CertificateOptions:
+    """Certificate probes: the pointwise-minimum grid (radius truncates an
+    unbounded box), the convexity samples, and the anchor steps they use."""
+
     radius: float | None = None
     grid_density: int = 33
     pointwise_tol: float = 1e-8
@@ -361,6 +364,20 @@ class CertificateOptions:
     anchors: int = 4
     sample_radius: float = 3.0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.radius is not None and not self.radius > 0.0:
+            raise ValueError(f"radius must be None or positive, got {self.radius}")
+        if self.grid_density < 3:
+            raise ValueError(f"grid_density must be >= 3, got {self.grid_density}")
+        for name in ("pointwise_tol", "convexity_tol", "sample_radius"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("convexity_samples", "anchors"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -429,20 +429,6 @@ def _box_sampler(box: ControlBox):
     return sample
 
 
-def _expected_value_shapes(dims: Dims) -> dict[str, tuple[int, ...]]:
-    return {
-        "b": (dims.n,),
-        "sigma": (dims.n, dims.d),
-        "f": (dims.m,),
-        "l1": (),
-        "l2": (),
-        "phi1": (),
-        "phi2": (),
-        "h1": (),
-        "h2": (),
-    }
-
-
 def _coefficient_bundles(problem: GameProblem) -> list[FunctionBundle]:
     dims = problem.dims
     co = problem.coefficients

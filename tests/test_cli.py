@@ -186,6 +186,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("content, needle", [
         (b"{not json", "line 1"),
         (b"\xff\xfe{}", "cannot read config"),
+        (b'{"steps": ' + b"1" * 5000 + b"}", "invalid JSON: Exceeds the limit"),
     ])
     def test_unreadable_config_exits_64(self, tmp_path, capsys, content, needle):
         path = tmp_path / "broken.json"
@@ -193,6 +194,53 @@ class TestConfigValidation:
         assert run("solve", "--config", str(path), "--out", str(tmp_path)) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error at '{path}'") and needle in err
+
+    @pytest.mark.parametrize("mutate, where", [
+        (lambda c: c.update(certificate={"sample_radius": float("inf")}), "certificate.sample_radius"),
+        (lambda c: c["fbsde"].update(tol=float("inf")), "fbsde.tol"),
+        (lambda c: c["gradient"].update(step=float("nan")), "gradient.step"),
+        (lambda c: c.update(horizon=float("inf")), "horizon"),
+        (lambda c: c.update(horizon=10**400), "horizon"),
+        (lambda c: c["cost1"].update(S=float("nan")), "cost1.S"),
+        (lambda c: c.update(box1={"radius": float("inf")}), "box1.radius"),
+    ])
+    def test_non_finite_numbers_exit_64(self, tmp_path, capsys, mutate, where):
+        # json reads Infinity and NaN, and an integer beyond the float range
+        cfg = base_config()
+        mutate(cfg)
+        path = write_config(tmp_path, cfg)
+        assert run("solve", "--config", path, "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config error at '{where}': expected a finite number")
+
+    @pytest.mark.parametrize("mutate, where, message", [
+        (lambda c: c["drift"].update(A=[["-0.3"]]), "drift.A", "expected a numeric array"),
+        (lambda c: c.update(initial=[True]), "initial", "expected a numeric array"),
+        (lambda c: c["cost1"].update(Q=[[1, True]]), "cost1.Q", "expected a numeric array"),
+        (lambda c: c.update(terminal={"constant": [False]}), "terminal.constant",
+         "expected a numeric array"),
+        (lambda c: c.update(diffusion=[{"const": ["0.25"]}]), "diffusion[0].const",
+         "expected a numeric array"),
+        (lambda c: c.update(box1={"lower": ["-1"], "upper": [1]}), "box1.lower",
+         "expected a numeric array"),
+        (lambda c: c.update(oracle={"grid1": {"values": [["1"]]}}), "oracle.grid1.values",
+         "expected a numeric array"),
+        (lambda c: c["cost1"].update(S="0.5"), "cost1.S", "expected a number"),
+        (lambda c: c["cost1"].update(S=True), "cost1.S", "expected a number"),
+    ])
+    def test_strings_and_booleans_in_numbers_exit_64(self, tmp_path, capsys, mutate, where, message):
+        cfg = base_config()
+        mutate(cfg)
+        path = write_config(tmp_path, cfg)
+        assert run("solve", "--config", path, "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error at '{where}': {message}")
+
+    def test_integer_arrays_read_as_floats(self, tmp_path):
+        cfg = base_config()
+        cfg["cost1"] = {"Q": [[1]], "N": [[1]], "G": [[0.5]], "S": 0}
+        spec = load_config(write_config(tmp_path, cfg)).spec
+        assert spec.cost1.Q.dtype == float and spec.cost1.Q.tolist() == [[1.0]]
+        assert type(spec.cost1.S) is float
 
     def test_missing_file_exits_64(self, tmp_path):
         assert run(
@@ -276,6 +324,25 @@ class TestVerify:
         assert done.returncode == EXIT_CONFIG
         assert "Traceback" not in done.stderr
         assert "finite" in done.stderr
+
+    def test_svd_failure_is_a_solver_failure(self, tmp_path, capsys):
+        # finite controls near 1e300 make the Monte Carlo regressors overflow
+        # to values the least-squares SVD cannot factor
+        config = Path(__file__).resolve().parents[1] / "configs" / "coupled_game.json"
+        cfg = json.loads(config.read_text())
+        cfg["backend"] = {"kind": "montecarlo", "paths": 256}
+        cfg["steps"] = 4
+        path = write_config(tmp_path, cfg)
+        rows = ["step,scenario_id,u1_1,u2_1"]
+        rows += [f"{j},{s},1e300,0.0" for j in range(4) for s in range(256)]
+        controls = tmp_path / "controls.csv"
+        controls.write_text("\n".join(rows) + "\n")
+        code = run("verify", "--config", path, "--out", str(tmp_path / "v"),
+                   "--controls", str(controls))
+        assert code == EXIT_SOLVER_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: SVD did not converge")
+        assert "Traceback" not in err
 
     def test_unbounded_box_without_radius_is_inconclusive(self, tmp_path):
         cfg = base_config()
@@ -452,7 +519,7 @@ class TestOracle:
     @pytest.mark.parametrize(
         "report",
         [{"j2": 0.1}, {"j1": 0.1}, {"j1": "0.1", "j2": 0.1}, {"j1": 0.1, "j2": None}, [0.1, 0.2],
-         b"\xff\xfe{}"],
+         b"\xff\xfe{}", {"j1": float("inf"), "j2": 0.1}, {"j1": 0.1, "j2": float("nan")}],
     )
     def test_malformed_solve_report_exits_64(self, tmp_path, capsys, report):
         path = write_config(tmp_path, self._tiny_cfg())
