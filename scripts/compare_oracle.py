@@ -26,6 +26,7 @@ from fbsdegames import (
     lq_to_problem,
     solve_nash,
 )
+from fbsdegames.cli import OracleOptions
 
 
 def two_step_game():
@@ -66,7 +67,10 @@ def main() -> int:
     backend = LatticeBackend(TimeGrid(0.5, 2))
     grid = np.linspace(-2.0, 2.0, 5).reshape(5, 1)
 
-    oracle = brute_force_nash(problem, backend, grid, grid)
+    oracle = brute_force_nash(
+        problem, backend, grid, grid, OracleOptions.budget, OracleOptions.max_rounds,
+        FbsdeConfig(tol=1e-12, max_picard=200),
+    )
     print("exhaustive search (5-point grids, 3 nodes per player)")
     print(f"  equilibrium found: {oracle.equilibrium}")
     print(f"  rounds {oracle.rounds}, cost evaluations {oracle.evaluations}")

@@ -10,29 +10,22 @@ trajectory and control pair,
     p[j]   = E[p[j+1] | F_j] + G_x dt      (backward)
 
 where G_v is the costate combination b_v' p + sigma_v' q - f_v' k + l_iv.
-Its partials depend only on (t, x, y, z, u1, u2), which a solve holds fixed,
-so they are evaluated once per step and stacked into one matrix per step
-acting on (p, q flattened, k), with l_iv kept beside it; each Picard pass
-then makes one contraction per step forward (for G_y, G_z) and one backward
-(for G_x).  The two players' systems share that matrix and differ only in
-l_iv, p[N] and k[0], so `solve_adjoints` solves them as one damped Picard
-solve over a two-member axis (``drivers.MemberLattice`` on the lattice,
-``drivers.MemberPaths`` on Monte Carlo, where both fits of a step reuse its
-one regression projection).  Each player's costates and diagnostics are bit
-for bit those of its solve alone, which `solve_adjoint` is.
-`costate_combination` assembles the same vectors from the callbacks at a
-single step; it is the reference the solver is tested against, and the
-`hamiltonian` module's gradients of H_i call it.
+This is a coupled forward-backward system of the state system's shape, so
+it runs through the ``fbsde`` sweeps and `fbsde.damped_picard`; this module
+supplies only its per-step coefficients and driver.  The partials in G_v
+depend on (t, x, y, z, u1, u2) alone, which a solve holds fixed, so they
+are stacked once per step into one matrix acting on (p, q flattened, k),
+with l_iv beside it.  The two players' systems share that matrix and differ
+only in l_iv, p[N] and k[0]; `solve_adjoints` solves them over a two-member
+axis (``drivers.member_view``), and each player's result is bit for bit
+that of its solve alone, which `solve_adjoint` is.
 
-The costate system is itself a coupled forward-backward system, k forward
-and (p, q) backward, and linear in (k, p, q): it runs through
-`fbsde.damped_picard`, the iteration of the state solve, which contracts
-geometrically for moderate coupling.
-
-`duality_residual` evaluates the discrete integration-by-parts identity that
-links a costate solved at one control to the state perturbation induced by
-another; the result decays at first order in dt and vanishes termwise when
-the controls agree.
+`costate_combination` assembles G_v from the callbacks at a single step; it
+is the reference the solver is tested against, and the ``hamiltonian``
+module's gradients of H_i call it.  `duality_residual` evaluates the
+discrete integration-by-parts identity that links a costate solved at one
+control to the state perturbation induced by another; it decays at first
+order in dt and vanishes termwise when the controls agree.
 """
 
 from __future__ import annotations
@@ -47,7 +40,8 @@ from .fbsde import (
     FbsdeConfig,
     SolveDiagnostics,
     StateTrajectory,
-    _check_finite,
+    _backward_sweep,
+    _forward_sweep,
     _start_pair,
     damped_picard,
 )
@@ -138,58 +132,23 @@ def _costate_matrix(problem: GameProblem, players, var_names: tuple[str, ...], a
 
 
 def _step_partials(problem, traj, u, players, view):
-    """Per step, what every adjoint pass reuses: (M, l) of (G_y, G_z) for
-    the forward k-step, (M, l) of G_x for the backward step, and the
-    regressors of the step's regressions (None on the lattice).  All depend
-    on (t, x, y, z, u1, u2) only, which the solve holds fixed.  The rows are
-    those of `view`, one member per player in `players`."""
+    """Per step, the (M, l) of (G_y, G_z) for the forward k-step and of G_x
+    for the backward step, on the rows of `view`, one member per player in
+    `players`.  Both depend on (t, x, y, z, u1, u2) only, which the solve
+    holds fixed."""
     knots = view.grid.knots
-    regression = getattr(view.base, "regression", None)
-    forward, backward, regressors = [], [], []
+    forward, backward = [], []
     for j in range(view.grid.steps):
         args = (float(knots[j]), traj.x[j], traj.y[j], traj.z[j], u.u1[j], u.u2[j])
         forward.append(_costate_matrix(problem, players, ("y", "z"), args, view.stack))
         backward.append(_costate_matrix(problem, players, ("x",), args, view.stack))
-        if regression is None:
-            regressors.append(None)
-        elif regression.include_y:
-            regressors.append(np.concatenate([traj.x[j], traj.y[j]], axis=1))
-        else:
-            regressors.append(traj.x[j])
-    return forward, backward, regressors
+    return forward, backward
 
 
 def _combine(partials, p: Array, q: Array, k: Array) -> Array:
     mat, l_iv = partials
     stacked = np.concatenate([p, q.reshape(p.shape[0], -1), k], axis=1)
     return np.einsum("svr,sr->sv", mat, stacked) + l_iv
-
-
-def _forward_k(problem, backend, forward, ps, qs, k0) -> list[Array]:
-    m, d = problem.dims.m, backend.d
-    ks = [k0]
-    for j in range(backend.grid.steps):
-        g = _combine(forward[j], ps[j], qs[j], ks[j])  # (G_y, G_z flattened)
-        nxt = backend.step_forward(j, ks[j], -g[:, :m], -g[:, m:].reshape(g.shape[0], m, d))
-        _check_finite(backend, j + 1, nxt)
-        ks.append(nxt)
-    return ks
-
-
-def _backward_pq(backend, backward, regressors, ks, p_terminal):
-    N, dt = backend.grid.steps, backend.grid.dt
-    ps: list[Array | None] = [None] * (N + 1)
-    qs: list[Array | None] = [None] * N
-    ps[N] = p_terminal
-    ridge_events = 0
-    for j in range(N - 1, -1, -1):
-        qv, r1 = backend.cond_exp_increment(j, ps[j + 1], regressors[j])
-        q = qv / dt
-        p_hat, r2 = backend.cond_exp(j, ps[j + 1], regressors[j])
-        ps[j] = p_hat + _combine(backward[j], p_hat, q, ks[j]) * dt
-        qs[j] = q
-        ridge_events += r1 + r2
-    return ps, qs, ridge_events
 
 
 def solve_adjoints(
@@ -202,19 +161,14 @@ def solve_adjoints(
     players: tuple[int, ...] = (1, 2),
 ) -> tuple[tuple[AdjointTrajectory, ...], tuple[SolveDiagnostics, ...]]:
     """Solve the costate systems of `players` along one trajectory as one
-    damped Picard solve; returns one AdjointTrajectory and one
-    SolveDiagnostics per player.
+    damped Picard solve, one member per player; returns one
+    AdjointTrajectory and one SolveDiagnostics per player, each bit for bit
+    that player's solve alone (`solve_adjoint`).
 
-    The players' systems share the Jacobians of b, sigma and f, which are
-    evaluated once per step; only l_iv, p[N] and k[0] are each player's own.
-    Each player is one member of a member view (``drivers.member_view``),
-    so its result is bit for bit that of its solve alone; `solve_adjoint`
-    is the one-player case.
-    Per player the iterate is (p, q); k is rebuilt from it each pass and
-    once more after convergence so the forward recursion holds at the
-    returned triple.  The boundary values k[0] and p[N] are evaluated data,
-    never iterated.  `initial` warm-starts the solve with one (ps, qs) per
-    player from an earlier solve.
+    Per player the iterate is (p, q); each pass's forward sweep rebuilds k
+    from it, and a last sweep makes the forward recursion hold at the
+    returned triple.  k[0] and p[N] are data, never iterated.  `initial`
+    warm-starts the solve with one (ps, qs) per player from an earlier solve.
 
     A failing player raises as its solve alone would.  When several fail,
     the first failure in pass order is raised: a non-finite costate in a
@@ -229,7 +183,7 @@ def solve_adjoints(
     view = member_view(backend, len(players))
     stack = view.stack
     N = backend.grid.steps
-    n, d = problem.dims.n, problem.dims.d
+    n, m, d = problem.dims.n, problem.dims.m, problem.dims.d
     p_terminal = stack([np.asarray(problem.costs.terminal_grad(i)(traj.x[N]), dtype=float)
                         for i in players])
     k0 = stack([-np.asarray(problem.costs.initial_grad(i)(traj.y[0]), dtype=float)
@@ -239,15 +193,21 @@ def solve_adjoints(
         initial = [[stack(arrays) for arrays in zip(*field)] for field in zip(*initial)]
     ps_in, qs_in = _start_pair(view, initial, (n,), (n, d))
     ps_in[N] = p_terminal  # p[N] is data: the first residual sees no update there
-    forward, backward, regressors = _step_partials(problem, traj, u, players, view)
+    forward, backward = _step_partials(problem, traj, u, players, view)
+
+    def forward_k(ps, qs):
+        def coefficients(j, k):
+            g = _combine(forward[j], ps[j], qs[j], k)  # (G_y, G_z flattened)
+            return -g[:, :m], -g[:, m:].reshape(g.shape[0], m, d)
+
+        return _forward_sweep(view, k0, coefficients)
+
+    def backward_pq(ks):
+        return _backward_sweep(
+            view, p_terminal, traj.x, lambda j, p, q: _combine(backward[j], p, q, ks[j]))
+
     ks, ps, qs, diagnostics = damped_picard(
-        lambda ps, qs: _forward_k(problem, view, forward, ps, qs, k0),
-        lambda ks, ps: _backward_pq(view, backward, regressors, ks, p_terminal),
-        (ps_in, qs_in),
-        view,
-        config,
-        "costate",
-    )
+        forward_k, backward_pq, (ps_in, qs_in), view, config, "costate")
     k, p, q = ([view.unstack(a) for a in arrays] for arrays in (ks, ps, qs))
     adjoints = tuple(
         AdjointTrajectory(

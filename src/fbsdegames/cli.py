@@ -93,7 +93,7 @@ from .hamiltonian import (
     vi_residual,
 )
 from .lq import AffineMap, LQGameSpec, QuadraticCost, lq_to_problem
-from .problem import ControlBox, Dims, GameProblem, validate_problem
+from .problem import CoefficientSet, ControlBox, CostSet, Dims, GameProblem, validate_problem
 from .riccati import predicted_cost, solve_riccati
 
 EXIT_OK = 0
@@ -247,11 +247,9 @@ def _read_arrays(zero, obj, where: str):
 # ---------------------------------------------------------------------------
 
 
-_CORRUPTIBLE = (
-    {f"{fn}_{v}" for fn in ("b", "sigma", "f") for v in ("x", "y", "z", "u1", "u2")}
-    | {f"l{i}_{v}" for i in (1, 2) for v in ("x", "y", "z", "u1", "u2")}
-    | {"phi1_x", "phi2_x", "h1_y", "h2_y"}
-)
+# every partial of the problem: the underscored callback fields
+_CORRUPTIBLE = {f.name for group in (CoefficientSet, CostSet)
+                for f in dataclasses.fields(group) if "_" in f.name}
 
 
 @dataclass
@@ -352,25 +350,13 @@ def _parse_grid(obj, where: str, box: ControlBox) -> np.ndarray:
 
 
 def _corrupt_problem(problem: GameProblem, target: str) -> GameProblem:
-    """Test hook: add a constant 0.05 to one partial so checks must fail."""
-
-    def tilt(fn):
-        def wrapped(*args, _fn=fn):
-            return _fn(*args) + 0.05
-
-        return wrapped
-
-    co_fields = {f.name for f in dataclasses.fields(problem.coefficients)}
-    cost_fields = {f.name for f in dataclasses.fields(problem.costs)}
-    if target in co_fields:
-        coefficients = dataclasses.replace(
-            problem.coefficients, **{target: tilt(getattr(problem.coefficients, target))}
-        )
-        return dataclasses.replace(problem, coefficients=coefficients)
-    if target in cost_fields:
-        costs = dataclasses.replace(problem.costs, **{target: tilt(getattr(problem.costs, target))})
-        return dataclasses.replace(problem, costs=costs)
-    raise ConfigError("check.corrupt", f"unknown derivative name {target!r}")
+    """Test hook: add a constant 0.05 to one partial, a `_CORRUPTIBLE` name,
+    so checks must fail."""
+    field = "coefficients" if hasattr(problem.coefficients, target) else "costs"
+    group = getattr(problem, field)
+    partial = getattr(group, target)
+    tilted = dataclasses.replace(group, **{target: lambda *args: partial(*args) + 0.05})
+    return dataclasses.replace(problem, **{field: tilted})
 
 
 _TOP_KEYS = {

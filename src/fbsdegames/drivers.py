@@ -103,7 +103,6 @@ class RegressionConfig:
     """Least-squares conditional expectation settings for Monte Carlo."""
 
     degree: int = 2
-    include_y: bool = False
     ridge: float = 1e-8
 
     def __post_init__(self) -> None:
@@ -142,7 +141,9 @@ class _Projection:
 
     @classmethod
     def factor(cls, regressors: Array, degree: int, ridge: float) -> "_Projection":
-        design = polynomial_design(regressors, degree)
+        # an overflowing monomial is left to the SVD, which raises LinAlgError
+        with np.errstate(over="ignore", invalid="ignore"):
+            design = polynomial_design(regressors, degree)
         u, s, _ = np.linalg.svd(design, full_matrices=False)
         cutoff = np.finfo(design.dtype).eps * max(design.shape) * s[0]
         if np.count_nonzero(s > cutoff) == design.shape[1]:

@@ -440,9 +440,9 @@ def brute_force_nash(
     backend: Backend,
     grid1: Array,
     grid2: Array,
-    budget: int = 10**6,
-    max_rounds: int = 50,
-    fbsde_config: FbsdeConfig = FbsdeConfig(tol=1e-12, max_picard=200),
+    budget: int,
+    max_rounds: int,
+    fbsde_config: FbsdeConfig,
 ) -> BruteForceReport:
     """Iterated exact best response over node-function controls on a tree.
 

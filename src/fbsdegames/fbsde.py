@@ -9,11 +9,14 @@ Backward half (conditional-expectation recursion from y[N] = xi(B_T)):
     z[j] = E[y[j+1] dB[j]' | F_j] / dt
     y[j] = E[y[j+1] | F_j] + f(t_j, x[j], E[y[j+1] | F_j], z[j], u[j]) dt
 
-``solve_fbsde`` couples the two halves by damped Picard iteration on the
-backward pair (y, z) and finishes with one forward pass at the converged
-pair, so the returned trajectory satisfies the forward recursion exactly.
-``damped_picard`` is that iteration for any forward sweep and backward
-sweep; the costate systems of the ``adjoint`` module run through it too.
+Every conditional expectation is regressed on the state x.  The two
+sweeps, `_forward_sweep` and `_backward_sweep`, are the package's only
+time-stepping loops; `forward_pass` and `backward_pass` run them on the
+state system, and the ``adjoint`` module runs them on the costate systems
+with its own coefficients and driver.  ``damped_picard`` couples a forward
+and a backward sweep by damped Picard iteration on the backward pair and
+finishes with one forward sweep at the returned pair, so the forward
+recursion holds there exactly; ``solve_fbsde`` is its state solve.
 """
 
 from __future__ import annotations
@@ -150,64 +153,61 @@ def _check_finite(backend: Backend, step: int, values: Array) -> None:
         raise NonFiniteStateError(step=step, scenario=row if scenario_of is None else scenario_of(row))
 
 
-def forward_pass(
-    problem: GameProblem,
-    u: ControlProcess,
-    ys,
-    zs,
-    backend: Backend,
-) -> list[Array]:
-    """Explicit Euler for x given the current backward guess. Raises on non-finite."""
-    grid = backend.grid
-    knots = grid.knots
-    xs = [np.broadcast_to(problem.initial, (backend.scenario_count(0), problem.dims.n)).copy()]
-    co = problem.coefficients
-    for j in range(grid.steps):
-        t = float(knots[j])
-        x, y, z = xs[j], ys[j], zs[j]
-        drift = co.b(t, x, y, z, u.u1[j], u.u2[j])
-        diffusion = co.sigma(t, x, y, z, u.u1[j], u.u2[j])
-        nxt = backend.step_forward(j, x, drift, diffusion)
+def _forward_sweep(backend: Backend, start: Array, coefficients) -> list[Array]:
+    """Explicit Euler from `start` on steps 0..N, where coefficients(j, v)
+    gives step j's (drift, diffusion) at v.  Raises NonFiniteStateError."""
+    vs = [start]
+    for j in range(backend.grid.steps):
+        nxt = backend.step_forward(j, vs[j], *coefficients(j, vs[j]))
         _check_finite(backend, j + 1, nxt)
-        xs.append(nxt)
-    return xs
+        vs.append(nxt)
+    return vs
 
 
-def backward_pass(
-    problem: GameProblem,
-    u: ControlProcess,
-    xs,
-    backend: Backend,
-    y_guess=None,
-) -> tuple[list[Array], list[Array], int]:
-    """Conditional-expectation recursion for (y, z) given x.
+def _backward_sweep(backend: Backend, terminal: Array, xs, driver):
+    """Conditional-expectation recursion from a[N] = terminal, every
+    expectation regressed on the state x (ignored on the lattice):
 
-    The driver is applied explicitly at E[y[j+1] | F_j].  Returns the pair
-    plus the number of fits that fell back to ridge (one count per member on
-    a ``drivers.MemberPaths``).
+        b[j] = E[a[j+1] dB' | F_j] / dt
+        a[j] = E[a[j+1] | F_j] + driver(j, E[a[j+1] | F_j], b[j]) dt
+
+    Returns (a, b) plus the number of fits that fell back to ridge (one
+    count per member on a ``drivers.MemberPaths``).
     """
-    grid = backend.grid
-    N = grid.steps
-    dt = grid.dt
-    co = problem.coefficients
-    include_y = getattr(backend, "regression", None) is not None and backend.regression.include_y
-    ys: list[Array | None] = [None] * (N + 1)
-    zs: list[Array | None] = [None] * N
-    ys[N] = np.asarray(problem.terminal.xi(backend.brownian(N)), dtype=float)
+    N, dt = backend.grid.steps, backend.grid.dt
+    a: list = [None] * N + [terminal]
+    b: list = [None] * N
     ridge_events = 0
     for j in range(N - 1, -1, -1):
-        regressors = xs[j]
-        if include_y and y_guess is not None:
-            regressors = np.concatenate([xs[j], y_guess[j]], axis=1)
-        zvals, r1 = backend.cond_exp_increment(j, ys[j + 1], regressors)
-        z = zvals / dt
-        yhat, r2 = backend.cond_exp(j, ys[j + 1], regressors)
-        t = float(grid.knots[j])
-        y = yhat + co.f(t, xs[j], yhat, z, u.u1[j], u.u2[j]) * dt
-        ys[j] = y
-        zs[j] = z
+        increment, r1 = backend.cond_exp_increment(j, a[j + 1], xs[j])
+        mean, r2 = backend.cond_exp(j, a[j + 1], xs[j])
+        b[j] = increment / dt
+        a[j] = mean + driver(j, mean, b[j]) * dt
         ridge_events += r1 + r2
-    return ys, zs, ridge_events
+    return a, b, ridge_events
+
+
+def forward_pass(problem: GameProblem, u: ControlProcess, ys, zs, backend: Backend) -> list[Array]:
+    """The state's forward sweep for x given the current backward guess."""
+    co, knots = problem.coefficients, backend.grid.knots
+
+    def coefficients(j, x):
+        args = (float(knots[j]), x, ys[j], zs[j], u.u1[j], u.u2[j])
+        return co.b(*args), co.sigma(*args)
+
+    start = np.broadcast_to(problem.initial, (backend.scenario_count(0), problem.dims.n)).copy()
+    return _forward_sweep(backend, start, coefficients)
+
+
+def backward_pass(problem: GameProblem, u: ControlProcess, xs, backend: Backend):
+    """The state's backward sweep for (y, z) given x, from y[N] = xi(B_T)."""
+    co, knots = problem.coefficients, backend.grid.knots
+
+    def driver(j, y, z):
+        return co.f(float(knots[j]), xs[j], y, z, u.u1[j], u.u2[j])
+
+    terminal = np.asarray(problem.terminal.xi(backend.brownian(backend.grid.steps)), dtype=float)
+    return _backward_sweep(backend, terminal, xs, driver)
 
 
 def _update_metric(backend: Backend, ys_new, zs_new, ys_old, zs_old) -> Array:
@@ -228,10 +228,10 @@ def _update_metric(backend: Backend, ys_new, zs_new, ys_old, zs_old) -> Array:
 def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfig, label: str):
     """Damped Picard iteration on a backward pair (a, b) on steps 0..N, 0..N-1.
 
-    Each pass runs ``forward(a, b)`` and then ``backward(fwd, a)``, which
-    returns the next (a, b) and its ridge-fallback count (a scalar, or one
-    count per member); the residual is
-    `_update_metric` between consecutive outputs, the first against `start`.
+    Each pass runs ``backward(forward(a, b))``: `forward` gives the forward
+    sweep at (a, b), and `backward` the next (a, b) from it plus its
+    ridge-fallback count (a scalar, or one count per member).  The residual
+    is `_update_metric` between consecutive outputs, the first against `start`.
     The iterate moves by damping theta toward each output.  Divergence
     (residual above 10x its first value) raises PicardDivergenceError;
     hitting max_picard keeps the best output with converged = False.  A last
@@ -286,7 +286,7 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
         )
 
     for it in range(1, config.max_picard + 1):
-        a_out, b_out, ridge = backward(forward(a_in, b_in), a_in)
+        a_out, b_out, ridge = backward(forward(a_in, b_in))
         if np.any(ridge):  # only the members still running count this pass
             ridge = np.broadcast_to(ridge, (members,))
             for b in running:
@@ -339,7 +339,7 @@ def solve_members(
     # wrapper rebound over either module name sees every pass
     xs, ys, zs, diagnostics = damped_picard(
         lambda ys, zs: forward_pass(problem, u, ys, zs, backend),
-        lambda xs, ys: backward_pass(problem, u, xs, backend, y_guess=ys),
+        lambda xs: backward_pass(problem, u, xs, backend),
         _start_pair(backend, initial, (m,), (m, d)),
         backend,
         config,

@@ -130,7 +130,7 @@ class QuadraticCost:
         )
 
     def validated(self, dims: Dims, own: int, other: int, name: str) -> "QuadraticCost":
-        sym = lambda a: 0.5 * (a + a.T)
+        sym = lambda a: 0.5 * a + 0.5 * a.T  # halve first: a + a.T can overflow
         return QuadraticCost(
             Q=sym(_mat(self.Q, (dims.n, dims.n), f"{name}.Q")),
             R=sym(_mat(self.R, (dims.m, dims.m), f"{name}.R")),

@@ -589,9 +589,9 @@ def _probe_growth(problem: GameProblem, radius: float, seed: int) -> tuple[str, 
 
 def validate_problem(
     problem: GameProblem,
-    samples: int = 120,
+    samples: int,
+    probe_radius: float | None,
     seed: int = 0,
-    probe_radius: float | None = None,
 ) -> ValidationReport:
     """Shape conformance plus finite-difference consistency of all partials.
 

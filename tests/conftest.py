@@ -210,11 +210,10 @@ def montecarlo(
     horizon: float = 1.0,
     d: int = 1,
     degree: int = 2,
-    include_y: bool = False,
 ) -> MonteCarloBackend:
     grid = TimeGrid(horizon, steps)
     ensemble = sample_ensemble(grid, paths, d, seed)
-    return MonteCarloBackend(ensemble, RegressionConfig(degree=degree, include_y=include_y))
+    return MonteCarloBackend(ensemble, RegressionConfig(degree=degree))
 
 
 def member(view, rows, b: int):

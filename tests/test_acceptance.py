@@ -33,6 +33,7 @@ from fbsdegames import (
     solve_riccati,
     validate_problem,
 )
+from fbsdegames.cli import OracleOptions
 from fbsdegames.cli import main as cli_main
 
 from conftest import (
@@ -126,7 +127,7 @@ def test_criterion_01_derivative_consistency():
     with _Criterion(1, "declared partials and H gradients match finite differences", 10.0):
         for seed, dims in instances:
             problem = lq_to_problem(random_lq_spec(seed, dims))
-            report = validate_problem(problem, samples=120, seed=seed + 1)
+            report = validate_problem(problem, samples=120, seed=seed + 1, probe_radius=None)
             assert report.passed, report.failures()
             for rep in report.derivative_reports:
                 for check in rep.checks:
@@ -273,7 +274,10 @@ def test_criterion_08_enumerated_grid_equilibrium():
         backend = lattice(2, horizon=0.5)
         problem = lq_to_problem(two_step_spec())
         grid = np.linspace(-2.0, 2.0, 5).reshape(5, 1)
-        result = brute_force_nash(problem, backend, grid, grid)
+        result = brute_force_nash(
+            problem, backend, grid, grid, OracleOptions.budget, OracleOptions.max_rounds,
+            FbsdeConfig(tol=1e-12, max_picard=200),
+        )
         assert result.equilibrium
         assert not result.cycle_detected
 

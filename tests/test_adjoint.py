@@ -273,7 +273,7 @@ def test_step_matrices_stay_shared_when_the_jacobians_are(jacobians, players):
     u = random_controls(problem, backend)
     traj, _ = solve_fbsde(problem, u, backend)
     view = member_view(backend, len(players))
-    forward, backward, _ = _step_partials(problem, traj, u, players, view)
+    forward, backward = _step_partials(problem, traj, u, players, view)
     dims = problem.dims
     R = dims.n + dims.n * dims.d + dims.m
     rows = 64 * len(players)

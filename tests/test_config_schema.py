@@ -41,7 +41,7 @@ DEFAULTS = {
         "convexity_samples": 400, "convexity_tol": 1e-9, "anchors": 4,
         "sample_radius": 3.0, "seed": 0,
     },
-    "backend.regression": {"degree": 2, "include_y": False, "ridge": 1e-8},
+    "backend.regression": {"degree": 2, "ridge": 1e-8},
     "oracle": {"grid1": GRID, "grid2": GRID, "budget": 10**6, "max_rounds": 50, "riccati": False},
     "check": {"samples": 120, "probe_radius": None, "corrupt": None},
 }
@@ -156,7 +156,7 @@ def test_out_of_range_value_exits_64_and_is_rejected_by_the_class(
 def test_every_bounded_field_has_an_out_of_range_case():
     # a field is bounded when the class rejects some value of its type
     cases = {(block, key) for block, key, _ in OUT_OF_RANGE}
-    unbounded = {("backend.regression", "include_y"), ("oracle", "riccati")}
+    unbounded = {("oracle", "riccati")}
     unbounded |= {("oracle", grid) for grid in GRIDS}
     every = {(block, f.name) for block, cls in CLASSES.items() for f in dataclasses.fields(cls)}
     assert cases == every - unbounded

@@ -31,7 +31,7 @@ from fbsdegames import (
     vi_residual,
 )
 from fbsdegames import equilibrium, hamiltonian
-from fbsdegames.cli import build_backend, load_config
+from fbsdegames.cli import OracleOptions, build_backend, load_config
 
 from conftest import (
     coupled_lq_spec,
@@ -255,6 +255,16 @@ class TestSolveNash:
         assert counts["gradient"] == 2 * counts["evaluate"]
 
 
+# the inner solves of the oracle tests, tighter than FbsdeConfig()
+ORACLE_FBSDE = FbsdeConfig(tol=1e-12, max_picard=200)
+
+
+def oracle(problem, backend, grid1, grid2, budget=OracleOptions.budget):
+    """brute_force_nash at OracleOptions' round cap, solving to ORACLE_FBSDE."""
+    return brute_force_nash(
+        problem, backend, grid1, grid2, budget, OracleOptions.max_rounds, ORACLE_FBSDE)
+
+
 class TestBruteForce:
     def _tiny(self):
         spec = dataclasses.replace(coupled_lq_spec(), horizon=0.5)
@@ -264,18 +274,18 @@ class TestBruteForce:
         problem, backend = self._tiny()
         grid = np.linspace(-1, 1, 3)[:, None]
         with pytest.raises(BudgetExceededError):
-            brute_force_nash(problem, backend, grid, grid, budget=1)
+            oracle(problem, backend, grid, grid, budget=1)
 
     def test_monte_carlo_backend_rejected(self):
         problem = lq_to_problem(coupled_lq_spec())
         grid = np.zeros((1, 1))
         with pytest.raises(ValueError, match="lattice"):
-            brute_force_nash(problem, montecarlo(steps=2, paths=16), grid, grid)
+            oracle(problem, montecarlo(steps=2, paths=16), grid, grid)
 
     def test_grid_width_must_match_control_dim(self):
         problem, backend = self._tiny()
         with pytest.raises(ValueError, match="width"):
-            brute_force_nash(problem, backend, np.zeros((3, 2)), np.zeros((3, 1)))
+            oracle(problem, backend, np.zeros((3, 2)), np.zeros((3, 1)))
 
     @pytest.mark.parametrize("members", CHUNKS)
     def test_zero_cost_game_returns_lexicographically_first(self, monkeypatch, members):
@@ -289,7 +299,7 @@ class TestBruteForce:
         problem = lq_to_problem(spec)
         backend = lattice(2, horizon=0.5)
         grid = np.linspace(-1, 1, 3)[:, None]
-        report = brute_force_nash(problem, backend, grid, grid, budget=10**4)
+        report = oracle(problem, backend, grid, grid, budget=10**4)
         assert report.equilibrium
         assert report.assignment_1 == (0, 0, 0)
         assert report.assignment_2 == (0, 0, 0)
@@ -297,7 +307,7 @@ class TestBruteForce:
     def test_found_point_survives_exhaustive_deviation_check(self):
         problem, backend = self._tiny()
         grid = np.linspace(-1, 1, 3)[:, None]
-        report = brute_force_nash(problem, backend, grid, grid, budget=10**5)
+        report = oracle(problem, backend, grid, grid, budget=10**5)
         assert report.equilibrium
 
         import itertools
@@ -344,7 +354,7 @@ class TestBruteForce:
         backend = lattice(1)
         grid1 = np.linspace(-1, 1, 5)[:, None]
         grid2 = np.zeros((1, 0))
-        report = brute_force_nash(problem, backend, grid1, grid2, budget=100)
+        report = oracle(problem, backend, grid1, grid2, budget=100)
         assert report.equilibrium
         assert report.u1[0][0, 0] == -0.5
         assert report.j1 == pytest.approx(0.5 * 0.25 + 0.5 * 0.25, rel=1e-12)
@@ -352,7 +362,7 @@ class TestBruteForce:
     def test_resolution_bounds_are_nonnegative_and_finite(self):
         problem, backend = self._tiny()
         grid = np.linspace(-1, 1, 3)[:, None]
-        report = brute_force_nash(problem, backend, grid, grid, budget=10**5)
+        report = oracle(problem, backend, grid, grid, budget=10**5)
         assert np.isfinite(report.resolution_bound_1)
         assert np.isfinite(report.resolution_bound_2)
         assert report.resolution_bound_1 >= 0.0
@@ -420,7 +430,7 @@ def _sequential_oracle(name):
     log = []
     with pytest.MonkeyPatch.context() as mp:
         _recorded(mp, _sequential_costs, log)
-        report = brute_force_nash(*_oracle_case(name))
+        report = oracle(*_oracle_case(name))
     return _summary(report), [entry for call in log for entry in call]
 
 
@@ -431,7 +441,7 @@ def test_batched_oracle_equals_the_sequential_loop(monkeypatch, case, members):
     limit = equilibrium._ORACLE_MEMBERS
     log = []
     _recorded(monkeypatch, _batched_costs, log)
-    report = brute_force_nash(*_oracle_case(case))
+    report = oracle(*_oracle_case(case))
     summary, costs = _sequential_oracle(case)
     assert max(len(call) for call in log) <= limit
     if members is None and case == "two-step":
@@ -444,8 +454,7 @@ def test_batched_oracle_equals_the_sequential_loop(monkeypatch, case, members):
 
 def _config_oracle(budget):
     cfg = load_config(ORACLE_CONFIG)
-    return brute_force_nash(cfg.problem, build_backend(cfg), cfg.oracle.grid1, cfg.oracle.grid2,
-                            budget=budget)
+    return oracle(cfg.problem, build_backend(cfg), cfg.oracle.grid1, cfg.oracle.grid2, budget)
 
 
 @pytest.mark.parametrize("members", CHUNKS[1:])
@@ -479,7 +488,7 @@ def _failing_case(kind):
 def _raised(args):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(Exception) as err:
-            brute_force_nash(*args)
+            oracle(*args)
     return type(err.value), str(err.value)
 
 
@@ -501,7 +510,7 @@ def test_nonfinite_cost_is_a_solver_failure():
     grid = np.array([[1e308], [0.0]])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteCostError, match="not finite"):
-            brute_force_nash(problem, backend, grid, grid)
+            oracle(problem, backend, grid, grid)
 
 
 def test_resolution_bounds_survive_a_huge_grid_spacing():
@@ -509,6 +518,6 @@ def test_resolution_bounds_survive_a_huge_grid_spacing():
     problem, backend, _, _ = _oracle_case("two-step")
     grid = np.array([[1e154], [-1e154]])
     with np.errstate(over="ignore", invalid="ignore"):
-        report = brute_force_nash(problem, backend, grid, grid)
+        report = oracle(problem, backend, grid, grid)
     assert np.isfinite(report.j1) and np.isfinite(report.j2)
     assert np.isfinite(report.resolution_bound_1) and np.isfinite(report.resolution_bound_2)

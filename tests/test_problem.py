@@ -124,7 +124,7 @@ def test_validate_passes_consistent_nonlinear_drift():
     tweaked = dataclasses.replace(
         problem, coefficients=dataclasses.replace(co, b=b, b_x=b_x)
     )
-    report = validate_problem(tweaked, samples=150, seed=3)
+    report = validate_problem(tweaked, samples=150, seed=3, probe_radius=None)
     assert report.passed
 
 
@@ -137,7 +137,7 @@ def test_validate_flags_stale_partial_of_modified_drift():
         return b0(t, x, y, z, u1, u2) + 0.05 * x**3
 
     stale = dataclasses.replace(problem, coefficients=dataclasses.replace(co, b=b))
-    report = validate_problem(stale, samples=150, seed=3)
+    report = validate_problem(stale, samples=150, seed=3, probe_radius=None)
     assert not report.passed
     failed = {c.partial for c in report.failures()}
     assert "b_x" in failed
@@ -154,7 +154,7 @@ def test_wrong_jacobian_shape_is_named():
         coefficients=dataclasses.replace(problem.coefficients, b_y=extra_axis),
     )
     with pytest.raises(ShapeValidationError, match="b_y"):
-        validate_problem(broken, samples=20, seed=0)
+        validate_problem(broken, samples=20, seed=0, probe_radius=None)
 
 
 def test_probe_warnings_are_nonfatal():
@@ -185,8 +185,8 @@ def test_linear_problem_probes_clean():
 
 def test_validate_is_deterministic_in_seed():
     problem = lq_to_problem(coupled_lq_spec())
-    r1 = validate_problem(problem, samples=40, seed=9)
-    r2 = validate_problem(problem, samples=40, seed=9)
+    r1 = validate_problem(problem, samples=40, seed=9, probe_radius=None)
+    r2 = validate_problem(problem, samples=40, seed=9, probe_radius=None)
     worst1 = [(c.partial, c.max_error) for rep in r1.derivative_reports for c in rep.checks]
     worst2 = [(c.partial, c.max_error) for rep in r2.derivative_reports for c in rep.checks]
     assert worst1 == worst2
