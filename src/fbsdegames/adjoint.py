@@ -38,6 +38,7 @@ from .drivers import Backend, member_view
 from .fbsde import (
     ControlProcess,
     FbsdeConfig,
+    NonFiniteStateError,
     SolveDiagnostics,
     StateTrajectory,
     _backward_sweep,
@@ -48,6 +49,14 @@ from .fbsde import (
 from .problem import GameProblem
 
 Array = np.ndarray
+
+
+class NonFiniteCostateError(NonFiniteStateError):
+    """A costate (k, p or q) of `player` became non-finite at `step`."""
+
+    def __init__(self, player: int, step: int, scenario: int):
+        super().__init__(step, scenario, what=f"costate of player {player}")
+        self.player = player
 
 
 @dataclass(frozen=True)
@@ -151,6 +160,27 @@ def _combine(partials, p: Array, q: Array, k: Array) -> Array:
     return np.einsum("svr,sr->sv", mat, stacked) + l_iv
 
 
+def _costate_failure(view, players, k0, ps, qs, exc: NonFiniteStateError) -> NonFiniteCostateError:
+    """The error for a k sweep over (ps, qs) that met a non-finite value.
+
+    It names the first non-finite costate in the order the solve made
+    them: p and q from step N down to 0 (the backward sweep that produced
+    them), then k[0], and else k at the step where the sweep stopped.
+    """
+    N = view.grid.steps
+    made = [(j, a) for j in range(N, -1, -1) for a in ((ps[j],) if j == N else (ps[j], qs[j]))]
+    for step, rows in made + [(0, k0)]:
+        if np.all(np.isfinite(rows)):
+            continue
+        for player, own in zip(players, view.unstack(rows)):
+            bad = ~np.isfinite(own.reshape(own.shape[0], -1)).all(axis=1)
+            if bad.any():
+                return NonFiniteCostateError(player, step, int(np.argmax(bad)))
+    members = np.eye(len(players), dtype=bool)
+    member = next(b for b in range(len(players)) if view.member_rows(exc.step, members[b])[exc.row])
+    return NonFiniteCostateError(players[member], exc.step, exc.scenario)
+
+
 def solve_adjoints(
     problem: GameProblem,
     traj: StateTrajectory,
@@ -171,12 +201,13 @@ def solve_adjoints(
     warm-starts the solve with one (ps, qs) per player from an earlier solve.
 
     A failing player raises as its solve alone would.  When several fail,
-    the first failure in pass order is raised: a non-finite costate in a
-    pass's forward sweep before a divergence, which is checked after the
-    pass in player order.  Within a forward sweep the earliest step wins,
-    and within a step the view's first row: the lowest scenario, then the
-    first player, on the lattice; the first player, then its lowest
-    scenario, on Monte Carlo.
+    the first failure in pass order is raised: a non-finite costate met by
+    a pass's forward sweep before a divergence, which is checked after the
+    pass in player order.  A non-finite costate raises NonFiniteCostateError
+    at the first non-finite value in the order the solve made them (see
+    `_costate_failure`); within a step the first player wins, then its
+    lowest scenario.  Finding it reads the iterate only after the sweep has
+    failed, so the passes carry no extra check.
     """
     if not players or any(player not in (1, 2) for player in players):
         raise ValueError("each player must be 1 or 2")
@@ -200,7 +231,10 @@ def solve_adjoints(
             g = _combine(forward[j], ps[j], qs[j], k)  # (G_y, G_z flattened)
             return -g[:, :m], -g[:, m:].reshape(g.shape[0], m, d)
 
-        return _forward_sweep(view, k0, coefficients)
+        try:
+            return _forward_sweep(view, k0, coefficients)
+        except NonFiniteStateError as exc:
+            raise _costate_failure(view, players, k0, ps, qs, exc) from None
 
     def backward_pq(ks):
         return _backward_sweep(

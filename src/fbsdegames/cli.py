@@ -594,23 +594,33 @@ def write_controls(path: Path, problem: GameProblem, backend: Backend, u: Contro
     ))
 
 
+# controls.csv rows converted at a time: one chunk's cells as Python strings
+# are the reader's largest allocation.
+_CONTROLS_CHUNK = 4096
+
+
 def _controls_table(body: list[str], width: int, counts: list[int]) -> np.ndarray | None:
     """The values of every line in step-major order, or None if a line is bad.
 
-    Checks all lines at once: column count, integer step and scenario,
-    finite values, inside the grid, and each (step, scenario) exactly once.
+    Checks all lines: column count, integer step and scenario, finite
+    values, inside the grid, and each (step, scenario) exactly once.
     """
     if any(line.count(",") != width - 1 for line in body):
         return None
-    # an object array of str casts cell by cell with int() and float()
-    table = np.array(",".join(body).split(",") if body else [], dtype=object)
-    table = table.reshape(len(body), width)
-    try:
-        steps = table[:, 0].astype(np.int64)
-        scenarios = table[:, 1].astype(np.int64)
-        values = table[:, 2:].astype(float)
-    except (ValueError, OverflowError):
-        return None
+    steps = np.empty(len(body), dtype=np.int64)
+    scenarios = np.empty(len(body), dtype=np.int64)
+    values = np.empty((len(body), width - 2))
+    for start in range(0, len(body), _CONTROLS_CHUNK):
+        chunk = body[start:start + _CONTROLS_CHUNK]
+        span = slice(start, start + len(chunk))
+        # an object array of str casts cell by cell with int() and float()
+        table = np.array(",".join(chunk).split(","), dtype=object).reshape(len(chunk), width)
+        try:
+            steps[span] = table[:, 0].astype(np.int64)
+            scenarios[span] = table[:, 1].astype(np.int64)
+            values[span] = table[:, 2:].astype(float)
+        except (ValueError, OverflowError):
+            return None
     if not ((steps >= 0) & (steps < len(counts))).all():
         return None
     sizes = np.array(counts)
@@ -699,13 +709,13 @@ def write_report(path: Path, cfg: RunConfig, report: EquilibriumReport) -> None:
 
 
 def write_history(path: Path, report: EquilibriumReport) -> None:
-    header = ["iteration", "J1", "J2", "rho1", "rho2", "alpha"]
+    header = ["iteration", "J1", "J2", "rho1", "rho2", "alpha", "evaluations", "extrapolated"]
     block = np.array(
-        [(rec.iteration, rec.j1, rec.j2, rec.rho1, rec.rho2, rec.step_size)
-         for rec in report.history],
+        [(rec.iteration, rec.j1, rec.j2, rec.rho1, rec.rho2, rec.step_size,
+          rec.evaluations, rec.extrapolated) for rec in report.history],
         dtype=float,
     ).reshape(-1, len(header))
-    _write_csv(path, header, [_format_rows("%d" + _cells(len(header) - 1) + "\n", block)])
+    _write_csv(path, header, [_format_rows("%d" + _cells(5) + ",%d,%d\n", block)])
 
 
 # ---------------------------------------------------------------------------
@@ -905,7 +915,10 @@ def main(argv=None) -> int:
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # the solvers check for non-finite values themselves and end in one
+        # `solver failure` line; NumPy's floating-point warnings would print first
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG

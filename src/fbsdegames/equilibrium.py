@@ -1,12 +1,19 @@
 """Candidate Nash points by projected gradient, with independent validators.
 
-The search loop alternates full system solves (state, then both costate
-triples as one paired solve, ``adjoint.solve_adjoints``, all warm-started
-between outer iterations) with box-projected gradient steps on the two
-controls.  Progress is measured by the merit
+An open-loop Nash point over the control boxes solves a variational
+inequality, which is a fixed point of the projected-gradient map
+
+    T(u) = Proj_U(u - alpha grad_u H),    alpha = GradientConfig.step.
+
+`solve_nash` finds it by type-II Anderson extrapolation of T (Walker & Ni
+2011, SIAM J. Numer. Anal. 49(4)), with backtracking along the plain step
+as the fallback.  Every trial point costs one evaluation: a full system
+solve (state, then both costate triples as one paired solve,
+``adjoint.solve_adjoints``, warm-started from the current iterate) and the
+stationarity residuals.  Progress is measured by the merit
 max(rho_1, rho_2) where rho_i is the stationarity residual of player i; a
 step is accepted only when the merit strictly decreases, so the recorded
-merit sequence is non-increasing by construction.
+merit sequence is strictly decreasing by construction.
 
 Validators, deliberately decoupled from the search: cost evaluation with a
 standard error on sampled backends, a directional-derivative pair (costate
@@ -70,9 +77,11 @@ class NonFiniteCostError(RuntimeError):
 class GradientConfig:
     """Projected-gradient controls.
 
-    step is the trial length each outer iteration starts from; it is halved
-    until the merit decreases, at most max_halvings times.  mode selects
-    simultaneous two-player updates or alternating single-player sweeps.
+    step is alpha in the map T(u) = Proj_U(u - alpha grad_u H) that the
+    search extrapolates, and the first length of the fallback backtracking,
+    which halves it until the merit decreases, at most max_halvings times.
+    mode selects simultaneous two-player updates or alternating
+    single-player sweeps.
     """
 
     step: float = 0.1
@@ -96,12 +105,19 @@ class GradientConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One outer iteration: the costs and residuals it started from, the
+    length alpha of its accepted step (0 if none), the evaluations it spent,
+    rejected trials included (the first iteration also counts the one at the
+    starting controls), and whether an accepted step was the Anderson point."""
+
     iteration: int
     j1: float
     j2: float
     rho1: float
     rho2: float
     step_size: float
+    evaluations: int
+    extrapolated: bool
 
     @property
     def merit(self) -> float:
@@ -285,6 +301,97 @@ def _stepped(problem, u, state, alpha, players) -> ControlProcess:
     return out
 
 
+# Anderson memory: how many of the latest differences the extrapolation combines.
+_ANDERSON_MEMORY = 4
+
+
+class _Anderson:
+    """Type-II Anderson extrapolation of T for the controls of one player group.
+
+    x is the group's controls flattened player by player and step by step,
+    and f = T(u) - u at x.  The last `_ANDERSON_MEMORY` differences of x and
+    of f fill preallocated rows in turn, so the history is those two arrays
+    plus the last x and f.
+    """
+
+    def __init__(self, group: tuple[int, ...], u: ControlProcess):
+        self.group = group
+        self.shapes = [a.shape for player in group for a in u.player(player)]
+        ends = np.cumsum([int(np.prod(shape)) for shape in self.shapes], dtype=int)
+        self.splits, size = ends[:-1], int(ends[-1])
+        self.dx = np.empty((_ANDERSON_MEMORY, size))
+        self.df = np.empty((_ANDERSON_MEMORY, size))
+        self.differences = 0
+        self.x: Array | None = None
+        self.f: Array | None = None
+
+    def _flat(self, u: ControlProcess) -> Array:
+        return np.concatenate([a.ravel() for player in self.group for a in u.player(player)])
+
+    def record(self, u: ControlProcess, mapped: ControlProcess) -> None:
+        """Add x = u and f = T(u) - u, where mapped = T(u) on the group."""
+        x = self._flat(u)
+        f = self._flat(mapped) - x
+        if self.x is not None:
+            slot = self.differences % _ANDERSON_MEMORY
+            np.subtract(x, self.x, out=self.dx[slot])
+            np.subtract(f, self.f, out=self.df[slot])
+            self.differences += 1
+        self.x, self.f = x, f
+
+    def point(self, problem: GameProblem, u: ControlProcess) -> ControlProcess | None:
+        """u with the group's controls at the projected Anderson point
+        x + f - (dX + dF) gamma, gamma the least-squares fit of f by dF;
+        None while there is no difference to combine."""
+        used = min(self.differences, _ANDERSON_MEMORY)
+        if used == 0:
+            return None
+        dx, df = self.dx[:used], self.df[:used]
+        # the normal equations, used x used, in one LAPACK call: reruns round alike
+        gamma = np.linalg.lstsq(df @ df.T, df @ self.f, rcond=None)[0]
+        flat = self.x + self.f - gamma @ dx - gamma @ df
+        pieces = (a.reshape(shape) for a, shape in zip(np.split(flat, self.splits), self.shapes))
+        out = u
+        for player in self.group:
+            box = problem.box(player)
+            out = out.replace_player(player, [box.project(next(pieces)) for _ in range(u.steps)])
+        return out
+
+
+def _advance(problem, backend, fbsde_config, grad_config, anderson, u, state):
+    """One player group's update from (u, state): its Anderson point, then
+    the plain step T(u), then that step at halved lengths, until a trial
+    strictly lowers the merit.  A trial whose solve diverges is skipped.
+
+    Returns ((u, state, alpha, extrapolated) of the accepted trial, or None)
+    and the number of evaluations spent.
+    """
+    alpha = grad_config.step
+    plain = _stepped(problem, u, state, alpha, anderson.group)
+    anderson.record(u, plain)
+    point = anderson.point(problem, u)
+
+    def trials():
+        if point is not None:
+            yield point, alpha, True
+        yield plain, alpha, False
+        length = alpha
+        for _ in range(grad_config.max_halvings):
+            length *= 0.5
+            yield _stepped(problem, u, state, length, anderson.group), length, False
+
+    spent = 0
+    for trial_u, length, extrapolated in trials():
+        spent += 1
+        try:
+            trial = _evaluate(problem, trial_u, backend, fbsde_config, warm=state.warm())
+        except PicardDivergenceError:
+            continue
+        if trial.merit < state.merit:
+            return (trial_u, trial, length, extrapolated), spent
+    return None, spent
+
+
 def solve_nash(
     problem: GameProblem,
     backend: Backend,
@@ -295,48 +402,49 @@ def solve_nash(
 ) -> EquilibriumReport:
     """Drive both stationarity residuals to the tolerance, then certify.
 
-    Trial steps that fail (merit up, or a diverging trial solve) are retried
-    at half the length.  A fully failed backtracking round ends the search:
-    the loop is deterministic, so repeating it cannot help.  A step is
-    accepted only when the merit strictly decreases, so the current iterate
-    is always the best one so far, and it is the one returned.
+    Each outer iteration updates the player groups of the mode in turn, (1, 2)
+    when simultaneous and (1,) then (2,) in best-response mode, each through
+    `_advance` with its own Anderson history.  A group with no difference
+    recorded yet starts at the plain step.  A fully failed iteration ends
+    the search: the loop is deterministic, so repeating it cannot help.  A
+    step is accepted only when the merit strictly decreases, so the current
+    iterate is always the best one so far, and it is the one returned.  The
+    Anderson histories are released before the certificate is built.
     """
     u = initial if initial is not None else ControlProcess.midpoint(problem, backend)
     state = _evaluate(problem, u, backend, fbsde_config)
+    spent = 1  # evaluations of the current iteration
     history: list[IterationRecord] = []
     warnings: list[str] = []
     players_by_mode = {
         "simultaneous": ((1, 2),),
         "best-response": ((1,), (2,)),
     }[grad_config.mode]
+    histories = {group: _Anderson(group, u) for group in players_by_mode}
     for it in range(1, grad_config.max_iterations + 1):
         j1, _ = eval_cost(problem, state.traj, u, 1)
         j2, _ = eval_cost(problem, state.traj, u, 2)
         rho1_it, rho2_it = state.vi.rho1, state.vi.rho2
         if state.merit <= grad_config.tolerance:
-            history.append(IterationRecord(it, j1, j2, rho1_it, rho2_it, 0.0))
+            history.append(IterationRecord(it, j1, j2, rho1_it, rho2_it, 0.0, spent, False))
             break
         accepted_alpha = 0.0
-        improved = False
+        improved = extrapolated = False
         for group in players_by_mode:
-            alpha = grad_config.step
-            for _ in range(grad_config.max_halvings + 1):
-                trial_u = _stepped(problem, u, state, alpha, group)
-                try:
-                    trial = _evaluate(problem, trial_u, backend, fbsde_config, warm=state.warm())
-                except PicardDivergenceError:
-                    alpha *= 0.5
-                    continue
-                if trial.merit < state.merit:
-                    u, state = trial_u, trial
-                    accepted_alpha = alpha
-                    improved = True
-                    break
-                alpha *= 0.5
-        history.append(IterationRecord(it, j1, j2, rho1_it, rho2_it, accepted_alpha))
+            accepted, evaluations = _advance(
+                problem, backend, fbsde_config, grad_config, histories[group], u, state)
+            spent += evaluations
+            if accepted is not None:
+                u, state, accepted_alpha, point = accepted
+                improved = True
+                extrapolated = extrapolated or point
+        history.append(
+            IterationRecord(it, j1, j2, rho1_it, rho2_it, accepted_alpha, spent, extrapolated))
+        spent = 0
         if not improved:
             warnings.append(f"no improving step at iteration {it}; search stopped")
             break
+    del histories
     converged = state.merit <= grad_config.tolerance
     j1, se1 = eval_cost(problem, state.traj, u, 1)
     j2, se2 = eval_cost(problem, state.traj, u, 2)

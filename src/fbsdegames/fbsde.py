@@ -32,12 +32,17 @@ Array = np.ndarray
 
 
 class NonFiniteStateError(RuntimeError):
-    """Forward pass produced a non-finite state value."""
+    """Forward pass produced a non-finite state value.
 
-    def __init__(self, step: int, scenario: int):
-        super().__init__(f"non-finite state at step {step}, scenario {scenario}")
+    `scenario` counts within the value's own member on a member view, and
+    `row` is the value's row on the backend that raised.
+    """
+
+    def __init__(self, step: int, scenario: int, row: int | None = None, what: str = "state"):
+        super().__init__(f"non-finite {what} at step {step}, scenario {scenario}")
         self.step = step
         self.scenario = scenario
+        self.row = scenario if row is None else row
 
 
 class PicardDivergenceError(RuntimeError):
@@ -150,7 +155,8 @@ def _check_finite(backend: Backend, step: int, values: Array) -> None:
     if not np.all(np.isfinite(values)):
         row = int(np.argwhere(~np.isfinite(values))[0][0])
         scenario_of = getattr(backend, "scenario_of", None)
-        raise NonFiniteStateError(step=step, scenario=row if scenario_of is None else scenario_of(row))
+        raise NonFiniteStateError(
+            step=step, scenario=row if scenario_of is None else scenario_of(row), row=row)
 
 
 def _forward_sweep(backend: Backend, start: Array, coefficients) -> list[Array]:

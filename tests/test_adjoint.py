@@ -11,6 +11,7 @@ from fbsdegames import (
     ControlProcess,
     Dims,
     FbsdeConfig,
+    NonFiniteCostateError,
     NonFiniteStateError,
     costate_combination,
     duality_residual,
@@ -388,6 +389,24 @@ def test_paired_solve_fails_as_the_first_failing_solve_alone(failing, make_backe
     want = errors[failing[0]]
     assert (paired.value.step, paired.value.scenario) == (want.step, want.scenario)
     assert str(paired.value) == str(want)
+
+
+@pytest.mark.parametrize("make_backend", [lambda: lattice(16), lambda: montecarlo(8, paths=64)],
+                         ids=["lattice", "montecarlo"])
+@pytest.mark.parametrize("y_step, k_step", [(0, 0), (5, 6)], ids=["k0", "k-sweep"])
+def test_nonfinite_k_names_its_player_and_step(make_backend, y_step, k_step):
+    # p and q stay finite; player 2's k turns non-finite: at k[0] = -H y(0)
+    # when y(0) = 10 meets H = 1e308, or at k[6] when l_y = R y(5) overflows
+    spec = coupled_lq_spec()
+    cost2 = dataclasses.replace(spec.cost2, H=np.array([[1e308]]), R=np.array([[1e300]]))
+    backend = make_backend()
+    problem, u, traj = _setup(dataclasses.replace(spec, cost2=cost2), backend)
+    ys = list(traj.y)
+    ys[y_step] = np.full_like(ys[y_step], 10.0 if y_step == 0 else 1e10)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteCostateError) as err:
+        solve_adjoints(problem, dataclasses.replace(traj, y=tuple(ys)), u, backend)
+    assert (err.value.player, err.value.step, err.value.scenario) == (2, k_step, 0)
+    assert str(err.value) == f"non-finite costate of player 2 at step {k_step}, scenario 0"
 
 
 def test_one_paired_costate_solve_per_evaluation(monkeypatch):

@@ -69,6 +69,17 @@ def run_process(*argv, module=True) -> subprocess.CompletedProcess:
     )
 
 
+COUPLED_GAME = Path(__file__).resolve().parents[1] / "configs" / "coupled_game.json"
+
+
+def _zero_controls(tmp_path, steps: int) -> str:
+    """A lattice controls.csv with every control zero."""
+    path = tmp_path / "zero.csv"
+    rows = [f"{j},{s},0.0,0.0" for j in range(steps) for s in range(j + 1)]
+    path.write_text("\n".join(["step,scenario_id,u1_1,u2_1"] + rows) + "\n")
+    return str(path)
+
+
 class TestSolve:
     def test_writes_all_artifacts_and_exits_zero(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -93,7 +104,7 @@ class TestSolve:
             "k1_1,p1_1,q1_11,k2_1,p2_1,q2_11"
         )
         history_header = (out / "history.csv").read_text().splitlines()[0]
-        assert history_header == "iteration,J1,J2,rho1,rho2,alpha"
+        assert history_header == "iteration,J1,J2,rho1,rho2,alpha,evaluations,extrapolated"
 
     def test_byte_reproducibility(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -351,6 +362,41 @@ class TestVerify:
                            "--controls", str(controls))
         assert done.returncode == EXIT_SOLVER_FAILURE
         assert done.stderr == "solver failure: SVD did not converge\n"
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_overflow_prints_the_failure_line_first(self, tmp_path, command):
+        # player 1's terminal costate G x(T) overflows; a child interpreter,
+        # where no test runner captures warnings, shows all of stderr
+        cfg = json.loads(COUPLED_GAME.read_text())
+        cfg["cost1"]["G"] = [[1e308]]
+        path = write_config(tmp_path, cfg)
+        argv = [command, "--config", path, "--out", str(tmp_path / "o")]
+        if command == "verify":
+            argv += ["--controls", _zero_controls(tmp_path, cfg["steps"])]
+        done = run_process(*argv)
+        assert done.returncode == EXIT_SOLVER_FAILURE
+        assert done.stderr.splitlines()[0].startswith("solver failure:")
+
+    @pytest.mark.parametrize("player", [1, 2])
+    def test_costate_overflow_names_the_player_and_its_step(self, tmp_path, capsys, player):
+        cfg = json.loads(COUPLED_GAME.read_text())
+        cfg[f"cost{player}"]["G"] = [[1e308]]
+        path = write_config(tmp_path, cfg)
+        code = run("verify", "--config", path, "--out", str(tmp_path / "v"),
+                   "--controls", _zero_controls(tmp_path, cfg["steps"]))
+        assert code == EXIT_SOLVER_FAILURE
+        # p[N] = G x(T) is the first costate value the solve makes; its
+        # first overflowing node is the scenario named
+        run_cfg = load_config(path)
+        backend = build_backend(run_cfg)
+        zero = fbsdegames.ControlProcess.constant(run_cfg.problem, backend, 0.0, 0.0)
+        traj, _ = fbsdegames.solve_fbsde(run_cfg.problem, zero, backend, run_cfg.fbsde)
+        with np.errstate(over="ignore"):
+            node = int(np.argmax(~np.isfinite(1e308 * traj.x[-1][:, 0])))
+        steps = cfg["steps"]
+        assert capsys.readouterr().err == (
+            f"solver failure: non-finite costate of player {player} at step {steps}, "
+            f"scenario {node}\n")
 
     def test_unbounded_box_without_radius_is_inconclusive(self, tmp_path):
         cfg = base_config()

@@ -7,7 +7,7 @@ import types
 import numpy as np
 import pytest
 
-from fbsdegames import Dims, lq_to_problem, random_lq_spec, solve_adjoint, solve_fbsde
+from fbsdegames import Dims, cli, lq_to_problem, random_lq_spec, solve_adjoint, solve_fbsde
 from fbsdegames.cli import (
     EXIT_CONFIG,
     ConfigError,
@@ -85,8 +85,9 @@ def reference_controls(dims, backend, u) -> str:
 
 def reference_history(history) -> str:
     rows = [[str(r.iteration), _fmt(r.j1), _fmt(r.j2), _fmt(r.rho1), _fmt(r.rho2),
-             _fmt(r.step_size)] for r in history]
-    return _csv(["iteration", "J1", "J2", "rho1", "rho2", "alpha"], rows)
+             _fmt(r.step_size), str(r.evaluations), str(int(r.extrapolated))] for r in history]
+    return _csv(["iteration", "J1", "J2", "rho1", "rho2", "alpha", "evaluations",
+                 "extrapolated"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +147,8 @@ def test_writers_match_the_per_cell_reference(tmp_path, case):
 
 def test_history_matches_the_per_cell_reference(tmp_path):
     rng = np.random.default_rng(2)
-    history = [IterationRecord(i, *rng.choice(SPECIAL, 5)) for i in range(12)]
+    history = [IterationRecord(i, *rng.choice(SPECIAL, 5), int(rng.integers(0, 40)),
+                               bool(i % 3)) for i in range(12)]
     write_history(tmp_path / "history.csv", types.SimpleNamespace(history=history))
     assert (tmp_path / "history.csv").read_text() == reference_history(history)
 
@@ -170,6 +172,35 @@ def test_controls_round_trip_bit_for_bit(tmp_path, case):
     for wrote, read in zip(u.u1 + u.u2, back.u1 + back.u2):
         assert read.dtype == np.float64 and read.flags.c_contiguous
         assert read.shape == wrote.shape and read.tobytes() == wrote.tobytes()
+
+
+def _long_controls(tmp_path):
+    """controls.csv of a lattice with more rows than one reader chunk."""
+    problem, backend = lq_to_problem(coupled_lq_spec()), lattice(100)
+    assert sum(backend.scenario_count(j) for j in range(100)) > cli._CONTROLS_CHUNK
+    u = random_controls(problem, backend, seed=4)
+    path = tmp_path / "controls.csv"
+    write_controls(path, problem, backend, u)
+    return problem, backend, u, path
+
+
+def test_controls_longer_than_one_chunk_round_trip_bit_for_bit(tmp_path):
+    problem, backend, u, path = _long_controls(tmp_path)
+    back = read_controls(path, problem, backend)
+    for wrote, read in zip(u.u1 + u.u2, back.u1 + back.u2):
+        assert read.shape == wrote.shape and read.tobytes() == wrote.tobytes()
+
+
+def test_bad_cell_in_the_second_chunk_names_its_line(tmp_path):
+    problem, backend, _, path = _long_controls(tmp_path)
+    line = cli._CONTROLS_CHUNK + 500  # line 1 is the header
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    lines[line - 1] = ",".join(cells[:2] + ["0x1"] + cells[3:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as err:
+        read_controls(path, problem, backend)
+    assert str(err.value) == f"config error at '{path}:{line}': malformed numeric cell"
 
 
 # ---------------------------------------------------------------------------

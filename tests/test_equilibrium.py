@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from fbsdegames import (
     vi_residual,
 )
 from fbsdegames import equilibrium, hamiltonian
-from fbsdegames.cli import OracleOptions, build_backend, load_config
+from fbsdegames.cli import OracleOptions, build_backend, load_config, main
 
 from conftest import (
     coupled_lq_spec,
@@ -42,7 +43,8 @@ from conftest import (
     zero_spec,
 )
 
-ORACLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "two_step_oracle.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ORACLE_CONFIG = CONFIGS / "two_step_oracle.json"
 
 # chunk sizes for the grid oracle's batched solves; None keeps the default
 CHUNKS = [pytest.param(1, id="members-1"), pytest.param(7, id="members-7"),
@@ -253,6 +255,69 @@ class TestSolveNash:
         _, report = _nash(coupled_lq_spec(), lattice(8), max_iterations=4, mode=mode)
         assert counts["evaluate"] > report.iterations > 1
         assert counts["gradient"] == 2 * counts["evaluate"]
+
+
+def _counted_solve(tmp_path, monkeypatch, raw):
+    """`solve` of config `raw` through the command line: every control
+    profile it evaluated, history.csv as an array and report.json."""
+    evaluated = []
+    evaluate = equilibrium._evaluate
+
+    def recording(problem, u, backend, config, warm=None):
+        evaluated.append(u)
+        return evaluate(problem, u, backend, config, warm=warm)
+
+    monkeypatch.setattr(equilibrium, "_evaluate", recording)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "solve"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    history = np.loadtxt(out / "history.csv", delimiter=",", skiprows=1, ndmin=2)
+    return evaluated, history, json.loads((out / "report.json").read_text())
+
+
+class TestAnderson:
+    @pytest.mark.parametrize("mode", ["simultaneous", "best-response"])
+    def test_binding_box_keeps_trials_feasible_and_merit_falling(self, tmp_path, monkeypatch, mode):
+        raw = json.loads((CONFIGS / "coupled_game.json").read_text())
+        raw.update(steps=16, box1={"radius": 0.2}, box2={"radius": 0.2})
+        raw["gradient"]["mode"] = mode
+        evaluated, history, report = _counted_solve(tmp_path, monkeypatch, raw)
+        box = ControlBox.symmetric(1, 0.2)
+        assert all(box.contains(a) for u in evaluated for a in u.u1 + u.u2)
+        controls = np.loadtxt(tmp_path / "solve" / "controls.csv", delimiter=",", skiprows=1)
+        assert np.count_nonzero(np.abs(controls[:, 2:]) == 0.2) > 0  # the box binds
+        merit = np.maximum(history[:, 3], history[:, 4])
+        assert np.all(np.diff(merit) < 0.0)
+        assert report["converged"] and report["verdict"] == "certified"
+        assert history[:, 7].sum() >= 1  # an accepted Anderson point
+        assert history[:, 6].sum() == len(evaluated)
+
+    @pytest.mark.parametrize("name, evaluations", [
+        ("coupled_game", 8), ("two_step_oracle", 8), ("single_player_lqr", 6)])
+    def test_shipped_configs_take_pinned_evaluation_counts(
+            self, tmp_path, monkeypatch, name, evaluations):
+        # a counter, not a timing: more evaluations mean a slower solve
+        raw = json.loads((CONFIGS / f"{name}.json").read_text())
+        evaluated, history, report = _counted_solve(tmp_path, monkeypatch, raw)
+        assert report["converged"]
+        assert len(evaluated) == evaluations
+        assert history[:, 6].sum() == evaluations
+
+    def test_solve_residuals_hold_up_at_a_tight_inner_tolerance(self, tmp_path, monkeypatch):
+        # larger outer steps make the warm starts colder; the residuals
+        # solve reports must still be those of its controls, solved tightly
+        raw = json.loads((CONFIGS / "coupled_game.json").read_text())
+        _, _, report = _counted_solve(tmp_path, monkeypatch, raw)
+        raw["fbsde"] = {"tol": 1e-28, "max_picard": 200}
+        path = tmp_path / "tight.json"
+        path.write_text(json.dumps(raw))
+        code = main(["verify", "--config", str(path), "--out", str(tmp_path / "verify"),
+                     "--controls", str(tmp_path / "solve" / "controls.csv")])
+        assert code == 0
+        recheck = json.loads((tmp_path / "verify" / "certificate.json").read_text())
+        for key in ("rho1", "rho2"):
+            assert abs(report[key] - recheck[key]) <= 0.05 * recheck[key]
 
 
 # the inner solves of the oracle tests, tighter than FbsdeConfig()
