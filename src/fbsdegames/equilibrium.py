@@ -331,7 +331,8 @@ class _Anderson:
     def record(self, u: ControlProcess, mapped: ControlProcess) -> None:
         """Add x = u and f = T(u) - u, where mapped = T(u) on the group."""
         x = self._flat(u)
-        f = self._flat(mapped) - x
+        f = self._flat(mapped)
+        f -= x
         if self.x is not None:
             slot = self.differences % _ANDERSON_MEMORY
             np.subtract(x, self.x, out=self.dx[slot])
@@ -349,7 +350,9 @@ class _Anderson:
         dx, df = self.dx[:used], self.df[:used]
         # the normal equations, used x used, in one LAPACK call: reruns round alike
         gamma = np.linalg.lstsq(df @ df.T, df @ self.f, rcond=None)[0]
-        flat = self.x + self.f - gamma @ dx - gamma @ df
+        flat = self.x + self.f
+        flat -= gamma @ dx
+        flat -= gamma @ df
         pieces = (a.reshape(shape) for a, shape in zip(np.split(flat, self.splits), self.shapes))
         out = u
         for player in self.group:
@@ -367,18 +370,19 @@ def _advance(problem, backend, fbsde_config, grad_config, anderson, u, state):
     and the number of evaluations spent.
     """
     alpha = grad_config.step
-    plain = _stepped(problem, u, state, alpha, anderson.group)
-    anderson.record(u, plain)
-    point = anderson.point(problem, u)
+    anderson.record(u, _stepped(problem, u, state, alpha, anderson.group))
 
     def trials():
+        # one candidate's controls alive at a time: the plain step is formed
+        # again after the Anderson point is let go
+        point = anderson.point(problem, u)
         if point is not None:
             yield point, alpha, True
-        yield plain, alpha, False
+        del point
         length = alpha
-        for _ in range(grad_config.max_halvings):
-            length *= 0.5
+        for _ in range(grad_config.max_halvings + 1):
             yield _stepped(problem, u, state, length, anderson.group), length, False
+            length *= 0.5
 
     spent = 0
     for trial_u, length, extrapolated in trials():
