@@ -44,6 +44,7 @@ from .fbsde import (
     _backward_sweep,
     _forward_sweep,
     _start_pair,
+    _views,
     damped_picard,
 )
 from .problem import GameProblem
@@ -191,7 +192,7 @@ def solve_adjoints(
     players: tuple[int, ...] = (1, 2),
 ) -> tuple[tuple[AdjointTrajectory, ...], tuple[SolveDiagnostics, ...]]:
     """Solve the costate systems of `players` along one trajectory as one
-    damped Picard solve, one member per player; returns one
+    `fbsde.damped_picard` solve, one member per player; returns one
     AdjointTrajectory and one SolveDiagnostics per player, each bit for bit
     that player's solve alone (`solve_adjoint`).
 
@@ -220,10 +221,11 @@ def solve_adjoints(
     k0 = stack([-np.asarray(problem.costs.initial_grad(i)(traj.y[0]), dtype=float)
                 for i in players])
     if initial is not None:
-        # per field (ps, qs), per step: the players' arrays stacked once
-        initial = [[stack(arrays) for arrays in zip(*field)] for field in zip(*initial)]
-    ps_in, qs_in = _start_pair(view, initial, (n,), (n, d))
-    ps_in[N] = p_terminal  # p[N] is data: the first residual sees no update there
+        # per field (ps, qs), per step: the players' arrays, stacked as copied in
+        initial = tuple((stack(arrays) for arrays in zip(*field)) for field in zip(*initial))
+    start = _start_pair(view, (n,), (n, d), initial)
+    del initial
+    _views(*start)[N][...] = p_terminal  # p[N] is data: the first residual sees no update there
     forward, backward = _step_partials(problem, traj, u, players, view)
 
     def forward_k(ps, qs):
@@ -240,8 +242,7 @@ def solve_adjoints(
         return _backward_sweep(
             view, p_terminal, traj.x, lambda j, p, q: _combine(backward[j], p, q, ks[j]))
 
-    ks, ps, qs, diagnostics = damped_picard(
-        forward_k, backward_pq, (ps_in, qs_in), view, config, "costate")
+    ks, ps, qs, diagnostics = damped_picard(forward_k, backward_pq, start, view, config, "costate")
     k, p, q = ([view.unstack(a) for a in arrays] for arrays in (ks, ps, qs))
     adjoints = tuple(
         AdjointTrajectory(
@@ -264,7 +265,7 @@ def solve_adjoint(
     config: FbsdeConfig = FbsdeConfig(),
     initial=None,
 ) -> tuple[AdjointTrajectory, SolveDiagnostics]:
-    """Solve the coupled costate pair of one player by damped iteration:
+    """Solve the coupled costate pair of one player by Picard iteration:
     `solve_adjoints` for that player alone.  `initial` warm-starts the pair
     with (ps, qs) from an earlier solve."""
     (adjoint,), (diagnostics,) = solve_adjoints(

@@ -37,7 +37,10 @@ dataclass, read by the field's type, with that class's defaults and bounds:
 
 A value outside its class's bounds exits 64 naming `block.key`.  The
 `fbsde` block sets every Picard solve, the oracle's cost evaluations
-included.
+included: `tol` bounds the fixed-point residual at which a solve stops
+(the sup over time of the scenario-mean squared difference between a
+pass's output and its input), `damping` is the mixing theta in (0, 1] of
+its Anderson step, and `max_picard` caps its passes.
 
 Outputs are deterministic byte-for-byte for a fixed config and seed: wall
 time goes to stdout only, never into a file.  CSV floats carry 17
@@ -709,13 +712,15 @@ def write_report(path: Path, cfg: RunConfig, report: EquilibriumReport) -> None:
 
 
 def write_history(path: Path, report: EquilibriumReport) -> None:
-    header = ["iteration", "J1", "J2", "rho1", "rho2", "alpha", "evaluations", "extrapolated"]
+    header = ["iteration", "J1", "J2", "rho1", "rho2", "alpha", "evaluations", "extrapolated",
+              "state_passes", "costate_passes"]
     block = np.array(
         [(rec.iteration, rec.j1, rec.j2, rec.rho1, rec.rho2, rec.step_size,
-          rec.evaluations, rec.extrapolated) for rec in report.history],
+          rec.evaluations, rec.extrapolated, rec.state_passes, rec.costate_passes)
+         for rec in report.history],
         dtype=float,
     ).reshape(-1, len(header))
-    _write_csv(path, header, [_format_rows("%d" + _cells(5) + ",%d,%d\n", block)])
+    _write_csv(path, header, [_format_rows("%d" + _cells(5) + ",%d,%d,%d,%d\n", block)])
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,8 @@ class MemberPaths(_MemberView):
     member, shape (B,).
     """
 
+    kind = "montecarlo"
+
     def stack(self, arrays) -> Array:
         """Rows of one step from each member's (P, ...) array, in member order."""
         return np.concatenate(arrays)

@@ -19,9 +19,9 @@ Validators, deliberately decoupled from the search: cost evaluation with a
 standard error on sampled backends, a directional-derivative pair (costate
 form against a two-sided cost difference), and an exhaustive grid oracle for
 tiny recombining trees.  The oracle solves the candidate profiles of a best
-response in batches: one damped Picard solve over a member axis
-(``drivers.MemberLattice``) in which every member gets, bit for bit, the
-solve its profile would get alone.
+response in batches: one Picard solve (`fbsde.damped_picard`) over a member
+axis (``drivers.MemberLattice``) in which every member gets, bit for bit,
+the solve its profile would get alone.
 """
 
 from __future__ import annotations
@@ -108,7 +108,10 @@ class IterationRecord:
     """One outer iteration: the costs and residuals it started from, the
     length alpha of its accepted step (0 if none), the evaluations it spent,
     rejected trials included (the first iteration also counts the one at the
-    starting controls), and whether an accepted step was the Anderson point."""
+    starting controls), whether an accepted step was the Anderson point,
+    and the inner Picard passes those evaluations spent: state passes, and
+    passes of the paired costate solves (each runs until both players'
+    costates stop)."""
 
     iteration: int
     j1: float
@@ -118,6 +121,8 @@ class IterationRecord:
     step_size: float
     evaluations: int
     extrapolated: bool
+    state_passes: int
+    costate_passes: int
 
     @property
     def merit(self) -> float:
@@ -270,6 +275,12 @@ class _EvalState:
     def merit(self) -> float:
         return max(self.vi.rho1, self.vi.rho2)
 
+    @property
+    def spent(self) -> Array:
+        """(evaluations, state passes, costate passes) of this evaluation."""
+        return np.array([1, self.fbsde_diag.iterations,
+                         max(diag.iterations for diag in self.adj_diag)])
+
     def warm(self):
         """Warm starts for the next evaluation: the state's (y, z) and both
         players' (p, q)."""
@@ -280,11 +291,23 @@ class _EvalState:
 
 
 def _evaluate(problem, u, backend, config, warm=None) -> _EvalState:
-    """The state solve, one paired costate solve and the VI residual at u."""
-    traj, fd = solve_fbsde(problem, u, backend, config, initial=warm[0] if warm else None)
-    (adj1, adj2), adj_diag = solve_adjoints(
-        problem, traj, u, backend, config, initial=warm[1] if warm else None
-    )
+    """The state solve, one paired costate solve and the VI residual at u.
+
+    A PicardDivergenceError leaves with `spent`, the evaluation's
+    (evaluations, state passes, costate passes) up to the divergence.
+    """
+    try:
+        traj, fd = solve_fbsde(problem, u, backend, config, initial=warm[0] if warm else None)
+    except PicardDivergenceError as exc:
+        exc.spent = np.array([1, exc.diagnostics.iterations, 0])
+        raise
+    try:
+        (adj1, adj2), adj_diag = solve_adjoints(
+            problem, traj, u, backend, config, initial=warm[1] if warm else None
+        )
+    except PicardDivergenceError as exc:
+        exc.spent = np.array([1, fd.iterations, exc.diagnostics.iterations])
+        raise
     vi = vi_residual(problem, traj, adj1, adj2, u)
     return _EvalState(traj=traj, adj1=adj1, adj2=adj2, vi=vi, fbsde_diag=fd, adj_diag=adj_diag)
 
@@ -367,7 +390,7 @@ def _advance(problem, backend, fbsde_config, grad_config, anderson, u, state):
     strictly lowers the merit.  A trial whose solve diverges is skipped.
 
     Returns ((u, state, alpha, extrapolated) of the accepted trial, or None)
-    and the number of evaluations spent.
+    and the (evaluations, state passes, costate passes) spent.
     """
     alpha = grad_config.step
     anderson.record(u, _stepped(problem, u, state, alpha, anderson.group))
@@ -384,13 +407,14 @@ def _advance(problem, backend, fbsde_config, grad_config, anderson, u, state):
             yield _stepped(problem, u, state, length, anderson.group), length, False
             length *= 0.5
 
-    spent = 0
+    spent = np.zeros(3, dtype=int)
     for trial_u, length, extrapolated in trials():
-        spent += 1
         try:
             trial = _evaluate(problem, trial_u, backend, fbsde_config, warm=state.warm())
-        except PicardDivergenceError:
+        except PicardDivergenceError as exc:
+            spent += exc.spent
             continue
+        spent += trial.spent
         if trial.merit < state.merit:
             return (trial_u, trial, length, extrapolated), spent
     return None, spent
@@ -417,7 +441,7 @@ def solve_nash(
     """
     u = initial if initial is not None else ControlProcess.midpoint(problem, backend)
     state = _evaluate(problem, u, backend, fbsde_config)
-    spent = 1  # evaluations of the current iteration
+    spent = state.spent  # (evaluations, state passes, costate passes) of the iteration
     history: list[IterationRecord] = []
     warnings: list[str] = []
     players_by_mode = {
@@ -425,12 +449,19 @@ def solve_nash(
         "best-response": ((1,), (2,)),
     }[grad_config.mode]
     histories = {group: _Anderson(group, u) for group in players_by_mode}
+
+    def record(alpha, extrapolated):
+        """The current iteration's IterationRecord."""
+        evaluations, state_passes, costate_passes = spent.tolist()
+        return IterationRecord(it, j1, j2, rho1_it, rho2_it, alpha, evaluations,
+                               extrapolated, state_passes, costate_passes)
+
     for it in range(1, grad_config.max_iterations + 1):
         j1, _ = eval_cost(problem, state.traj, u, 1)
         j2, _ = eval_cost(problem, state.traj, u, 2)
         rho1_it, rho2_it = state.vi.rho1, state.vi.rho2
         if state.merit <= grad_config.tolerance:
-            history.append(IterationRecord(it, j1, j2, rho1_it, rho2_it, 0.0, spent, False))
+            history.append(record(0.0, False))
             break
         accepted_alpha = 0.0
         improved = extrapolated = False
@@ -442,9 +473,8 @@ def solve_nash(
                 u, state, accepted_alpha, point = accepted
                 improved = True
                 extrapolated = extrapolated or point
-        history.append(
-            IterationRecord(it, j1, j2, rho1_it, rho2_it, accepted_alpha, spent, extrapolated))
-        spent = 0
+        history.append(record(accepted_alpha, extrapolated))
+        spent = np.zeros(3, dtype=int)
         if not improved:
             warnings.append(f"no improving step at iteration {it}; search stopped")
             break
@@ -523,10 +553,11 @@ _ORACLE_FAILURES = (
 def _profile_costs(problem, backend, profiles, config) -> list[tuple[float, float]]:
     """Both players' costs of each (u1, u2) profile, from one member-batched solve.
 
-    Any member that fails (divergence, a non-finite state, no convergence or
-    a non-finite cost) fails the whole call.  A one-member call fails as that
-    profile's own `solve_fbsde` does, with NonConvergenceError when it stops
-    unconverged and with NonFiniteCostError when a cost is not finite.
+    Any member that fails (divergence, a non-finite state, a non-finite cost
+    or no convergence) fails the whole call.  A one-member call fails as that
+    profile's own `solve_fbsde` does, then with NonFiniteCostError when a
+    cost is not finite, and else with NonConvergenceError when it stopped
+    unconverged: a cost that overflows is the cause, whatever the solve did.
     """
     view = MemberLattice(backend, len(profiles))
     steps = range(backend.grid.steps)
@@ -535,15 +566,15 @@ def _profile_costs(problem, backend, profiles, config) -> list[tuple[float, floa
         u2=tuple(view.stack([p[1][j] for p in profiles]) for j in steps),
     )
     traj, diagnostics = solve_members(problem, u, view, config)
-    for diag in diagnostics:
-        if not diag.converged:
-            raise NonConvergenceError("oracle cost evaluation did not converge", diag)
     j1, _ = eval_cost(problem, traj, u, 1)
     j2, _ = eval_cost(problem, traj, u, 2)
     costs = list(zip(j1.tolist(), j2.tolist()))
     for a, b in costs:
         if not (np.isfinite(a) and np.isfinite(b)):
             raise NonFiniteCostError(f"oracle cost is not finite (J1={a}, J2={b})")
+    for diag in diagnostics:
+        if not diag.converged:
+            raise NonConvergenceError("oracle cost evaluation did not converge", diag)
     return costs
 
 

@@ -14,13 +14,17 @@ sweeps, `_forward_sweep` and `_backward_sweep`, are the package's only
 time-stepping loops; `forward_pass` and `backward_pass` run them on the
 state system, and the ``adjoint`` module runs them on the costate systems
 with its own coefficients and driver.  ``damped_picard`` couples a forward
-and a backward sweep by damped Picard iteration on the backward pair and
-finishes with one forward sweep at the returned pair, so the forward
-recursion holds there exactly; ``solve_fbsde`` is its state solve.
+and a backward sweep by Picard iteration on the backward pair, with
+type-II Anderson mixing of the last few passes (`_Mixing`), stops once a
+pass's output is within `FbsdeConfig.tol` of its input, and finishes with
+one forward sweep at the returned pair, so the forward recursion holds
+there exactly; ``solve_fbsde`` is its state solve.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +62,15 @@ class PicardDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FbsdeConfig:
-    """Picard controls: damping theta in (0, 1], sup-over-time mean-square tol."""
+    """Inner-solve controls for `damped_picard`.
+
+    tol bounds the fixed-point residual of the returned pass: the sup over
+    time of the scenario-mean squared difference between the pass's output
+    (y, z) (or (p, q)) and its input.  damping is the mixing theta in
+    (0, 1] of the Anderson step; the first pass, and a member whose
+    Anderson fit is not finite, moves by the damped step
+    x + theta (G(x) - x).  max_picard caps the passes.
+    """
 
     max_picard: int = 50
     damping: float = 0.5
@@ -136,17 +148,30 @@ class StateTrajectory:
         return len(self.x) - 1
 
 
-def _start_pair(backend: Backend, initial, a_shape: tuple, b_shape: tuple):
-    """A warm start (a, b) as float arrays in new lists, or zeros: a on steps
-    0..N with trailing shape a_shape, b on steps 0..N-1 with trailing shape
-    b_shape.  Warm-start arrays are not copied: nothing writes into them."""
-    if initial is not None:
-        a, b = initial
-        return [np.asarray(v, dtype=float) for v in a], [np.asarray(v, dtype=float) for v in b]
+def _start_pair(backend: Backend, a_shape: tuple, b_shape: tuple, initial=None):
+    """A backward pair (a on steps 0..N with trailing shape a_shape, b on
+    steps 0..N-1 with b_shape) as one flat float vector, plus each step's
+    shape: a's steps, then b's.  The vector holds the warm start
+    initial = (a, b), two iterables of per-step arrays copied in one step at
+    a time, or zeros."""
     N = backend.grid.steps
-    a = [np.zeros((backend.scenario_count(j),) + a_shape) for j in range(N + 1)]
-    b = [np.zeros((backend.scenario_count(j),) + b_shape) for j in range(N)]
-    return a, b
+    shapes = [(backend.scenario_count(j),) + a_shape for j in range(N + 1)]
+    shapes += [(backend.scenario_count(j),) + b_shape for j in range(N)]
+    flat = np.zeros(sum(math.prod(shape) for shape in shapes))
+    if initial is not None:
+        for view, value in zip(_views(flat, shapes), itertools.chain(*initial)):
+            view[...] = value
+    return flat, shapes
+
+
+def _views(flat: Array, shapes) -> list[Array]:
+    """Per-step views of a flat pair laid out as `_start_pair` lays it out."""
+    out, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(flat[start:start + size].reshape(shape))
+        start += size
+    return out
 
 
 def _check_finite(backend: Backend, step: int, values: Array) -> None:
@@ -231,38 +256,221 @@ def _update_metric(backend: Backend, ys_new, zs_new, ys_old, zs_old) -> Array:
     return worst
 
 
-def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfig, label: str):
-    """Damped Picard iteration on a backward pair (a, b) on steps 0..N, 0..N-1.
+# Anderson memory of the inner Picard solves: how many of the latest
+# differences each member's mixing step combines.
+_ANDERSON_MEMORY = 2
 
-    Each pass runs ``backward(forward(a, b))``: `forward` gives the forward
-    sweep at (a, b), and `backward` the next (a, b) from it plus its
-    ridge-fallback count (a scalar, or one count per member).  The residual
-    is `_update_metric` between consecutive outputs, the first against `start`.
-    The iterate moves by damping theta toward each output.  Divergence
-    (residual above 10x its first value) raises PicardDivergenceError;
-    hitting max_picard keeps the best output with converged = False.  A last
-    forward sweep at the returned pair makes the forward recursion hold
-    there.  Returns (fwd, a, b, diagnostics), one SolveDiagnostics per
-    member; warnings name `label`.
+
+def _runs(backend: Backend, shapes) -> list[tuple[slice, Array]]:
+    """The two parts of a flat pair laid out by `_start_pair` (a's steps,
+    then b's) as runs of equal length: per part, its slice of the flat
+    vector and the member of each of its runs.
+
+    A run is one row on the lattice, and one member's rows of a step on
+    Monte Carlo (a member view stacks those contiguously), so a member's
+    runs hold its entries in the order its solve alone holds them.
+    """
+    members = getattr(backend, "members", 1)
+    ids = np.arange(members)
+    split = backend.grid.steps + 1
+    parts, start = [], 0
+    for steps, part in ((range(split), shapes[:split]), (range(split - 1), shapes[split:])):
+        size = sum(math.prod(shape) for shape in part)
+        if backend.kind == "montecarlo":
+            owners = np.tile(ids, len(steps))
+        elif members == 1:
+            owners = np.zeros(sum(shape[0] for shape in part), dtype=np.intp)
+        else:
+            owners = np.concatenate([backend.member_rows(j, ids) for j in steps])
+        parts.append((slice(start, start + size), owners))
+        start += size
+    return parts
+
+
+class _Mixing:
+    """Type-II Anderson mixing (Walker & Ni 2011, SIAM J. Numer. Anal.
+    49(4)) of a flat pair, one fit per member.
+
+    It keeps the last `_ANDERSON_MEMORY` + 1 inputs x_i and their
+    f_i = G(x_i) - x_i, and moves to
+
+        x_k + sum_i alpha_i ((x_i - x_k) + theta f_i),
+
+    where alpha minimises |sum_i alpha_i f_i| subject to sum_i alpha_i = 1
+    (the Pulay form of type-II Anderson, the same step as the fit of f_k by
+    the differences of f).  Each member fits alpha on its own entries: its
+    Gram matrix adds one dot product per run (`_runs`) in run order, and
+    all members' systems go through one batched solve, so a member gets, bit
+    for bit, the step its solve alone gets.  With one input so far, or for a
+    member whose fit is not finite, the step is the damped x_k + theta f_k.
+    The new input is written over the input that leaves the memory, and
+    that input's f serves as scratch.  The last input's f is not kept but
+    computed again from its outputs, which the caller holds anyway as its
+    best output, so between passes the history adds m + 1 inputs and m - 1
+    f's, m = `_ANDERSON_MEMORY`, to what the caller holds.
+    """
+
+    def __init__(self, x: Array, shapes, backend: Backend, theta: float):
+        self.theta = theta
+        self.members = getattr(backend, "members", 1)
+        self.runs = _runs(backend, shapes)
+        self.xs = [x]  # the latest inputs, oldest first; the last is the current one
+        self.fs: list[Array] = []  # f at each input but the last two
+        self.outputs: list[Array] | None = None  # G at the input before the current one
+        self.gram = np.zeros((self.members, 0, 0))  # <f_i, f_j> per member
+
+    @property
+    def x(self) -> Array:
+        return self.xs[-1]
+
+    def _parts(self, flat: Array) -> list[Array]:
+        """Both parts of flat as (runs, run length) views."""
+        return [flat[part].reshape(owners.shape[0], -1) for part, owners in self.runs]
+
+    def _dot(self, u: Array, v: Array) -> Array:
+        """Per member, its sum of u * v: one sum per run, the runs in order."""
+        total = np.zeros(self.members)
+        for (_, owners), pu, pv in zip(self.runs, self._parts(u), self._parts(v)):
+            total += np.bincount(owners, weights=np.einsum("rl,rl->r", pu, pv),
+                                 minlength=self.members)
+        return total
+
+    def _alpha(self, running: Array) -> tuple[Array, Array]:
+        """Each member's alpha, and whether its fit is finite (else alpha
+        picks the current input alone: the damped step)."""
+        size = self.gram.shape[1]
+        alpha = np.zeros((self.members, size))
+        alpha[:, -1] = 1.0
+        if size == 1:
+            return alpha, running
+        # the bordered system [[B, 1], [1', 0]] (alpha, lambda) = (0, 1), B
+        # scaled by its largest diagonal entry
+        system = np.zeros((self.members, size + 1, size + 1))
+        scale = self.gram[:, np.arange(size), np.arange(size)].max(axis=1)
+        scale[~(running & (scale > 0.0))] = 1.0
+        system[:, :size, :size] = self.gram / scale[:, None, None]
+        system[:, :size, size] = system[:, size, :size] = 1.0
+        system[~running] = np.eye(size + 1)
+        rhs = np.zeros((self.members, size + 1, 1))
+        rhs[:, size] = 1.0
+        try:
+            solved = np.linalg.solve(system, rhs)[:, :size, 0]
+        except np.linalg.LinAlgError:  # singular or not finite: each member alone
+            solved = np.full((self.members, size), np.nan)
+            for b in np.flatnonzero(running):
+                try:
+                    solved[b] = np.linalg.solve(system[b:b + 1], rhs[b:b + 1])[0, :size, 0]
+                except np.linalg.LinAlgError:
+                    pass
+        fitted = running & np.isfinite(solved).all(axis=1)
+        alpha[fitted] = solved[fitted]
+        return alpha, fitted
+
+    def _scaled(self, flat: Array, coef: Array, out: Array) -> None:
+        """out = flat times each entry's member's coefficient in coef (shape (B,))."""
+        for (_, owners), pf, po in zip(self.runs, self._parts(flat), self._parts(out)):
+            np.multiply(pf, coef[owners][:, None], out=po)
+
+    @staticmethod
+    def _f(outputs, x: Array) -> Array:
+        """f = G(x) - x as a flat vector, given the outputs G(x) per step."""
+        f = np.concatenate([out.reshape(-1) for out in outputs], out=np.empty_like(x))
+        f -= x
+        return f
+
+    def advance(self, outputs: list[Array], running: Array) -> Array:
+        """Move to the next input, given the outputs G(x) per step of the
+        current one, which it keeps until the next call; members where
+        `running` (shape (B,)) is False keep their entries.  Returns, per
+        member, whether its entries moved."""
+        if self.outputs is not None:  # the last input's f, bit for bit as before
+            self.fs.append(self._f(self.outputs, self.xs[-2]))
+            self.outputs = None
+        x = self.x
+        f = self._f(outputs, x)
+        fs = self.fs + [f]
+        row = np.stack([self._dot(old, f) for old in fs], axis=1)
+        gram = np.empty((self.members, len(fs), len(fs)))
+        gram[:, :-1, :-1] = self.gram
+        gram[:, -1] = row
+        gram[:, :, -1] = row
+        self.gram = gram
+        alpha, fitted = self._alpha(running)
+        # once the memory is full the new input overwrites the oldest one,
+        # whose f, read first, then serves as scratch
+        full = len(self.xs) > _ANDERSON_MEMORY
+        new = self.xs[0] if full else np.empty_like(x)
+        scratch = fs[0] if full else np.empty_like(x)
+        np.subtract(self.xs[0], x, out=new)
+        self._scaled(new, alpha[:, 0], new)
+        for i, f_i in enumerate(fs):
+            # x_0 - x_k went into new above; the current input's own is zero
+            if 0 < i < len(fs) - 1:
+                np.subtract(self.xs[i], x, out=scratch)
+                self._scaled(scratch, alpha[:, i], scratch)
+                new += scratch
+            self._scaled(f_i, self.theta * alpha[:, i], scratch)
+            new += scratch
+        new += x
+        moved = np.zeros(self.members, dtype=bool)
+        damped = running & ~fitted
+        for (_, owners), pn, px, pf in zip(
+                self.runs, self._parts(new), self._parts(x), self._parts(f)):
+            rows = damped[owners]
+            if rows.any():
+                pn[rows] = px[rows] + self.theta * pf[rows]
+            frozen = ~running[owners]
+            pn[frozen] = px[frozen]
+            moved |= np.bincount(owners, weights=np.count_nonzero(pn != px, axis=1),
+                                 minlength=self.members) > 0
+        if full:
+            del self.xs[0], self.fs[0]
+            self.gram = self.gram[:, 1:, 1:]
+        self.xs.append(new)
+        self.outputs = outputs
+        return moved
+
+
+def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfig, label: str):
+    """Anderson-mixed Picard iteration on a backward pair (a, b) on steps
+    0..N, 0..N-1.
+
+    `start` is the pair as `_start_pair` gives it, (flat vector, step
+    shapes); the iteration takes the vector over.  Each pass maps its input
+    (a, b) to the output G(a, b) = ``backward(forward(a, b))``: `forward`
+    gives the forward sweep at (a, b), and `backward` the output pair from
+    it plus its ridge-fallback count (a scalar, or one count per member).
+    A pass's residual is `_update_metric` between its output and its input,
+    the fixed-point residual, and the solve stops at the first output whose
+    residual is at most tol.  The next input is `_Mixing`'s Anderson step
+    with theta = damping.  An input that the step leaves unchanged in
+    floating point would repeat the pass bit for bit, so the solve also
+    stops there, converged, with a warning that gives the residual it
+    stalled at.  Divergence (residual above 10x its first value) raises
+    PicardDivergenceError; hitting max_picard keeps the output of lowest
+    residual with converged = False.  A last forward sweep at the returned
+    pair makes the forward recursion hold there.  Returns (fwd, a, b,
+    diagnostics), one SolveDiagnostics per member; warnings name `label`.
 
     On a member view (``drivers.MemberLattice``, ``drivers.MemberPaths``)
     every member runs this iteration on its own rows: its own residuals,
-    warnings, best output, ridge-fallback count, stop and divergence check.
-    A member that has stopped keeps its iterate, so the passes the others
-    still need repeat its last input and cannot change its result, and they
-    add nothing to its counts.  A plain backend is the one-member case.
+    warnings, best output, Anderson fit, ridge-fallback count, stop and
+    divergence check.  A member that has stopped keeps its input, so the
+    passes the others still need repeat its last output and cannot change
+    its result, and they add nothing to its counts.  A plain backend is the
+    one-member case.
     """
     members = getattr(backend, "members", 1)
-    a_in, b_in = start
-    prev_a, prev_b = start
-    theta = config.damping
+    x, shapes = start
+    split = backend.grid.steps + 1
+    mixing = _Mixing(x, shapes, backend, config.damping)
     histories: list[list[float]] = [[] for _ in range(members)]
     warnings: list[list[str]] = [[] for _ in range(members)]
     best = [np.inf] * members
     converged = [False] * members
     running = list(range(members))
     ridge_counts = [0] * members
-    best_a, best_b = a_in, b_in
+    best_a = best_b = None
 
     def pick(chosen: list[int], new: list, old: list) -> list:
         """Per step, the rows of the chosen members from new, the rest from old."""
@@ -278,9 +486,6 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
             out.append(np.where(rows, a, b))
         return out
 
-    def damped(new, old):
-        return [theta * n + (1.0 - theta) * o for n, o in zip(new, old)]
-
     def diagnostics(b: int) -> SolveDiagnostics:
         return SolveDiagnostics(
             iterations=len(histories[b]),
@@ -292,12 +497,14 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
         )
 
     for it in range(1, config.max_picard + 1):
+        views = _views(mixing.x, shapes)
+        a_in, b_in = views[:split], views[split:]
         a_out, b_out, ridge = backward(forward(a_in, b_in))
         if np.any(ridge):  # only the members still running count this pass
             ridge = np.broadcast_to(ridge, (members,))
             for b in running:
                 ridge_counts[b] += int(ridge[b])
-        residual = _update_metric(backend, a_out, b_out, prev_a, prev_b).tolist()
+        residual = _update_metric(backend, a_out, b_out, a_in, b_in).tolist()
         improved, still = [], []
         for b in running:
             r, history = residual[b], histories[b]
@@ -320,11 +527,23 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
             first = histories[b][0]
             if first > 0.0 and histories[b][-1] > 10.0 * first:
                 raise PicardDivergenceError(diagnostics(b))
+        if not running or it == config.max_picard:
+            break
+        mask = np.zeros(members, dtype=bool)
+        mask[running] = True
+        moved = mixing.advance(a_out + b_out, mask)
+        # an input that did not move in floating point would repeat this
+        # pass's output bit for bit: the solve is as converged as it can get
+        for b in running:
+            if not moved[b]:
+                converged[b] = True
+                warnings[b].append(
+                    f"{label} iterate stalled at residual {histories[b][-1]:.3e} "
+                    f"at iteration {it}")
+        running = [b for b in running if moved[b]]
         if not running:
             break
-        a_in = pick(running, damped(a_out, a_in), a_in)
-        b_in = pick(running, damped(b_out, b_in), b_in)
-        prev_a, prev_b = a_out, b_out
+    del mixing  # the last forward sweep runs without the history
     return forward(best_a, best_b), best_a, best_b, tuple(diagnostics(b) for b in range(members))
 
 
@@ -346,7 +565,7 @@ def solve_members(
     xs, ys, zs, diagnostics = damped_picard(
         lambda ys, zs: forward_pass(problem, u, ys, zs, backend),
         lambda xs: backward_pass(problem, u, xs, backend),
-        _start_pair(backend, initial, (m,), (m, d)),
+        _start_pair(backend, (m,), (m, d), initial),
         backend,
         config,
         "picard",
@@ -361,7 +580,8 @@ def solve_fbsde(
     config: FbsdeConfig = FbsdeConfig(),
     initial=None,
 ) -> tuple[StateTrajectory, SolveDiagnostics]:
-    """Damped Picard iteration until the (y, z) pass output stabilizes.
+    """`damped_picard` on the state's (y, z) until a pass's output is
+    within tol of its input.
 
     `initial` warm-starts the backward pair with (ys, zs) from an earlier
     solve.  Divergence and the iteration cap behave as in `damped_picard`.

@@ -54,8 +54,12 @@ class TestZeroProblem:
         backend = lattice(12)
         problem, u, traj = _setup(zero_spec(), backend)
         adj, diag = solve_adjoint(problem, traj, u, 1, backend)
+        # the costate map ignores its input here, so pass 1's output is
+        # exact; the damped step goes halfway there (damping 0.5), the first
+        # Anderson step lands on it, and pass 3 finds a zero residual
         assert diag.converged
-        assert diag.iterations <= 2
+        assert diag.iterations == 3
+        assert diag.residual_history[-1] == 0.0
         for j in range(13):
             np.testing.assert_array_equal(adj.p[j], 1.0)
             np.testing.assert_array_equal(adj.k[j], 0.0)
@@ -344,10 +348,10 @@ def test_paired_solve_is_each_solve_alone(case, start):
 
 def test_paired_ridge_fallbacks_count_each_players_own_passes():
     # every path starts at x(0), so step 0's two fits take the ridge fallback
-    # on every pass; player 2 needs one pass more than player 1 here, and that
-    # pass must not add to player 1's count
+    # on every pass; player 2 needs one pass more than player 1 at these
+    # controls, and that pass must not add to player 1's count
     problem, backend, config = _paired_case("montecarlo-2d")
-    u = random_controls(problem, backend)
+    u = random_controls(problem, backend, seed=19)
     traj, _ = solve_fbsde(problem, u, backend, config)
     _, (d1, d2) = solve_adjoints(problem, traj, u, backend, config)
     assert d1.iterations < d2.iterations

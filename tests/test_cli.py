@@ -104,7 +104,8 @@ class TestSolve:
             "k1_1,p1_1,q1_11,k2_1,p2_1,q2_11"
         )
         history_header = (out / "history.csv").read_text().splitlines()[0]
-        assert history_header == "iteration,J1,J2,rho1,rho2,alpha,evaluations,extrapolated"
+        assert history_header == ("iteration,J1,J2,rho1,rho2,alpha,evaluations,extrapolated,"
+                                  "state_passes,costate_passes")
 
     def test_byte_reproducibility(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -295,6 +296,29 @@ class TestVerify:
         cert = json.loads((vout / "certificate.json").read_text())
         assert cert["verdict"] == "certified"
         assert cert["rho1"] < 1e-5
+
+    @pytest.mark.parametrize("config", [
+        "configs/coupled_game.json",
+        "configs/two_step_oracle.json",
+        "configs/single_player_lqr.json",
+        "perfbench/configs/coupled_mc.json",
+    ])
+    def test_verify_reproduces_the_residuals_solve_reports(self, tmp_path, config):
+        # verify solves its inner systems cold where solve warm-starts them;
+        # both must be accurate enough that the residuals agree to within
+        # the outer tolerance, or a recheck could flip a verdict
+        path = str(Path(__file__).resolve().parents[1] / config)
+        out, vout = tmp_path / "solve", tmp_path / "verify"
+        assert run("solve", "--config", path, "--out", str(out)) == EXIT_OK
+        code = run("verify", "--config", path, "--out", str(vout),
+                   "--controls", str(out / "controls.csv"))
+        report = json.loads((out / "report.json").read_text())
+        cert = json.loads((vout / "certificate.json").read_text())
+        assert code == EXIT_OK
+        assert cert["verdict"] == report["verdict"]
+        tolerance = load_config(path).gradient.tolerance
+        for key in ("rho1", "rho2"):
+            assert abs(cert[key] - report[key]) <= tolerance, key
 
     def test_shifted_controls_are_refuted_with_positive_rho(self, tmp_path):
         cfg, out = self._solved(tmp_path)

@@ -85,9 +85,10 @@ def reference_controls(dims, backend, u) -> str:
 
 def reference_history(history) -> str:
     rows = [[str(r.iteration), _fmt(r.j1), _fmt(r.j2), _fmt(r.rho1), _fmt(r.rho2),
-             _fmt(r.step_size), str(r.evaluations), str(int(r.extrapolated))] for r in history]
+             _fmt(r.step_size), str(r.evaluations), str(int(r.extrapolated)),
+             str(r.state_passes), str(r.costate_passes)] for r in history]
     return _csv(["iteration", "J1", "J2", "rho1", "rho2", "alpha", "evaluations",
-                 "extrapolated"], rows)
+                 "extrapolated", "state_passes", "costate_passes"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +149,8 @@ def test_writers_match_the_per_cell_reference(tmp_path, case):
 def test_history_matches_the_per_cell_reference(tmp_path):
     rng = np.random.default_rng(2)
     history = [IterationRecord(i, *rng.choice(SPECIAL, 5), int(rng.integers(0, 40)),
-                               bool(i % 3)) for i in range(12)]
+                               bool(i % 3), *(int(n) for n in rng.integers(0, 4000, 2)))
+               for i in range(12)]
     write_history(tmp_path / "history.csv", types.SimpleNamespace(history=history))
     assert (tmp_path / "history.csv").read_text() == reference_history(history)
 

@@ -31,7 +31,7 @@ from fbsdegames import (
     solve_nash,
     vi_residual,
 )
-from fbsdegames import equilibrium, hamiltonian
+from fbsdegames import adjoint, equilibrium, fbsde, hamiltonian
 from fbsdegames.cli import OracleOptions, build_backend, load_config, main
 
 from conftest import (
@@ -294,7 +294,7 @@ class TestAnderson:
         assert history[:, 6].sum() == len(evaluated)
 
     @pytest.mark.parametrize("name, evaluations", [
-        ("coupled_game", 8), ("two_step_oracle", 8), ("single_player_lqr", 6)])
+        ("coupled_game", 6), ("two_step_oracle", 8), ("single_player_lqr", 6)])
     def test_shipped_configs_take_pinned_evaluation_counts(
             self, tmp_path, monkeypatch, name, evaluations):
         # a counter, not a timing: more evaluations mean a slower solve
@@ -303,6 +303,25 @@ class TestAnderson:
         assert report["converged"]
         assert len(evaluated) == evaluations
         assert history[:, 6].sum() == evaluations
+
+    def test_history_counts_every_inner_pass(self, tmp_path, monkeypatch):
+        # a paired costate solve runs until both players stop, so it counts
+        # its longest member's passes
+        passes = {"picard": 0, "costate": 0}
+        original = fbsde.damped_picard
+
+        def counting(*args):
+            out = original(*args)
+            passes[args[-1]] += max(diag.iterations for diag in out[3])
+            return out
+
+        monkeypatch.setattr(fbsde, "damped_picard", counting)
+        monkeypatch.setattr(adjoint, "damped_picard", counting)
+        raw = json.loads((CONFIGS / "coupled_game.json").read_text())
+        raw.update(steps=16)
+        _, history, _ = _counted_solve(tmp_path, monkeypatch, raw)
+        assert history[:, 8].sum() == passes["picard"] > 0
+        assert history[:, 9].sum() == passes["costate"] > 0
 
     def test_solve_residuals_hold_up_at_a_tight_inner_tolerance(self, tmp_path, monkeypatch):
         # larger outer steps make the warm starts colder; the residuals

@@ -17,10 +17,12 @@ from fbsdegames import (
     lq_to_problem,
     random_lq_spec,
     solve_adjoint,
+    solve_adjoints,
     solve_fbsde,
 )
 from fbsdegames.drivers import MemberLattice
 from fbsdegames.fbsde import solve_members
+from fbsdegames.problem import validate_problem
 
 import reference_values as ref
 from conftest import (
@@ -118,8 +120,10 @@ class TestMartingaleRepresentation:
 
 
 def test_decoupled_problem_needs_two_passes():
-    # forward coefficients blind to (y, z): pass 1 is already exact and
-    # pass 2 merely confirms it
+    # forward coefficients blind to (y, z): pass 1 is already exact.  At
+    # damping 1 pass 2 starts there and confirms it; at damping 0.5 the
+    # damped step goes halfway, the first Anderson step lands on it, and
+    # pass 3 confirms it
     spec = coupled_lq_spec()
     spec = dataclasses.replace(
         spec,
@@ -128,9 +132,11 @@ def test_decoupled_problem_needs_two_passes():
             dataclasses.replace(spec.diffusion[0], B=np.zeros((1, 1)), C=np.zeros((1, 1))),
         ),
     )
-    _, _, _, diag = _solve(spec, lattice(16))
-    assert diag.converged
-    assert diag.iterations <= 2
+    for damping, passes in ((1.0, 2), (0.5, 3)):
+        _, _, _, diag = _solve(spec, lattice(16), damping=damping)
+        assert diag.converged
+        assert diag.iterations == passes
+        assert diag.residual_history[-1] == 0.0
 
 
 def test_coupled_problem_converges_and_reports_history():
@@ -265,6 +271,86 @@ def test_member_solve_is_each_solve_alone(spec, capped):
                 np.testing.assert_array_equal(member(view, got, b), want)
         j_alone = eval_cost(problem, ref, profiles[b], 1)[0]
         assert eval_cost(problem, traj, u, 1)[0][b] == j_alone
+
+
+def _nonlinear_problem():
+    """The coupled LQ game plus bounded smooth terms in b and sigma that
+    involve the controls: the Picard map is not affine, so Anderson mixing
+    cannot solve it as a linear system."""
+    problem = lq_to_problem(coupled_lq_spec())
+    co = problem.coefficients
+
+    def b(t, x, y, z, u1, u2):
+        return co.b(t, x, y, z, u1, u2) + 0.5 * np.tanh(y + u1)
+
+    def b_y(t, x, y, z, u1, u2):
+        return co.b_y(t, x, y, z, u1, u2) + (0.5 / np.cosh(y + u1) ** 2)[:, :, None]
+
+    def b_u1(t, x, y, z, u1, u2):
+        return co.b_u1(t, x, y, z, u1, u2) + (0.5 / np.cosh(y + u1) ** 2)[:, :, None]
+
+    def sigma(t, x, y, z, u1, u2):
+        return co.sigma(t, x, y, z, u1, u2) + 0.1 * np.sin(x + u2)[:, :, None]
+
+    def sigma_x(t, x, y, z, u1, u2):
+        return co.sigma_x(t, x, y, z, u1, u2) + (0.1 * np.cos(x + u2))[:, None, :, None]
+
+    def sigma_u2(t, x, y, z, u1, u2):
+        return co.sigma_u2(t, x, y, z, u1, u2) + (0.1 * np.cos(x + u2))[:, None, :, None]
+
+    return dataclasses.replace(problem, coefficients=dataclasses.replace(
+        co, b=b, b_y=b_y, b_u1=b_u1, sigma=sigma, sigma_x=sigma_x, sigma_u2=sigma_u2))
+
+
+class TestNonlinearProblem:
+    def test_partials_are_consistent(self):
+        assert validate_problem(_nonlinear_problem(), samples=60, seed=3, probe_radius=None).passed
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_solve_matches_a_tight_solve_within_sqrt_tol(self, tol):
+        problem = _nonlinear_problem()
+        backend = lattice(32)
+        tight = FbsdeConfig(tol=1e-28, max_picard=200)
+        for seed in range(3):
+            u = random_controls(problem, backend, seed)
+            traj, diag = solve_fbsde(problem, u, backend, FbsdeConfig(tol=tol))
+            ref, ref_diag = solve_fbsde(problem, u, backend, tight)
+            assert diag.converged and ref_diag.converged
+            assert diag.iterations < ref_diag.iterations
+            for field in ("y", "z"):
+                for got, want in zip(getattr(traj, field), getattr(ref, field)):
+                    assert np.abs(got - want).max() <= np.sqrt(tol)
+
+    def test_member_solve_is_each_solve_alone(self):
+        problem = _nonlinear_problem()
+        backend = lattice(8)
+        profiles = _scaled_profiles(problem, backend)
+        config = FbsdeConfig(tol=1e-12, max_picard=200)
+        alone = [solve_fbsde(problem, u, backend, config) for u in profiles]
+        assert len({diag.iterations for _, diag in alone}) > 1
+        view, u = _member_batch(problem, backend, profiles)
+        traj, diagnostics = solve_members(problem, u, view, config)
+        for b, (ref, ref_diag) in enumerate(alone):
+            assert diagnostics[b] == ref_diag
+            for field in ("x", "y", "z"):
+                for got, want in zip(getattr(traj, field), getattr(ref, field)):
+                    np.testing.assert_array_equal(member(view, got, b), want)
+
+    def test_paired_costate_solve_is_each_solve_alone(self):
+        # Monte Carlo members share the state, so the member batch here is
+        # the two players' costates along one solved trajectory
+        problem = _nonlinear_problem()
+        backend = montecarlo(8, paths=256)
+        config = FbsdeConfig(tol=1e-12)
+        u = random_controls(problem, backend)
+        traj, _ = solve_fbsde(problem, u, backend, config)
+        adjoints, diagnostics = solve_adjoints(problem, traj, u, backend, config)
+        for player, got, diag in zip((1, 2), adjoints, diagnostics):
+            want, want_diag = solve_adjoint(problem, traj, u, player, backend, config)
+            assert diag == want_diag
+            for field in ("k", "p", "q"):
+                for a, b in zip(getattr(got, field), getattr(want, field), strict=True):
+                    np.testing.assert_array_equal(a, b)
 
 
 def test_member_solve_raises_the_first_divergence():
