@@ -80,14 +80,11 @@ class GradientConfig:
     step is alpha in the map T(u) = Proj_U(u - alpha grad_u H) that the
     search extrapolates, and the first length of the fallback backtracking,
     which halves it until the merit decreases, at most max_halvings times.
-    mode selects simultaneous two-player updates or alternating
-    single-player sweeps.
     """
 
     step: float = 0.1
     max_iterations: int = 500
     tolerance: float = 1e-6
-    mode: str = "simultaneous"
     max_halvings: int = 20
 
     def __post_init__(self) -> None:
@@ -95,8 +92,6 @@ class GradientConfig:
             raise ValueError(f"step must be positive, got {self.step}")
         if not self.tolerance > 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.mode not in ("simultaneous", "best-response"):
-            raise ValueError(f"mode must be 'simultaneous' or 'best-response', got {self.mode!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.max_halvings < 0:
@@ -312,10 +307,9 @@ def _evaluate(problem, u, backend, config, warm=None) -> _EvalState:
     return _EvalState(traj=traj, adj1=adj1, adj2=adj2, vi=vi, fbsde_diag=fd, adj_diag=adj_diag)
 
 
-def _stepped(problem, u, state, alpha, players) -> ControlProcess:
+def _stepped(problem, u, state, alpha) -> ControlProcess:
     out = u
-    for player in players:
-        grads = state.vi.grad1 if player == 1 else state.vi.grad2
+    for player, grads in ((1, state.vi.grad1), (2, state.vi.grad2)):
         box = problem.box(player)
         out = out.replace_player(
             player,
@@ -329,17 +323,16 @@ _ANDERSON_MEMORY = 4
 
 
 class _Anderson:
-    """Type-II Anderson extrapolation of T for the controls of one player group.
+    """Type-II Anderson extrapolation of T for both players' controls.
 
-    x is the group's controls flattened player by player and step by step,
-    and f = T(u) - u at x.  The last `_ANDERSON_MEMORY` differences of x and
-    of f fill preallocated rows in turn, so the history is those two arrays
+    x is the controls flattened player by player and step by step, and
+    f = T(u) - u at x.  The last `_ANDERSON_MEMORY` differences of x and of
+    f fill preallocated rows in turn, so the history is those two arrays
     plus the last x and f.
     """
 
-    def __init__(self, group: tuple[int, ...], u: ControlProcess):
-        self.group = group
-        self.shapes = [a.shape for player in group for a in u.player(player)]
+    def __init__(self, u: ControlProcess):
+        self.shapes = [a.shape for player in (1, 2) for a in u.player(player)]
         ends = np.cumsum([int(np.prod(shape)) for shape in self.shapes], dtype=int)
         self.splits, size = ends[:-1], int(ends[-1])
         self.dx = np.empty((_ANDERSON_MEMORY, size))
@@ -348,11 +341,12 @@ class _Anderson:
         self.x: Array | None = None
         self.f: Array | None = None
 
-    def _flat(self, u: ControlProcess) -> Array:
-        return np.concatenate([a.ravel() for player in self.group for a in u.player(player)])
+    @staticmethod
+    def _flat(u: ControlProcess) -> Array:
+        return np.concatenate([a.ravel() for player in (1, 2) for a in u.player(player)])
 
     def record(self, u: ControlProcess, mapped: ControlProcess) -> None:
-        """Add x = u and f = T(u) - u, where mapped = T(u) on the group."""
+        """Add x = u and f = T(u) - u, where mapped = T(u)."""
         x = self._flat(u)
         f = self._flat(mapped)
         f -= x
@@ -364,9 +358,9 @@ class _Anderson:
         self.x, self.f = x, f
 
     def point(self, problem: GameProblem, u: ControlProcess) -> ControlProcess | None:
-        """u with the group's controls at the projected Anderson point
-        x + f - (dX + dF) gamma, gamma the least-squares fit of f by dF;
-        None while there is no difference to combine."""
+        """The projected Anderson point x + f - (dX + dF) gamma, gamma the
+        least-squares fit of f by dF; None while there is no difference to
+        combine."""
         used = min(self.differences, _ANDERSON_MEMORY)
         if used == 0:
             return None
@@ -378,22 +372,22 @@ class _Anderson:
         flat -= gamma @ df
         pieces = (a.reshape(shape) for a, shape in zip(np.split(flat, self.splits), self.shapes))
         out = u
-        for player in self.group:
+        for player in (1, 2):
             box = problem.box(player)
             out = out.replace_player(player, [box.project(next(pieces)) for _ in range(u.steps)])
         return out
 
 
 def _advance(problem, backend, fbsde_config, grad_config, anderson, u, state):
-    """One player group's update from (u, state): its Anderson point, then
-    the plain step T(u), then that step at halved lengths, until a trial
-    strictly lowers the merit.  A trial whose solve diverges is skipped.
+    """One update from (u, state): the Anderson point, then the plain step
+    T(u), then that step at halved lengths, until a trial strictly lowers
+    the merit.  A trial whose solve diverges is skipped.
 
     Returns ((u, state, alpha, extrapolated) of the accepted trial, or None)
     and the (evaluations, state passes, costate passes) spent.
     """
     alpha = grad_config.step
-    anderson.record(u, _stepped(problem, u, state, alpha, anderson.group))
+    anderson.record(u, _stepped(problem, u, state, alpha))
 
     def trials():
         # one candidate's controls alive at a time: the plain step is formed
@@ -404,7 +398,7 @@ def _advance(problem, backend, fbsde_config, grad_config, anderson, u, state):
         del point
         length = alpha
         for _ in range(grad_config.max_halvings + 1):
-            yield _stepped(problem, u, state, length, anderson.group), length, False
+            yield _stepped(problem, u, state, length), length, False
             length *= 0.5
 
     spent = np.zeros(3, dtype=int)
@@ -430,25 +424,21 @@ def solve_nash(
 ) -> EquilibriumReport:
     """Drive both stationarity residuals to the tolerance, then certify.
 
-    Each outer iteration updates the player groups of the mode in turn, (1, 2)
-    when simultaneous and (1,) then (2,) in best-response mode, each through
-    `_advance` with its own Anderson history.  A group with no difference
-    recorded yet starts at the plain step.  A fully failed iteration ends
-    the search: the loop is deterministic, so repeating it cannot help.  A
-    step is accepted only when the merit strictly decreases, so the current
-    iterate is always the best one so far, and it is the one returned.  The
-    Anderson histories are released before the certificate is built.
+    Each outer iteration moves both players' controls at once through
+    `_advance`, with one Anderson history; the first iteration, with no
+    difference recorded yet, starts at the plain step.  A failed iteration
+    ends the search: the loop is deterministic, so repeating it cannot
+    help.  A step is accepted only when the merit strictly decreases, so
+    the current iterate is always the best one so far, and it is the one
+    returned.  The Anderson history is released before the certificate is
+    built.
     """
     u = initial if initial is not None else ControlProcess.midpoint(problem, backend)
     state = _evaluate(problem, u, backend, fbsde_config)
     spent = state.spent  # (evaluations, state passes, costate passes) of the iteration
     history: list[IterationRecord] = []
     warnings: list[str] = []
-    players_by_mode = {
-        "simultaneous": ((1, 2),),
-        "best-response": ((1,), (2,)),
-    }[grad_config.mode]
-    histories = {group: _Anderson(group, u) for group in players_by_mode}
+    anderson = _Anderson(u)
 
     def record(alpha, extrapolated):
         """The current iteration's IterationRecord."""
@@ -463,22 +453,17 @@ def solve_nash(
         if state.merit <= grad_config.tolerance:
             history.append(record(0.0, False))
             break
-        accepted_alpha = 0.0
-        improved = extrapolated = False
-        for group in players_by_mode:
-            accepted, evaluations = _advance(
-                problem, backend, fbsde_config, grad_config, histories[group], u, state)
-            spent += evaluations
-            if accepted is not None:
-                u, state, accepted_alpha, point = accepted
-                improved = True
-                extrapolated = extrapolated or point
-        history.append(record(accepted_alpha, extrapolated))
-        spent = np.zeros(3, dtype=int)
-        if not improved:
+        accepted, evaluations = _advance(
+            problem, backend, fbsde_config, grad_config, anderson, u, state)
+        spent += evaluations
+        if accepted is None:
+            history.append(record(0.0, False))
             warnings.append(f"no improving step at iteration {it}; search stopped")
             break
-    del histories
+        u, state, accepted_alpha, extrapolated = accepted
+        history.append(record(accepted_alpha, extrapolated))
+        spent = np.zeros(3, dtype=int)
+    del anderson
     converged = state.merit <= grad_config.tolerance
     j1, se1 = eval_cost(problem, state.traj, u, 1)
     j2, se2 = eval_cost(problem, state.traj, u, 2)

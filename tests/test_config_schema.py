@@ -33,8 +33,7 @@ CLASSES = {
 DEFAULTS = {
     "fbsde": {"max_picard": 50, "damping": 0.5, "tol": 1e-8},
     "gradient": {
-        "step": 0.1, "max_iterations": 500, "tolerance": 1e-6,
-        "mode": "simultaneous", "max_halvings": 20,
+        "step": 0.1, "max_iterations": 500, "tolerance": 1e-6, "max_halvings": 20,
     },
     "certificate": {
         "radius": None, "grid_density": 33, "pointwise_tol": 1e-8,
@@ -56,7 +55,6 @@ OUT_OF_RANGE = [
     ("gradient", "step", -0.1),
     ("gradient", "max_iterations", 0),
     ("gradient", "tolerance", 0.0),
-    ("gradient", "mode", "newton"),
     ("gradient", "max_halvings", -1),
     ("certificate", "radius", 0.0),
     ("certificate", "grid_density", 2),
@@ -133,6 +131,13 @@ def test_every_field_is_a_key_and_no_other_key_is(tmp_path, capsys, block):
     assert field_values(parsed_block(block, every)) == field_values(parsed_block(block, {}))
     assert run_solve(tmp_path, config_with(block, {**every, "bogus": 1})) == EXIT_CONFIG
     assert f"config error at '{block}.bogus': unknown key" in capsys.readouterr().err
+
+
+def test_removed_gradient_mode_is_an_unknown_key(tmp_path, capsys):
+    # gradient.mode ("simultaneous" or "best-response") is gone: both players
+    # always move together
+    assert run_solve(tmp_path, config_with("gradient", {"mode": "simultaneous"})) == EXIT_CONFIG
+    assert "config error at 'gradient.mode': unknown key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("block", CLASSES)

@@ -168,7 +168,7 @@ class TestSolveNash:
         sym_drift = dataclasses.replace(spec.drift, D2=spec.drift.D1)
         sym_driver = dataclasses.replace(spec.driver, D2=spec.driver.D1)
         spec = dataclasses.replace(spec, drift=sym_drift, driver=sym_driver)
-        _, report = _nash(spec, lattice(16), mode="simultaneous")
+        _, report = _nash(spec, lattice(16))
         assert report.converged
         for a, b in zip(report.controls.u1, report.controls.u2):
             np.testing.assert_array_equal(a, b)
@@ -202,10 +202,6 @@ class TestSolveNash:
             j1_alt, _ = eval_cost(problem, traj, u_alt, 1)
             assert report.j1 <= j1_alt + 1e-6
 
-    def test_best_response_mode_also_converges(self):
-        _, report = _nash(coupled_lq_spec(), lattice(12), mode="best-response")
-        assert report.converged
-
     def test_iteration_cap_returns_unconverged_report(self):
         _, report = _nash(coupled_lq_spec(), lattice(12), max_iterations=2, tolerance=1e-12)
         assert not report.converged
@@ -237,8 +233,7 @@ class TestSolveNash:
         assert report.converged
         assert report.rho2 == 0.0
 
-    @pytest.mark.parametrize("mode", ["simultaneous", "best-response"])
-    def test_each_evaluation_computes_the_control_gradients_once(self, monkeypatch, mode):
+    def test_each_evaluation_computes_the_control_gradients_once(self, monkeypatch):
         # a trial step reads the gradients the VI residual already computed
         counts = {"evaluate": 0, "gradient": 0}
 
@@ -252,7 +247,7 @@ class TestSolveNash:
         gradient = counted("gradient", hamiltonian.control_gradient)
         monkeypatch.setattr(hamiltonian, "control_gradient", gradient)
         monkeypatch.setattr(equilibrium, "control_gradient", gradient)
-        _, report = _nash(coupled_lq_spec(), lattice(8), max_iterations=4, mode=mode)
+        _, report = _nash(coupled_lq_spec(), lattice(8), max_iterations=4)
         assert counts["evaluate"] > report.iterations > 1
         assert counts["gradient"] == 2 * counts["evaluate"]
 
@@ -277,11 +272,9 @@ def _counted_solve(tmp_path, monkeypatch, raw):
 
 
 class TestAnderson:
-    @pytest.mark.parametrize("mode", ["simultaneous", "best-response"])
-    def test_binding_box_keeps_trials_feasible_and_merit_falling(self, tmp_path, monkeypatch, mode):
+    def test_binding_box_keeps_trials_feasible_and_merit_falling(self, tmp_path, monkeypatch):
         raw = json.loads((CONFIGS / "coupled_game.json").read_text())
         raw.update(steps=16, box1={"radius": 0.2}, box2={"radius": 0.2})
-        raw["gradient"]["mode"] = mode
         evaluated, history, report = _counted_solve(tmp_path, monkeypatch, raw)
         box = ControlBox.symmetric(1, 0.2)
         assert all(box.contains(a) for u in evaluated for a in u.u1 + u.u2)
@@ -456,8 +449,6 @@ class TestBruteForce:
 def test_gradient_config_validation():
     with pytest.raises(ValueError):
         GradientConfig(step=0.0)
-    with pytest.raises(ValueError):
-        GradientConfig(mode="newton")
     with pytest.raises(ValueError):
         GradientConfig(max_iterations=0)
 
