@@ -14,15 +14,15 @@ This is a coupled forward-backward system of the state system's shape, so
 it runs through the ``fbsde`` sweeps and `fbsde.damped_picard`; this module
 supplies only its per-step coefficients and driver.  The partials in G_v
 depend on (t, x, y, z, u1, u2) alone, which a solve holds fixed, so they
-are stacked once per step into one matrix acting on (p, q flattened, k),
-with l_iv beside it.  The two players' systems share that matrix and differ
+are stacked once per solve, in one call over the rows of all steps, into
+one matrix per row acting on (p, q flattened, k), with l_iv beside it.  The two players' systems share that matrix and differ
 only in l_iv, p[N] and k[0]; `solve_adjoints` solves them over a two-member
 axis (``drivers.member_view``), and each player's result is bit for bit
 that of its solve alone, which `solve_adjoint` is.
 
-`costate_combination` assembles G_v from the callbacks at a single step; it
-is the reference the solver is tested against, and the ``hamiltonian``
-module's gradients of H_i call it.  `duality_residual` evaluates the
+`costate_combination` assembles G_v from the callbacks on any rows (one
+step's, or all steps' with t per row); it is the reference the solver is
+tested against, and the ``hamiltonian`` module's gradients of H_i call it.  `duality_residual` evaluates the
 discrete integration-by-parts identity that links a costate solved at one
 control to the state perturbation induced by another; it decays at first
 order in dt and vanishes termwise when the controls agree.
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import Backend, member_view
+from .drivers import Backend, StepArray, member_view
 from .fbsde import (
     ControlProcess,
     FbsdeConfig,
@@ -43,8 +43,8 @@ from .fbsde import (
     StateTrajectory,
     _backward_sweep,
     _forward_sweep,
+    _pair_views,
     _start_pair,
-    _views,
     damped_picard,
 )
 from .problem import GameProblem
@@ -62,12 +62,17 @@ class NonFiniteCostateError(NonFiniteStateError):
 
 @dataclass(frozen=True)
 class AdjointTrajectory:
-    """Costate fields for one player: k, p on steps 0..N, q on 0..N-1."""
+    """Costate fields for one player: k, p on steps 0..N, q on 0..N-1;
+    per-step arrays given in place of StepArrays are copied into one."""
 
     player: int
-    k: tuple[Array, ...]
-    p: tuple[Array, ...]
-    q: tuple[Array, ...]
+    k: StepArray
+    p: StepArray
+    q: StepArray
+
+    def __post_init__(self) -> None:
+        for name in ("k", "p", "q"):
+            object.__setattr__(self, name, StepArray.of(getattr(self, name)))
 
     @property
     def steps(self) -> int:
@@ -78,7 +83,7 @@ def costate_combination(
     problem: GameProblem,
     player: int,
     var: str,
-    t: float,
+    t: float | Array,
     x: Array,
     y: Array,
     z: Array,
@@ -88,7 +93,8 @@ def costate_combination(
     q: Array,
     k: Array,
 ) -> Array:
-    """b_v' p + sigma_v' q - f_v' k + l_iv for var v, shape (S, dim_v).
+    """b_v' p + sigma_v' q - f_v' k + l_iv for var v, shape (S, dim_v), with
+    t a float or one time per row.
 
     sigma_v' q contracts each Brownian column's Jacobian with the matching
     column of q.  For var = "z" the result is flattened C-order like z.
@@ -144,15 +150,18 @@ def _costate_matrix(problem: GameProblem, players, var_names: tuple[str, ...], a
 def _step_partials(problem, traj, u, players, view):
     """Per step, the (M, l) of (G_y, G_z) for the forward k-step and of G_x
     for the backward step, on the rows of `view`, one member per player in
-    `players`.  Both depend on (t, x, y, z, u1, u2) only, which the solve
-    holds fixed."""
-    knots = view.grid.knots
-    forward, backward = [], []
-    for j in range(view.grid.steps):
-        args = (float(knots[j]), traj.x[j], traj.y[j], traj.z[j], u.u1[j], u.u2[j])
-        forward.append(_costate_matrix(problem, players, ("y", "z"), args, view.stack))
-        backward.append(_costate_matrix(problem, players, ("x",), args, view.stack))
-    return forward, backward
+    `players`: views of one evaluation over the rows of all steps.  Both
+    depend on (t, x, y, z, u1, u2) only, which the solve holds fixed."""
+    N = view.grid.steps
+    base = traj.backend
+    args = (base.times[: base.offsets[N]], traj.x.leading(N), traj.y.leading(N), traj.z.rows,
+            u.u1.rows, u.u2.rows)
+    bounds = list(zip(view.offsets[:N], view.offsets[1:N + 1]))
+    out = []
+    for var_names in (("y", "z"), ("x",)):
+        mat, l_iv = _costate_matrix(problem, players, var_names, args, view.stack)
+        out.append([(mat[a:b], l_iv[a:b]) for a, b in bounds])
+    return out
 
 
 def _combine(partials, p: Array, q: Array, k: Array) -> Array:
@@ -221,11 +230,14 @@ def solve_adjoints(
     k0 = stack([-np.asarray(problem.costs.initial_grad(i)(traj.y[0]), dtype=float)
                 for i in players])
     if initial is not None:
-        # per field (ps, qs), per step: the players' arrays, stacked as copied in
-        initial = tuple((stack(arrays) for arrays in zip(*field)) for field in zip(*initial))
+        # per field (ps, qs): the players' rows of all steps, stacked
+        initial = tuple(stack([StepArray.of(own).rows for own in field])
+                        for field in zip(*initial))
+        initial = (StepArray(initial[0], view.offsets), StepArray(initial[1], view.offsets[:N + 1]))
     start = _start_pair(view, (n,), (n, d), initial)
     del initial
-    _views(*start)[N][...] = p_terminal  # p[N] is data: the first residual sees no update there
+    # p[N] is data: the first residual sees no update there
+    _pair_views(view, *start)[0][N][...] = p_terminal
     forward, backward = _step_partials(problem, traj, u, players, view)
 
     def forward_k(ps, qs):
@@ -243,13 +255,15 @@ def solve_adjoints(
             view, p_terminal, traj.x, lambda j, p, q: _combine(backward[j], p, q, ks[j]))
 
     ks, ps, qs, diagnostics = damped_picard(forward_k, backward_pq, start, view, config, "costate")
-    k, p, q = ([view.unstack(a) for a in arrays] for arrays in (ks, ps, qs))
+    # each player's rows of all steps: one copy per field, none for a lone player
+    k, p, q = (view.unstack(a.rows) for a in (ks, ps, qs))
+    offsets = backend.offsets
     adjoints = tuple(
         AdjointTrajectory(
             player=player,
-            k=tuple(a[b] for a in k),
-            p=tuple(a[b] for a in p),
-            q=tuple(a[b] for a in q),
+            k=StepArray(k[b], offsets),
+            p=StepArray(p[b], offsets),
+            q=StepArray(q[b], offsets[:N + 1]),
         )
         for b, player in enumerate(players)
     )

@@ -676,9 +676,8 @@ def read_controls(path: Path, problem: GameProblem, backend: Backend) -> Control
     ordered = _controls_table(lines[1:], len(header), counts)
     if ordered is None:
         raise _first_controls_error(path, lines[1:], len(header), counts)
-    steps = np.split(ordered, np.cumsum(counts)[:-1])
-    return ControlProcess(u1=tuple(v[:, :k1].copy() for v in steps),
-                          u2=tuple(v[:, k1:].copy() for v in steps))
+    return ControlProcess.from_rows(ordered[:, :k1], ordered[:, k1:],
+                                    backend.offsets[: backend.grid.steps + 1])
 
 
 def _diag_dict(diag) -> dict:

@@ -16,12 +16,18 @@ Two interchangeable backends drive every solver:
   independent problems on one ensemble; the costate solve runs both
   players' systems through it.
 
-Scenario-indexed processes are stored per step as arrays with a leading
-scenario axis: lattice step j has j + 1 rows, Monte Carlo always P rows.
+A scenario-indexed process is one `StepArray`: a single (rows, ...) array
+over all (step, scenario) rows, step j at rows offsets[j]:offsets[j + 1]
+of the backend's `offsets` (lattice step j has j + 1 rows, Monte Carlo
+always P, a member view B times as many).  Work that does not depend on
+earlier steps runs as one call over all rows, with `times` giving each
+row's t; only the sweeps in time and the per-step expectations go step by
+step.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -56,6 +62,41 @@ class TimeGrid:
     def knots(self) -> Array:
         """Read-only t_0..t_N, built once per grid."""
         return self._knots
+
+
+class StepArray(tuple):
+    """One (rows, ...) array over the rows of steps 0..K-1, step j at rows
+    offsets[j]:offsets[j + 1].
+
+    It is the tuple of those per-step views, so `process[j]` reads and
+    writes step j of `rows` in place and the process reads like a tuple of
+    per-step arrays; `rows` serves the work that is the same for every row.
+    """
+
+    def __new__(cls, rows: Array, offsets: tuple[int, ...]):
+        self = super().__new__(cls, [rows[a:b] for a, b in zip(offsets, offsets[1:])])
+        self.rows = rows
+        self.offsets = offsets
+        return self
+
+    @classmethod
+    def of(cls, steps) -> "StepArray":
+        """`steps` itself if it is a StepArray, else its per-step arrays
+        copied into one."""
+        if isinstance(steps, StepArray):
+            return steps
+        arrays = [np.asarray(a, dtype=float) for a in steps]
+        offsets = tuple(itertools.accumulate((a.shape[0] for a in arrays), initial=0))
+        return cls(np.concatenate(arrays), offsets)
+
+    def leading(self, steps: int) -> Array:
+        """The rows of steps 0..steps-1, a view."""
+        return self.rows[: self.offsets[steps]]
+
+
+def _row_times(grid: TimeGrid, offsets: tuple[int, ...]) -> Array:
+    """t_j on every row of step j, steps 0..N."""
+    return np.repeat(grid.knots, np.diff(offsets))
 
 
 def _path_generator(seed: int, path: int) -> np.random.Generator:
@@ -170,6 +211,7 @@ class LatticeBackend:
     def __init__(self, grid: TimeGrid):
         self.grid = grid
         self.d = 1
+        self.offsets = tuple(itertools.accumulate(range(1, grid.steps + 2), initial=0))
         self._root_dt = np.sqrt(grid.dt)
         # Binomial(1/2) node probabilities, level by level
         self._weights = [np.array([1.0])]
@@ -187,6 +229,10 @@ class LatticeBackend:
 
     def scenario_count(self, j: int) -> int:
         return j + 1
+
+    @functools.cached_property
+    def times(self) -> Array:
+        return _row_times(self.grid, self.offsets)
 
     def brownian(self, j: int) -> Array:
         """Node B values at level j, shape (j + 1, 1)."""
@@ -230,10 +276,11 @@ class _MemberView:
 
     A member's rows get, bit for bit, the values the base backend gives
     them alone, as long as the problem's callbacks act row by row.  `stack`
-    and `unstack` convert one step between per-member arrays and rows,
-    `member_rows` selects the rows of chosen members, `scenario_of` names a
-    row's scenario within its member, and `expect` returns one value per
-    member, shape (B, ...) for B = members.
+    and `unstack` convert the rows of one or more consecutive steps between
+    per-member arrays and the view's rows, `owners` gives the member of each
+    row of a step, `member_rows` selects the rows of chosen members,
+    `scenario_of` names a row's scenario within its member, and `expect`
+    returns one value per member, shape (B, ...) for B = members.
     """
 
     def __init__(self, base, members: int):
@@ -243,9 +290,18 @@ class _MemberView:
         self.grid = base.grid
         self.d = base.d
         self.members = members
+        self.offsets = tuple(offset * members for offset in base.offsets)
 
     def scenario_count(self, j: int) -> int:
         return self.base.scenario_count(j) * self.members
+
+    @functools.cached_property
+    def times(self) -> Array:
+        return _row_times(self.grid, self.offsets)
+
+    def member_rows(self, j: int, mask: Array) -> Array:
+        """Step-j row mask selecting the members where mask (shape (B,)) holds."""
+        return np.asarray(mask)[self.owners(j)]
 
 
 class MemberLattice(_MemberView):
@@ -268,17 +324,16 @@ class MemberLattice(_MemberView):
         return nodes.reshape((nodes.shape[0] * nodes.shape[1],) + nodes.shape[2:])
 
     def stack(self, arrays) -> Array:
-        """Rows of one level from each member's (j + 1, ...) array, in member order."""
+        """Rows from each member's array of the same nodes, in member order."""
         return self._rows(np.stack(arrays, axis=1))
 
     def unstack(self, rows: Array) -> tuple[Array, ...]:
-        """Each member's own contiguous (j + 1, ...) array; inverse of `stack`."""
+        """Each member's own contiguous array of its nodes; inverse of `stack`."""
         nodes = self._nodes(rows)
         return tuple(np.ascontiguousarray(nodes[:, b]) for b in range(self.members))
 
-    def member_rows(self, j: int, mask: Array) -> Array:
-        """Level-j row mask selecting the members where mask (shape (B,)) holds."""
-        return np.tile(mask, j + 1)
+    def owners(self, j: int) -> Array:
+        return np.tile(np.arange(self.members), j + 1)
 
     def scenario_of(self, row: int) -> int:
         return row // self.members
@@ -323,17 +378,24 @@ class MemberPaths(_MemberView):
     kind = "montecarlo"
 
     def stack(self, arrays) -> Array:
-        """Rows of one step from each member's (P, ...) array, in member order."""
-        return np.concatenate(arrays)
+        """Rows from each member's (K * P, ...) array of K steps: per step,
+        the members' P-row blocks in member order."""
+        P = self.base.ensemble.paths
+        blocks = [np.reshape(a, (a.shape[0] // P, P) + a.shape[1:]) for a in arrays]
+        v = np.stack(blocks, axis=1)
+        return v.reshape((v.shape[0] * v.shape[1] * P,) + v.shape[3:])
 
     def unstack(self, rows: Array) -> tuple[Array, ...]:
-        """Each member's own (P, ...) block, a contiguous view; inverse of `stack`."""
+        """Each member's own (K * P, ...) rows, a contiguous view for one
+        step and a copy for more; inverse of `stack`."""
         v = np.asarray(rows)
-        return tuple(v.reshape((self.members, v.shape[0] // self.members) + v.shape[1:]))
+        P = self.base.ensemble.paths
+        blocks = v.reshape((v.shape[0] // (self.members * P), self.members, P) + v.shape[1:])
+        return tuple(blocks[:, b].reshape((blocks.shape[0] * P,) + v.shape[1:])
+                     for b in range(self.members))
 
-    def member_rows(self, j: int, mask: Array) -> Array:
-        """Row mask selecting the members where mask (shape (B,)) holds."""
-        return np.repeat(mask, self.base.ensemble.paths)
+    def owners(self, j: int) -> Array:
+        return np.repeat(np.arange(self.members), self.base.ensemble.paths)
 
     def scenario_of(self, row: int) -> int:
         return row % self.base.ensemble.paths
@@ -369,11 +431,16 @@ class MonteCarloBackend:
         self.ensemble = ensemble
         self.d = ensemble.d
         self.regression = regression or RegressionConfig()
+        self.offsets = tuple(range(0, ensemble.paths * (ensemble.grid.steps + 2), ensemble.paths))
         self._brownian = ensemble.cumulative()
         self._projections: dict[int, _Projection] = {}
 
     def scenario_count(self, j: int) -> int:
         return self.ensemble.paths
+
+    @functools.cached_property
+    def times(self) -> Array:
+        return _row_times(self.grid, self.offsets)
 
     def brownian(self, j: int) -> Array:
         return self._brownian[j]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import AdjointTrajectory, solve_adjoint, solve_adjoints
-from .drivers import Backend, MemberLattice
+from .drivers import Backend, MemberLattice, StepArray
 from .fbsde import (
     ControlProcess,
     FbsdeConfig,
@@ -165,25 +165,25 @@ def eval_cost(
     estimate is an array with one cost per member.
     """
     backend = traj.backend
-    grid = backend.grid
-    N, dt = grid.steps, grid.dt
-    l = problem.costs.running(player)
+    N, dt = backend.grid.steps, backend.grid.dt
+    offsets = backend.offsets
     phi = problem.costs.terminal(player)
     h = problem.costs.initial(player)
+    # the running cost of every row in one call; the sums over steps go step by step
+    running = problem.costs.running(player)(
+        backend.times[: offsets[N]], traj.x.leading(N), traj.y.leading(N), traj.z.rows,
+        u.u1.rows, u.u2.rows)
     if backend.kind == "montecarlo":
         total = np.zeros(backend.scenario_count(0))
-        for j in range(N):
-            t = float(grid.knots[j])
-            total += dt * l(t, traj.x[j], traj.y[j], traj.z[j], u.u1[j], u.u2[j])
+        for step in running.reshape(N, -1):
+            total += dt * step
         total += phi(traj.x[N]) + h(traj.y[0])
         P = total.shape[0]
         stderr = float(total.std(ddof=1) / np.sqrt(P)) if P > 1 else 0.0
         return float(total.mean()), stderr
     value = 0.0
     for j in range(N):
-        t = float(grid.knots[j])
-        running = l(t, traj.x[j], traj.y[j], traj.z[j], u.u1[j], u.u2[j])
-        value = value + dt * backend.expect(j, running)
+        value = value + dt * backend.expect(j, running[offsets[j]:offsets[j + 1]])
     value = value + backend.expect(N, phi(traj.x[N]))
     value = value + backend.expect(0, h(traj.y[0]))
     return (float(value) if np.ndim(value) == 0 else value), 0.0
@@ -241,7 +241,7 @@ def gateaux_derivative(
         box.contains(own[j] + epsilon * direction[j]) and box.contains(own[j] - epsilon * direction[j])
         for j in range(grid.steps)
     )
-    warm = (list(traj.y), list(traj.z))
+    warm = (traj.y, traj.z)
     u_plus = u.replace_player(player, [own[j] + epsilon * direction[j] for j in range(grid.steps)])
     u_minus = u.replace_player(player, [own[j] - epsilon * direction[j] for j in range(grid.steps)])
     traj_plus, _ = _solved(problem, u_plus, backend, fbsde_config, initial=warm, what="perturbed")
@@ -307,15 +307,18 @@ def _evaluate(problem, u, backend, config, warm=None) -> _EvalState:
     return _EvalState(traj=traj, adj1=adj1, adj2=adj2, vi=vi, fbsde_diag=fd, adj_diag=adj_diag)
 
 
-def _stepped(problem, u, state, alpha) -> ControlProcess:
-    out = u
-    for player, grads in ((1, state.vi.grad1), (2, state.vi.grad2)):
+def _projected(problem, out: ControlProcess, values1: Array, values2: Array) -> ControlProcess:
+    """out, its rows filled with each player's values projected onto the
+    player's box."""
+    for player, values in ((1, values1), (2, values2)):
         box = problem.box(player)
-        out = out.replace_player(
-            player,
-            [box.project(out.player(player)[j] - alpha * g) for j, g in enumerate(grads)],
-        )
+        np.clip(values, box.lower, box.upper, out=out.player(player).rows)
     return out
+
+
+def _stepped(problem, u, state, alpha) -> ControlProcess:
+    return _projected(problem, u.empty_like(), u.u1.rows - alpha * state.vi.grad1.rows,
+                      u.u2.rows - alpha * state.vi.grad2.rows)
 
 
 # Anderson memory: how many of the latest differences the extrapolation combines.
@@ -325,31 +328,24 @@ _ANDERSON_MEMORY = 4
 class _Anderson:
     """Type-II Anderson extrapolation of T for both players' controls.
 
-    x is the controls flattened player by player and step by step, and
-    f = T(u) - u at x.  The last `_ANDERSON_MEMORY` differences of x and of
-    f fill preallocated rows in turn, so the history is those two arrays
-    plus the last x and f.
+    x is the controls flattened player by player and step by step (the
+    buffer of a ControlProcess, kept as a view), and f = T(u) - u at x.
+    The last `_ANDERSON_MEMORY` differences of x and of f fill preallocated
+    rows in turn, so the history is those two arrays plus the last f.
     """
 
     def __init__(self, u: ControlProcess):
-        self.shapes = [a.shape for player in (1, 2) for a in u.player(player)]
-        ends = np.cumsum([int(np.prod(shape)) for shape in self.shapes], dtype=int)
-        self.splits, size = ends[:-1], int(ends[-1])
+        size = u.flat.shape[0]
         self.dx = np.empty((_ANDERSON_MEMORY, size))
         self.df = np.empty((_ANDERSON_MEMORY, size))
         self.differences = 0
         self.x: Array | None = None
         self.f: Array | None = None
 
-    @staticmethod
-    def _flat(u: ControlProcess) -> Array:
-        return np.concatenate([a.ravel() for player in (1, 2) for a in u.player(player)])
-
     def record(self, u: ControlProcess, mapped: ControlProcess) -> None:
         """Add x = u and f = T(u) - u, where mapped = T(u)."""
-        x = self._flat(u)
-        f = self._flat(mapped)
-        f -= x
+        x = u.flat
+        f = mapped.flat - x
         if self.x is not None:
             slot = self.differences % _ANDERSON_MEMORY
             np.subtract(x, self.x, out=self.dx[slot])
@@ -370,12 +366,9 @@ class _Anderson:
         flat = self.x + self.f
         flat -= gamma @ dx
         flat -= gamma @ df
-        pieces = (a.reshape(shape) for a, shape in zip(np.split(flat, self.splits), self.shapes))
-        out = u
-        for player in (1, 2):
-            box = problem.box(player)
-            out = out.replace_player(player, [box.project(next(pieces)) for _ in range(u.steps)])
-        return out
+        point = ControlProcess.from_flat(
+            flat, u.u1.offsets, u.u1.rows.shape[1], u.u2.rows.shape[1])
+        return _projected(problem, point, point.u1.rows, point.u2.rows)
 
 
 def _advance(problem, backend, fbsde_config, grad_config, anderson, u, state):
@@ -517,13 +510,6 @@ class BruteForceReport:
     assignment_2: tuple[int, ...]
 
 
-def _node_offsets(steps: int) -> list[int]:
-    offsets = [0]
-    for j in range(steps):
-        offsets.append(offsets[-1] + j + 1)
-    return offsets
-
-
 # Control profiles per batched state solve in brute_force_nash: a best
 # response's uncached profiles are solved together in chunks of at most this
 # many members, so memory stays bounded for large grids.
@@ -545,10 +531,9 @@ def _profile_costs(problem, backend, profiles, config) -> list[tuple[float, floa
     unconverged: a cost that overflows is the cause, whatever the solve did.
     """
     view = MemberLattice(backend, len(profiles))
-    steps = range(backend.grid.steps)
-    u = ControlProcess(
-        u1=tuple(view.stack([p[0][j] for p in profiles]) for j in steps),
-        u2=tuple(view.stack([p[1][j] for p in profiles]) for j in steps),
+    u = ControlProcess.from_rows(
+        *(view.stack([StepArray.of(p[i]).rows for p in profiles]) for i in (0, 1)),
+        view.offsets[: backend.grid.steps + 1],
     )
     traj, diagnostics = solve_members(problem, u, view, config)
     j1, _ = eval_cost(problem, traj, u, 1)
@@ -600,15 +585,15 @@ def brute_force_nash(
     if grid1.shape[1] != problem.dims.k1 or grid2.shape[1] != problem.dims.k2:
         raise ValueError("control grid width does not match control dimension")
     N = backend.grid.steps
-    offsets = _node_offsets(N)
+    offsets = backend.offsets[: N + 1]
     node_count = offsets[-1]
     cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, float]] = {}
     evaluations = 0
     exhausted = (f"enumeration budget of {budget} cost evaluations exhausted; "
                  "use a smaller grid or fewer steps")
 
-    def controls_for(assignment: tuple[int, ...], grid: Array) -> list[Array]:
-        return [grid[list(assignment[offsets[j]:offsets[j + 1]])] for j in range(N)]
+    def controls_for(assignment: tuple[int, ...], grid: Array) -> StepArray:
+        return StepArray(grid[list(assignment)], offsets)
 
     def solve(keys) -> None:
         """Fill the cache for keys, evaluating the uncached ones in order."""

@@ -9,9 +9,10 @@ Backward half (conditional-expectation recursion from y[N] = xi(B_T)):
     z[j] = E[y[j+1] dB[j]' | F_j] / dt
     y[j] = E[y[j+1] | F_j] + f(t_j, x[j], E[y[j+1] | F_j], z[j], u[j]) dt
 
-Every conditional expectation is regressed on the state x.  The two
+Every conditional expectation is regressed on the state x.  Each process
+is one ``drivers.StepArray`` over all (step, scenario) rows, and the two
 sweeps, `_forward_sweep` and `_backward_sweep`, are the package's only
-time-stepping loops; `forward_pass` and `backward_pass` run them on the
+time-stepping loops: they write each step into its view of the process; `forward_pass` and `backward_pass` run them on the
 state system, and the ``adjoint`` module runs them on the costate systems
 with its own coefficients and driver.  ``damped_picard`` couples a forward
 and a backward sweep by Picard iteration on the backward pair, with
@@ -23,13 +24,12 @@ there exactly; ``solve_fbsde`` is its state solve.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import Backend
+from .drivers import Backend, StepArray
 from .problem import GameProblem
 
 Array = np.ndarray
@@ -97,19 +97,51 @@ class SolveDiagnostics:
 
 @dataclass(frozen=True)
 class ControlProcess:
-    """Adapted controls, one array of shape (S_j, k_i) per step j = 0..N-1."""
+    """Adapted controls on steps 0..N-1: u_i[j] is step j's (S_j, k_i) rows.
 
-    u1: tuple[Array, ...]
-    u2: tuple[Array, ...]
+    Both players' rows live in one flat buffer, `flat`: u1's rows, then
+    u2's, so the controls flattened player by player and step by step are a
+    view.  The constructor copies per-step arrays (or StepArrays) into a new
+    buffer; nothing writes into a ControlProcess's buffer afterwards.
+    """
+
+    u1: StepArray
+    u2: StepArray
+
+    def __post_init__(self) -> None:
+        u1, u2 = StepArray.of(self.u1), StepArray.of(self.u2)
+        joint = ControlProcess.from_rows(u1.rows, u2.rows, u1.offsets)
+        for name in ("u1", "u2", "flat"):
+            object.__setattr__(self, name, getattr(joint, name))
+
+    @classmethod
+    def from_flat(cls, flat: Array, offsets: tuple[int, ...], k1: int, k2: int) -> "ControlProcess":
+        """The controls whose buffer is flat (taken over, not copied)."""
+        rows = offsets[-1]
+        out = cls.__new__(cls)
+        object.__setattr__(out, "u1", StepArray(flat[: rows * k1].reshape(rows, k1), offsets))
+        object.__setattr__(out, "u2", StepArray(flat[rows * k1:].reshape(rows, k2), offsets))
+        object.__setattr__(out, "flat", flat)
+        return out
+
+    @classmethod
+    def from_rows(cls, rows1: Array, rows2: Array, offsets: tuple[int, ...]) -> "ControlProcess":
+        """The controls with each player's rows over all steps, copied in."""
+        flat = np.concatenate([np.ravel(rows1), np.ravel(rows2)]).astype(float, copy=False)
+        return cls.from_flat(flat, offsets, rows1.shape[1], rows2.shape[1])
+
+    def empty_like(self) -> "ControlProcess":
+        """Controls of the same layout with an unfilled buffer."""
+        return ControlProcess.from_flat(
+            np.empty_like(self.flat), self.u1.offsets, self.u1.rows.shape[1], self.u2.rows.shape[1])
 
     @classmethod
     def constant(cls, problem: GameProblem, backend: Backend, value1, value2) -> "ControlProcess":
         v1 = np.atleast_1d(np.asarray(value1, dtype=float))
         v2 = np.atleast_1d(np.asarray(value2, dtype=float))
-        N = backend.grid.steps
-        u1 = tuple(np.tile(v1, (backend.scenario_count(j), 1)) for j in range(N))
-        u2 = tuple(np.tile(v2, (backend.scenario_count(j), 1)) for j in range(N))
-        return cls(u1=u1, u2=u2)
+        offsets = backend.offsets[: backend.grid.steps + 1]
+        rows = offsets[-1]
+        return cls.from_rows(np.tile(v1, (rows, 1)), np.tile(v2, (rows, 1)), offsets)
 
     @classmethod
     def midpoint(cls, problem: GameProblem, backend: Backend) -> "ControlProcess":
@@ -117,14 +149,14 @@ class ControlProcess:
             problem, backend, problem.u1_box.midpoint(), problem.u2_box.midpoint()
         )
 
-    def player(self, i: int) -> tuple[Array, ...]:
+    def player(self, i: int) -> StepArray:
         return self.u1 if i == 1 else self.u2
 
     def replace_player(self, i: int, arrays) -> "ControlProcess":
-        arrays = tuple(arrays)
+        rows = StepArray.of(arrays).rows
         if i == 1:
-            return ControlProcess(u1=arrays, u2=self.u2)
-        return ControlProcess(u1=self.u1, u2=arrays)
+            return ControlProcess.from_rows(rows, self.u2.rows, self.u1.offsets)
+        return ControlProcess.from_rows(self.u1.rows, rows, self.u1.offsets)
 
     @property
     def steps(self) -> int:
@@ -135,13 +167,18 @@ class ControlProcess:
 class StateTrajectory:
     """Solved (x, y, z) fields plus the backend that produced them.
 
-    x and y live on steps 0..N, z on 0..N-1.
+    x and y live on steps 0..N, z on 0..N-1; per-step arrays given in
+    place of StepArrays are copied into one.
     """
 
-    x: tuple[Array, ...]
-    y: tuple[Array, ...]
-    z: tuple[Array, ...]
+    x: StepArray
+    y: StepArray
+    z: StepArray
     backend: Backend
+
+    def __post_init__(self) -> None:
+        for name in ("x", "y", "z"):
+            object.__setattr__(self, name, StepArray.of(getattr(self, name)))
 
     @property
     def steps(self) -> int:
@@ -150,48 +187,46 @@ class StateTrajectory:
 
 def _start_pair(backend: Backend, a_shape: tuple, b_shape: tuple, initial=None):
     """A backward pair (a on steps 0..N with trailing shape a_shape, b on
-    steps 0..N-1 with b_shape) as one flat float vector, plus each step's
-    shape: a's steps, then b's.  The vector holds the warm start
-    initial = (a, b), two iterables of per-step arrays copied in one step at
-    a time, or zeros."""
-    N = backend.grid.steps
-    shapes = [(backend.scenario_count(j),) + a_shape for j in range(N + 1)]
-    shapes += [(backend.scenario_count(j),) + b_shape for j in range(N)]
-    flat = np.zeros(sum(math.prod(shape) for shape in shapes))
+    steps 0..N-1 with b_shape) as one flat float vector, a's rows then b's,
+    plus the two shapes: the `start` of `damped_picard`.  The vector holds
+    the warm start initial = (a, b), each a StepArray or per-step arrays,
+    or zeros."""
+    N, offsets = backend.grid.steps, backend.offsets
+    flat = np.zeros(offsets[N + 1] * math.prod(a_shape) + offsets[N] * math.prod(b_shape))
     if initial is not None:
-        for view, value in zip(_views(flat, shapes), itertools.chain(*initial)):
-            view[...] = value
-    return flat, shapes
+        for view, value in zip(_pair_views(backend, flat, a_shape, b_shape), initial):
+            view.rows[...] = StepArray.of(value).rows
+    return flat, a_shape, b_shape
 
 
-def _views(flat: Array, shapes) -> list[Array]:
-    """Per-step views of a flat pair laid out as `_start_pair` lays it out."""
-    out, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        out.append(flat[start:start + size].reshape(shape))
-        start += size
-    return out
+def _pair_views(backend: Backend, flat: Array, a_shape: tuple, b_shape: tuple):
+    """(a, b) as StepArray views of a flat pair laid out by `_start_pair`."""
+    N, offsets = backend.grid.steps, backend.offsets
+    split = offsets[N + 1] * math.prod(a_shape)
+    a = StepArray(flat[:split].reshape((offsets[N + 1],) + a_shape), offsets)
+    b = StepArray(flat[split:].reshape((offsets[N],) + b_shape), offsets[: N + 1])
+    return a, b
 
 
 def _check_finite(backend: Backend, step: int, values: Array) -> None:
     """Raise NonFiniteStateError at the first non-finite row of a step's
     values, naming its scenario within its own member on a member view."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         row = int(np.argwhere(~np.isfinite(values))[0][0])
         scenario_of = getattr(backend, "scenario_of", None)
         raise NonFiniteStateError(
             step=step, scenario=row if scenario_of is None else scenario_of(row), row=row)
 
 
-def _forward_sweep(backend: Backend, start: Array, coefficients) -> list[Array]:
+def _forward_sweep(backend: Backend, start: Array, coefficients) -> StepArray:
     """Explicit Euler from `start` on steps 0..N, where coefficients(j, v)
     gives step j's (drift, diffusion) at v.  Raises NonFiniteStateError."""
-    vs = [start]
+    vs = StepArray(np.empty((backend.offsets[-1],) + start.shape[1:]), backend.offsets)
+    vs[0][...] = start
     for j in range(backend.grid.steps):
         nxt = backend.step_forward(j, vs[j], *coefficients(j, vs[j]))
         _check_finite(backend, j + 1, nxt)
-        vs.append(nxt)
+        vs[j + 1][...] = nxt
     return vs
 
 
@@ -205,20 +240,25 @@ def _backward_sweep(backend: Backend, terminal: Array, xs, driver):
     Returns (a, b) plus the number of fits that fell back to ridge (one
     count per member on a ``drivers.MemberPaths``).
     """
-    N, dt = backend.grid.steps, backend.grid.dt
-    a: list = [None] * N + [terminal]
-    b: list = [None] * N
+    N, dt, offsets = backend.grid.steps, backend.grid.dt, backend.offsets
+    a = StepArray(np.empty((offsets[N + 1],) + terminal.shape[1:]), offsets)
+    b = StepArray(np.empty((offsets[N],) + terminal.shape[1:] + (backend.d,)), offsets[: N + 1])
+    a[N][...] = terminal
+    # step N - 1 fits terminal as given: a regression's matrix product
+    # rounds a broadcast terminal differently from its contiguous copy
+    later = terminal
     ridge_events = 0
     for j in range(N - 1, -1, -1):
-        increment, r1 = backend.cond_exp_increment(j, a[j + 1], xs[j])
-        mean, r2 = backend.cond_exp(j, a[j + 1], xs[j])
-        b[j] = increment / dt
-        a[j] = mean + driver(j, mean, b[j]) * dt
+        increment, r1 = backend.cond_exp_increment(j, later, xs[j])
+        mean, r2 = backend.cond_exp(j, later, xs[j])
+        np.divide(increment, dt, out=b[j])
+        np.add(mean, driver(j, mean, b[j]) * dt, out=a[j])
         ridge_events += r1 + r2
+        later = a[j]
     return a, b, ridge_events
 
 
-def forward_pass(problem: GameProblem, u: ControlProcess, ys, zs, backend: Backend) -> list[Array]:
+def forward_pass(problem: GameProblem, u: ControlProcess, ys, zs, backend: Backend) -> StepArray:
     """The state's forward sweep for x given the current backward guess."""
     co, knots = problem.coefficients, backend.grid.knots
 
@@ -226,7 +266,7 @@ def forward_pass(problem: GameProblem, u: ControlProcess, ys, zs, backend: Backe
         args = (float(knots[j]), x, ys[j], zs[j], u.u1[j], u.u2[j])
         return co.b(*args), co.sigma(*args)
 
-    start = np.broadcast_to(problem.initial, (backend.scenario_count(0), problem.dims.n)).copy()
+    start = np.broadcast_to(problem.initial, (backend.scenario_count(0), problem.dims.n))
     return _forward_sweep(backend, start, coefficients)
 
 
@@ -243,16 +283,18 @@ def backward_pass(problem: GameProblem, u: ControlProcess, xs, backend: Backend)
 
 def _update_metric(backend: Backend, ys_new, zs_new, ys_old, zs_old) -> Array:
     """Sup over time of the scenario-mean squared update of (y, z), one value
-    per member (a plain backend is one member)."""
+    per member (a plain backend is one member): the squared updates of all
+    rows in one call, then one mean per step."""
+    dy = ys_new.rows - ys_old.rows
+    total = np.einsum("sk,sk->s", dy, dy)
+    dz = zs_new.rows - zs_old.rows
+    dz = dz.reshape(dz.shape[0], -1)
+    total[: dz.shape[0]] += np.einsum("sk,sk->s", dz, dz)
     worst = np.zeros(getattr(backend, "members", 1))
-    N = len(zs_new)
-    for j in range(N + 1):
-        dy = ys_new[j] - ys_old[j]
-        total = np.einsum("sk,sk->s", dy, dy)
-        if j < N:
-            dz = (zs_new[j] - zs_old[j]).reshape(dy.shape[0], -1)
-            total = total + np.einsum("sk,sk->s", dz, dz)
-        np.fmax(worst, backend.expect(j, total), out=worst)  # a NaN mean leaves worst
+    offsets = ys_new.offsets
+    for j in range(len(offsets) - 1):
+        # a NaN mean leaves worst
+        np.fmax(worst, backend.expect(j, total[offsets[j]:offsets[j + 1]]), out=worst)
     return worst
 
 
@@ -261,8 +303,15 @@ def _update_metric(backend: Backend, ys_new, zs_new, ys_old, zs_old) -> Array:
 _ANDERSON_MEMORY = 2
 
 
-def _runs(backend: Backend, shapes) -> list[tuple[slice, Array]]:
-    """The two parts of a flat pair laid out by `_start_pair` (a's steps,
+def _row_owners(backend: Backend, steps: int) -> Array:
+    """The member of every row of steps 0..steps-1 (0 on a plain backend)."""
+    if not hasattr(backend, "members"):
+        return np.zeros(backend.offsets[steps], dtype=np.intp)
+    return np.concatenate([backend.owners(j) for j in range(steps)])
+
+
+def _runs(backend: Backend, a_shape: tuple, b_shape: tuple) -> list[tuple[slice, Array]]:
+    """The two parts of a flat pair laid out by `_start_pair` (a's rows,
     then b's) as runs of equal length: per part, its slice of the flat
     vector and the member of each of its runs.
 
@@ -271,17 +320,14 @@ def _runs(backend: Backend, shapes) -> list[tuple[slice, Array]]:
     runs hold its entries in the order its solve alone holds them.
     """
     members = getattr(backend, "members", 1)
-    ids = np.arange(members)
-    split = backend.grid.steps + 1
+    N, offsets = backend.grid.steps, backend.offsets
     parts, start = [], 0
-    for steps, part in ((range(split), shapes[:split]), (range(split - 1), shapes[split:])):
-        size = sum(math.prod(shape) for shape in part)
+    for steps, shape in ((N + 1, a_shape), (N, b_shape)):
+        size = offsets[steps] * math.prod(shape)
         if backend.kind == "montecarlo":
-            owners = np.tile(ids, len(steps))
-        elif members == 1:
-            owners = np.zeros(sum(shape[0] for shape in part), dtype=np.intp)
+            owners = np.tile(np.arange(members), steps)
         else:
-            owners = np.concatenate([backend.member_rows(j, ids) for j in steps])
+            owners = _row_owners(backend, steps)
         parts.append((slice(start, start + size), owners))
         start += size
     return parts
@@ -310,13 +356,13 @@ class _Mixing:
     f's, m = `_ANDERSON_MEMORY`, to what the caller holds.
     """
 
-    def __init__(self, x: Array, shapes, backend: Backend, theta: float):
+    def __init__(self, x: Array, a_shape: tuple, b_shape: tuple, backend: Backend, theta: float):
         self.theta = theta
         self.members = getattr(backend, "members", 1)
-        self.runs = _runs(backend, shapes)
+        self.runs = _runs(backend, a_shape, b_shape)
         self.xs = [x]  # the latest inputs, oldest first; the last is the current one
         self.fs: list[Array] = []  # f at each input but the last two
-        self.outputs: list[Array] | None = None  # G at the input before the current one
+        self.outputs: tuple | None = None  # G at the input before the current one
         self.gram = np.zeros((self.members, 0, 0))  # <f_i, f_j> per member
 
     @property
@@ -373,14 +419,14 @@ class _Mixing:
 
     @staticmethod
     def _f(outputs, x: Array) -> Array:
-        """f = G(x) - x as a flat vector, given the outputs G(x) per step."""
-        f = np.concatenate([out.reshape(-1) for out in outputs], out=np.empty_like(x))
+        """f = G(x) - x as a flat vector, given the output pair G(x)."""
+        f = np.concatenate([out.rows.reshape(-1) for out in outputs], out=np.empty_like(x))
         f -= x
         return f
 
-    def advance(self, outputs: list[Array], running: Array) -> Array:
-        """Move to the next input, given the outputs G(x) per step of the
-        current one, which it keeps until the next call; members where
+    def advance(self, outputs: tuple, running: Array) -> Array:
+        """Move to the next input, given the output pair G(x) = (a, b) of
+        the current one, which it keeps until the next call; members where
         `running` (shape (B,)) is False keep their entries.  Returns, per
         member, whether its entries moved."""
         if self.outputs is not None:  # the last input's f, bit for bit as before
@@ -435,8 +481,9 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
     """Anderson-mixed Picard iteration on a backward pair (a, b) on steps
     0..N, 0..N-1.
 
-    `start` is the pair as `_start_pair` gives it, (flat vector, step
-    shapes); the iteration takes the vector over.  Each pass maps its input
+    `start` is the pair as `_start_pair` gives it, (flat vector, a's and
+    b's trailing shapes); the iteration takes the vector over, and each
+    pass reads its input (a, b) as StepArray views of it.  Each pass maps its input
     (a, b) to the output G(a, b) = ``backward(forward(a, b))``: `forward`
     gives the forward sweep at (a, b), and `backward` the output pair from
     it plus its ridge-fallback count (a scalar, or one count per member).
@@ -461,9 +508,8 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
     one-member case.
     """
     members = getattr(backend, "members", 1)
-    x, shapes = start
-    split = backend.grid.steps + 1
-    mixing = _Mixing(x, shapes, backend, config.damping)
+    x, a_shape, b_shape = start
+    mixing = _Mixing(x, a_shape, b_shape, backend, config.damping)
     histories: list[list[float]] = [[] for _ in range(members)]
     warnings: list[list[str]] = [[] for _ in range(members)]
     best = [np.inf] * members
@@ -471,20 +517,21 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
     running = list(range(members))
     ridge_counts = [0] * members
     best_a = best_b = None
+    owners = None  # the member of each row, once a pass keeps only some members' outputs
 
-    def pick(chosen: list[int], new: list, old: list) -> list:
-        """Per step, the rows of the chosen members from new, the rest from old."""
+    def pick(chosen: list[int], new: StepArray, old: StepArray) -> StepArray:
+        """The rows of the chosen members from new, the rest from old."""
+        nonlocal owners
         if len(chosen) == members:
             return new
         if not chosen:
             return old
+        if owners is None:
+            owners = _row_owners(backend, backend.grid.steps + 1)
         mask = np.zeros(members, dtype=bool)
         mask[chosen] = True
-        out = []
-        for j, (a, b) in enumerate(zip(new, old)):
-            rows = backend.member_rows(j, mask).reshape((-1,) + (1,) * (a.ndim - 1))
-            out.append(np.where(rows, a, b))
-        return out
+        rows = mask[owners[: new.rows.shape[0]]].reshape((-1,) + (1,) * (new.rows.ndim - 1))
+        return StepArray(np.where(rows, new.rows, old.rows), new.offsets)
 
     def diagnostics(b: int) -> SolveDiagnostics:
         return SolveDiagnostics(
@@ -497,8 +544,7 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
         )
 
     for it in range(1, config.max_picard + 1):
-        views = _views(mixing.x, shapes)
-        a_in, b_in = views[:split], views[split:]
+        a_in, b_in = _pair_views(backend, mixing.x, a_shape, b_shape)
         a_out, b_out, ridge = backward(forward(a_in, b_in))
         if np.any(ridge):  # only the members still running count this pass
             ridge = np.broadcast_to(ridge, (members,))
@@ -531,7 +577,7 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
             break
         mask = np.zeros(members, dtype=bool)
         mask[running] = True
-        moved = mixing.advance(a_out + b_out, mask)
+        moved = mixing.advance((a_out, b_out), mask)
         # an input that did not move in floating point would repeat this
         # pass's output bit for bit: the solve is as converged as it can get
         for b in running:
@@ -570,7 +616,7 @@ def solve_members(
         config,
         "picard",
     )
-    return StateTrajectory(x=tuple(xs), y=tuple(ys), z=tuple(zs), backend=backend), diagnostics
+    return StateTrajectory(x=xs, y=ys, z=zs, backend=backend), diagnostics
 
 
 def solve_fbsde(

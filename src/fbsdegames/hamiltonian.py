@@ -10,8 +10,12 @@ projected-gradient stationary points of box-constrained controls), and runs
 the two sufficient-condition probes a verdict rests on: pointwise
 minimization of H_i over a control grid and randomized midpoint convexity
 sampling.  Convexity passes are reported as "not refuted", never proved.
-The pointwise probe evaluates H_i over (candidate, scenario) pairs in a few
-bounded blocks per step, keeping the first candidate among equal gains.
+The control gradients, the residuals and the pointwise probe are pointwise
+in (t, scenario), so each runs as one evaluation over the rows of all steps
+(``drivers.StepArray``), with t given per row; only the per-step
+expectations go step by step.  The pointwise probe evaluates H_i over
+(candidate, row) pairs in bounded blocks that run across step boundaries,
+keeping the first candidate among equal gains.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import AdjointTrajectory, costate_combination
+from .drivers import StepArray
 from .fbsde import ControlProcess, StateTrajectory
 from .problem import ControlBox, GameProblem
 
@@ -103,22 +108,27 @@ def eval_hamiltonian(
     )
 
 
+def _all_rows(traj: StateTrajectory, adj: AdjointTrajectory, u: ControlProcess):
+    """The (t, x, y, z, u1, u2) and (p, q, k) rows of steps 0..N-1, t per row."""
+    backend = traj.backend
+    N = backend.grid.steps
+    args = (backend.times[: backend.offsets[N]], traj.x.leading(N), traj.y.leading(N),
+            traj.z.rows, u.u1.rows, u.u2.rows)
+    return args, (adj.p.leading(N), adj.q.rows, adj.k.leading(N))
+
+
 def control_gradient(
     problem: GameProblem,
     traj: StateTrajectory,
     adj: AdjointTrajectory,
     u: ControlProcess,
     player: int,
-) -> list[Array]:
-    """Per-step gradient of H_i in player i's own control, shape (S_j, k_i)."""
-    grid = traj.backend.grid
-    out = []
-    for j in range(grid.steps):
-        args = (float(grid.knots[j]), traj.x[j], traj.y[j], traj.z[j], u.u1[j], u.u2[j])
-        out.append(
-            costate_combination(problem, player, f"u{player}", *args, adj.p[j], adj.q[j], adj.k[j])
-        )
-    return out
+) -> StepArray:
+    """Gradient of H_i in player i's own control, step j of shape (S_j, k_i):
+    one evaluation over the rows of all steps."""
+    args, costates = _all_rows(traj, adj, u)
+    grad = costate_combination(problem, player, f"u{player}", *args, *costates)
+    return StepArray(grad, u.u1.offsets)
 
 
 @dataclass(frozen=True)
@@ -126,15 +136,15 @@ class ViResidualReport:
     """Stationarity residuals of both players at one (state, costates, u).
 
     rho_i is the sup over steps of the root mean square of the per-point
-    residual |u_i - Proj(u_i - grad)|.  grad_i holds player i's per-step
-    control gradients, shape (S_j, k_i), from which the residuals were
+    residual |u_i - Proj(u_i - grad)|.  grad_i holds player i's control
+    gradients, step j of shape (S_j, k_i), from which the residuals were
     computed; the search steps along them.  inner_min_i is the sampled form
     of the first-order condition: the smallest <grad, v - u_i> over candidate
     v in the box (nonnegative at a stationary point, up to sampling).
     """
 
-    grad1: tuple[Array, ...]
-    grad2: tuple[Array, ...]
+    grad1: StepArray
+    grad2: StepArray
     rho1: float
     rho2: float
     inner_min_1: float
@@ -148,6 +158,10 @@ class ViResidualReport:
 _INNER_SAMPLES = 32
 _INNER_SEED = 0
 _INNER_RADIUS = 10.0
+
+# Rows per block of the sampled pairing in vi_residual: a block's (row,
+# candidate) table has at most this many rows times _INNER_SAMPLES entries.
+_PAIRING_ROWS = 2048
 
 
 def _sample_box(box: ControlBox, rng: np.random.Generator) -> Array:
@@ -164,23 +178,28 @@ def vi_residual(
     u: ControlProcess,
 ) -> ViResidualReport:
     backend = traj.backend
+    offsets = u.u1.offsets
     rng = np.random.default_rng(_INNER_SEED)
-    gradients: dict[int, tuple[Array, ...]] = {}
+    gradients: dict[int, StepArray] = {}
     rhos: dict[int, float] = {}
     inner: dict[int, float] = {}
     for player, adj in ((1, adj_1), (2, adj_2)):
         grads = control_gradient(problem, traj, adj, u, player)
         box = problem.box(player)
         candidates = _sample_box(box, rng)
+        g, own = grads.rows, u.player(player).rows
+        squared = np.linalg.norm(own - box.project(own - g), axis=1) ** 2
         worst = 0.0
+        for j in range(len(offsets) - 1):
+            mean = backend.expect(j, squared[offsets[j]:offsets[j + 1]])
+            worst = max(worst, float(np.sqrt(mean)))
         inner_min = np.inf
-        for j, g in enumerate(grads):
-            uj = u.player(player)[j]
-            r = np.linalg.norm(uj - box.project(uj - g), axis=1)
-            worst = max(worst, float(np.sqrt(backend.expect(j, r**2))))
-            pairing = g @ candidates.T - np.einsum("sv,sv->s", g, uj)[:, None]
+        for start in range(0, g.shape[0], _PAIRING_ROWS):
+            block = slice(start, start + _PAIRING_ROWS)
+            pairing = g[block] @ candidates.T
+            pairing -= np.einsum("sv,sv->s", g[block], own[block])[:, None]
             inner_min = min(inner_min, float(pairing.min()))
-        gradients[player] = tuple(grads)
+        gradients[player] = grads
         rhos[player] = worst
         inner[player] = inner_min
     return ViResidualReport(
@@ -222,8 +241,8 @@ def _control_grid(box: ControlBox, density: int, radius: float | None) -> Array:
 
 
 # Rows per batched Hamiltonian call in check_pointwise_min: the (candidate,
-# scenario) pairs of a step are evaluated in blocks of at most this many, so
-# memory stays bounded when the control grid has density**k points.
+# row) pairs are evaluated in blocks of at most this many, so memory stays
+# bounded when the control grid has density**k points.
 _POINTWISE_ROWS = 1 << 16
 
 
@@ -245,49 +264,50 @@ def check_pointwise_min(
     """Compare H_i at the stored control against a grid over the control box.
 
     A positive violation means some grid point achieves a strictly lower
-    Hamiltonian at the same (state, costate) slice.
+    Hamiltonian at the same (state, costate) slice.  The rows of all steps
+    are searched together, in spans of at most `_POINTWISE_ROWS` rows, each
+    against as many candidates per call as keep the call within that bound.
     """
-    backend = traj.backend
-    grid = backend.grid
     candidates = _control_grid(problem.box(player), grid_density, radius)
     C = candidates.shape[0]
+    (t, x, y, z, u1, u2), (p, q, k) = _all_rows(traj, adj, u)
+    base = _value(problem, player, (t, x, y, z, u1, u2), p, q, k)
+    other = u2 if player == 1 else u1
+    rows = base.shape[0]
+    row_best = np.full(rows, -np.inf)
+    best = np.zeros(rows, dtype=int)
+    span = min(rows, _POINTWISE_ROWS)
+    block = min(C, max(1, _POINTWISE_ROWS // span))
+    for r0 in range(0, rows, span):
+        sel = slice(r0, r0 + span)
+        S = base[sel].shape[0]
+        # (candidate c, row s) at index c * S + s; a block's tiled slice is
+        # a prefix of the first block's
+        tiled = [_tile_rows(a[sel], block) for a in (t, x, y, z, other, p, q, k)]
+        span_best, span_idx = row_best[sel], best[sel]
+        for c0 in range(0, C, block):
+            chunk = candidates[c0 : c0 + block]
+            tt, tx, ty, tz, t_other, tp, tq, tk = (a[: chunk.shape[0] * S] for a in tiled)
+            cu = np.repeat(chunk, S, axis=0)
+            trial_u = (cu, t_other) if player == 1 else (t_other, cu)
+            trial = _value(problem, player, (tt, tx, ty, tz, *trial_u), tp, tq, tk)
+            gain = base[sel] - trial.reshape(-1, S)
+            idx = np.argmax(gain, axis=0)  # first maximum, as a candidate loop keeps
+            chunk_best = gain[idx, np.arange(S)]
+            better = chunk_best > span_best  # strict: earlier blocks win ties
+            span_best[better] = chunk_best[better]
+            span_idx[better] = c0 + idx[better]
+    offsets = u.u1.offsets
+    per_step = tuple(row_best[a:b] for a, b in zip(offsets, offsets[1:]))
     worst = -np.inf
     worst_loc = (0, 0)
     worst_alt: Array | None = None
-    per_step = []
-    for j in range(grid.steps):
-        t = float(grid.knots[j])
-        x, y, z = traj.x[j], traj.y[j], traj.z[j]
-        u1, u2 = u.u1[j], u.u2[j]
-        pj, qj, kj = adj.p[j], adj.q[j], adj.k[j]
-        S = x.shape[0]
-        base = _value(problem, player, (t, x, y, z, u1, u2), pj, qj, kj)
-        # candidates in blocks of at most _POINTWISE_ROWS rows (candidate c,
-        # scenario s) at index c * S + s; a block's tiled slice is a prefix
-        # of the first block's
-        block = min(C, max(1, _POINTWISE_ROWS // S))
-        other = u2 if player == 1 else u1
-        tiled = [_tile_rows(a, block) for a in (x, y, z, other, pj, qj, kj)]
-        step_best = np.full(S, -np.inf)
-        best = np.zeros(S, dtype=int)
-        for c0 in range(0, C, block):
-            chunk = candidates[c0 : c0 + block]
-            tx, ty, tz, t_other, tp, tq, tk = (a[: chunk.shape[0] * S] for a in tiled)
-            cu = np.repeat(chunk, S, axis=0)
-            trial_u = (cu, t_other) if player == 1 else (t_other, cu)
-            trial = _value(problem, player, (t, tx, ty, tz, *trial_u), tp, tq, tk)
-            gain = base - trial.reshape(-1, S)
-            idx = np.argmax(gain, axis=0)  # first maximum, as a candidate loop keeps
-            chunk_best = gain[idx, np.arange(S)]
-            better = chunk_best > step_best  # strict: earlier blocks win ties
-            step_best = np.where(better, chunk_best, step_best)
-            best = np.where(better, c0 + idx, best)
-        per_step.append(step_best)
+    for j, step_best in enumerate(per_step):
         s = int(np.argmax(step_best))
         if step_best[s] > worst:
             worst = float(step_best[s])
             worst_loc = (j, s)
-            worst_alt = candidates[best[s]].copy()
+            worst_alt = candidates[best[offsets[j] + s]].copy()
     return PointwiseMinReport(
         player=player,
         passed=worst <= tol,
@@ -297,7 +317,7 @@ def check_pointwise_min(
         best_alternative=worst_alt,
         tol=tol,
         grid_points=candidates.shape[0],
-        per_step_violation=tuple(per_step),
+        per_step_violation=per_step,
     )
 
 
