@@ -154,7 +154,7 @@ def _step_partials(problem, traj, u, players, view):
     depend on (t, x, y, z, u1, u2) only, which the solve holds fixed."""
     N = view.grid.steps
     base = traj.backend
-    args = (base.times[: base.offsets[N]], traj.x.leading(N), traj.y.leading(N), traj.z.rows,
+    args = (base.row_times(N), traj.x.leading(N), traj.y.leading(N), traj.z.rows,
             u.u1.rows, u.u2.rows)
     bounds = list(zip(view.offsets[:N], view.offsets[1:N + 1]))
     out = []

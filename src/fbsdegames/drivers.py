@@ -20,14 +20,13 @@ A scenario-indexed process is one `StepArray`: a single (rows, ...) array
 over all (step, scenario) rows, step j at rows offsets[j]:offsets[j + 1]
 of the backend's `offsets` (lattice step j has j + 1 rows, Monte Carlo
 always P, a member view B times as many).  Work that does not depend on
-earlier steps runs as one call over all rows, with `times` giving each
+earlier steps runs as one call over all rows, with `row_times` giving each
 row's t; only the sweeps in time and the per-step expectations go step by
 step.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -94,9 +93,9 @@ class StepArray(tuple):
         return self.rows[: self.offsets[steps]]
 
 
-def _row_times(grid: TimeGrid, offsets: tuple[int, ...]) -> Array:
-    """t_j on every row of step j, steps 0..N."""
-    return np.repeat(grid.knots, np.diff(offsets))
+def _row_times(grid: TimeGrid, offsets: tuple[int, ...], steps: int) -> Array:
+    """t_j on every row of step j, for steps 0..steps-1."""
+    return np.repeat(grid.knots[:steps], np.diff(offsets[: steps + 1]))
 
 
 def _path_generator(seed: int, path: int) -> np.random.Generator:
@@ -230,9 +229,9 @@ class LatticeBackend:
     def scenario_count(self, j: int) -> int:
         return j + 1
 
-    @functools.cached_property
-    def times(self) -> Array:
-        return _row_times(self.grid, self.offsets)
+    def row_times(self, steps: int) -> Array:
+        """t_j on every row of steps 0..steps-1, built on each call."""
+        return _row_times(self.grid, self.offsets, steps)
 
     def brownian(self, j: int) -> Array:
         """Node B values at level j, shape (j + 1, 1)."""
@@ -295,9 +294,9 @@ class _MemberView:
     def scenario_count(self, j: int) -> int:
         return self.base.scenario_count(j) * self.members
 
-    @functools.cached_property
-    def times(self) -> Array:
-        return _row_times(self.grid, self.offsets)
+    def row_times(self, steps: int) -> Array:
+        """t_j on every row of steps 0..steps-1, built on each call."""
+        return _row_times(self.grid, self.offsets, steps)
 
     def member_rows(self, j: int, mask: Array) -> Array:
         """Step-j row mask selecting the members where mask (shape (B,)) holds."""
@@ -438,9 +437,9 @@ class MonteCarloBackend:
     def scenario_count(self, j: int) -> int:
         return self.ensemble.paths
 
-    @functools.cached_property
-    def times(self) -> Array:
-        return _row_times(self.grid, self.offsets)
+    def row_times(self, steps: int) -> Array:
+        """t_j on every row of steps 0..steps-1, built on each call."""
+        return _row_times(self.grid, self.offsets, steps)
 
     def brownian(self, j: int) -> Array:
         return self._brownian[j]

@@ -171,7 +171,7 @@ def eval_cost(
     h = problem.costs.initial(player)
     # the running cost of every row in one call; the sums over steps go step by step
     running = problem.costs.running(player)(
-        backend.times[: offsets[N]], traj.x.leading(N), traj.y.leading(N), traj.z.rows,
+        backend.row_times(N), traj.x.leading(N), traj.y.leading(N), traj.z.rows,
         u.u1.rows, u.u2.rows)
     if backend.kind == "montecarlo":
         total = np.zeros(backend.scenario_count(0))

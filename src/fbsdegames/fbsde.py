@@ -281,15 +281,25 @@ def backward_pass(problem: GameProblem, u: ControlProcess, xs, backend: Backend)
     return _backward_sweep(backend, terminal, xs, driver)
 
 
+# Rows per block of `_update_metric`'s squared updates: the temporaries
+# stay this small while the passes hold the pair's history.
+_METRIC_ROWS = 1 << 14
+
+
 def _update_metric(backend: Backend, ys_new, zs_new, ys_old, zs_old) -> Array:
     """Sup over time of the scenario-mean squared update of (y, z), one value
     per member (a plain backend is one member): the squared updates of all
-    rows in one call, then one mean per step."""
-    dy = ys_new.rows - ys_old.rows
-    total = np.einsum("sk,sk->s", dy, dy)
-    dz = zs_new.rows - zs_old.rows
-    dz = dz.reshape(dz.shape[0], -1)
-    total[: dz.shape[0]] += np.einsum("sk,sk->s", dz, dz)
+    rows in a few bounded blocks, then one mean per step."""
+    total = np.empty(ys_new.rows.shape[0])
+    z_rows = zs_new.rows.shape[0]
+    for start in range(0, total.shape[0], _METRIC_ROWS):
+        block = slice(start, start + _METRIC_ROWS)
+        dy = ys_new.rows[block] - ys_old.rows[block]
+        total[block] = np.einsum("sk,sk->s", dy, dy)
+        if start < z_rows:
+            dz = zs_new.rows[block] - zs_old.rows[block]
+            dz = dz.reshape(dz.shape[0], -1)
+            total[start:start + dz.shape[0]] += np.einsum("sk,sk->s", dz, dz)
     worst = np.zeros(getattr(backend, "members", 1))
     offsets = ys_new.offsets
     for j in range(len(offsets) - 1):
@@ -301,13 +311,6 @@ def _update_metric(backend: Backend, ys_new, zs_new, ys_old, zs_old) -> Array:
 # Anderson memory of the inner Picard solves: how many of the latest
 # differences each member's mixing step combines.
 _ANDERSON_MEMORY = 2
-
-
-def _row_owners(backend: Backend, steps: int) -> Array:
-    """The member of every row of steps 0..steps-1 (0 on a plain backend)."""
-    if not hasattr(backend, "members"):
-        return np.zeros(backend.offsets[steps], dtype=np.intp)
-    return np.concatenate([backend.owners(j) for j in range(steps)])
 
 
 def _runs(backend: Backend, a_shape: tuple, b_shape: tuple) -> list[tuple[slice, Array]]:
@@ -326,8 +329,10 @@ def _runs(backend: Backend, a_shape: tuple, b_shape: tuple) -> list[tuple[slice,
         size = offsets[steps] * math.prod(shape)
         if backend.kind == "montecarlo":
             owners = np.tile(np.arange(members), steps)
+        elif members == 1:
+            owners = np.zeros(offsets[steps], dtype=np.intp)
         else:
-            owners = _row_owners(backend, steps)
+            owners = np.concatenate([backend.owners(j) for j in range(steps)])
         parts.append((slice(start, start + size), owners))
         start += size
     return parts
@@ -517,20 +522,17 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
     running = list(range(members))
     ridge_counts = [0] * members
     best_a = best_b = None
-    owners = None  # the member of each row, once a pass keeps only some members' outputs
 
     def pick(chosen: list[int], new: StepArray, old: StepArray) -> StepArray:
         """The rows of the chosen members from new, the rest from old."""
-        nonlocal owners
         if len(chosen) == members:
             return new
         if not chosen:
             return old
-        if owners is None:
-            owners = _row_owners(backend, backend.grid.steps + 1)
         mask = np.zeros(members, dtype=bool)
         mask[chosen] = True
-        rows = mask[owners[: new.rows.shape[0]]].reshape((-1,) + (1,) * (new.rows.ndim - 1))
+        rows = np.concatenate([backend.member_rows(j, mask) for j in range(len(new))])
+        rows = rows.reshape((-1,) + (1,) * (new.rows.ndim - 1))
         return StepArray(np.where(rows, new.rows, old.rows), new.offsets)
 
     def diagnostics(b: int) -> SolveDiagnostics:

@@ -112,7 +112,7 @@ def _all_rows(traj: StateTrajectory, adj: AdjointTrajectory, u: ControlProcess):
     """The (t, x, y, z, u1, u2) and (p, q, k) rows of steps 0..N-1, t per row."""
     backend = traj.backend
     N = backend.grid.steps
-    args = (backend.times[: backend.offsets[N]], traj.x.leading(N), traj.y.leading(N),
+    args = (backend.row_times(N), traj.x.leading(N), traj.y.leading(N),
             traj.z.rows, u.u1.rows, u.u2.rows)
     return args, (adj.p.leading(N), adj.q.rows, adj.k.leading(N))
 

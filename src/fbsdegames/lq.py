@@ -3,9 +3,9 @@
 Drift, diffusion columns and driver are affine in (x, y, z_vec, u1, u2);
 running costs are pure quadratic forms.  z_vec is z flattened C-order.
 
-The value callbacks act row by row bit for bit (see ``problem``): every
-matrix product goes through `_sum_products`, whose sums do not depend on
-how many rows are passed together.
+The value and gradient callbacks act row by row bit for bit (see
+``problem``): every matrix product goes through `_sum_products`, whose sums
+do not depend on how many rows are passed together.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ def lq_to_problem(spec: LQGameSpec) -> GameProblem:
         # gradient of a symmetric quadratic form, or the S|z|^2 term for z
         def fn(t, x, y, z, u1, u2):
             v = {"x": x, "y": y, "z": flat(z), "u1": u1, "u2": u2}[pick]
-            return v @ matrix.T
+            return _sum_products([(v, matrix)])
 
         return fn
 
@@ -293,13 +293,13 @@ def lq_to_problem(spec: LQGameSpec) -> GameProblem:
         return lambda x, _G=G: _quad(x, _G)
 
     def phi_x(G: Array):
-        return lambda x, _G=G: x @ _G.T
+        return lambda x, _G=G: _sum_products([(x, _G)])
 
     def h(H: Array):
         return lambda y, _H=H: _quad(y, _H)
 
     def h_y(H: Array):
-        return lambda y, _H=H: y @ _H.T
+        return lambda y, _H=H: _sum_products([(y, _H)])
 
     costs = CostSet(
         l1=running(c1, True),

@@ -1,8 +1,12 @@
 """Game instance definition: coefficients, costs, control boxes, derivative checks.
 
 Every coefficient and cost callback is batched over scenarios.  The leading
-axis S is the scenario axis; time is a plain float.  With forward dimension
-n, backward dimension m, Brownian dimension d and control dimensions k1, k2:
+axis S is the scenario axis.  Time t is a float, or an (S,) array with one
+time per row: the solvers evaluate the work that is pointwise in (t,
+scenario) in one call over the rows of all time steps, so a time-dependent
+callback must broadcast t along the rows (t[:, None] against an (S, n)
+array, say).  With forward dimension n, backward dimension m, Brownian
+dimension d and control dimensions k1, k2:
 
     b(t, x, y, z, u1, u2)     -> (S, n)        x: (S, n)   y: (S, m)
     sigma(t, x, y, z, u1, u2) -> (S, n, d)     z: (S, m, d)
@@ -22,11 +26,15 @@ z enters all derivative layouts flattened C-order, so dim_z = m*d and the
 entry (i, j) of z maps to index i*d + j.
 
 Callbacks must act row by row: row s of a result depends on row s of the
-arguments only, bit for bit, whatever rows come with it.  The grid oracle
-relies on this when it stacks many control profiles along the scenario axis
-(``drivers.MemberLattice``) and expects each to be solved as if alone.  The
-LQ family satisfies it (``lq`` sums its matrix products in a fixed order
-rather than through BLAS, whose rounding depends on the row count).
+arguments (and of t, when t is an array) only, bit for bit, whatever rows
+come with it.  The grid oracle relies on this when it stacks many control
+profiles along the scenario axis (``drivers.MemberLattice``) and expects
+each to be solved as if alone, and one call over all steps' rows must give
+what one call per step gives.  The LQ family satisfies it (``lq`` sums its
+matrix products in a fixed order rather than through BLAS, whose rounding
+depends on the row count).  `validate_problem` checks the time contract:
+each callback's rows at per-row times must equal its rows at each time
+alone.
 """
 
 from __future__ import annotations
@@ -512,6 +520,9 @@ def _coefficient_bundles(problem: GameProblem) -> list[FunctionBundle]:
 
 
 def _check_shapes(problem: GameProblem) -> None:
+    """Raise ShapeValidationError naming the first callback whose result
+    has the wrong shape, or whose rows at an (S,) array of per-row times
+    differ from its rows at each of those times alone."""
     dims = problem.dims
     S = 3
     rng = np.random.default_rng(1)
@@ -529,30 +540,39 @@ def _check_shapes(problem: GameProblem) -> None:
                 f"{name}: expected shape {shape}, got {np.asarray(got).shape}"
             )
 
-    expect("b", co.b(t, x, y, z, u1, u2), (S, dims.n))
-    expect("sigma", co.sigma(t, x, y, z, u1, u2), (S, dims.n, dims.d))
-    expect("f", co.f(t, x, y, z, u1, u2), (S, dims.m))
     arg_dims = {"x": dims.n, "y": dims.m, "z": dims.dz, "u1": dims.k1, "u2": dims.k2}
-    rows = {"b": dims.n, "f": dims.m}
-    for which, r in rows.items():
-        for v, dv in arg_dims.items():
-            expect(
-                f"{which}_{v}",
-                getattr(co, f"{which}_{v}")(t, x, y, z, u1, u2),
-                (S, r, dv),
-            )
-    for v, dv in arg_dims.items():
-        expect(f"sigma_{v}", getattr(co, f"sigma_{v}")(t, x, y, z, u1, u2), (S, dims.d, dims.n, dv))
+    timed = [("b", co.b, (S, dims.n)), ("sigma", co.sigma, (S, dims.n, dims.d)),
+             ("f", co.f, (S, dims.m))]
+    for which, r in (("b", dims.n), ("f", dims.m)):
+        timed += [(f"{which}_{v}", getattr(co, f"{which}_{v}"), (S, r, dv))
+                  for v, dv in arg_dims.items()]
+    timed += [(f"sigma_{v}", getattr(co, f"sigma_{v}"), (S, dims.d, dims.n, dv))
+              for v, dv in arg_dims.items()]
     for player in (1, 2):
-        expect(f"l{player}", cs.running(player)(t, x, y, z, u1, u2), (S,))
-        for v, dv in arg_dims.items():
-            expect(f"l{player}_{v}", cs.running_grad(player, v)(t, x, y, z, u1, u2), (S, dv))
+        timed.append((f"l{player}", cs.running(player), (S,)))
+        timed += [(f"l{player}_{v}", cs.running_grad(player, v), (S, dv))
+                  for v, dv in arg_dims.items()]
+    for name, fn, shape in timed:
+        expect(name, fn(t, x, y, z, u1, u2), shape)
+    for player in (1, 2):
         expect(f"phi{player}", cs.terminal(player)(x), (S,))
         expect(f"phi{player}_x", cs.terminal_grad(player)(x), (S, dims.n))
         expect(f"h{player}", cs.initial(player)(y), (S,))
         expect(f"h{player}_y", cs.initial_grad(player)(y), (S, dims.m))
     bt = rng.standard_normal((S, dims.d))
     expect("xi", problem.terminal.xi(bt), (S, dims.m))
+    times = problem.horizon * np.arange(1, S + 1) / (S + 1)
+    for name, fn, shape in timed:
+        alone = np.stack([np.asarray(fn(float(ts), x, y, z, u1, u2))[s]
+                          for s, ts in enumerate(times)])
+        try:
+            rows = np.asarray(fn(times, x, y, z, u1, u2))
+        except (ValueError, TypeError, IndexError) as exc:
+            raise ShapeValidationError(f"{name}: fails at per-row times t: {exc}") from None
+        if rows.shape != shape or not np.array_equal(rows, alone, equal_nan=True):
+            raise ShapeValidationError(
+                f"{name}: rows at per-row times t differ from its rows at each time alone"
+            )
 
 
 def _probe_growth(problem: GameProblem, radius: float, seed: int) -> tuple[str, ...]:

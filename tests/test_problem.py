@@ -218,3 +218,30 @@ def test_lq_value_callbacks_act_row_by_row(dims):
         for start, stop in ((0, 1), (5, 7), (10, 13), (17, 300)):
             np.testing.assert_array_equal(call(slice(start, stop)), together[start:stop],
                                           err_msg=name)
+
+
+@pytest.mark.parametrize("dims", [Dims(2, 2, 1, 2, 2), Dims(3, 2, 2, 3, 0)])
+def test_lq_gradient_callbacks_act_row_by_row(dims):
+    # the costate matrices and control gradients evaluate these once over the
+    # rows of all steps, against the per-step reference; a matrix product
+    # through BLAS rounds a lone row (lattice step 0) differently
+    problem = lq_to_problem(random_lq_spec(4, dims))
+    costs = problem.costs
+    rng = np.random.default_rng(0)
+    S = 300
+    x, y = rng.standard_normal((S, dims.n)), rng.standard_normal((S, dims.m))
+    z = rng.standard_normal((S, dims.m, dims.d))
+    u1, u2 = rng.standard_normal((S, dims.k1)), rng.standard_normal((S, dims.k2))
+    calls = {
+        f"l{i}_{v}": (lambda rows, fn=costs.running_grad(i, v):
+                      fn(0.3, x[rows], y[rows], z[rows], u1[rows], u2[rows]))
+        for i in (1, 2) for v in ("x", "y", "z", "u1", "u2")
+    }
+    for i in (1, 2):
+        calls[f"phi{i}_x"] = lambda rows, fn=costs.terminal_grad(i): fn(x[rows])
+        calls[f"h{i}_y"] = lambda rows, fn=costs.initial_grad(i): fn(y[rows])
+    for name, call in calls.items():
+        together = call(slice(None))
+        for start, stop in ((0, 1), (5, 7), (10, 13), (17, 300)):
+            np.testing.assert_array_equal(call(slice(start, stop)), together[start:stop],
+                                          err_msg=name)
