@@ -265,8 +265,9 @@ def check_pointwise_min(
 
     A positive violation means some grid point achieves a strictly lower
     Hamiltonian at the same (state, costate) slice.  The rows of all steps
-    are searched together, in spans of at most `_POINTWISE_ROWS` rows, each
-    against as many candidates per call as keep the call within that bound.
+    are searched together: each call evaluates at most `_POINTWISE_ROWS`
+    (candidate, row) pairs, and no more than one candidate grid against the
+    largest step's rows, the call a search step by step would make.
     """
     candidates = _control_grid(problem.box(player), grid_density, radius)
     C = candidates.shape[0]
@@ -276,8 +277,12 @@ def check_pointwise_min(
     rows = base.shape[0]
     row_best = np.full(rows, -np.inf)
     best = np.zeros(rows, dtype=int)
-    span = min(rows, _POINTWISE_ROWS)
-    block = min(C, max(1, _POINTWISE_ROWS // span))
+    offsets = u.u1.offsets
+    # no call takes more pairs than a search step by step would at its
+    # largest step, so the probe's memory peak stays that search's
+    limit = min(_POINTWISE_ROWS, C * int(np.diff(offsets).max()))
+    span = min(rows, limit)
+    block = min(C, max(1, limit // span))
     for r0 in range(0, rows, span):
         sel = slice(r0, r0 + span)
         S = base[sel].shape[0]
@@ -297,7 +302,6 @@ def check_pointwise_min(
             better = chunk_best > span_best  # strict: earlier blocks win ties
             span_best[better] = chunk_best[better]
             span_idx[better] = c0 + idx[better]
-    offsets = u.u1.offsets
     per_step = tuple(row_best[a:b] for a, b in zip(offsets, offsets[1:]))
     worst = -np.inf
     worst_loc = (0, 0)
