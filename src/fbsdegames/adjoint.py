@@ -45,6 +45,7 @@ from .fbsde import (
     _forward_sweep,
     _pair_views,
     _start_pair,
+    _state_rows,
     damped_picard,
 )
 from .problem import GameProblem
@@ -153,9 +154,7 @@ def _step_partials(problem, traj, u, players, view):
     `players`: views of one evaluation over the rows of all steps.  Both
     depend on (t, x, y, z, u1, u2) only, which the solve holds fixed."""
     N = view.grid.steps
-    base = traj.backend
-    args = (base.row_times(N), traj.x.leading(N), traj.y.leading(N), traj.z.rows,
-            u.u1.rows, u.u2.rows)
+    args = _state_rows(traj, u)
     bounds = list(zip(view.offsets[:N], view.offsets[1:N + 1]))
     out = []
     for var_names in (("y", "z"), ("x",)):

@@ -93,11 +93,6 @@ class StepArray(tuple):
         return self.rows[: self.offsets[steps]]
 
 
-def _row_times(grid: TimeGrid, offsets: tuple[int, ...], steps: int) -> Array:
-    """t_j on every row of step j, for steps 0..steps-1."""
-    return np.repeat(grid.knots[:steps], np.diff(offsets[: steps + 1]))
-
-
 def _path_generator(seed: int, path: int) -> np.random.Generator:
     # stream keyed by (seed, path) only, immune to path count and scheduling
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(path)))
@@ -229,9 +224,6 @@ class LatticeBackend:
     def scenario_count(self, j: int) -> int:
         return j + 1
 
-    def row_times(self, steps: int) -> Array:
-        """t_j on every row of steps 0..steps-1, built on each call."""
-        return _row_times(self.grid, self.offsets, steps)
 
     def brownian(self, j: int) -> Array:
         """Node B values at level j, shape (j + 1, 1)."""
@@ -294,9 +286,6 @@ class _MemberView:
     def scenario_count(self, j: int) -> int:
         return self.base.scenario_count(j) * self.members
 
-    def row_times(self, steps: int) -> Array:
-        """t_j on every row of steps 0..steps-1, built on each call."""
-        return _row_times(self.grid, self.offsets, steps)
 
     def member_rows(self, j: int, mask: Array) -> Array:
         """Step-j row mask selecting the members where mask (shape (B,)) holds."""
@@ -437,9 +426,6 @@ class MonteCarloBackend:
     def scenario_count(self, j: int) -> int:
         return self.ensemble.paths
 
-    def row_times(self, steps: int) -> Array:
-        """t_j on every row of steps 0..steps-1, built on each call."""
-        return _row_times(self.grid, self.offsets, steps)
 
     def brownian(self, j: int) -> Array:
         return self._brownian[j]
@@ -480,6 +466,11 @@ class MonteCarloBackend:
     def step_forward(self, j: int, state: Array, drift: Array, diffusion: Array) -> Array:
         db = self.ensemble.increments[j]
         return state + drift * self.grid.dt + np.einsum("s...d,sd->s...", diffusion, db)
+
+
+def row_times(backend: "Backend", steps: int) -> Array:
+    """t_j on every row of step j of `backend`, for steps 0..steps-1."""
+    return np.repeat(backend.grid.knots[:steps], np.diff(backend.offsets[: steps + 1]))
 
 
 def member_view(backend: "LatticeBackend | MonteCarloBackend", members: int) -> _MemberView:

@@ -40,6 +40,7 @@ from .fbsde import (
     PicardDivergenceError,
     SolveDiagnostics,
     StateTrajectory,
+    _state_rows,
     solve_fbsde,
     solve_members,
 )
@@ -170,9 +171,7 @@ def eval_cost(
     phi = problem.costs.terminal(player)
     h = problem.costs.initial(player)
     # the running cost of every row in one call; the sums over steps go step by step
-    running = problem.costs.running(player)(
-        backend.row_times(N), traj.x.leading(N), traj.y.leading(N), traj.z.rows,
-        u.u1.rows, u.u2.rows)
+    running = problem.costs.running(player)(*_state_rows(traj, u))
     if backend.kind == "montecarlo":
         total = np.zeros(backend.scenario_count(0))
         for step in running.reshape(N, -1):
@@ -307,18 +306,19 @@ def _evaluate(problem, u, backend, config, warm=None) -> _EvalState:
     return _EvalState(traj=traj, adj1=adj1, adj2=adj2, vi=vi, fbsde_diag=fd, adj_diag=adj_diag)
 
 
-def _projected(problem, out: ControlProcess, values1: Array, values2: Array) -> ControlProcess:
-    """out, its rows filled with each player's values projected onto the
-    player's box."""
-    for player, values in ((1, values1), (2, values2)):
-        box = problem.box(player)
-        np.clip(values, box.lower, box.upper, out=out.player(player).rows)
-    return out
+def _projected(problem, u: ControlProcess) -> ControlProcess:
+    """u, just built, with each player's rows projected onto the player's
+    box in place."""
+    for player in (1, 2):
+        box, rows = problem.box(player), u.player(player).rows
+        np.clip(rows, box.lower, box.upper, out=rows)
+    return u
 
 
 def _stepped(problem, u, state, alpha) -> ControlProcess:
-    return _projected(problem, u.empty_like(), u.u1.rows - alpha * state.vi.grad1.rows,
-                      u.u2.rows - alpha * state.vi.grad2.rows)
+    return _projected(problem, ControlProcess.from_rows(
+        u.u1.rows - alpha * state.vi.grad1.rows, u.u2.rows - alpha * state.vi.grad2.rows,
+        u.u1.offsets))
 
 
 # Anderson memory: how many of the latest differences the extrapolation combines.
@@ -366,9 +366,8 @@ class _Anderson:
         flat = self.x + self.f
         flat -= gamma @ dx
         flat -= gamma @ df
-        point = ControlProcess.from_flat(
-            flat, u.u1.offsets, u.u1.rows.shape[1], u.u2.rows.shape[1])
-        return _projected(problem, point, point.u1.rows, point.u2.rows)
+        return _projected(problem, ControlProcess.from_flat(
+            flat, u.u1.offsets, u.u1.rows.shape[1], u.u2.rows.shape[1]))
 
 
 def _advance(problem, backend, fbsde_config, grad_config, anderson, u, state):

@@ -12,9 +12,10 @@ Backward half (conditional-expectation recursion from y[N] = xi(B_T)):
 Every conditional expectation is regressed on the state x.  Each process
 is one ``drivers.StepArray`` over all (step, scenario) rows, and the two
 sweeps, `_forward_sweep` and `_backward_sweep`, are the package's only
-time-stepping loops: they write each step into its view of the process; `forward_pass` and `backward_pass` run them on the
-state system, and the ``adjoint`` module runs them on the costate systems
-with its own coefficients and driver.  ``damped_picard`` couples a forward
+time-stepping loops: they write each step into its view of the process.
+`forward_pass` and `backward_pass` run them on the state system, and the
+``adjoint`` module runs them on the costate systems with its own
+coefficients and driver.  ``damped_picard`` couples a forward
 and a backward sweep by Picard iteration on the backward pair, with
 type-II Anderson mixing of the last few passes (`_Mixing`), stops once a
 pass's output is within `FbsdeConfig.tol` of its input, and finishes with
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import Backend, StepArray
+from .drivers import Backend, StepArray, row_times
 from .problem import GameProblem
 
 Array = np.ndarray
@@ -130,11 +131,6 @@ class ControlProcess:
         flat = np.concatenate([np.ravel(rows1), np.ravel(rows2)]).astype(float, copy=False)
         return cls.from_flat(flat, offsets, rows1.shape[1], rows2.shape[1])
 
-    def empty_like(self) -> "ControlProcess":
-        """Controls of the same layout with an unfilled buffer."""
-        return ControlProcess.from_flat(
-            np.empty_like(self.flat), self.u1.offsets, self.u1.rows.shape[1], self.u2.rows.shape[1])
-
     @classmethod
     def constant(cls, problem: GameProblem, backend: Backend, value1, value2) -> "ControlProcess":
         v1 = np.atleast_1d(np.asarray(value1, dtype=float))
@@ -183,6 +179,14 @@ class StateTrajectory:
     @property
     def steps(self) -> int:
         return len(self.x) - 1
+
+
+def _state_rows(traj: StateTrajectory, u: ControlProcess) -> tuple:
+    """The callback arguments (t, x, y, z, u1, u2) over the rows of steps
+    0..N-1, t per row, so that one call evaluates every step."""
+    N = traj.steps
+    return (row_times(traj.backend, N), traj.x.leading(N), traj.y.leading(N), traj.z.rows,
+            u.u1.rows, u.u2.rows)
 
 
 def _start_pair(backend: Backend, a_shape: tuple, b_shape: tuple, initial=None):
@@ -488,8 +492,8 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
 
     `start` is the pair as `_start_pair` gives it, (flat vector, a's and
     b's trailing shapes); the iteration takes the vector over, and each
-    pass reads its input (a, b) as StepArray views of it.  Each pass maps its input
-    (a, b) to the output G(a, b) = ``backward(forward(a, b))``: `forward`
+    pass reads its input (a, b) as StepArray views of it.  Each pass maps
+    its input (a, b) to the output G(a, b) = ``backward(forward(a, b))``: `forward`
     gives the forward sweep at (a, b), and `backward` the output pair from
     it plus its ridge-fallback count (a scalar, or one count per member).
     A pass's residual is `_update_metric` between its output and its input,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .adjoint import AdjointTrajectory, costate_combination
 from .drivers import StepArray
-from .fbsde import ControlProcess, StateTrajectory
+from .fbsde import ControlProcess, StateTrajectory, _state_rows
 from .problem import ControlBox, GameProblem
 
 Array = np.ndarray
@@ -110,11 +110,8 @@ def eval_hamiltonian(
 
 def _all_rows(traj: StateTrajectory, adj: AdjointTrajectory, u: ControlProcess):
     """The (t, x, y, z, u1, u2) and (p, q, k) rows of steps 0..N-1, t per row."""
-    backend = traj.backend
-    N = backend.grid.steps
-    args = (backend.row_times(N), traj.x.leading(N), traj.y.leading(N),
-            traj.z.rows, u.u1.rows, u.u2.rows)
-    return args, (adj.p.leading(N), adj.q.rows, adj.k.leading(N))
+    N = traj.steps
+    return _state_rows(traj, u), (adj.p.leading(N), adj.q.rows, adj.k.leading(N))
 
 
 def control_gradient(
@@ -159,10 +156,6 @@ _INNER_SAMPLES = 32
 _INNER_SEED = 0
 _INNER_RADIUS = 10.0
 
-# Rows per block of the sampled pairing in vi_residual: a block's (row,
-# candidate) table has at most this many rows times _INNER_SAMPLES entries.
-_PAIRING_ROWS = 2048
-
 
 def _sample_box(box: ControlBox, rng: np.random.Generator) -> Array:
     lo = np.maximum(box.lower, -_INNER_RADIUS)
@@ -193,12 +186,13 @@ def vi_residual(
         for j in range(len(offsets) - 1):
             mean = backend.expect(j, squared[offsets[j]:offsets[j + 1]])
             worst = max(worst, float(np.sqrt(mean)))
-        inner_min = np.inf
-        for start in range(0, g.shape[0], _PAIRING_ROWS):
-            block = slice(start, start + _PAIRING_ROWS)
-            pairing = g[block] @ candidates.T
-            pairing -= np.einsum("sv,sv->s", g[block], own[block])[:, None]
-            inner_min = min(inner_min, float(pairing.min()))
+        # min over rows and candidates of <g, v> - <g, u>: per row, the
+        # smallest <g, v> first (rounding keeps the order, so no (rows,
+        # candidates) table is needed), then the subtraction
+        lowest = np.full(g.shape[0], np.inf)
+        for v in candidates:
+            np.minimum(lowest, g @ v, out=lowest)
+        inner_min = float((lowest - np.einsum("sv,sv->s", g, own)).min())
         gradients[player] = grads
         rhos[player] = worst
         inner[player] = inner_min
