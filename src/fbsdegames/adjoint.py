@@ -15,17 +15,19 @@ it runs through the ``fbsde`` sweeps and `fbsde.damped_picard`; this module
 supplies only its per-step coefficients and driver.  The partials in G_v
 depend on (t, x, y, z, u1, u2) alone, which a solve holds fixed, so they
 are stacked once per solve, in one call over the rows of all steps, into
-one matrix per row acting on (p, q flattened, k), with l_iv beside it.  The two players' systems share that matrix and differ
-only in l_iv, p[N] and k[0]; `solve_adjoints` solves them over a two-member
-axis (``drivers.member_view``), and each player's result is bit for bit
-that of its solve alone, which `solve_adjoint` is.
+one matrix per row acting on (p, q flattened, k), with l_iv beside it.
+The two players' systems share that matrix and differ only in l_iv, p[N]
+and k[0]; `solve_adjoints` solves them over a two-member axis
+(``drivers.member_view``), and each player's result is bit for bit that of
+its solve alone, which `solve_adjoint` is.
 
 `costate_combination` assembles G_v from the callbacks on any rows (one
 step's, or all steps' with t per row); it is the reference the solver is
-tested against, and the ``hamiltonian`` module's gradients of H_i call it.  `duality_residual` evaluates the
-discrete integration-by-parts identity that links a costate solved at one
-control to the state perturbation induced by another; it decays at first
-order in dt and vanishes termwise when the controls agree.
+tested against, and the ``hamiltonian`` module's gradients of H_i call
+it.  `duality_residual` evaluates the discrete integration-by-parts
+identity that links a costate solved at one control to the state
+perturbation induced by another; it decays at first order in dt and
+vanishes termwise when the controls agree.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ step.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -197,7 +198,24 @@ class _Projection:
         return self.basis @ coef
 
 
-class LatticeBackend:
+class _Rows:
+    """The row layout a backend shares with its processes: step j is rows
+    offsets[j]:offsets[j + 1], for steps 0..N."""
+
+    offsets: tuple[int, ...]
+    grid: TimeGrid
+
+    @functools.cached_property
+    def row_times(self) -> Array:
+        """Read-only t_j on every row of step j, for steps 0..N-1 (the rows
+        of the controls), built once per backend."""
+        N = self.grid.steps
+        times = np.repeat(self.grid.knots[:N], np.diff(self.offsets[: N + 1]))
+        times.setflags(write=False)
+        return times
+
+
+class LatticeBackend(_Rows):
     """Exact recombining-lattice backend; requires d = 1."""
 
     kind = "lattice"
@@ -262,7 +280,7 @@ class LatticeBackend:
         return out
 
 
-class _MemberView:
+class _MemberView(_Rows):
     """`members` independent problems stacked on one backend.
 
     A member's rows get, bit for bit, the values the base backend gives
@@ -369,9 +387,9 @@ class MemberPaths(_MemberView):
         """Rows from each member's (K * P, ...) array of K steps: per step,
         the members' P-row blocks in member order."""
         P = self.base.ensemble.paths
-        blocks = [np.reshape(a, (a.shape[0] // P, P) + a.shape[1:]) for a in arrays]
-        v = np.stack(blocks, axis=1)
-        return v.reshape((v.shape[0] * v.shape[1] * P,) + v.shape[3:])
+        v = np.concatenate([np.reshape(a, (a.shape[0] // P, P) + a.shape[1:]) for a in arrays],
+                           axis=1)
+        return v.reshape((v.shape[0] * v.shape[1],) + v.shape[2:])
 
     def unstack(self, rows: Array) -> tuple[Array, ...]:
         """Each member's own (K * P, ...) rows, a contiguous view for one
@@ -409,7 +427,7 @@ class MemberPaths(_MemberView):
         return self.stack([self.base.step_forward(j, *args) for args in blocks])
 
 
-class MonteCarloBackend:
+class MonteCarloBackend(_Rows):
     """Path-ensemble backend with regression conditional expectations."""
 
     kind = "montecarlo"
@@ -466,11 +484,6 @@ class MonteCarloBackend:
     def step_forward(self, j: int, state: Array, drift: Array, diffusion: Array) -> Array:
         db = self.ensemble.increments[j]
         return state + drift * self.grid.dt + np.einsum("s...d,sd->s...", diffusion, db)
-
-
-def row_times(backend: "Backend", steps: int) -> Array:
-    """t_j on every row of step j of `backend`, for steps 0..steps-1."""
-    return np.repeat(backend.grid.knots[:steps], np.diff(backend.offsets[: steps + 1]))
 
 
 def member_view(backend: "LatticeBackend | MonteCarloBackend", members: int) -> _MemberView:

@@ -224,25 +224,25 @@ def gateaux_derivative(
     differences the costs.  Perturbed controls are used as given (no
     projection); feasible=False flags an excursion outside the box.
     """
-    direction = [np.asarray(v, dtype=float) for v in direction]
+    direction = StepArray.of(direction)
     traj, _ = _solved(problem, u, backend, fbsde_config, what="base")
     adj, adiag = solve_adjoint(problem, traj, u, player, backend, fbsde_config)
     if not adiag.converged:
         raise NonConvergenceError("costate solve did not converge", adiag)
-    grid = backend.grid
     grads = control_gradient(problem, traj, adj, u, player)
+    pairing = np.einsum("sv,sv->s", grads.rows, direction.rows)
+    offsets = direction.offsets
     adjoint_form = 0.0
-    for j, g in enumerate(grads):
-        adjoint_form += grid.dt * float(backend.expect(j, np.einsum("sv,sv->s", g, direction[j])))
+    for j in range(len(offsets) - 1):
+        step = pairing[offsets[j]:offsets[j + 1]]
+        adjoint_form += backend.grid.dt * float(backend.expect(j, step))
     box = problem.box(player)
-    own = u.player(player)
-    feasible = all(
-        box.contains(own[j] + epsilon * direction[j]) and box.contains(own[j] - epsilon * direction[j])
-        for j in range(grid.steps)
-    )
+    own = u.player(player).rows
+    plus, minus = own + epsilon * direction.rows, own - epsilon * direction.rows
+    feasible = box.contains(plus) and box.contains(minus)
     warm = (traj.y, traj.z)
-    u_plus = u.replace_player(player, [own[j] + epsilon * direction[j] for j in range(grid.steps)])
-    u_minus = u.replace_player(player, [own[j] - epsilon * direction[j] for j in range(grid.steps)])
+    u_plus = u.replace_player(player, StepArray(plus, offsets))
+    u_minus = u.replace_player(player, StepArray(minus, offsets))
     traj_plus, _ = _solved(problem, u_plus, backend, fbsde_config, initial=warm, what="perturbed")
     traj_minus, _ = _solved(problem, u_minus, backend, fbsde_config, initial=warm, what="perturbed")
     j_plus, _ = eval_cost(problem, traj_plus, u_plus, player)

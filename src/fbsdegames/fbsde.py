@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import Backend, StepArray, row_times
+from .drivers import Backend, StepArray
 from .problem import GameProblem
 
 Array = np.ndarray
@@ -185,7 +185,7 @@ def _state_rows(traj: StateTrajectory, u: ControlProcess) -> tuple:
     """The callback arguments (t, x, y, z, u1, u2) over the rows of steps
     0..N-1, t per row, so that one call evaluates every step."""
     N = traj.steps
-    return (row_times(traj.backend, N), traj.x.leading(N), traj.y.leading(N), traj.z.rows,
+    return (traj.backend.row_times, traj.x.leading(N), traj.y.leading(N), traj.z.rows,
             u.u1.rows, u.u2.rows)
 
 

@@ -149,6 +149,21 @@ class ViResidualReport:
     convention: str = CONVENTION_NOTE
 
 
+# Pairs per call of a (candidate, row) search, in check_pointwise_min and
+# vi_residual's sampled pairing: memory stays bounded when the control grid
+# has density**k points or the rows are many.
+_POINTWISE_ROWS = 1 << 16
+
+
+def _block_rows(offsets: tuple[int, ...], candidates: int) -> int:
+    """Rows per call of a search of `candidates` candidates over the rows
+    of steps laid out at offsets: at most `_POINTWISE_ROWS` pairs, and no
+    more than a search step by step makes at its largest step, so a search
+    over all steps peaks no higher in memory than that one."""
+    limit = min(_POINTWISE_ROWS, candidates * int(np.diff(offsets).max()))
+    return max(1, limit // candidates)
+
+
 # The sampled first-order condition in vi_residual: this many candidates per
 # player, drawn from the box clipped to [-_INNER_RADIUS, _INNER_RADIUS] by a
 # generator seeded with _INNER_SEED, so the report is deterministic.
@@ -186,13 +201,13 @@ def vi_residual(
         for j in range(len(offsets) - 1):
             mean = backend.expect(j, squared[offsets[j]:offsets[j + 1]])
             worst = max(worst, float(np.sqrt(mean)))
-        # min over rows and candidates of <g, v> - <g, u>: per row, the
-        # smallest <g, v> first (rounding keeps the order, so no (rows,
-        # candidates) table is needed), then the subtraction
-        lowest = np.full(g.shape[0], np.inf)
-        for v in candidates:
-            np.minimum(lowest, g @ v, out=lowest)
-        inner_min = float((lowest - np.einsum("sv,sv->s", g, own)).min())
+        inner_min = np.inf
+        rows = _block_rows(offsets, _INNER_SAMPLES)
+        for start in range(0, g.shape[0], rows):
+            block = slice(start, start + rows)
+            pairing = g[block] @ candidates.T
+            pairing -= np.einsum("sv,sv->s", g[block], own[block])[:, None]
+            inner_min = min(inner_min, float(pairing.min()))
         gradients[player] = grads
         rhos[player] = worst
         inner[player] = inner_min
@@ -234,10 +249,6 @@ def _control_grid(box: ControlBox, density: int, radius: float | None) -> Array:
     return np.array(list(itertools.product(*axes)))
 
 
-# Rows per batched Hamiltonian call in check_pointwise_min: the (candidate,
-# row) pairs are evaluated in blocks of at most this many, so memory stays
-# bounded when the control grid has density**k points.
-_POINTWISE_ROWS = 1 << 16
 
 
 def _tile_rows(a: Array, count: int) -> Array:
@@ -259,9 +270,7 @@ def check_pointwise_min(
 
     A positive violation means some grid point achieves a strictly lower
     Hamiltonian at the same (state, costate) slice.  The rows of all steps
-    are searched together: each call evaluates at most `_POINTWISE_ROWS`
-    (candidate, row) pairs, and no more than one candidate grid against the
-    largest step's rows, the call a search step by step would make.
+    are searched together, in calls of `_block_rows` rows.
     """
     candidates = _control_grid(problem.box(player), grid_density, radius)
     C = candidates.shape[0]
@@ -272,11 +281,10 @@ def check_pointwise_min(
     row_best = np.full(rows, -np.inf)
     best = np.zeros(rows, dtype=int)
     offsets = u.u1.offsets
-    # no call takes more pairs than a search step by step would at its
-    # largest step, so the probe's memory peak stays that search's
-    limit = min(_POINTWISE_ROWS, C * int(np.diff(offsets).max()))
-    span = min(rows, limit)
-    block = min(C, max(1, limit // span))
+    # as many candidates per call as fit: picking a row's best candidate
+    # costs per row and call, not per pair
+    span = min(rows, _block_rows(offsets, C))
+    block = min(C, max(1, _POINTWISE_ROWS // span))
     for r0 in range(0, rows, span):
         sel = slice(r0, r0 + span)
         S = base[sel].shape[0]
