@@ -232,9 +232,8 @@ def solve_adjoints(
                 for i in players])
     if initial is not None:
         # per field (ps, qs): the players' rows of all steps, stacked
-        initial = tuple(stack([StepArray.of(own).rows for own in field])
-                        for field in zip(*initial))
-        initial = (StepArray(initial[0], view.offsets), StepArray(initial[1], view.offsets[:N + 1]))
+        ps, qs = (stack([StepArray.of(own).rows for own in field]) for field in zip(*initial))
+        initial = (StepArray(ps, view.offsets), StepArray(qs, view.offsets[:N + 1]))
     start = _start_pair(view, (n,), (n, d), initial)
     del initial
     # p[N] is data: the first residual sees no update there

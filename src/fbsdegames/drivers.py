@@ -286,10 +286,10 @@ class _MemberView(_Rows):
     A member's rows get, bit for bit, the values the base backend gives
     them alone, as long as the problem's callbacks act row by row.  `stack`
     and `unstack` convert the rows of one or more consecutive steps between
-    per-member arrays and the view's rows, `owners` gives the member of each
-    row of a step, `member_rows` selects the rows of chosen members,
-    `scenario_of` names a row's scenario within its member, and `expect`
-    returns one value per member, shape (B, ...) for B = members.
+    per-member arrays and the view's rows, `member_rows` selects the rows of
+    chosen members, `scenario_of` names a row's scenario within its member,
+    and `expect` returns one value per member, shape (B, ...) for B =
+    members.
     """
 
     def __init__(self, base, members: int):
@@ -304,10 +304,6 @@ class _MemberView(_Rows):
     def scenario_count(self, j: int) -> int:
         return self.base.scenario_count(j) * self.members
 
-
-    def member_rows(self, j: int, mask: Array) -> Array:
-        """Step-j row mask selecting the members where mask (shape (B,)) holds."""
-        return np.asarray(mask)[self.owners(j)]
 
 
 class MemberLattice(_MemberView):
@@ -338,8 +334,9 @@ class MemberLattice(_MemberView):
         nodes = self._nodes(rows)
         return tuple(np.ascontiguousarray(nodes[:, b]) for b in range(self.members))
 
-    def owners(self, j: int) -> Array:
-        return np.tile(np.arange(self.members), j + 1)
+    def member_rows(self, j: int, mask: Array) -> Array:
+        """Level-j row mask selecting the members where mask (shape (B,)) holds."""
+        return np.tile(mask, j + 1)
 
     def scenario_of(self, row: int) -> int:
         return row // self.members
@@ -400,8 +397,9 @@ class MemberPaths(_MemberView):
         return tuple(blocks[:, b].reshape((blocks.shape[0] * P,) + v.shape[1:])
                      for b in range(self.members))
 
-    def owners(self, j: int) -> Array:
-        return np.repeat(np.arange(self.members), self.base.ensemble.paths)
+    def member_rows(self, j: int, mask: Array) -> Array:
+        """Row mask selecting the members where mask (shape (B,)) holds."""
+        return np.repeat(mask, self.base.ensemble.paths)
 
     def scenario_of(self, row: int) -> int:
         return row % self.base.ensemble.paths

@@ -327,16 +327,17 @@ def _runs(backend: Backend, a_shape: tuple, b_shape: tuple) -> list[tuple[slice,
     runs hold its entries in the order its solve alone holds them.
     """
     members = getattr(backend, "members", 1)
+    ids = np.arange(members)
     N, offsets = backend.grid.steps, backend.offsets
     parts, start = [], 0
     for steps, shape in ((N + 1, a_shape), (N, b_shape)):
         size = offsets[steps] * math.prod(shape)
         if backend.kind == "montecarlo":
-            owners = np.tile(np.arange(members), steps)
+            owners = np.tile(ids, steps)
         elif members == 1:
             owners = np.zeros(offsets[steps], dtype=np.intp)
         else:
-            owners = np.concatenate([backend.owners(j) for j in range(steps)])
+            owners = np.concatenate([backend.member_rows(j, ids) for j in range(steps)])
         parts.append((slice(start, start + size), owners))
         start += size
     return parts
