@@ -1,4 +1,4 @@
-"""Both players' costate systems along a solved trajectory, solved together.
+"""Both players' costate systems along a solved trajectory.
 
 For player i the costate triple (k, p, q) obeys, along a fixed state
 trajectory and control pair,
@@ -17,9 +17,10 @@ depend on (t, x, y, z, u1, u2) alone, which a solve holds fixed, so they
 are stacked once per solve, in one call over the rows of all steps, into
 one matrix per row acting on (p, q flattened, k), with l_iv beside it.
 The two players' systems share that matrix and differ only in l_iv, p[N]
-and k[0]; `solve_adjoints` solves them over a two-member axis
-(``drivers.member_view``), and each player's result is bit for bit that of
-its solve alone, which `solve_adjoint` is.
+and k[0].  `solve_adjoints` solves them over a two-member axis
+(``drivers.MemberLattice``) on the lattice and one player at a time on
+Monte Carlo, and each player's result is bit for bit that of its solve
+alone, which `solve_adjoint` is.
 
 `costate_combination` assembles G_v from the callbacks on any rows (one
 step's, or all steps' with t per row); it is the reference the solver is
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import Backend, StepArray, member_view
+from .drivers import Backend, MemberLattice, StepArray
 from .fbsde import (
     ControlProcess,
     FbsdeConfig,
@@ -201,15 +202,18 @@ def solve_adjoints(
     initial=None,
     players: tuple[int, ...] = (1, 2),
 ) -> tuple[tuple[AdjointTrajectory, ...], tuple[SolveDiagnostics, ...]]:
-    """Solve the costate systems of `players` along one trajectory as one
-    `fbsde.damped_picard` solve, one member per player; returns one
-    AdjointTrajectory and one SolveDiagnostics per player, each bit for bit
-    that player's solve alone (`solve_adjoint`).
+    """Solve the costate systems of `players` along one trajectory; returns
+    one AdjointTrajectory and one SolveDiagnostics per player, each bit for
+    bit that player's solve alone (`solve_adjoint`).  `initial` warm-starts
+    the solves with one (ps, qs) per player from an earlier solve.
 
-    Per player the iterate is (p, q); each pass's forward sweep rebuilds k
-    from it, and a last sweep makes the forward recursion hold at the
-    returned triple.  k[0] and p[N] are data, never iterated.  `initial`
-    warm-starts the solve with one (ps, qs) per player from an earlier solve.
+    On Monte Carlo each player's `solve_adjoint` runs in turn, so a failing
+    player 1 raises before player 2's solve starts, whatever the pass.
+    Otherwise the players are one `fbsde.damped_picard` solve, one member
+    per player (on a ``drivers.MemberLattice`` for several).  Per player
+    the iterate is (p, q); each pass's forward sweep rebuilds k from it, and
+    a last sweep makes the forward recursion hold at the returned triple.
+    k[0] and p[N] are data, never iterated.
 
     A failing player raises as its solve alone would.  When several fail,
     the first failure in pass order is raised: a non-finite costate met by
@@ -222,7 +226,12 @@ def solve_adjoints(
     """
     if not players or any(player not in (1, 2) for player in players):
         raise ValueError("each player must be 1 or 2")
-    view = member_view(backend, len(players))
+    if backend.kind == "montecarlo" and len(players) > 1:
+        solves = [solve_adjoint(problem, traj, u, player, backend, config,
+                                None if initial is None else initial[b])
+                  for b, player in enumerate(players)]
+        return tuple(adj for adj, _ in solves), tuple(diag for _, diag in solves)
+    view = backend if len(players) == 1 else MemberLattice(backend, len(players))
     stack = view.stack
     N = backend.grid.steps
     n, m, d = problem.dims.n, problem.dims.m, problem.dims.d

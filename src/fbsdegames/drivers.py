@@ -12,14 +12,13 @@ Two interchangeable backends drive every solver:
 * ``MonteCarloBackend``: a seeded path ensemble with least-squares
   regression onto a polynomial basis for conditional expectations.  Each
   step's design matrix is factored once and reused while its regressors
-  stay the same (Gobet, Lemor & Warin 2005).  ``MemberPaths`` stacks
-  independent problems on one ensemble; the costate solve runs both
-  players' systems through it.
+  stay the same (Gobet, Lemor & Warin 2005).  Like the lattice, it is a
+  one-member case of ``MemberLattice``'s member interface.
 
 A scenario-indexed process is one `StepArray`: a single (rows, ...) array
 over all (step, scenario) rows, step j at rows offsets[j]:offsets[j + 1]
 of the backend's `offsets` (lattice step j has j + 1 rows, Monte Carlo
-always P, a member view B times as many).  Work that does not depend on
+always P, a member lattice B times as many).  Work that does not depend on
 earlier steps runs as one call over all rows, with `row_times` giving each
 row's t; only the sweeps in time and the per-step expectations go step by
 step.
@@ -200,10 +199,30 @@ class _Projection:
 
 class _Rows:
     """The row layout a backend shares with its processes: step j is rows
-    offsets[j]:offsets[j + 1], for steps 0..N."""
+    offsets[j]:offsets[j + 1], for steps 0..N.
+
+    A plain backend is the one-member case of `MemberLattice`'s member
+    interface: `stack` and `unstack` pass the one member's rows through,
+    `member_rows` selects all of a step's rows or none, and a row is its own
+    scenario.
+    """
 
     offsets: tuple[int, ...]
     grid: TimeGrid
+    members = 1
+
+    def stack(self, arrays) -> Array:
+        (rows,) = arrays
+        return np.asarray(rows)
+
+    def unstack(self, rows: Array) -> tuple[Array, ...]:
+        return (np.asarray(rows),)
+
+    def member_rows(self, j: int, mask: Array) -> Array:
+        return np.repeat(mask, self.scenario_count(j))
+
+    def scenario_of(self, row: int) -> int:
+        return row
 
     @functools.cached_property
     def row_times(self) -> Array:
@@ -280,19 +299,25 @@ class LatticeBackend(_Rows):
         return out
 
 
-class _MemberView(_Rows):
-    """`members` independent problems stacked on one backend.
+class MemberLattice(_Rows):
+    """`members` independent problems stacked node-major on one
+    `LatticeBackend`.
 
-    A member's rows get, bit for bit, the values the base backend gives
-    them alone, as long as the problem's callbacks act row by row.  `stack`
-    and `unstack` convert the rows of one or more consecutive steps between
-    per-member arrays and the view's rows, `member_rows` selects the rows of
-    chosen members, `scenario_of` names a row's scenario within its member,
-    and `expect` returns one value per member, shape (B, ...) for B =
-    members.
+    Row l * B + b of level j is node l of member b, so level j holds
+    (j + 1) * B rows, B = members.  Every operation views its rows as
+    (j + 1, B, ...) and runs the lattice's own arithmetic on that trailing
+    shape, so a member's rows get, bit for bit, the values the lattice
+    gives them alone, as long as the problem's callbacks act row by row.
+    `stack` and `unstack` convert the rows of one or more consecutive
+    levels between per-member arrays and the view's rows, `member_rows`
+    selects the rows of chosen members, `scenario_of` names a row's node
+    within its member, and `expect` returns one value per member, shape
+    (B, ...).
     """
 
-    def __init__(self, base, members: int):
+    kind = "lattice"
+
+    def __init__(self, base: LatticeBackend, members: int):
         if members < 1:
             raise ValueError("members must be >= 1")
         self.base = base
@@ -303,18 +328,6 @@ class _MemberView(_Rows):
 
     def scenario_count(self, j: int) -> int:
         return self.base.scenario_count(j) * self.members
-
-
-
-class MemberLattice(_MemberView):
-    """Member view of a `LatticeBackend`, stacked node-major.
-
-    Row l * B + b of level j is node l of member b, so level j holds
-    (j + 1) * B rows.  Every operation views its rows as (j + 1, B, ...) and
-    runs the lattice's own arithmetic on that trailing shape.
-    """
-
-    kind = "lattice"
 
     # explicit lengths, not -1: a control of an inert player has no columns
     def _nodes(self, rows: Array) -> Array:
@@ -364,65 +377,6 @@ class MemberLattice(_MemberView):
             j, self._nodes(state), self._nodes(drift), self._nodes(diffusion)
         )
         return self._rows(nxt)
-
-
-class MemberPaths(_MemberView):
-    """Member view of a `MonteCarloBackend`, stacked member-major.
-
-    Rows b * P to (b + 1) * P - 1 of a step are the P paths of member b, so
-    each member's rows are one contiguous block, and every operation runs
-    the backend's own on each block, a view, not a copy.  All members
-    regress on the same regressors, each through the backend's `_fit`, so
-    they share the step's cached projection; one multi-column fit would
-    round differently.  A fit returns its ridge fallbacks as one count per
-    member, shape (B,).
-    """
-
-    kind = "montecarlo"
-
-    def stack(self, arrays) -> Array:
-        """Rows from each member's (K * P, ...) array of K steps: per step,
-        the members' P-row blocks in member order."""
-        P = self.base.ensemble.paths
-        v = np.concatenate([np.reshape(a, (a.shape[0] // P, P) + a.shape[1:]) for a in arrays],
-                           axis=1)
-        return v.reshape((v.shape[0] * v.shape[1],) + v.shape[2:])
-
-    def unstack(self, rows: Array) -> tuple[Array, ...]:
-        """Each member's own (K * P, ...) rows, a contiguous view for one
-        step and a copy for more; inverse of `stack`."""
-        v = np.asarray(rows)
-        P = self.base.ensemble.paths
-        blocks = v.reshape((v.shape[0] // (self.members * P), self.members, P) + v.shape[1:])
-        return tuple(blocks[:, b].reshape((blocks.shape[0] * P,) + v.shape[1:])
-                     for b in range(self.members))
-
-    def member_rows(self, j: int, mask: Array) -> Array:
-        """Row mask selecting the members where mask (shape (B,)) holds."""
-        return np.repeat(mask, self.base.ensemble.paths)
-
-    def scenario_of(self, row: int) -> int:
-        return row % self.base.ensemble.paths
-
-    def brownian(self, j: int) -> Array:
-        return np.tile(self.base.brownian(j), (self.members, 1))
-
-    def expect(self, j: int, values: Array) -> Array:
-        return np.array([self.base.expect(j, v) for v in self.unstack(values)])
-
-    def _each(self, op, j: int, values: Array, regressors: Array | None):
-        fits = [op(j, v, regressors) for v in self.unstack(values)]
-        return self.stack([fit for fit, _ in fits]), np.array([r for _, r in fits], dtype=int)
-
-    def cond_exp(self, j: int, values_next: Array, regressors: Array | None = None):
-        return self._each(self.base.cond_exp, j, values_next, regressors)
-
-    def cond_exp_increment(self, j: int, values_next: Array, regressors: Array | None = None):
-        return self._each(self.base.cond_exp_increment, j, values_next, regressors)
-
-    def step_forward(self, j: int, state: Array, drift: Array, diffusion: Array) -> Array:
-        blocks = zip(self.unstack(state), self.unstack(drift), self.unstack(diffusion))
-        return self.stack([self.base.step_forward(j, *args) for args in blocks])
 
 
 class MonteCarloBackend(_Rows):
@@ -484,10 +438,4 @@ class MonteCarloBackend(_Rows):
         return state + drift * self.grid.dt + np.einsum("s...d,sd->s...", diffusion, db)
 
 
-def member_view(backend: "LatticeBackend | MonteCarloBackend", members: int) -> _MemberView:
-    """The member view that stacks `members` independent problems on backend."""
-    view = MemberLattice if backend.kind == "lattice" else MemberPaths
-    return view(backend, members)
-
-
-Backend = LatticeBackend | MonteCarloBackend | MemberLattice | MemberPaths
+Backend = LatticeBackend | MonteCarloBackend | MemberLattice

@@ -8,12 +8,12 @@ inequality, which is a fixed point of the projected-gradient map
 `solve_nash` finds it by type-II Anderson extrapolation of T (Walker & Ni
 2011, SIAM J. Numer. Anal. 49(4)), with backtracking along the plain step
 as the fallback.  Every trial point costs one evaluation: a full system
-solve (state, then both costate triples as one paired solve,
-``adjoint.solve_adjoints``, warm-started from the current iterate) and the
-stationarity residuals.  Progress is measured by the merit
-max(rho_1, rho_2) where rho_i is the stationarity residual of player i; a
-step is accepted only when the merit strictly decreases, so the recorded
-merit sequence is strictly decreasing by construction.
+solve (state, then both costate triples, ``adjoint.solve_adjoints``,
+warm-started from the current iterate) and the stationarity residuals.
+Progress is measured by the merit max(rho_1, rho_2) where rho_i is the
+stationarity residual of player i; a step is accepted only when the merit
+strictly decreases, so the recorded merit sequence is strictly decreasing
+by construction.
 
 Validators, deliberately decoupled from the search: cost evaluation with a
 standard error on sampled backends, a directional-derivative pair (costate
@@ -106,8 +106,8 @@ class IterationRecord:
     rejected trials included (the first iteration also counts the one at the
     starting controls), whether an accepted step was the Anderson point,
     and the inner Picard passes those evaluations spent: state passes, and
-    passes of the paired costate solves (each runs until both players'
-    costates stop)."""
+    costate passes, per evaluation the longer player's (the players' solves
+    are paired on the lattice and one at a time on Monte Carlo)."""
 
     iteration: int
     j1: float
@@ -285,10 +285,11 @@ class _EvalState:
 
 
 def _evaluate(problem, u, backend, config, warm=None) -> _EvalState:
-    """The state solve, one paired costate solve and the VI residual at u.
+    """The state solve, both players' costate solves and the VI residual at u.
 
     A PicardDivergenceError leaves with `spent`, the evaluation's
-    (evaluations, state passes, costate passes) up to the divergence.
+    (evaluations, state passes, costate passes) up to the divergence, the
+    costate passes being those of the diverging solve.
     """
     try:
         traj, fd = solve_fbsde(problem, u, backend, config, initial=warm[0] if warm else None)

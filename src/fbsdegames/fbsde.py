@@ -214,12 +214,10 @@ def _pair_views(backend: Backend, flat: Array, a_shape: tuple, b_shape: tuple):
 
 def _check_finite(backend: Backend, step: int, values: Array) -> None:
     """Raise NonFiniteStateError at the first non-finite row of a step's
-    values, naming its scenario within its own member on a member view."""
+    values, naming its scenario within its own member."""
     if not np.isfinite(values).all():
         row = int(np.argwhere(~np.isfinite(values))[0][0])
-        scenario_of = getattr(backend, "scenario_of", None)
-        raise NonFiniteStateError(
-            step=step, scenario=row if scenario_of is None else scenario_of(row), row=row)
+        raise NonFiniteStateError(step=step, scenario=backend.scenario_of(row), row=row)
 
 
 def _forward_sweep(backend: Backend, start: Array, coefficients) -> StepArray:
@@ -241,8 +239,8 @@ def _backward_sweep(backend: Backend, terminal: Array, xs, driver):
         b[j] = E[a[j+1] dB' | F_j] / dt
         a[j] = E[a[j+1] | F_j] + driver(j, E[a[j+1] | F_j], b[j]) dt
 
-    Returns (a, b) plus the number of fits that fell back to ridge (one
-    count per member on a ``drivers.MemberPaths``).
+    Returns (a, b) plus the number of fits that fell back to ridge, which
+    only a Monte Carlo backend's regressions do.
     """
     N, dt, offsets = backend.grid.steps, backend.grid.dt, backend.offsets
     a = StepArray(np.empty((offsets[N + 1],) + terminal.shape[1:]), offsets)
@@ -304,7 +302,7 @@ def _update_metric(backend: Backend, ys_new, zs_new, ys_old, zs_old) -> Array:
             dz = zs_new.rows[block] - zs_old.rows[block]
             dz = dz.reshape(dz.shape[0], -1)
             total[start:start + dz.shape[0]] += np.einsum("sk,sk->s", dz, dz)
-    worst = np.zeros(getattr(backend, "members", 1))
+    worst = np.zeros(backend.members)
     offsets = ys_new.offsets
     for j in range(len(offsets) - 1):
         # a NaN mean leaves worst
@@ -322,20 +320,18 @@ def _runs(backend: Backend, a_shape: tuple, b_shape: tuple) -> list[tuple[slice,
     then b's) as runs of equal length: per part, its slice of the flat
     vector and the member of each of its runs.
 
-    A run is one row on the lattice, and one member's rows of a step on
-    Monte Carlo (a member view stacks those contiguously), so a member's
-    runs hold its entries in the order its solve alone holds them.
+    A run is one row on the lattice, where a member lattice interleaves the
+    members' nodes, so a member's runs hold its entries in the order its
+    solve alone holds them.  On Monte Carlo, always one member, a run is one
+    step's rows.
     """
-    members = getattr(backend, "members", 1)
-    ids = np.arange(members)
+    ids = np.arange(backend.members)
     N, offsets = backend.grid.steps, backend.offsets
     parts, start = [], 0
     for steps, shape in ((N + 1, a_shape), (N, b_shape)):
         size = offsets[steps] * math.prod(shape)
         if backend.kind == "montecarlo":
-            owners = np.tile(ids, steps)
-        elif members == 1:
-            owners = np.zeros(offsets[steps], dtype=np.intp)
+            owners = np.zeros(steps, dtype=np.intp)
         else:
             owners = np.concatenate([backend.member_rows(j, ids) for j in range(steps)])
         parts.append((slice(start, start + size), owners))
@@ -368,7 +364,7 @@ class _Mixing:
 
     def __init__(self, x: Array, a_shape: tuple, b_shape: tuple, backend: Backend, theta: float):
         self.theta = theta
-        self.members = getattr(backend, "members", 1)
+        self.members = backend.members
         self.runs = _runs(backend, a_shape, b_shape)
         self.xs = [x]  # the latest inputs, oldest first; the last is the current one
         self.fs: list[Array] = []  # f at each input but the last two
@@ -496,28 +492,29 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
     pass reads its input (a, b) as StepArray views of it.  Each pass maps
     its input (a, b) to the output G(a, b) = ``backward(forward(a, b))``: `forward`
     gives the forward sweep at (a, b), and `backward` the output pair from
-    it plus its ridge-fallback count (a scalar, or one count per member).
-    A pass's residual is `_update_metric` between its output and its input,
-    the fixed-point residual, and the solve stops at the first output whose
-    residual is at most tol.  The next input is `_Mixing`'s Anderson step
-    with theta = damping.  An input that the step leaves unchanged in
-    floating point would repeat the pass bit for bit, so the solve also
-    stops there, converged, with a warning that gives the residual it
-    stalled at.  Divergence (residual above 10x its first value) raises
-    PicardDivergenceError; hitting max_picard keeps the output of lowest
-    residual with converged = False.  A last forward sweep at the returned
-    pair makes the forward recursion hold there.  Returns (fwd, a, b,
-    diagnostics), one SolveDiagnostics per member; warnings name `label`.
+    it plus its ridge-fallback count.  A pass's residual is `_update_metric`
+    between its output and its input, the fixed-point residual, and the
+    solve stops at the first output whose residual is at most tol.  The
+    next input is `_Mixing`'s Anderson step with theta = damping.  An input
+    that the step leaves unchanged in floating point would repeat the pass
+    bit for bit, so the solve also stops there, converged, with a warning
+    that gives the residual it stalled at.  Divergence (residual above 10x
+    its first value) raises PicardDivergenceError.  An infinite first
+    residual leaves the divergence check nothing to compare with, so that
+    solve stops after its first pass, unconverged, with a warning.  Hitting
+    max_picard keeps the output of lowest residual with converged = False.
+    A last forward sweep at the returned pair makes the forward recursion
+    hold there.  Returns (fwd, a, b, diagnostics), one SolveDiagnostics per
+    member; warnings name `label`.
 
-    On a member view (``drivers.MemberLattice``, ``drivers.MemberPaths``)
-    every member runs this iteration on its own rows: its own residuals,
-    warnings, best output, Anderson fit, ridge-fallback count, stop and
-    divergence check.  A member that has stopped keeps its input, so the
-    passes the others still need repeat its last output and cannot change
-    its result, and they add nothing to its counts.  A plain backend is the
-    one-member case.
+    On a ``drivers.MemberLattice`` every member runs this iteration on its
+    own rows: its own residuals, warnings, best output, Anderson fit, stop
+    and divergence check.  A member that has stopped keeps its input, so
+    the passes the others still need repeat its last output and cannot
+    change its result, and they add nothing to its counts.  A plain backend
+    is the one-member case, and the only one whose fits fall back to ridge.
     """
-    members = getattr(backend, "members", 1)
+    members = backend.members
     x, a_shape, b_shape = start
     mixing = _Mixing(x, a_shape, b_shape, backend, config.damping)
     histories: list[list[float]] = [[] for _ in range(members)]
@@ -553,10 +550,8 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
     for it in range(1, config.max_picard + 1):
         a_in, b_in = _pair_views(backend, mixing.x, a_shape, b_shape)
         a_out, b_out, ridge = backward(forward(a_in, b_in))
-        if np.any(ridge):  # only the members still running count this pass
-            ridge = np.broadcast_to(ridge, (members,))
-            for b in running:
-                ridge_counts[b] += int(ridge[b])
+        for b in running:  # only the members still running count this pass
+            ridge_counts[b] += int(ridge)
         residual = _update_metric(backend, a_out, b_out, a_in, b_in).tolist()
         improved, still = [], []
         for b in running:
@@ -571,6 +566,10 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
                 improved.append(b)
             if r <= config.tol:
                 converged[b] = True
+            elif it == 1 and r == math.inf:
+                # no later residual exceeds 10x an infinite first one, so
+                # the divergence check below could never stop this member
+                warnings[b].append(f"{label} residual infinite at iteration 1")
             else:
                 still.append(b)
         best_a = pick(improved, a_out, best_a)

@@ -262,9 +262,9 @@ def check_pointwise_min(
     adj: AdjointTrajectory,
     u: ControlProcess,
     player: int,
-    grid_density: int = 33,
-    radius: float | None = None,
-    tol: float = 1e-8,
+    grid_density: int,
+    radius: float | None,
+    tol: float,
 ) -> PointwiseMinReport:
     """Compare H_i at the stored control against a grid over the control box.
 
@@ -343,9 +343,9 @@ def check_convexity(
     fn,
     lower: Array,
     upper: Array,
-    samples: int = 1000,
-    seed: int = 0,
-    tol: float = 1e-9,
+    samples: int,
+    seed: int,
+    tol: float,
     label: str = "",
 ) -> ConvexityReport:
     """Test f((a+b)/2) <= (f(a)+f(b))/2 + tol on random pairs from a box.

@@ -353,9 +353,9 @@ _FD_ROUNDS = 4
 
 def check_derivatives(
     bundle: FunctionBundle,
-    samples: int = 120,
-    seed: int = 0,
-    horizon: float = 1.0,
+    samples: int,
+    seed: int,
+    horizon: float,
 ) -> DerivativeReport:
     """Compare claimed partials of a bundle against central differences.
 

@@ -2,6 +2,7 @@
 integration-by-parts residual."""
 
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from fbsdegames import (
 from fbsdegames import adjoint, equilibrium
 from fbsdegames.adjoint import _step_partials
 from fbsdegames.cli import build_backend, load_config
-from fbsdegames.drivers import member_view
+from fbsdegames.drivers import MemberLattice
 
 from conftest import (
     ROUNDOFF_TOL,
@@ -269,20 +270,26 @@ def test_solved_costates_satisfy_recursions_of_costate_combination(
 )
 def test_step_matrices_stay_shared_when_the_jacobians_are(jacobians, players):
     # LQ Jacobians are views with stride 0 over scenarios; the per-solve step
-    # matrices keep that, so their memory grows with neither the path count
-    # nor the players of a paired solve
-    problem = lq_to_problem(random_lq_spec(3, Dims(2, 2, 2, 2, 2)))
+    # matrices keep that, so their memory grows with neither the scenario
+    # count nor the players of a paired solve.  A lone player's solve runs
+    # on Monte Carlo, a paired one on a member lattice (the lattice needs
+    # d = 1)
+    if players == (1,):
+        problem = lq_to_problem(random_lq_spec(3, Dims(2, 2, 2, 2, 2)))
+        backend = view = montecarlo(4, paths=64, d=2)
+    else:
+        problem = lq_to_problem(random_lq_spec(3, Dims(2, 2, 1, 2, 2)))
+        backend = lattice(4)
+        view = MemberLattice(backend, len(players))
     if jacobians == "dense":
         problem = _dense_jacobians(problem)
-    backend = montecarlo(4, paths=64, d=2)
     u = random_controls(problem, backend)
     traj, _ = solve_fbsde(problem, u, backend)
-    view = member_view(backend, len(players))
     forward, backward = _step_partials(problem, traj, u, players, view)
     dims = problem.dims
     R = dims.n + dims.n * dims.d + dims.m
-    rows = 64 * len(players)
-    for (mat_f, l_f), (mat_b, l_b) in zip(forward, backward, strict=True):
+    for j, ((mat_f, l_f), (mat_b, l_b)) in enumerate(zip(forward, backward, strict=True)):
+        rows = view.scenario_count(j)
         assert mat_f.shape == (rows, dims.m + dims.m * dims.d, R)
         assert mat_b.shape == (rows, dims.n, R)
         assert l_f.shape == (rows, dims.m + dims.m * dims.d) and l_b.shape == (rows, dims.n)
@@ -428,3 +435,48 @@ def test_one_paired_costate_solve_per_evaluation(monkeypatch):
     assert labels == ["costate"]
     equilibrium._evaluate(problem, u, backend, config, warm=state.warm())
     assert labels == ["costate"] * 2
+
+
+@pytest.mark.parametrize("make_backend, members", [
+    (lambda: lattice(16), [2]),
+    (lambda: montecarlo(8, paths=256), [1, 1]),
+], ids=["lattice", "montecarlo"])
+def test_costates_pair_on_the_lattice_and_solve_alone_on_monte_carlo(
+        monkeypatch, make_backend, members):
+    # pairing shares the per-step work of a lattice; on Monte Carlo each
+    # player's regressions cost the same alone, so each player is its own
+    # one-member solve on the plain backend
+    calls = []
+    original = adjoint.damped_picard
+
+    def recording(forward, backward, start, backend, config, label):
+        calls.append((label, backend.members, type(backend)))
+        return original(forward, backward, start, backend, config, label)
+
+    backend = make_backend()
+    problem, u, traj = _setup(coupled_lq_spec(), backend)
+    monkeypatch.setattr(adjoint, "damped_picard", recording)
+    solve_adjoints(problem, traj, u, backend, FbsdeConfig(tol=1e-12))
+    view = MemberLattice if backend.kind == "lattice" else type(backend)
+    assert calls == [("costate", b, view) for b in members]
+
+
+def test_both_players_costates_hold_no_more_memory_than_one():
+    # on Monte Carlo the players' costates are solved one at a time, so the
+    # pair's peak is one player's iterates and Anderson history, not two
+    backend = montecarlo(16, paths=256)
+    problem = lq_to_problem(coupled_lq_spec())
+    config = FbsdeConfig(tol=1e-12)
+    u = random_controls(problem, backend)
+    traj, _ = solve_fbsde(problem, u, backend, config)
+
+    def peak(players):
+        tracemalloc.start()
+        try:
+            solve_adjoints(problem, traj, u, backend, config, players=players)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone, paired = peak((1,)), peak((1, 2))
+    assert paired <= 1.2 * alone, (paired, alone)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fbsdegames
+from fbsdegames import fbsde
 from fbsdegames.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -539,6 +540,31 @@ class TestOracle:
         assert done.returncode == EXIT_SOLVER_FAILURE
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("solver failure: oracle cost is not finite")
+
+    def test_infinite_first_residual_stops_the_solve(self, tmp_path, capsys, monkeypatch):
+        # the profiles with a 1e308 node square updates beyond the float
+        # range, so their residual is inf from the first pass on; the 10x
+        # divergence check cannot fire on an infinite first residual, so
+        # such a member stops after that pass instead of running to
+        # max_picard (50 passes each before)
+        config = Path(__file__).resolve().parents[1] / "configs" / "two_step_oracle.json"
+        cfg = json.loads(config.read_text())
+        cfg["oracle"]["grid1"] = {"values": [[1e308], [0.0]]}
+        path = write_config(tmp_path, cfg)
+        passes, warnings = [], set()
+        original = fbsde.damped_picard
+
+        def counting(*args):
+            out = original(*args)
+            passes.append(max(diag.iterations for diag in out[3]))
+            warnings.update(w for diag in out[3] for w in diag.warnings)
+            return out
+
+        monkeypatch.setattr(fbsde, "damped_picard", counting)
+        assert run("oracle", "--config", path, "--out", str(tmp_path / "o")) == EXIT_SOLVER_FAILURE
+        assert capsys.readouterr().err.startswith("solver failure: oracle cost is not finite")
+        assert passes == [4, 1]
+        assert warnings == {"picard residual infinite at iteration 1"}
 
     def test_budget_one_exits_65(self, tmp_path):
         cfg = self._tiny_cfg()

@@ -10,7 +10,8 @@ from fbsdegames import (
     TimeGrid,
     sample_ensemble,
 )
-from fbsdegames.drivers import MemberLattice, MemberPaths, member_view, polynomial_design
+from fbsdegames.drivers import MemberLattice, polynomial_design
+from fbsdegames.fbsde import _runs
 
 from conftest import lattice, member, montecarlo
 
@@ -311,43 +312,40 @@ def test_member_lattice_keeps_columnless_controls():
         MemberLattice(lattice(2), 0)
 
 
-@pytest.mark.parametrize("members", [1, 2, 3])
+@pytest.mark.parametrize("make_backend", [
+    lambda: lattice(6),
+    lambda: montecarlo(steps=4, paths=64, seed=5, d=2),
+], ids=["lattice", "montecarlo"])
 @pytest.mark.parametrize("trailing", [(), (2,), (2, 3)])
-def test_member_paths_give_each_member_its_monte_carlo_values(members, trailing):
-    # step 0 regresses on the shared start (the ridge fallback), step 2 on
-    # spread regressors (the SVD projection); d = 2 runs step_forward's
-    # contraction over the Brownian columns
-    base = montecarlo(steps=4, paths=64, seed=5, d=2)
-    view = member_view(base, members)
-    assert isinstance(view, MemberPaths)
-    rng = np.random.default_rng(members)
-    for j, regressors in ((0, np.zeros((64, 1))), (2, rng.standard_normal((64, 1)))):
-        assert view.scenario_count(j) == 64 * members
-        alone = [rng.standard_normal((64,) + trailing) * 10.0 ** rng.uniform(-4, 4)
-                 for _ in range(members)]
-        rows = view.stack(alone)
-        assert rows.shape == (64 * members,) + trailing
-        for got, want in zip(view.unstack(rows), alone, strict=True):
-            assert got.flags.c_contiguous
-            np.testing.assert_array_equal(got, want)
-        assert [view.scenario_of(row) for row in (0, 63, 64 * members - 1)] == [0, 63, 63]
-        expected = view.expect(j, rows)
-        assert expected.shape == (members,) + trailing
-        mask = np.arange(members) % 2 == 0
-        np.testing.assert_array_equal(view.member_rows(j, mask), np.repeat(mask, 64))
-        cond, ridge = view.cond_exp(j, rows, regressors)
-        incr, ridge_incr = view.cond_exp_increment(j, rows, regressors)
-        assert ridge.tolist() == ridge_incr.tolist() == [int(j == 0)] * members
-        drift = [rng.standard_normal((64,) + trailing) for _ in range(members)]
-        diffusion = [rng.standard_normal((64,) + trailing + (2,)) for _ in range(members)]
-        stepped = view.step_forward(j, rows, view.stack(drift), view.stack(diffusion))
-        per_member = zip(view.unstack(view.brownian(j)), view.unstack(cond),
-                         view.unstack(incr), view.unstack(stepped))
-        for b, (brownian, got_cond, got_incr, got_step) in enumerate(per_member):
-            np.testing.assert_array_equal(expected[b], base.expect(j, alone[b]))
-            np.testing.assert_array_equal(brownian, base.brownian(j))
-            np.testing.assert_array_equal(got_cond, base.cond_exp(j, alone[b], regressors)[0])
-            np.testing.assert_array_equal(
-                got_incr, base.cond_exp_increment(j, alone[b], regressors)[0])
-            np.testing.assert_array_equal(
-                got_step, base.step_forward(j, alone[b], drift[b], diffusion[b]))
+def test_plain_backends_are_one_member_backends(make_backend, trailing):
+    # every state solve and a lone player's costate solve run on the plain
+    # backend through the member interface; on the lattice it must read as
+    # the one-member MemberLattice
+    backend = make_backend()
+    view = MemberLattice(backend, 1) if backend.kind == "lattice" else None
+    assert backend.members == 1
+    rows = np.random.default_rng(len(trailing)).standard_normal(
+        (backend.offsets[-1],) + trailing)
+    assert backend.stack([rows]) is rows
+    (alone,) = backend.unstack(rows)
+    assert alone is rows
+    for j in range(backend.grid.steps + 1):
+        count = backend.scenario_count(j)
+        for flag in (True, False):
+            mask = np.array([flag])
+            np.testing.assert_array_equal(backend.member_rows(j, mask), np.full(count, flag))
+            if view is not None:
+                np.testing.assert_array_equal(view.member_rows(j, mask), np.full(count, flag))
+        assert [backend.scenario_of(row) for row in range(count)] == list(range(count))
+        if view is not None:
+            assert [view.scenario_of(row) for row in range(count)] == list(range(count))
+            step = rows[backend.offsets[j]:backend.offsets[j + 1]]
+            assert view.expect(j, step).tobytes() == backend.expect(j, step).tobytes()
+    if view is not None:
+        np.testing.assert_array_equal(view.stack([rows]), rows)
+        np.testing.assert_array_equal(view.unstack(rows)[0], rows)
+        shapes = ((2,), (2, 1))
+        for (part, owners), (want_part, want_owners) in zip(
+                _runs(backend, *shapes), _runs(view, *shapes), strict=True):
+            assert part == want_part
+            np.testing.assert_array_equal(owners, want_owners)

@@ -21,7 +21,7 @@ from fbsdegames import (
     solve_fbsde,
 )
 from fbsdegames.drivers import MemberLattice
-from fbsdegames.fbsde import solve_members
+from fbsdegames.fbsde import _pair_views, _start_pair, damped_picard, solve_members
 from fbsdegames.problem import validate_problem
 
 import reference_values as ref
@@ -337,10 +337,10 @@ class TestNonlinearProblem:
                     np.testing.assert_array_equal(member(view, got, b), want)
 
     def test_paired_costate_solve_is_each_solve_alone(self):
-        # Monte Carlo members share the state, so the member batch here is
-        # the two players' costates along one solved trajectory
+        # the players' costates along one solved trajectory are paired on
+        # the lattice (on Monte Carlo each is its solve alone)
         problem = _nonlinear_problem()
-        backend = montecarlo(8, paths=256)
+        backend = lattice(16)
         config = FbsdeConfig(tol=1e-12)
         u = random_controls(problem, backend)
         traj, _ = solve_fbsde(problem, u, backend, config)
@@ -367,6 +367,30 @@ def test_member_solve_raises_the_first_divergence():
     with pytest.raises(PicardDivergenceError) as batched:
         solve_members(problem, u, view, config)
     assert batched.value.diagnostics == min(first, key=lambda item: item[:2])[2]
+
+
+@pytest.mark.parametrize("outputs", [[1e200], [1.0, 1e200]], ids=["first", "second"])
+def test_infinite_residual_stops_or_diverges(outputs):
+    # an output 1e200 from its input squares to an infinite residual: as the
+    # first residual it leaves the 10x divergence check nothing to compare
+    # with, so the solve stops there, unconverged; after a finite first
+    # residual it is a divergence
+    backend = lattice(2)
+    start = _start_pair(backend, (1,), (1, 1))
+    values = iter(outputs)
+
+    def backward(_):
+        return (*_pair_views(backend, np.full_like(start[0], next(values)), (1,), (1, 1)), 0)
+
+    config = FbsdeConfig()
+    if len(outputs) > 1:
+        with pytest.raises(PicardDivergenceError) as err:
+            damped_picard(lambda a, b: a, backward, start, backend, config, "test")
+        assert err.value.diagnostics.residual_history[-1] == np.inf
+        return
+    *_, (diag,) = damped_picard(lambda a, b: a, backward, start, backend, config, "test")
+    assert (diag.iterations, diag.converged, diag.final_residual) == (1, False, np.inf)
+    assert diag.warnings == ("test residual infinite at iteration 1",)
 
 
 def test_forward_pass_names_nonfinite_step():

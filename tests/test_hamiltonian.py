@@ -217,7 +217,7 @@ class TestPointwiseMin:
         problem, report = _solved_equilibrium(backend)
         traj, adj1, _ = _resolve(problem, report.controls, backend)
         out = check_pointwise_min(
-            problem, traj, adj1, report.controls, 1, grid_density=21, tol=1e-4
+            problem, traj, adj1, report.controls, 1, grid_density=21, radius=None, tol=1e-4
         )
         assert out.passed
 
@@ -228,7 +228,8 @@ class TestPointwiseMin:
             1, tuple(a + 0.5 for a in report.controls.u1)
         )
         traj, adj1, _ = _resolve(problem, shifted, backend)
-        out = check_pointwise_min(problem, traj, adj1, shifted, 1, grid_density=21)
+        out = check_pointwise_min(problem, traj, adj1, shifted, 1, grid_density=21, radius=None,
+                                  tol=1e-8)
         assert not out.passed
         # quadratic own-cost: a 0.5 shift leaves roughly N/2 * 0.25 on the table
         assert out.violation > 0.05
@@ -248,14 +249,14 @@ class TestConvexity:
         rep = check_convexity(
             lambda v: (v**2).sum(axis=1),
             np.array([-1.0, -1.0]), np.array([1.0, 1.0]),
-            samples=300, seed=1, label="|v|^2",
+            samples=300, seed=1, tol=1e-9, label="|v|^2",
         )
         assert rep.passed
 
     def test_concave_function_refuted_with_witness(self):
         rep = check_convexity(
             lambda v: -(v**2).sum(axis=1), np.array([-1.0]), np.array([1.0]),
-            samples=300, seed=1, label="-|v|^2",
+            samples=300, seed=1, tol=1e-9, label="-|v|^2",
         )
         assert not rep.passed
         assert rep.violation > 0.0
@@ -361,7 +362,8 @@ def _assert_matches_candidate_loop(problem, backend, player, density):
     u = random_controls(problem, backend, seed=player)
     traj, adj1, adj2 = _resolve(problem, u, backend)
     adj = adj1 if player == 1 else adj2
-    out = check_pointwise_min(problem, traj, adj, u, player, grid_density=density)
+    out = check_pointwise_min(problem, traj, adj, u, player, grid_density=density, radius=None,
+                              tol=1e-8)
     candidates = _control_grid(problem.box(player), density, None)
     worst, (step, scenario), alt, per_step = _candidate_loop(
         problem, traj, adj, u, player, candidates
@@ -412,7 +414,7 @@ def test_pointwise_min_ties_keep_the_first_candidate(monkeypatch, rows):
     backend = lattice(4)
     u = random_controls(problem, backend)
     traj, adj1, _ = _resolve(problem, u, backend)
-    out = check_pointwise_min(problem, traj, adj1, u, 1, grid_density=5)
+    out = check_pointwise_min(problem, traj, adj1, u, 1, grid_density=5, radius=None, tol=1e-8)
     candidates = _control_grid(problem.box(1), 5, None)
     assert _candidate_loop(problem, traj, adj1, u, 1, candidates)[2] == candidates[0]
     assert (out.violation, out.step, out.scenario) == (0.0, 0, 0)

@@ -3,8 +3,8 @@
 `perfbench/instrument.py` rebinds package functions by name and looks up
 `cli.solve_fbsde`, `cli.solve_adjoint` and `equilibrium._evaluate`; when one
 of those moves, every traced benchmark run fails while the rest of this
-suite passes.  This runs one traced `solve` and checks the counts the
-tracer reports and that uninstalling puts every binding back.
+suite passes.  This runs a traced `solve` on each backend and checks the
+counts the tracer reports and that uninstalling puts every binding back.
 """
 
 import importlib.util
@@ -36,11 +36,13 @@ def _bindings() -> dict:
     return out
 
 
-def test_traced_solve_counts_layers_and_uninstall_restores(tmp_path):
+def _traced_solve(tmp_path, backend: dict):
+    """Run one `solve` of a small coupled game under the tracer and return
+    its counts, after checking that uninstalling put every binding back."""
     config = {
         "name": "traced",
         "steps": 4,
-        "backend": {"kind": "lattice"},
+        "backend": backend,
         "initial": [0.5],
         "terminal": {"constant": [0.2]},
         "drift": {"A": [[-0.3]], "B": [[0.2]], "D1": [[0.4]], "D2": [[0.2]]},
@@ -63,15 +65,29 @@ def test_traced_solve_counts_layers_and_uninstall_restores(tmp_path):
     finally:
         tracer.uninstall()
     assert code == 0
-    counts = tracer.counts
+    after = _bindings()
+    changed = [key for key, value in before.items() if after.get(key) is not value]
+    assert changed == []
+    return tracer.counts
+
+
+def test_traced_solve_counts_layers_and_uninstall_restores(tmp_path):
+    counts = _traced_solve(tmp_path, {"kind": "lattice"})
     assert counts["cli.resolve.calls"] == 0
     assert counts["fbsde.forward_pass.calls"] > 0
     assert counts["fbsde.backward_pass.calls"] > 0
     assert counts["fbsde.solve_fbsde.calls"] > 0
-    # both costate systems run as one paired solve (adjoint.solve_adjoints),
-    # which the tracer does not wrap; the backend counters still see its
-    # forward sweeps, four lattice steps per pass beyond the state's
+    # on the lattice both costate systems run as one paired solve inside
+    # adjoint.solve_adjoints, which the tracer does not wrap; the backend
+    # counters still see its forward sweeps, four lattice steps per pass
+    # beyond the state's
     assert counts["drivers.step_forward.calls"] > 4 * counts["fbsde.forward_pass.calls"]
-    after = _bindings()
-    changed = [key for key, value in before.items() if after.get(key) is not value]
-    assert changed == []
+
+
+def test_traced_monte_carlo_solve_counts_costate_solves(tmp_path):
+    # on Monte Carlo solve_adjoints runs each player's adjoint.solve_adjoint,
+    # so the tracer's wrapper counts those calls and their passes
+    counts = _traced_solve(tmp_path, {"kind": "montecarlo", "paths": 64})
+    assert counts["cli.resolve.calls"] == 0
+    assert counts["adjoint.solve_adjoint.calls"] > 0
+    assert counts["adjoint.picard_passes"] > 0

@@ -90,7 +90,7 @@ def test_fd_catches_half_unit_derivative_error():
             PartialSpec(name="dx", arg_index=0, fn=lambda t, x: x + 0.5),
         ),
     )
-    report = check_derivatives(bundle, samples=120, seed=0)
+    report = check_derivatives(bundle, samples=120, seed=0, horizon=1.0)
     (check,) = report.checks
     assert not check.passed
     assert check.max_error == pytest.approx(0.5, abs=1e-6)
@@ -105,7 +105,7 @@ def test_fd_passes_exact_cubic():
             PartialSpec(name="dx", arg_index=0, fn=lambda t, x: 3.0 * x**2),
         ),
     )
-    report = check_derivatives(bundle, samples=200, seed=1)
+    report = check_derivatives(bundle, samples=200, seed=1, horizon=1.0)
     assert report.passed
     assert report.worst().max_error < 1e-5
 

@@ -28,7 +28,7 @@ from fbsdegames import (
     vi_residual,
 )
 from fbsdegames.adjoint import _costate_matrix, _step_partials
-from fbsdegames.drivers import MemberLattice, StepArray, member_view
+from fbsdegames.drivers import MemberLattice, StepArray
 from fbsdegames.fbsde import _update_metric, solve_members
 from fbsdegames.hamiltonian import _control_grid, _value
 
@@ -72,8 +72,16 @@ CASES = {
 }
 
 
+# a paired costate solve runs on a member lattice only: its cases are the
+# lattice ones, and the time-dependent problem on a lattice
+PAIRED_CASES = {
+    **{name: CASES[name] for name in ("lattice", "lattice-2d", "nonlinear")},
+    "time-dependent-lattice": lambda: (_time_dependent_problem(), lattice(8)),
+}
+
+
 def _solved(name, seed=0):
-    problem, backend = CASES[name]()
+    problem, backend = (CASES.get(name) or PAIRED_CASES[name])()
     u = random_controls(problem, backend, seed)
     config = FbsdeConfig(tol=1e-12)
     traj, _ = solve_fbsde(problem, u, backend, config)
@@ -96,7 +104,7 @@ def _same(got, want):
 
 
 def _metric_loop(backend, ys_new, zs_new, ys_old, zs_old):
-    worst = np.zeros(getattr(backend, "members", 1))
+    worst = np.zeros(backend.members)
     N = len(zs_new)
     for j in range(N + 1):
         dy = ys_new[j] - ys_old[j]
@@ -202,11 +210,13 @@ def test_costs_are_the_per_step_loop(name):
         assert eval_cost(problem, traj, u, player) == _cost_loop(problem, traj, u, player)
 
 
-@pytest.mark.parametrize("name", CASES)
-@pytest.mark.parametrize("players", [(1,), (1, 2)])
+@pytest.mark.parametrize("name, players", [
+    *(pytest.param(name, (1,), id=f"players0-{name}") for name in CASES),
+    *(pytest.param(name, (1, 2), id=f"players1-{name}") for name in PAIRED_CASES),
+])
 def test_costate_matrices_are_the_per_step_evaluation(name, players):
     problem, backend, u, traj, _ = _solved(name)
-    view = member_view(backend, len(players))
+    view = backend if len(players) == 1 else MemberLattice(backend, len(players))
     forward, backward = _step_partials(problem, traj, u, players, view)
     assert len(forward) == len(backward) == backend.grid.steps
     for j, (fwd, bwd) in enumerate(zip(forward, backward)):
@@ -222,7 +232,7 @@ def test_pointwise_probe_is_the_per_step_loop(name, player):
     problem, _, u, traj, adjoints = _solved(name)
     density = 9 if problem.dims.control_dim(player) > 1 else 21
     out = check_pointwise_min(problem, traj, adjoints[player - 1], u, player,
-                              grid_density=density)
+                              grid_density=density, radius=None, tol=1e-8)
     candidates = _control_grid(problem.box(player), density, None)
     worst, (step, scenario), alt, per_step = _pointwise_loop(
         problem, traj, adjoints[player - 1], u, player, candidates)
