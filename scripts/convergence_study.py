@@ -104,8 +104,8 @@ def duality_table() -> None:
     prev = None
     for steps in (32, 64, 128, 256):
         backend = LatticeBackend(TimeGrid(1.0, steps))
-        u = ControlProcess.constant(problem, backend, 0.4, -0.6)
-        u_bar = ControlProcess.constant(problem, backend, -0.2, 0.3)
+        u = ControlProcess.constant(backend, 0.4, -0.6)
+        u_bar = ControlProcess.constant(backend, -0.2, 0.3)
         traj, _ = solve_fbsde(problem, u, backend, CONFIG)
         traj_bar, _ = solve_fbsde(problem, u_bar, backend, CONFIG)
         adj_bar, _ = solve_adjoint(problem, traj_bar, u_bar, 1, backend, CONFIG)

@@ -40,7 +40,9 @@ A value outside its class's bounds exits 64 naming `block.key`.  The
 included: `tol` bounds the fixed-point residual at which a solve stops
 (the sup over time of the scenario-mean squared difference between a
 pass's output and its input), `damping` is the mixing theta in (0, 1] of
-its Anderson step, and `max_picard` caps its passes.
+its Anderson step, and `max_picard` caps its passes.  `check` compares
+every partial of the problem's maps with central differences; a partial
+in an empty control (k1 or k2 = 0) is shape-checked only.
 
 Outputs are deterministic byte-for-byte for a fixed config and seed: wall
 time goes to stdout only, never into a file.  CSV floats carry 17
@@ -96,7 +98,7 @@ from .hamiltonian import (
     vi_residual,
 )
 from .lq import AffineMap, LQGameSpec, QuadraticCost, lq_to_problem
-from .problem import CoefficientSet, ControlBox, CostSet, Dims, GameProblem, validate_problem
+from .problem import ControlBox, Dims, GameProblem, validate_problem
 from .riccati import predicted_cost, solve_riccati
 
 EXIT_OK = 0
@@ -250,11 +252,6 @@ def _read_arrays(zero, obj, where: str):
 # ---------------------------------------------------------------------------
 
 
-# every partial of the problem: the underscored callback fields
-_CORRUPTIBLE = {f.name for group in (CoefficientSet, CostSet)
-                for f in dataclasses.fields(group) if "_" in f.name}
-
-
 @dataclass
 class OracleOptions:
     """Grid oracle: each player's candidate controls, one per row, the
@@ -276,20 +273,17 @@ class OracleOptions:
 
 @dataclass
 class CheckOptions:
-    """Derivative self-test: random points per map, the probe radius of an
-    unbounded coordinate, and a partial to corrupt so the check must fail."""
+    """Derivative self-test: random points per map and the probe radius of
+    an unbounded coordinate."""
 
     samples: int = 120
     probe_radius: float | None = None
-    corrupt: str | None = None
 
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.probe_radius is not None and not self.probe_radius > 0.0:
             raise ValueError(f"probe_radius must be None or positive, got {self.probe_radius}")
-        if self.corrupt is not None and self.corrupt not in _CORRUPTIBLE:
-            raise ValueError(f"unknown derivative name {self.corrupt!r}")
 
 
 @dataclass
@@ -350,16 +344,6 @@ def _parse_grid(obj, where: str, box: ControlBox) -> np.ndarray:
     axes = [np.linspace(lower[c], upper[c], points) for c in range(k)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def _corrupt_problem(problem: GameProblem, target: str) -> GameProblem:
-    """Test hook: add a constant 0.05 to one partial, a `_CORRUPTIBLE` name,
-    so checks must fail."""
-    field = "coefficients" if hasattr(problem.coefficients, target) else "costs"
-    group = getattr(problem, field)
-    partial = getattr(group, target)
-    tilted = dataclasses.replace(group, **{target: lambda *args: partial(*args) + 0.05})
-    return dataclasses.replace(problem, **{field: tilted})
 
 
 _TOP_KEYS = {
@@ -871,11 +855,8 @@ def cmd_oracle(args) -> int:
 def cmd_check(args) -> int:
     started = time.perf_counter()
     cfg, _, out = _prepare(args)
-    problem = cfg.problem
-    if cfg.check.corrupt is not None:
-        problem = _corrupt_problem(problem, cfg.check.corrupt)
     report = validate_problem(
-        problem,
+        cfg.problem,
         samples=cfg.check.samples,
         seed=cfg.seed,
         probe_radius=cfg.check.probe_radius,

@@ -132,7 +132,7 @@ class ControlProcess:
         return cls.from_flat(flat, offsets, rows1.shape[1], rows2.shape[1])
 
     @classmethod
-    def constant(cls, problem: GameProblem, backend: Backend, value1, value2) -> "ControlProcess":
+    def constant(cls, backend: Backend, value1, value2) -> "ControlProcess":
         v1 = np.atleast_1d(np.asarray(value1, dtype=float))
         v2 = np.atleast_1d(np.asarray(value2, dtype=float))
         offsets = backend.offsets[: backend.grid.steps + 1]
@@ -141,9 +141,7 @@ class ControlProcess:
 
     @classmethod
     def midpoint(cls, problem: GameProblem, backend: Backend) -> "ControlProcess":
-        return cls.constant(
-            problem, backend, problem.u1_box.midpoint(), problem.u2_box.midpoint()
-        )
+        return cls.constant(backend, problem.u1_box.midpoint(), problem.u2_box.midpoint())
 
     def player(self, i: int) -> StepArray:
         return self.u1 if i == 1 else self.u2

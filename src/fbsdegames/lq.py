@@ -320,7 +320,7 @@ def lq_to_problem(spec: LQGameSpec) -> GameProblem:
         def _xi(bt: Array, _L=L, _c=c) -> Array:
             return _sum_products([(bt, _L)], _c)
 
-        terminal = TerminalData(xi=_xi, description="affine in B(T)")
+        terminal = TerminalData(xi=_xi)
 
     return GameProblem(
         dims=dims,

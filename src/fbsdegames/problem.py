@@ -39,8 +39,8 @@ alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -154,9 +154,6 @@ class CoefficientSet:
     f_u1: Coeff
     f_u2: Coeff
 
-    def partials(self, which: str):
-        return tuple(getattr(self, f"{which}_{v}") for v in ("x", "y", "z", "u1", "u2"))
-
 
 @dataclass(frozen=True)
 class CostSet:
@@ -207,7 +204,6 @@ class TerminalData:
     """Terminal condition y(T) = xi(B(T)); batched (S, d) -> (S, m)."""
 
     xi: Callable[[Array], Array]
-    description: str = "custom"
 
     @classmethod
     def constant(cls, value: Sequence[float]) -> "TerminalData":
@@ -217,7 +213,7 @@ class TerminalData:
         def _xi(bt: Array) -> Array:
             return np.broadcast_to(vec, (bt.shape[0], vec.shape[0]))
 
-        return cls(_xi, description=f"constant {vec.tolist()}")
+        return cls(_xi)
 
 
 @dataclass(frozen=True)
@@ -437,86 +433,81 @@ def _box_sampler(box: ControlBox):
     return sample
 
 
-def _coefficient_bundles(problem: GameProblem) -> list[FunctionBundle]:
-    dims = problem.dims
-    co = problem.coefficients
-    cs = problem.costs
-    arg_shapes = ((dims.n,), (dims.m,), (dims.m, dims.d), (dims.k1,), (dims.k2,))
-    samplers = (
-        None,
-        None,
-        None,
-        _box_sampler(problem.u1_box),
-        _box_sampler(problem.u2_box),
-    )
-    names = ("x", "y", "z", "u1", "u2")
+# the arguments after t of b, sigma, f and l_i, in call order
+_ARGS = ("x", "y", "z", "u1", "u2")
 
-    def direct(which: str, fns) -> tuple[PartialSpec, ...]:
-        return tuple(
-            PartialSpec(name=f"{which}_{v}", arg_index=i, fn=fn)
-            for i, (v, fn) in enumerate(zip(names, fns))
-        )
+
+class _Map(NamedTuple):
+    """One map of a problem, every callback taking t first: the map, its
+    arguments, its value shape per row, one partial per argument as (name,
+    callback, stored shape per row), and the arguments the growth probe
+    differentiates it in."""
+
+    name: str
+    fn: Coeff
+    args: tuple[str, ...]
+    shape: tuple[int, ...]
+    partials: tuple[tuple[str, Coeff, tuple[int, ...]], ...]
+    probed: tuple[str, ...]
+
+    def callbacks(self) -> tuple[tuple[str, Coeff, tuple[int, ...]], ...]:
+        return ((self.name, self.fn, self.shape),) + self.partials
+
+    def at(self, fn: Coeff, t, point: dict[str, Array]) -> Array:
+        return np.asarray(fn(t, *(point[v] for v in self.args)))
+
+
+def _arg_shapes(dims: Dims) -> dict[str, tuple[int, ...]]:
+    return {"x": (dims.n,), "y": (dims.m,), "z": (dims.m, dims.d),
+            "u1": (dims.k1,), "u2": (dims.k2,)}
+
+
+def _maps(problem: GameProblem) -> list[_Map]:
+    """The problem's maps in check order b, sigma, f, l1, l2, phi1, h1, phi2,
+    h2.  phi_i takes x alone and h_i y alone; here they ignore a leading t.
+    A partial's stored shape is the value shape times the flattened
+    argument, sigma's with the Brownian column first."""
+    dims, co, cs = problem.dims, problem.coefficients, problem.costs
+    width = {v: int(np.prod(shape)) for v, shape in _arg_shapes(dims).items()}
+    state = ("x", "y", "z")
+    table = [(co, "b", _ARGS, (dims.n,), state), (co, "sigma", _ARGS, (dims.n, dims.d), state),
+             (co, "f", _ARGS, (dims.m,), state)]
+    table += [(cs, f"l{i}", _ARGS, (), ("x", "y", f"u{i}")) for i in (1, 2)]
+    for i in (1, 2):
+        table += [(cs, f"phi{i}", ("x",), (), ()), (cs, f"h{i}", ("y",), (), ())]
+
+    def call(fn: Coeff, timed: bool) -> Coeff:
+        return fn if timed else (lambda t, arg: fn(arg))
+
+    maps = []
+    for group, name, args, shape, probed in table:
+        timed = args == _ARGS
+        lead = shape[::-1] if name == "sigma" else shape
+        partials = tuple((f"{name}_{v}", call(getattr(group, f"{name}_{v}"), timed),
+                          lead + (width[v],)) for v in args)
+        maps.append(_Map(name, call(getattr(group, name), timed), args, shape, partials, probed))
+    return maps
+
+
+def _bundles(problem: GameProblem) -> list[FunctionBundle]:
+    """The finite-difference bundles, one per map.  A partial in an empty
+    control has no column to difference: it is shape-checked only."""
+    shapes = _arg_shapes(problem.dims)
+    samplers = {"u1": _box_sampler(problem.u1_box), "u2": _box_sampler(problem.u2_box)}
 
     def sigma_adapter(fn):
         # stored layout (S, d, n, dim_v), finite differences produce (S, n, d, dim_v)
-        def wrapped(t, *args):
-            return np.swapaxes(np.asarray(fn(t, *args)), 1, 2)
+        return lambda t, *args: np.swapaxes(np.asarray(fn(t, *args)), 1, 2)
 
-        return wrapped
-
-    bundles = [
-        FunctionBundle("b", co.b, arg_shapes, direct("b", co.partials("b")), samplers),
+    return [
         FunctionBundle(
-            "sigma",
-            co.sigma,
-            arg_shapes,
-            tuple(
-                PartialSpec(name=f"sigma_{v}", arg_index=i, fn=sigma_adapter(fn))
-                for i, (v, fn) in enumerate(zip(names, co.partials("sigma")))
-            ),
-            samplers,
-        ),
-        FunctionBundle("f", co.f, arg_shapes, direct("f", co.partials("f")), samplers),
+            m.name, m.fn, tuple(shapes[v] for v in m.args),
+            tuple(PartialSpec(name, i, sigma_adapter(fn) if m.name == "sigma" else fn)
+                  for i, (name, fn, shape) in enumerate(m.partials) if shape[-1] > 0),
+            tuple(samplers.get(v) for v in m.args),
+        )
+        for m in _maps(problem)
     ]
-    for player in (1, 2):
-        lfns = tuple(cs.running_grad(player, v) for v in names)
-        bundles.append(
-            FunctionBundle(
-                f"l{player}", cs.running(player), arg_shapes, direct(f"l{player}", lfns), samplers
-            )
-        )
-    for player in (1, 2):
-        phi = cs.terminal(player)
-        bundles.append(
-            FunctionBundle(
-                f"phi{player}",
-                lambda t, x, _phi=phi: _phi(x),
-                ((dims.n,),),
-                (
-                    PartialSpec(
-                        name=f"phi{player}_x",
-                        arg_index=0,
-                        fn=lambda t, x, _g=cs.terminal_grad(player): _g(x),
-                    ),
-                ),
-            )
-        )
-        h = cs.initial(player)
-        bundles.append(
-            FunctionBundle(
-                f"h{player}",
-                lambda t, y, _h=h: _h(y),
-                ((dims.m,),),
-                (
-                    PartialSpec(
-                        name=f"h{player}_y",
-                        arg_index=0,
-                        fn=lambda t, y, _g=cs.initial_grad(player): _g(y),
-                    ),
-                ),
-            )
-        )
-    return bundles
 
 
 def _check_shapes(problem: GameProblem) -> None:
@@ -526,13 +517,14 @@ def _check_shapes(problem: GameProblem) -> None:
     dims = problem.dims
     S = 3
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((S, dims.n))
-    y = rng.standard_normal((S, dims.m))
-    z = rng.standard_normal((S, dims.m, dims.d))
-    u1 = np.broadcast_to(problem.u1_box.project(np.zeros(dims.k1)), (S, dims.k1))
-    u2 = np.broadcast_to(problem.u2_box.project(np.zeros(dims.k2)), (S, dims.k2))
+    point = {v: rng.standard_normal((S,) + shape)
+             for v, shape in _arg_shapes(dims).items() if v in ("x", "y", "z")}
+    for i in (1, 2):
+        box = problem.box(i)
+        point[f"u{i}"] = np.broadcast_to(box.project(np.zeros(box.dim)), (S, box.dim))
+    bt = rng.standard_normal((S, dims.d))
     t = 0.5 * problem.horizon
-    co, cs = problem.coefficients, problem.costs
+    times = problem.horizon * np.arange(1, S + 1) / (S + 1)
 
     def expect(name: str, got: Array, shape: tuple[int, ...]) -> None:
         if np.asarray(got).shape != shape:
@@ -540,70 +532,45 @@ def _check_shapes(problem: GameProblem) -> None:
                 f"{name}: expected shape {shape}, got {np.asarray(got).shape}"
             )
 
-    arg_dims = {"x": dims.n, "y": dims.m, "z": dims.dz, "u1": dims.k1, "u2": dims.k2}
-    timed = [("b", co.b, (S, dims.n)), ("sigma", co.sigma, (S, dims.n, dims.d)),
-             ("f", co.f, (S, dims.m))]
-    for which, r in (("b", dims.n), ("f", dims.m)):
-        timed += [(f"{which}_{v}", getattr(co, f"{which}_{v}"), (S, r, dv))
-                  for v, dv in arg_dims.items()]
-    timed += [(f"sigma_{v}", getattr(co, f"sigma_{v}"), (S, dims.d, dims.n, dv))
-              for v, dv in arg_dims.items()]
-    for player in (1, 2):
-        timed.append((f"l{player}", cs.running(player), (S,)))
-        timed += [(f"l{player}_{v}", cs.running_grad(player, v), (S, dv))
-                  for v, dv in arg_dims.items()]
-    for name, fn, shape in timed:
-        expect(name, fn(t, x, y, z, u1, u2), shape)
-    for player in (1, 2):
-        expect(f"phi{player}", cs.terminal(player)(x), (S,))
-        expect(f"phi{player}_x", cs.terminal_grad(player)(x), (S, dims.n))
-        expect(f"h{player}", cs.initial(player)(y), (S,))
-        expect(f"h{player}_y", cs.initial_grad(player)(y), (S, dims.m))
-    bt = rng.standard_normal((S, dims.d))
+    for m in _maps(problem):
+        for name, fn, shape in m.callbacks():
+            expect(name, m.at(fn, t, point), (S,) + shape)
+            if m.args != _ARGS:  # phi_i and h_i take no t
+                continue
+            alone = np.stack([m.at(fn, float(ts), point)[s] for s, ts in enumerate(times)])
+            try:
+                rows = m.at(fn, times, point)
+            except (ValueError, TypeError, IndexError) as exc:
+                raise ShapeValidationError(f"{name}: fails at per-row times t: {exc}") from None
+            if rows.shape != (S,) + shape or not np.array_equal(rows, alone, equal_nan=True):
+                raise ShapeValidationError(
+                    f"{name}: rows at per-row times t differ from its rows at each time alone"
+                )
     expect("xi", problem.terminal.xi(bt), (S, dims.m))
-    times = problem.horizon * np.arange(1, S + 1) / (S + 1)
-    for name, fn, shape in timed:
-        alone = np.stack([np.asarray(fn(float(ts), x, y, z, u1, u2))[s]
-                          for s, ts in enumerate(times)])
-        try:
-            rows = np.asarray(fn(times, x, y, z, u1, u2))
-        except (ValueError, TypeError, IndexError) as exc:
-            raise ShapeValidationError(f"{name}: fails at per-row times t: {exc}") from None
-        if rows.shape != shape or not np.array_equal(rows, alone, equal_nan=True):
-            raise ShapeValidationError(
-                f"{name}: rows at per-row times t differ from its rows at each time alone"
-            )
 
 
 def _probe_growth(problem: GameProblem, radius: float, seed: int) -> tuple[str, ...]:
     """Spot-check derivative magnitudes at radius; flag superlinear-looking growth."""
-    dims = problem.dims
     rng = np.random.default_rng(seed)
     S = 32
-    x = rng.uniform(-radius, radius, (S, dims.n))
-    y = rng.uniform(-radius, radius, (S, dims.m))
-    z = rng.uniform(-radius, radius, (S, dims.m, dims.d))
-    u1 = problem.u1_box.project(rng.uniform(-radius, radius, (S, dims.k1)))
-    u2 = problem.u2_box.project(rng.uniform(-radius, radius, (S, dims.k2)))
+    point = {v: rng.uniform(-radius, radius, (S,) + shape)
+             for v, shape in _arg_shapes(problem.dims).items()}
+    for i in (1, 2):
+        point[f"u{i}"] = problem.box(i).project(point[f"u{i}"])
     t = 0.5 * problem.horizon
     envelope = 10.0 * (1.0 + radius)
     warnings = []
-    co, cs = problem.coefficients, problem.costs
-    fns = {
-        "b_x": co.b_x, "b_y": co.b_y, "b_z": co.b_z,
-        "sigma_x": co.sigma_x, "sigma_y": co.sigma_y, "sigma_z": co.sigma_z,
-        "f_x": co.f_x, "f_y": co.f_y, "f_z": co.f_z,
-        "l1_x": cs.l1_x, "l1_y": cs.l1_y, "l1_u1": cs.l1_u1,
-        "l2_x": cs.l2_x, "l2_y": cs.l2_y, "l2_u2": cs.l2_u2,
-    }
-    for name, fn in fns.items():
-        mag = float(np.abs(np.asarray(fn(t, x, y, z, u1, u2))).max())
-        if not np.isfinite(mag):
-            warnings.append(f"{name}: non-finite value at |coordinate| <= {radius:g}")
-        elif mag > envelope:
-            warnings.append(
-                f"{name}: magnitude {mag:.3g} exceeds 10*(1+{radius:g}) at probe radius"
-            )
+    for m in _maps(problem):
+        for v, (name, fn, _) in zip(m.args, m.partials):
+            if v not in m.probed:
+                continue
+            mag = float(np.abs(m.at(fn, t, point)).max())
+            if not np.isfinite(mag):
+                warnings.append(f"{name}: non-finite value at |coordinate| <= {radius:g}")
+            elif mag > envelope:
+                warnings.append(
+                    f"{name}: magnitude {mag:.3g} exceeds 10*(1+{radius:g}) at probe radius"
+                )
     return tuple(warnings)
 
 
@@ -621,7 +588,7 @@ def validate_problem(
     _check_shapes(problem)
     reports = tuple(
         check_derivatives(bundle, samples=samples, seed=seed, horizon=problem.horizon)
-        for bundle in _coefficient_bundles(problem)
+        for bundle in _bundles(problem)
     )
     warnings: tuple[str, ...] = ()
     if probe_radius is not None:

@@ -3,7 +3,8 @@
 Each builder returns a GameProblem (plus spec where useful) for a family
 the tests reuse: the all-zero instance with quadratic tails, a mildly
 coupled LQ game, a pure-backward problem, a single-player problem with a
-classical LQ structure, and a two-step game small enough to enumerate.
+classical LQ structure, a two-step game small enough to enumerate, and the
+coupled game with smooth nonlinear terms in the drift and the diffusion.
 """
 
 import dataclasses
@@ -177,6 +178,35 @@ def two_step_spec() -> LQGameSpec:
     """Tiny coupled game for exhaustive grid enumeration on a 2-step lattice."""
     spec = coupled_lq_spec()
     return dataclasses.replace(spec, horizon=0.5)
+
+
+def nonlinear_problem():
+    """The coupled LQ game plus bounded smooth terms in b and sigma that
+    involve the controls: the Picard map is not affine, so Anderson mixing
+    cannot solve it as a linear system."""
+    problem = lq_to_problem(coupled_lq_spec())
+    co = problem.coefficients
+
+    def b(t, x, y, z, u1, u2):
+        return co.b(t, x, y, z, u1, u2) + 0.5 * np.tanh(y + u1)
+
+    def b_y(t, x, y, z, u1, u2):
+        return co.b_y(t, x, y, z, u1, u2) + (0.5 / np.cosh(y + u1) ** 2)[:, :, None]
+
+    def b_u1(t, x, y, z, u1, u2):
+        return co.b_u1(t, x, y, z, u1, u2) + (0.5 / np.cosh(y + u1) ** 2)[:, :, None]
+
+    def sigma(t, x, y, z, u1, u2):
+        return co.sigma(t, x, y, z, u1, u2) + 0.1 * np.sin(x + u2)[:, :, None]
+
+    def sigma_x(t, x, y, z, u1, u2):
+        return co.sigma_x(t, x, y, z, u1, u2) + (0.1 * np.cos(x + u2))[:, None, :, None]
+
+    def sigma_u2(t, x, y, z, u1, u2):
+        return co.sigma_u2(t, x, y, z, u1, u2) + (0.1 * np.cos(x + u2))[:, None, :, None]
+
+    return dataclasses.replace(problem, coefficients=dataclasses.replace(
+        co, b=b, b_y=b_y, b_u1=b_u1, sigma=sigma, sigma_x=sigma_x, sigma_u2=sigma_u2))
 
 
 @pytest.fixture

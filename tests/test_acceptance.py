@@ -13,6 +13,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from fbsdegames import (
     ControlProcess,
@@ -42,6 +43,7 @@ from conftest import (
     lattice,
     martingale_spec,
     mild_lqr_spec,
+    nonlinear_problem,
     two_step_spec,
     zero_spec,
 )
@@ -189,10 +191,15 @@ def test_criterion_04_martingale_terminal_exactness():
             np.testing.assert_array_equal(traj.z[j], 1.0)
 
 
-def test_criterion_05_gateaux_derivative_agreement():
-    with _Criterion(5, "costate directional derivatives match cost differences", 120.0):
+# criteria 05 and 06 also run on the nonlinear game, whose controls enter
+# the drift and the diffusion as in the paper's setting
+@pytest.mark.parametrize("case", ["lq", "nonlinear"])
+def test_criterion_05_gateaux_derivative_agreement(case):
+    label = f"costate directional derivatives match cost differences ({case})"
+    with _Criterion(5, label, 120.0):
         backend = lattice(64)
-        problem = lq_to_problem(coupled_lq_spec(with_control_in_dynamics=False))
+        problem = (lq_to_problem(coupled_lq_spec(with_control_in_dynamics=False))
+                   if case == "lq" else nonlinear_problem())
         u = ControlProcess.midpoint(problem, backend)
         config = FbsdeConfig(tol=1e-12)
         rng = np.random.default_rng(5)
@@ -212,9 +219,11 @@ def test_criterion_05_gateaux_derivative_agreement():
                 assert gap / scale <= 1e-3, (player, rep)
 
 
-def test_criterion_06_duality_residual_first_order():
-    with _Criterion(6, "integration-by-parts residual shrinks at first order", 120.0):
-        problem = lq_to_problem(coupled_lq_spec())
+@pytest.mark.parametrize("case", ["lq", "nonlinear"])
+def test_criterion_06_duality_residual_first_order(case):
+    label = f"integration-by-parts residual shrinks at first order ({case})"
+    with _Criterion(6, label, 120.0):
+        problem = lq_to_problem(coupled_lq_spec()) if case == "lq" else nonlinear_problem()
         ratios = []
         for seed in range(1, 6):
             rng = np.random.default_rng(seed)
@@ -222,8 +231,8 @@ def test_criterion_06_duality_residual_first_order():
             residual = {}
             for N in (32, 64, 128, 256):
                 backend = lattice(N)
-                u = ControlProcess.constant(problem, backend, a1, a2)
-                u_bar = ControlProcess.constant(problem, backend, b1, b2)
+                u = ControlProcess.constant(backend, a1, a2)
+                u_bar = ControlProcess.constant(backend, b1, b2)
                 config = FbsdeConfig(tol=1e-13)
                 traj, diag = solve_fbsde(problem, u, backend, config)
                 assert diag.converged

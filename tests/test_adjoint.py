@@ -44,7 +44,7 @@ def _setup(spec, backend, tol=1e-12, u_values=None):
     if u_values is None:
         u = ControlProcess.midpoint(problem, backend)
     else:
-        u = ControlProcess.constant(problem, backend, *u_values)
+        u = ControlProcess.constant(backend, *u_values)
     traj, diag = solve_fbsde(problem, u, backend, FbsdeConfig(tol=tol))
     assert diag.converged
     return problem, u, traj
@@ -168,7 +168,7 @@ class TestDuality:
     def _residual(self, steps, shift=0.5):
         backend = lattice(steps)
         problem, u, traj = _setup(coupled_lq_spec(), backend)
-        u_bar = ControlProcess.constant(problem, backend, shift, -shift)
+        u_bar = ControlProcess.constant(backend, shift, -shift)
         traj_bar, diag = solve_fbsde(problem, u_bar, backend, FbsdeConfig(tol=1e-12))
         assert diag.converged
         adj_bar, _ = solve_adjoint(problem, traj_bar, u_bar, 1, backend)

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, file formats, reproducibility."""
 
+import dataclasses
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import fbsdegames
-from fbsdegames import fbsde
+from fbsdegames import cli, fbsde
 from fbsdegames.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -414,7 +415,7 @@ class TestVerify:
         # first overflowing node is the scenario named
         run_cfg = load_config(path)
         backend = build_backend(run_cfg)
-        zero = fbsdegames.ControlProcess.constant(run_cfg.problem, backend, 0.0, 0.0)
+        zero = fbsdegames.ControlProcess.constant(backend, 0.0, 0.0)
         traj, _ = fbsdegames.solve_fbsde(run_cfg.problem, zero, backend, run_cfg.fbsde)
         with np.errstate(over="ignore"):
             node = int(np.argmax(~np.isfinite(1e308 * traj.x[-1][:, 0])))
@@ -643,16 +644,36 @@ class TestCheck:
         assert run("check", "--config", path, "--out", str(tmp_path / "c")) == EXIT_OK
         assert "derivative check: PASS" in capsys.readouterr().out
 
-    def test_corrupted_partial_fails(self, tmp_path, capsys):
-        cfg = base_config()
-        cfg["check"] = {"corrupt": "f_y"}
-        path = write_config(tmp_path, cfg)
+    @pytest.mark.parametrize("config", [
+        "configs/coupled_game.json",
+        "configs/two_step_oracle.json",
+        "configs/single_player_lqr.json",
+        "perfbench/configs/coupled_mc.json",
+    ])
+    def test_shipped_config_passes(self, tmp_path, capsys, config):
+        # single_player_lqr has k2 = 0: its u2 partials are shape-checked only
+        path = str(Path(__file__).resolve().parents[1] / config)
+        assert run("check", "--config", path, "--out", str(tmp_path / "c")) == EXIT_OK
+        assert "derivative check: PASS" in capsys.readouterr().out
+
+    def test_corrupted_partial_fails(self, tmp_path, capsys, monkeypatch):
+        # the driver's y-partial off by 0.05 everywhere
+        def load_tilted(path, seed_override=None):
+            cfg = load_config(path, seed_override)
+            co = cfg.problem.coefficients
+            tilted = dataclasses.replace(co, f_y=lambda *args: co.f_y(*args) + 0.05)
+            return dataclasses.replace(
+                cfg, problem=dataclasses.replace(cfg.problem, coefficients=tilted))
+
+        monkeypatch.setattr(cli, "load_config", load_tilted)
+        path = write_config(tmp_path, base_config())
         assert run("check", "--config", path, "--out", str(tmp_path / "c")) == EXIT_REFUTED
         out = capsys.readouterr().out
         assert "derivative check: FAIL" in out
-        assert "f/f_y" in out
+        assert "[BAD] f/f_y" in out
 
     def test_unknown_corrupt_target_is_config_error(self, tmp_path, capsys):
+        # the check block has no corrupt key: any value is an unknown key
         cfg = base_config()
         cfg["check"] = {"corrupt": "b_w"}
         path = write_config(tmp_path, cfg)

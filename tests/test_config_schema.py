@@ -42,7 +42,7 @@ DEFAULTS = {
     },
     "backend.regression": {"degree": 2, "ridge": 1e-8},
     "oracle": {"grid1": GRID, "grid2": GRID, "budget": 10**6, "max_rounds": 50, "riccati": False},
-    "check": {"samples": 120, "probe_radius": None, "corrupt": None},
+    "check": {"samples": 120, "probe_radius": None},
 }
 
 GRIDS = ("grid1", "grid2")  # oracle fields read as grid blocks, not by type
@@ -70,7 +70,6 @@ OUT_OF_RANGE = [
     ("oracle", "max_rounds", 0),
     ("check", "samples", 0),
     ("check", "probe_radius", -1.0),
-    ("check", "corrupt", "b_w"),
 ]
 
 

@@ -113,7 +113,7 @@ class TestGateaux:
         spec = coupled_lq_spec(with_control_in_dynamics=False)
         problem = lq_to_problem(spec)
         backend = lattice(32)
-        u = ControlProcess.constant(problem, backend, 0.3, -0.2)
+        u = ControlProcess.constant(backend, 0.3, -0.2)
         rng = np.random.default_rng(8)
         for player in (1, 2):
             v = [rng.uniform(-1, 1, a.shape) for a in u.player(player)]

@@ -32,6 +32,7 @@ from conftest import (
     martingale_spec,
     member,
     montecarlo,
+    nonlinear_problem,
     random_controls,
     zero_spec,
 )
@@ -273,42 +274,13 @@ def test_member_solve_is_each_solve_alone(spec, capped):
         assert eval_cost(problem, traj, u, 1)[0][b] == j_alone
 
 
-def _nonlinear_problem():
-    """The coupled LQ game plus bounded smooth terms in b and sigma that
-    involve the controls: the Picard map is not affine, so Anderson mixing
-    cannot solve it as a linear system."""
-    problem = lq_to_problem(coupled_lq_spec())
-    co = problem.coefficients
-
-    def b(t, x, y, z, u1, u2):
-        return co.b(t, x, y, z, u1, u2) + 0.5 * np.tanh(y + u1)
-
-    def b_y(t, x, y, z, u1, u2):
-        return co.b_y(t, x, y, z, u1, u2) + (0.5 / np.cosh(y + u1) ** 2)[:, :, None]
-
-    def b_u1(t, x, y, z, u1, u2):
-        return co.b_u1(t, x, y, z, u1, u2) + (0.5 / np.cosh(y + u1) ** 2)[:, :, None]
-
-    def sigma(t, x, y, z, u1, u2):
-        return co.sigma(t, x, y, z, u1, u2) + 0.1 * np.sin(x + u2)[:, :, None]
-
-    def sigma_x(t, x, y, z, u1, u2):
-        return co.sigma_x(t, x, y, z, u1, u2) + (0.1 * np.cos(x + u2))[:, None, :, None]
-
-    def sigma_u2(t, x, y, z, u1, u2):
-        return co.sigma_u2(t, x, y, z, u1, u2) + (0.1 * np.cos(x + u2))[:, None, :, None]
-
-    return dataclasses.replace(problem, coefficients=dataclasses.replace(
-        co, b=b, b_y=b_y, b_u1=b_u1, sigma=sigma, sigma_x=sigma_x, sigma_u2=sigma_u2))
-
-
 class TestNonlinearProblem:
     def test_partials_are_consistent(self):
-        assert validate_problem(_nonlinear_problem(), samples=60, seed=3, probe_radius=None).passed
+        assert validate_problem(nonlinear_problem(), samples=60, seed=3, probe_radius=None).passed
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-12])
     def test_solve_matches_a_tight_solve_within_sqrt_tol(self, tol):
-        problem = _nonlinear_problem()
+        problem = nonlinear_problem()
         backend = lattice(32)
         tight = FbsdeConfig(tol=1e-28, max_picard=200)
         for seed in range(3):
@@ -322,7 +294,7 @@ class TestNonlinearProblem:
                     assert np.abs(got - want).max() <= np.sqrt(tol)
 
     def test_member_solve_is_each_solve_alone(self):
-        problem = _nonlinear_problem()
+        problem = nonlinear_problem()
         backend = lattice(8)
         profiles = _scaled_profiles(problem, backend)
         config = FbsdeConfig(tol=1e-12, max_picard=200)
@@ -339,7 +311,7 @@ class TestNonlinearProblem:
     def test_paired_costate_solve_is_each_solve_alone(self):
         # the players' costates along one solved trajectory are paired on
         # the lattice (on Monte Carlo each is its solve alone)
-        problem = _nonlinear_problem()
+        problem = nonlinear_problem()
         backend = lattice(16)
         config = FbsdeConfig(tol=1e-12)
         u = random_controls(problem, backend)
@@ -413,7 +385,7 @@ def test_forward_pass_names_nonfinite_step():
 def test_control_process_helpers():
     problem = lq_to_problem(coupled_lq_spec())
     backend = lattice(4)
-    u = ControlProcess.constant(problem, backend, 0.3, -0.2)
+    u = ControlProcess.constant(backend, 0.3, -0.2)
     assert u.steps == 4
     assert u.u1[2].shape == (3, 1)
     np.testing.assert_array_equal(u.u2[1], -0.2)

@@ -106,7 +106,7 @@ def test_hamiltonian_value_assembles_inner_products():
 def test_control_gradient_agrees_with_hamiltonian_point():
     backend = lattice(8)
     problem = lq_to_problem(coupled_lq_spec())
-    u = ControlProcess.constant(problem, backend, 0.4, -0.3)
+    u = ControlProcess.constant(backend, 0.4, -0.3)
     traj, _ = solve_fbsde(problem, u, backend, FbsdeConfig(tol=1e-12))
     adj, _ = solve_adjoint(problem, traj, u, 1, backend)
     grads = control_gradient(problem, traj, adj, u, 1)
@@ -132,7 +132,7 @@ def _constant_gradient_problem(c: float):
 
 
 def _vi_at(problem, backend, value1):
-    u = ControlProcess.constant(problem, backend, value1, 0.0)
+    u = ControlProcess.constant(backend, value1, 0.0)
     traj, _ = solve_fbsde(problem, u, backend)
     adj1, _ = solve_adjoint(problem, traj, u, 1, backend)
     adj2, _ = solve_adjoint(problem, traj, u, 2, backend)
@@ -308,7 +308,7 @@ class TestCertificate:
         )
         problem = lq_to_problem(spec)
         backend = lattice(12)
-        u = ControlProcess.constant(problem, backend, 2.0, 0.0)
+        u = ControlProcess.constant(backend, 2.0, 0.0)
         traj, adj1, adj2 = _resolve(problem, u, backend)
         cert = build_certificate(
             problem, traj, (adj1, adj2), u, CertificateOptions(grid_density=15)
@@ -322,7 +322,7 @@ class TestCertificate:
         spec = dataclasses.replace(spec, u1_box=ControlBox.unbounded(1))
         problem = lq_to_problem(spec)
         backend = lattice(8)
-        u = ControlProcess.constant(problem, backend, 0.0, 0.0)
+        u = ControlProcess.constant(backend, 0.0, 0.0)
         traj, adj1, adj2 = _resolve(problem, u, backend)
         cert = build_certificate(problem, traj, (adj1, adj2), u, CertificateOptions())
         assert cert.verdict in ("inconclusive", "refuted")

@@ -32,8 +32,7 @@ from fbsdegames.drivers import MemberLattice, StepArray
 from fbsdegames.fbsde import _update_metric, solve_members
 from fbsdegames.hamiltonian import _control_grid, _value
 
-from conftest import coupled_lq_spec, lattice, montecarlo, random_controls
-from test_fbsde import _nonlinear_problem
+from conftest import coupled_lq_spec, lattice, montecarlo, nonlinear_problem, random_controls
 
 
 def _time_dependent_problem():
@@ -67,7 +66,7 @@ CASES = {
     "montecarlo-2d": lambda: (lq_to_problem(random_lq_spec(3, Dims(2, 2, 2, 2, 2))),
                               montecarlo(4, paths=128, d=2)),
     "lattice-2d": lambda: (lq_to_problem(random_lq_spec(3, Dims(2, 2, 1, 2, 2))), lattice(8)),
-    "nonlinear": lambda: (_nonlinear_problem(), lattice(16)),
+    "nonlinear": lambda: (nonlinear_problem(), lattice(16)),
     "time-dependent": lambda: (_time_dependent_problem(), montecarlo(8, paths=256)),
 }
 
