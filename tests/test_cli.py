@@ -72,6 +72,12 @@ def run_process(*argv, module=True) -> subprocess.CompletedProcess:
 
 
 COUPLED_GAME = Path(__file__).resolve().parents[1] / "configs" / "coupled_game.json"
+SHIPPED_CONFIGS = [
+    "configs/coupled_game.json",
+    "configs/two_step_oracle.json",
+    "configs/single_player_lqr.json",
+    "perfbench/configs/coupled_mc.json",
+]
 
 
 def _zero_controls(tmp_path, steps: int) -> str:
@@ -299,12 +305,7 @@ class TestVerify:
         assert cert["verdict"] == "certified"
         assert cert["rho1"] < 1e-5
 
-    @pytest.mark.parametrize("config", [
-        "configs/coupled_game.json",
-        "configs/two_step_oracle.json",
-        "configs/single_player_lqr.json",
-        "perfbench/configs/coupled_mc.json",
-    ])
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
     def test_verify_reproduces_the_residuals_solve_reports(self, tmp_path, config):
         # verify solves its inner systems cold where solve warm-starts them;
         # both must be accurate enough that the residuals agree to within
@@ -644,12 +645,7 @@ class TestCheck:
         assert run("check", "--config", path, "--out", str(tmp_path / "c")) == EXIT_OK
         assert "derivative check: PASS" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("config", [
-        "configs/coupled_game.json",
-        "configs/two_step_oracle.json",
-        "configs/single_player_lqr.json",
-        "perfbench/configs/coupled_mc.json",
-    ])
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
     def test_shipped_config_passes(self, tmp_path, capsys, config):
         # single_player_lqr has k2 = 0: its u2 partials are shape-checked only
         path = str(Path(__file__).resolve().parents[1] / config)

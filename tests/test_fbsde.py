@@ -383,7 +383,6 @@ def test_forward_pass_names_nonfinite_step():
 
 
 def test_control_process_helpers():
-    problem = lq_to_problem(coupled_lq_spec())
     backend = lattice(4)
     u = ControlProcess.constant(backend, 0.3, -0.2)
     assert u.steps == 4
