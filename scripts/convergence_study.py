@@ -3,10 +3,14 @@
 Two experiments on doubling grids:
   1. y(0) for dy = -0.5 y dt, y(1) = 1 against e^0.5 (expected ratio ~2).
   2. the integration-by-parts residual between two constant control pairs
-     on the coupled demo game (expected ratio ~2).
+     on the coupled demo game, configs/coupled_game.json read through the
+     command line's config loader (expected ratio ~2).
+
+    PYTHONPATH=src python3 scripts/convergence_study.py
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 
@@ -25,8 +29,10 @@ from fbsdegames import (
     solve_adjoint,
     solve_fbsde,
 )
+from fbsdegames.cli import load_config
 
 CONFIG = FbsdeConfig(tol=1e-13)
+COUPLED_GAME = Path(__file__).resolve().parent.parent / "configs" / "coupled_game.json"
 
 
 def backward_problem():
@@ -48,39 +54,6 @@ def backward_problem():
     return lq_to_problem(spec)
 
 
-def coupled_problem():
-    dims = Dims(n=1, m=1, d=1, k1=1, k2=1)
-    spec = LQGameSpec(
-        dims=dims,
-        horizon=1.0,
-        initial=np.array([0.5]),
-        xi=np.array([0.2]),
-        drift=AffineMap(
-            A=np.array([[-0.3]]), B=np.array([[0.2]]), C=np.array([[0.1]]),
-            D1=np.array([[0.4]]), D2=np.array([[0.2]]), const=np.array([0.1]),
-        ),
-        diffusion=(AffineMap(
-            A=np.array([[0.1]]), B=np.array([[0.05]]), C=np.zeros((1, 1)),
-            D1=np.zeros((1, 1)), D2=np.zeros((1, 1)), const=np.array([0.3]),
-        ),),
-        driver=AffineMap(
-            A=np.array([[0.25]]), B=np.array([[-0.2]]), C=np.array([[0.1]]),
-            D1=np.array([[0.3]]), D2=np.array([[-0.2]]), const=np.array([0.05]),
-        ),
-        cost1=QuadraticCost(
-            Q=np.array([[1.0]]), R=np.array([[0.5]]), S=0.1, N=np.array([[1.0]]),
-            M=np.zeros((1, 1)), G=np.array([[0.7]]), H=np.array([[0.4]]),
-        ),
-        cost2=QuadraticCost(
-            Q=np.array([[1.0]]), R=np.array([[0.5]]), S=0.1, N=np.array([[1.0]]),
-            M=np.zeros((1, 1)), G=np.array([[0.7]]), H=np.array([[0.4]]),
-        ),
-        u1_box=ControlBox.symmetric(1, 2.0),
-        u2_box=ControlBox.symmetric(1, 2.0),
-    )
-    return lq_to_problem(spec)
-
-
 def backward_table() -> None:
     problem = backward_problem()
     target = np.exp(0.5)
@@ -98,7 +71,7 @@ def backward_table() -> None:
 
 
 def duality_table() -> None:
-    problem = coupled_problem()
+    problem = load_config(COUPLED_GAME).problem
     print("\nduality residual between u = (0.4, -0.6) and u_bar = (-0.2, 0.3)")
     print(f"{'N':>6} {'residual':>14} {'ratio':>8}")
     prev = None

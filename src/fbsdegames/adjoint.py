@@ -18,9 +18,9 @@ are stacked once per solve, in one call over the rows of all steps, into
 one matrix per row acting on (p, q flattened, k), with l_iv beside it.
 The two players' systems share that matrix and differ only in l_iv, p[N]
 and k[0].  `solve_adjoints` solves them over a two-member axis
-(``drivers.MemberLattice``) on the lattice and one player at a time on
-Monte Carlo, and each player's result is bit for bit that of its solve
-alone, which `solve_adjoint` is.
+(`drivers.LatticeBackend.with_members`) on the lattice and one player at
+a time on Monte Carlo, and each player's result is bit for bit that of
+its solve alone, which `solve_adjoint` is.
 
 `costate_combination` assembles G_v from the callbacks on any rows (one
 step's, or all steps' with t per row); it is the reference the solver is
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import Backend, MemberLattice, StepArray
+from .drivers import Backend, StepArray
 from .fbsde import (
     ControlProcess,
     FbsdeConfig,
@@ -188,9 +188,7 @@ def _costate_failure(view, players, k0, ps, qs, exc: NonFiniteStateError) -> Non
             bad = ~np.isfinite(own.reshape(own.shape[0], -1)).all(axis=1)
             if bad.any():
                 return NonFiniteCostateError(player, step, int(np.argmax(bad)))
-    members = np.eye(len(players), dtype=bool)
-    member = next(b for b in range(len(players)) if view.member_rows(exc.step, members[b])[exc.row])
-    return NonFiniteCostateError(players[member], exc.step, exc.scenario)
+    return NonFiniteCostateError(players[exc.row % view.members], exc.step, exc.scenario)
 
 
 def solve_adjoints(
@@ -210,7 +208,7 @@ def solve_adjoints(
     On Monte Carlo each player's `solve_adjoint` runs in turn, so a failing
     player 1 raises before player 2's solve starts, whatever the pass.
     Otherwise the players are one `fbsde.damped_picard` solve, one member
-    per player (on a ``drivers.MemberLattice`` for several).  Per player
+    per player (on the lattice's `with_members` copy for several).  Per player
     the iterate is (p, q); each pass's forward sweep rebuilds k from it, and
     a last sweep makes the forward recursion hold at the returned triple.
     k[0] and p[N] are data, never iterated.
@@ -231,7 +229,7 @@ def solve_adjoints(
                                 None if initial is None else initial[b])
                   for b, player in enumerate(players)]
         return tuple(adj for adj, _ in solves), tuple(diag for _, diag in solves)
-    view = backend if len(players) == 1 else MemberLattice(backend, len(players))
+    view = backend if len(players) == 1 else backend.with_members(len(players))
     stack = view.stack
     N = backend.grid.steps
     n, m, d = problem.dims.n, problem.dims.m, problem.dims.d

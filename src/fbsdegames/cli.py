@@ -711,11 +711,15 @@ def write_history(path: Path, report: EquilibriumReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _prepare(args) -> tuple[RunConfig, Backend, Path]:
-    cfg = load_config(args.config, args.seed)
+def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return cfg, build_backend(cfg), out
+    return out
+
+
+def _prepare(args) -> tuple[RunConfig, Backend, Path]:
+    cfg = load_config(args.config, args.seed)
+    return cfg, build_backend(cfg), _out_dir(args)
 
 
 def cmd_solve(args) -> int:
@@ -791,9 +795,12 @@ def _read_solve_report(path: str) -> tuple[float, float]:
 
 def cmd_oracle(args) -> int:
     started = time.perf_counter()
-    cfg, backend, out = _prepare(args)
+    cfg = load_config(args.config, args.seed)
     if cfg.oracle is None:
         raise ConfigError("oracle", "the oracle command needs an 'oracle' config block")
+    if cfg.backend_kind != "lattice":
+        raise ConfigError("backend.kind", "the oracle command needs the lattice backend")
+    backend, out = build_backend(cfg), _out_dir(args)
     solved = _read_solve_report(args.solve_report) if args.solve_report else None
     try:
         result = brute_force_nash(
@@ -854,7 +861,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    cfg, _, out = _prepare(args)
+    cfg = load_config(args.config, args.seed)
     report = validate_problem(
         cfg.problem,
         samples=cfg.check.samples,
@@ -890,7 +897,8 @@ def main(argv=None) -> int:
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--out", default=".", help="output directory")
+        if name != "check":
+            p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name == "verify":
             p.add_argument("--controls", required=True, help="controls.csv to verify")

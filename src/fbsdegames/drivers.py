@@ -6,26 +6,26 @@ Two interchangeable backends drive every solver:
   j + 1 nodes; node (j, l) carries B = (2l - j) sqrt(dt) and the up/down
   transition has probability 1/2.  Conditional expectations are exact node
   averages, which makes the backend suitable for brute-force oracles.
-  ``MemberLattice`` stacks independent copies of one lattice problem, so
-  the grid oracle solves many control profiles, and the costate solve both
-  players' systems, in one pass.
+  `LatticeBackend.with_members` stacks independent copies of one lattice
+  problem node-major, so the grid oracle solves many control profiles, and
+  the costate solve both players' systems, in one pass.
 * ``MonteCarloBackend``: a seeded path ensemble with least-squares
   regression onto a polynomial basis for conditional expectations.  Each
   step's design matrix is factored once and reused while its regressors
-  stay the same (Gobet, Lemor & Warin 2005).  Like the lattice, it is a
-  one-member case of ``MemberLattice``'s member interface.
+  stay the same (Gobet, Lemor & Warin 2005).  Like a plain lattice, it is
+  the one-member case of the member interface.
 
 A scenario-indexed process is one `StepArray`: a single (rows, ...) array
 over all (step, scenario) rows, step j at rows offsets[j]:offsets[j + 1]
-of the backend's `offsets` (lattice step j has j + 1 rows, Monte Carlo
-always P, a member lattice B times as many).  Work that does not depend on
-earlier steps runs as one call over all rows, with `row_times` giving each
-row's t; only the sweeps in time and the per-step expectations go step by
-step.
+of the backend's `offsets` (lattice step j has j + 1 rows per member,
+Monte Carlo always P).  Work that does not depend on earlier steps runs
+as one call over all rows, with `row_times` giving each row's t; only the
+sweeps in time and the per-step expectations go step by step.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 from dataclasses import dataclass
@@ -201,28 +201,45 @@ class _Rows:
     """The row layout a backend shares with its processes: step j is rows
     offsets[j]:offsets[j + 1], for steps 0..N.
 
-    A plain backend is the one-member case of `MemberLattice`'s member
-    interface: `stack` and `unstack` pass the one member's rows through,
-    `member_rows` selects all of a step's rows or none, and a row is its own
-    scenario.
+    The rows hold B = `members` independent problems node-major: row
+    l * B + b of a step is scenario l of member b.  Monte Carlo and a plain
+    lattice are the one-member case.  `stack` and `unstack` convert the
+    rows of one or more consecutive steps between per-member arrays and
+    the backend's rows (one member's array passes through), `member_rows`
+    selects the rows of chosen members, and `scenario_of` names a row's
+    scenario within its member.
     """
 
     offsets: tuple[int, ...]
     grid: TimeGrid
     members = 1
 
+    def scenario_count(self, j: int) -> int:
+        """Rows of step j, all members'."""
+        return self.offsets[j + 1] - self.offsets[j]
+
     def stack(self, arrays) -> Array:
-        (rows,) = arrays
-        return np.asarray(rows)
+        """Rows from each member's array of the same scenarios, in member order."""
+        if self.members == 1:
+            (rows,) = arrays
+            return np.asarray(rows)
+        nodes = np.stack(arrays, axis=1)
+        # explicit lengths, not -1: a control of an inert player has no columns
+        return nodes.reshape((nodes.shape[0] * nodes.shape[1],) + nodes.shape[2:])
 
     def unstack(self, rows: Array) -> tuple[Array, ...]:
-        return (np.asarray(rows),)
+        """Each member's own contiguous array of its scenarios; inverse of `stack`."""
+        v = np.asarray(rows)
+        if self.members == 1:
+            return (v,)
+        return tuple(np.ascontiguousarray(v[b::self.members]) for b in range(self.members))
 
     def member_rows(self, j: int, mask: Array) -> Array:
-        return np.repeat(mask, self.scenario_count(j))
+        """Step-j row mask selecting the members where mask (shape (B,)) holds."""
+        return np.tile(mask, self.scenario_count(j) // self.members)
 
     def scenario_of(self, row: int) -> int:
-        return row
+        return row // self.members
 
     @functools.cached_property
     def row_times(self) -> Array:
@@ -235,14 +252,20 @@ class _Rows:
 
 
 class LatticeBackend(_Rows):
-    """Exact recombining-lattice backend; requires d = 1."""
+    """Exact recombining-lattice backend; requires d = 1.
+
+    `with_members` gives the same lattice holding B problems: level j then
+    has (j + 1) * B rows, and a node's next-level neighbours are B rows
+    away, so every operation acts on all members' rows at once and gives
+    each member, bit for bit, the values the lattice gives it alone, as
+    long as the problem's callbacks act row by row.
+    """
 
     kind = "lattice"
 
     def __init__(self, grid: TimeGrid):
         self.grid = grid
         self.d = 1
-        self.offsets = tuple(itertools.accumulate(range(1, grid.steps + 2), initial=0))
         self._root_dt = np.sqrt(grid.dt)
         # Binomial(1/2) node probabilities, level by level
         self._weights = [np.array([1.0])]
@@ -252,34 +275,55 @@ class LatticeBackend(_Rows):
             nxt[1:] += 0.5 * w
             nxt[:-1] += 0.5 * w
             self._weights.append(nxt)
-        # conditional arrival probabilities of the up and down edges into level j + 1
-        self._arrival = []
-        for j in range(grid.steps):
-            w_up = np.arange(j + 2, dtype=float) / (j + 1)
-            self._arrival.append((w_up, 1.0 - w_up))
+        self._lay_out(1)
 
-    def scenario_count(self, j: int) -> int:
-        return j + 1
+    def _lay_out(self, members: int) -> None:
+        """Rows for `members` members, with the arrival probabilities of
+        the up and down edges into each row of level j, node l: l / j and
+        1 - l / j (level 0 has no incoming edge)."""
+        N = self.grid.steps
+        self.members = members
+        self.offsets = tuple(members * o for o in itertools.accumulate(range(1, N + 2), initial=0))
+        counts = np.diff(self.offsets)
+        level = np.repeat(np.arange(N + 1), counts)
+        node = (np.arange(self.offsets[-1]) - np.repeat(self.offsets[:-1], counts)) // members
+        up = node / np.maximum(level, 1)
+        self._arrival = (StepArray(up, self.offsets), StepArray(1.0 - up, self.offsets))
 
+    def with_members(self, members: int) -> "LatticeBackend":
+        """This lattice holding `members` problems; it shares the binomial tables."""
+        if members < 1:
+            raise ValueError("members must be >= 1")
+        other = copy.copy(self)
+        other.__dict__.pop("row_times", None)
+        other._lay_out(members)
+        return other
 
     def brownian(self, j: int) -> Array:
-        """Node B values at level j, shape (j + 1, 1)."""
-        l = np.arange(j + 1, dtype=float)
+        """Node B values at level j, shape ((j + 1) * B, 1)."""
+        l = np.arange(self.scenario_count(j)) // self.members
         return ((2.0 * l - j) * self._root_dt)[:, None]
 
     def expect(self, j: int, values: Array) -> Array:
-        """Expectation over level-j nodes; works on any trailing shape."""
-        v = np.asarray(values)
-        return (self._weights[j] @ v.reshape(v.shape[0], -1)).reshape(v.shape[1:])
+        """Expectation over level-j nodes, on any trailing shape: one value
+        per member, shape (B, ...), when B > 1; no member axis for one."""
+        v, B = np.asarray(values), self.members
+        if B == 1:
+            return (self._weights[j] @ v.reshape(v.shape[0], -1)).reshape(v.shape[1:])
+        # member-major and contiguous, so each member's average is the same
+        # matrix-vector product that one member's rows get
+        nodes = np.ascontiguousarray(np.swapaxes(v.reshape((j + 1, B) + v.shape[1:]), 0, 1))
+        flat = nodes.reshape(B, j + 1, -1)
+        return (self._weights[j] @ flat).reshape((B,) + v.shape[1:])
 
     def cond_exp(self, j: int, values_next: Array, regressors: Array | None = None):
-        v = np.asarray(values_next)
-        return 0.5 * (v[1:] + v[:-1]), False
+        v, B = np.asarray(values_next), self.members
+        return 0.5 * (v[B:] + v[:-B]), False
 
     def cond_exp_increment(self, j: int, values_next: Array, regressors: Array | None = None):
-        """E[V dB' | node], shape (j + 1, ..., 1)."""
-        v = np.asarray(values_next)
-        return (0.5 * self._root_dt * (v[1:] - v[:-1]))[..., None], False
+        """E[V dB' | node], shape ((j + 1) * B, ..., 1)."""
+        v, B = np.asarray(values_next), self.members
+        return (0.5 * self._root_dt * (v[B:] - v[:-B]))[..., None], False
 
     def step_forward(self, j: int, state: Array, drift: Array, diffusion: Array) -> Array:
         """Push a level-j node process one step with arrival-weighted recombination.
@@ -288,95 +332,16 @@ class LatticeBackend(_Rows):
         a node there averages its incoming edge values with the conditional
         arrival probabilities l'/(j+1) (up edge) and (j+1-l')/(j+1) (down).
         """
+        B, rows = self.members, state.shape[0]
         base = state + drift * self.grid.dt
         up = base + diffusion[..., 0] * self._root_dt  # from node l to node l+1
         down = base - diffusion[..., 0] * self._root_dt  # from node l to node l
-        out = np.zeros((j + 2,) + state.shape[1:])
-        shape = (j + 2,) + (1,) * (state.ndim - 1)
-        w_up, w_down = (w.reshape(shape) for w in self._arrival[j])
-        out[1:] += w_up[1:] * up
-        out[: j + 1] += w_down[: j + 1] * down
+        out = np.zeros((rows + B,) + state.shape[1:])
+        shape = (rows + B,) + (1,) * (state.ndim - 1)
+        w_up, w_down = (w[j + 1].reshape(shape) for w in self._arrival)
+        out[B:] += w_up[B:] * up
+        out[:rows] += w_down[:rows] * down
         return out
-
-
-class MemberLattice(_Rows):
-    """`members` independent problems stacked node-major on one
-    `LatticeBackend`.
-
-    Row l * B + b of level j is node l of member b, so level j holds
-    (j + 1) * B rows, B = members.  Every operation views its rows as
-    (j + 1, B, ...) and runs the lattice's own arithmetic on that trailing
-    shape, so a member's rows get, bit for bit, the values the lattice
-    gives them alone, as long as the problem's callbacks act row by row.
-    `stack` and `unstack` convert the rows of one or more consecutive
-    levels between per-member arrays and the view's rows, `member_rows`
-    selects the rows of chosen members, `scenario_of` names a row's node
-    within its member, and `expect` returns one value per member, shape
-    (B, ...).
-    """
-
-    kind = "lattice"
-
-    def __init__(self, base: LatticeBackend, members: int):
-        if members < 1:
-            raise ValueError("members must be >= 1")
-        self.base = base
-        self.grid = base.grid
-        self.d = base.d
-        self.members = members
-        self.offsets = tuple(offset * members for offset in base.offsets)
-
-    def scenario_count(self, j: int) -> int:
-        return self.base.scenario_count(j) * self.members
-
-    # explicit lengths, not -1: a control of an inert player has no columns
-    def _nodes(self, rows: Array) -> Array:
-        v = np.asarray(rows)
-        return v.reshape((v.shape[0] // self.members, self.members) + v.shape[1:])
-
-    @staticmethod
-    def _rows(nodes: Array) -> Array:
-        return nodes.reshape((nodes.shape[0] * nodes.shape[1],) + nodes.shape[2:])
-
-    def stack(self, arrays) -> Array:
-        """Rows from each member's array of the same nodes, in member order."""
-        return self._rows(np.stack(arrays, axis=1))
-
-    def unstack(self, rows: Array) -> tuple[Array, ...]:
-        """Each member's own contiguous array of its nodes; inverse of `stack`."""
-        nodes = self._nodes(rows)
-        return tuple(np.ascontiguousarray(nodes[:, b]) for b in range(self.members))
-
-    def member_rows(self, j: int, mask: Array) -> Array:
-        """Level-j row mask selecting the members where mask (shape (B,)) holds."""
-        return np.tile(mask, j + 1)
-
-    def scenario_of(self, row: int) -> int:
-        return row // self.members
-
-    def brownian(self, j: int) -> Array:
-        return np.repeat(self.base.brownian(j), self.members, axis=0)
-
-    def expect(self, j: int, values: Array) -> Array:
-        # member-major and contiguous, so each member's average is the same
-        # matrix-vector product that LatticeBackend.expect makes on its rows
-        v = np.ascontiguousarray(np.swapaxes(self._nodes(values), 0, 1))
-        flat = v.reshape(self.members, j + 1, -1)
-        return (self.base._weights[j] @ flat).reshape((self.members,) + v.shape[2:])
-
-    def cond_exp(self, j: int, values_next: Array, regressors: Array | None = None):
-        out, ridge = self.base.cond_exp(j, self._nodes(values_next))
-        return self._rows(out), ridge
-
-    def cond_exp_increment(self, j: int, values_next: Array, regressors: Array | None = None):
-        out, ridge = self.base.cond_exp_increment(j, self._nodes(values_next))
-        return self._rows(out), ridge
-
-    def step_forward(self, j: int, state: Array, drift: Array, diffusion: Array) -> Array:
-        nxt = self.base.step_forward(
-            j, self._nodes(state), self._nodes(drift), self._nodes(diffusion)
-        )
-        return self._rows(nxt)
 
 
 class MonteCarloBackend(_Rows):
@@ -392,10 +357,6 @@ class MonteCarloBackend(_Rows):
         self.offsets = tuple(range(0, ensemble.paths * (ensemble.grid.steps + 2), ensemble.paths))
         self._brownian = ensemble.cumulative()
         self._projections: dict[int, _Projection] = {}
-
-    def scenario_count(self, j: int) -> int:
-        return self.ensemble.paths
-
 
     def brownian(self, j: int) -> Array:
         return self._brownian[j]
@@ -438,4 +399,4 @@ class MonteCarloBackend(_Rows):
         return state + drift * self.grid.dt + np.einsum("s...d,sd->s...", diffusion, db)
 
 
-Backend = LatticeBackend | MonteCarloBackend | MemberLattice
+Backend = LatticeBackend | MonteCarloBackend

@@ -20,8 +20,8 @@ standard error on sampled backends, a directional-derivative pair (costate
 form against a two-sided cost difference), and an exhaustive grid oracle for
 tiny recombining trees.  The oracle solves the candidate profiles of a best
 response in batches: one Picard solve (`fbsde.damped_picard`) over a member
-axis (``drivers.MemberLattice``) in which every member gets, bit for bit,
-the solve its profile would get alone.
+axis (`drivers.LatticeBackend.with_members`) in which every member gets,
+bit for bit, the solve its profile would get alone.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import AdjointTrajectory, solve_adjoint, solve_adjoints
-from .drivers import Backend, MemberLattice, StepArray
+from .drivers import Backend, StepArray
 from .fbsde import (
     ControlProcess,
     FbsdeConfig,
@@ -162,7 +162,7 @@ def eval_cost(
     terminal part at x(T), initial part at y(0).
 
     Returns (estimate, standard error); the error is zero on the lattice
-    where the expectation is exact.  On a ``drivers.MemberLattice`` the
+    where the expectation is exact.  On a lattice with B > 1 members the
     estimate is an array with one cost per member.
     """
     backend = traj.backend
@@ -530,7 +530,7 @@ def _profile_costs(problem, backend, profiles, config) -> list[tuple[float, floa
     cost is not finite, and else with NonConvergenceError when it stopped
     unconverged: a cost that overflows is the cause, whatever the solve did.
     """
-    view = MemberLattice(backend, len(profiles))
+    view = backend.with_members(len(profiles))
     u = ControlProcess.from_rows(
         *(view.stack([StepArray.of(p[i]).rows for p in profiles]) for i in (0, 1)),
         view.offsets[: backend.grid.steps + 1],
@@ -538,7 +538,7 @@ def _profile_costs(problem, backend, profiles, config) -> list[tuple[float, floa
     traj, diagnostics = solve_members(problem, u, view, config)
     j1, _ = eval_cost(problem, traj, u, 1)
     j2, _ = eval_cost(problem, traj, u, 2)
-    costs = list(zip(j1.tolist(), j2.tolist()))
+    costs = list(zip(np.atleast_1d(j1).tolist(), np.atleast_1d(j2).tolist()))
     for a, b in costs:
         if not (np.isfinite(a) and np.isfinite(b)):
             raise NonFiniteCostError(f"oracle cost is not finite (J1={a}, J2={b})")

@@ -318,8 +318,8 @@ def _runs(backend: Backend, a_shape: tuple, b_shape: tuple) -> list[tuple[slice,
     then b's) as runs of equal length: per part, its slice of the flat
     vector and the member of each of its runs.
 
-    A run is one row on the lattice, where a member lattice interleaves the
-    members' nodes, so a member's runs hold its entries in the order its
+    A run is one row on the lattice, where several members interleave
+    their nodes, so a member's runs hold its entries in the order its
     solve alone holds them.  On Monte Carlo, always one member, a run is one
     step's rows.
     """
@@ -505,8 +505,8 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
     hold there.  Returns (fwd, a, b, diagnostics), one SolveDiagnostics per
     member; warnings name `label`.
 
-    On a ``drivers.MemberLattice`` every member runs this iteration on its
-    own rows: its own residuals, warnings, best output, Anderson fit, stop
+    On a lattice with several members every member runs this iteration on
+    its own rows: its own residuals, warnings, best output, Anderson fit, stop
     and divergence check.  A member that has stopped keeps its input, so
     the passes the others still need repeat its last output and cannot
     change its result, and they add nothing to its counts.  A plain backend
@@ -606,7 +606,7 @@ def solve_members(
 ) -> tuple[StateTrajectory, tuple[SolveDiagnostics, ...]]:
     """`solve_fbsde` with one SolveDiagnostics per member of the backend.
 
-    On a ``drivers.MemberLattice`` the returned trajectory stacks every
+    On a lattice with several members the returned trajectory stacks every
     member's own solve; a plain backend is one member.
     """
     m, d = problem.dims.m, problem.dims.d

@@ -28,13 +28,13 @@ entry (i, j) of z maps to index i*d + j.
 Callbacks must act row by row: row s of a result depends on row s of the
 arguments (and of t, when t is an array) only, bit for bit, whatever rows
 come with it.  The grid oracle relies on this when it stacks many control
-profiles along the scenario axis (``drivers.MemberLattice``) and expects
-each to be solved as if alone, and one call over all steps' rows must give
-what one call per step gives.  The LQ family satisfies it (``lq`` sums its
-matrix products in a fixed order rather than through BLAS, whose rounding
-depends on the row count).  `validate_problem` checks the time contract:
-each callback's rows at per-row times must equal its rows at each time
-alone.
+profiles along the scenario axis (`drivers.LatticeBackend.with_members`)
+and expects each to be solved as if alone, and one call over all steps'
+rows must give what one call per step gives.  The LQ family satisfies it
+(``lq`` sums its matrix products in a fixed order rather than through
+BLAS, whose rounding depends on the row count).  `validate_problem`
+checks the time contract: each callback's rows at per-row times must
+equal its rows at each time alone.
 """
 
 from __future__ import annotations

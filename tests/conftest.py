@@ -247,8 +247,8 @@ def montecarlo(
 
 
 def member(view, rows, b: int):
-    """Member b's rows of one level of a MemberLattice: row l * B + b is
-    node l of member b."""
+    """Member b's rows of one level of a lattice with B members: row
+    l * B + b is node l of member b."""
     return rows.reshape((rows.shape[0] // view.members, view.members) + rows.shape[1:])[:, b]
 
 

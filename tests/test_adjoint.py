@@ -25,7 +25,6 @@ from fbsdegames import (
 from fbsdegames import adjoint, equilibrium
 from fbsdegames.adjoint import _step_partials
 from fbsdegames.cli import build_backend, load_config
-from fbsdegames.drivers import MemberLattice
 
 from conftest import (
     ROUNDOFF_TOL,
@@ -280,7 +279,7 @@ def test_step_matrices_stay_shared_when_the_jacobians_are(jacobians, players):
     else:
         problem = lq_to_problem(random_lq_spec(3, Dims(2, 2, 1, 2, 2)))
         backend = lattice(4)
-        view = MemberLattice(backend, len(players))
+        view = backend.with_members(len(players))
     if jacobians == "dense":
         problem = _dense_jacobians(problem)
     u = random_controls(problem, backend)
@@ -449,16 +448,16 @@ def test_costates_pair_on_the_lattice_and_solve_alone_on_monte_carlo(
     calls = []
     original = adjoint.damped_picard
 
-    def recording(forward, backward, start, backend, config, label):
-        calls.append((label, backend.members, type(backend)))
-        return original(forward, backward, start, backend, config, label)
+    def recording(forward, backward, start, solver_backend, config, label):
+        calls.append((label, solver_backend.members, solver_backend is backend))
+        return original(forward, backward, start, solver_backend, config, label)
 
     backend = make_backend()
     problem, u, traj = _setup(coupled_lq_spec(), backend)
     monkeypatch.setattr(adjoint, "damped_picard", recording)
     solve_adjoints(problem, traj, u, backend, FbsdeConfig(tol=1e-12))
-    view = MemberLattice if backend.kind == "lattice" else type(backend)
-    assert calls == [("costate", b, view) for b in members]
+    # a paired solve runs on the lattice's two-member copy, a lone one on the backend itself
+    assert calls == [("costate", b, b == 1) for b in members]
 
 
 def test_both_players_costates_hold_no_more_memory_than_one():

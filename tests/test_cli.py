@@ -458,6 +458,25 @@ class TestOracle:
         assert payload["evaluations"] > 0
         assert len(payload["assignment_1"]) == 3  # nodes on a 2-step tree
 
+    def test_monte_carlo_config_exits_64(self, tmp_path, capsys, monkeypatch):
+        # the grid oracle enumerates lattice nodes; a Monte Carlo config is
+        # refused before its ensemble is sampled
+        def refuse(cfg):
+            raise AssertionError("oracle built a backend")
+
+        config = Path(__file__).resolve().parents[1] / "perfbench/configs/coupled_mc.json"
+        cfg = json.loads(config.read_text())
+        cfg["steps"] = 2
+        cfg["backend"]["paths"] = 64
+        cfg["oracle"] = self._tiny_cfg()["oracle"]
+        path = write_config(tmp_path, cfg)
+        monkeypatch.setattr(cli, "build_backend", refuse)
+        assert run("oracle", "--config", path, "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "backend.kind" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_diverging_solve_exits_1(self, tmp_path):
         config = Path(__file__).resolve().parents[1] / "configs" / "two_step_oracle.json"
         cfg = json.loads(config.read_text())
@@ -640,16 +659,28 @@ class TestOracle:
 
 
 class TestCheck:
+    def test_monte_carlo_config_builds_no_backend(self, tmp_path, capsys, monkeypatch):
+        # check reads the problem only: sampling the ensemble would be wasted
+        def refuse(cfg):
+            raise AssertionError("check built a backend")
+
+        monkeypatch.setattr(cli, "build_backend", refuse)
+        monkeypatch.chdir(tmp_path)
+        path = str(Path(__file__).resolve().parents[1] / "perfbench/configs/coupled_mc.json")
+        assert run("check", "--config", path) == EXIT_OK
+        assert "derivative check: PASS" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
     def test_clean_instance_passes(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
-        assert run("check", "--config", path, "--out", str(tmp_path / "c")) == EXIT_OK
+        assert run("check", "--config", path) == EXIT_OK
         assert "derivative check: PASS" in capsys.readouterr().out
 
     @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
     def test_shipped_config_passes(self, tmp_path, capsys, config):
         # single_player_lqr has k2 = 0: its u2 partials are shape-checked only
         path = str(Path(__file__).resolve().parents[1] / config)
-        assert run("check", "--config", path, "--out", str(tmp_path / "c")) == EXIT_OK
+        assert run("check", "--config", path) == EXIT_OK
         assert "derivative check: PASS" in capsys.readouterr().out
 
     def test_corrupted_partial_fails(self, tmp_path, capsys, monkeypatch):
@@ -663,7 +694,7 @@ class TestCheck:
 
         monkeypatch.setattr(cli, "load_config", load_tilted)
         path = write_config(tmp_path, base_config())
-        assert run("check", "--config", path, "--out", str(tmp_path / "c")) == EXIT_REFUTED
+        assert run("check", "--config", path) == EXIT_REFUTED
         out = capsys.readouterr().out
         assert "derivative check: FAIL" in out
         assert "[BAD] f/f_y" in out
@@ -673,5 +704,5 @@ class TestCheck:
         cfg = base_config()
         cfg["check"] = {"corrupt": "b_w"}
         path = write_config(tmp_path, cfg)
-        assert run("check", "--config", path, "--out", str(tmp_path / "c")) == EXIT_CONFIG
+        assert run("check", "--config", path) == EXIT_CONFIG
         assert "check.corrupt" in capsys.readouterr().err

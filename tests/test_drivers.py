@@ -10,7 +10,7 @@ from fbsdegames import (
     TimeGrid,
     sample_ensemble,
 )
-from fbsdegames.drivers import MemberLattice, polynomial_design
+from fbsdegames.drivers import polynomial_design
 from fbsdegames.fbsde import _runs
 
 from conftest import lattice, member, montecarlo
@@ -262,22 +262,26 @@ def test_mc_projection_follows_regressors_refilled_in_place():
     assert got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("steps", [6, 64])
 @pytest.mark.parametrize("members", [1, 2, 7, 125])
 @pytest.mark.parametrize("trailing", [(), (2,), (2, 3)])
-def test_member_lattice_gives_each_member_its_lattice_values(members, trailing):
-    # levels up to 6: from level 3 on the binomial weights are not powers of
-    # two and a product over all members at once would round differently
-    base = lattice(6)
-    view = MemberLattice(base, members)
+def test_member_lattice_gives_each_member_its_lattice_values(steps, members, trailing):
+    # from level 3 on the binomial weights are not powers of two and a
+    # product over all members at once would round differently; at 64 steps,
+    # the depth of the benchmark's lattice game, they are far from them
+    base = lattice(steps)
+    view = base.with_members(members)
     rng = np.random.default_rng(members)
-    for j in range(7):
+    for j in range(steps + 1):
         assert view.scenario_count(j) == (j + 1) * members
         alone = [rng.standard_normal((j + 1,) + trailing) * 10.0 ** rng.uniform(-4, 4)
                  for _ in range(members)]
         rows = view.stack(alone)
         assert rows.shape == ((j + 1) * members,) + trailing
         expected = view.expect(j, rows)
-        assert expected.shape == (members,) + trailing
+        # one member's expectation has no member axis, as on the plain lattice
+        assert expected.shape == ((members,) if members > 1 else ()) + trailing
+        expected = expected.reshape((members,) + trailing)
         brownian = view.brownian(j)
         for b in range(members):
             np.testing.assert_array_equal(member(view, rows, b), alone[b])
@@ -287,7 +291,7 @@ def test_member_lattice_gives_each_member_its_lattice_values(members, trailing):
         mask = np.arange(members) % 2 == 0
         picked = view.member_rows(j, mask)
         np.testing.assert_array_equal(picked, np.repeat(mask[None], j + 1, axis=0).ravel())
-        if j == 6:
+        if j == steps:
             continue
         nxt = [rng.standard_normal((j + 2,) + trailing) for _ in range(members)]
         drift = [rng.standard_normal((j + 1,) + trailing) for _ in range(members)]
@@ -301,15 +305,30 @@ def test_member_lattice_gives_each_member_its_lattice_values(members, trailing):
                 member(view, incr, b), base.cond_exp_increment(j, nxt[b])[0])
             np.testing.assert_array_equal(
                 member(view, stepped, b), base.step_forward(j, alone[b], drift[b], diffusion[b]))
+        for b, own in enumerate(view.unstack(stepped)):
+            np.testing.assert_array_equal(own, member(view, stepped, b))
 
 
 def test_member_lattice_keeps_columnless_controls():
-    view = MemberLattice(lattice(2), 3)
+    view = lattice(2).with_members(3)
     rows = view.stack([np.zeros((2, 0))] * 3)
     assert rows.shape == (6, 0)
     assert member(view, rows, 1).shape == (2, 0)
+    assert [own.shape for own in view.unstack(rows)] == [(2, 0)] * 3
     with pytest.raises(ValueError):
-        MemberLattice(lattice(2), 0)
+        lattice(2).with_members(0)
+
+
+def test_member_lattice_shares_the_tables_and_keeps_its_own_rows():
+    # a copy with members neither rebuilds the binomial weights nor changes
+    # the lattice it came from
+    base = lattice(4)
+    times = base.row_times
+    view = base.with_members(3)
+    assert view._weights is base._weights
+    assert base.members == 1 and base.offsets == lattice(4).offsets
+    assert base.row_times is times
+    np.testing.assert_array_equal(view.row_times, np.repeat(times, 3))
 
 
 @pytest.mark.parametrize("make_backend", [
@@ -319,33 +338,38 @@ def test_member_lattice_keeps_columnless_controls():
 @pytest.mark.parametrize("trailing", [(), (2,), (2, 3)])
 def test_plain_backends_are_one_member_backends(make_backend, trailing):
     # every state solve and a lone player's costate solve run on the plain
-    # backend through the member interface; on the lattice it must read as
-    # the one-member MemberLattice
+    # backend through the member interface; on the lattice the one-member
+    # copy that a one-profile oracle chunk solves on must read as the plain
+    # lattice, expectations without a member axis included
     backend = make_backend()
-    view = MemberLattice(backend, 1) if backend.kind == "lattice" else None
-    assert backend.members == 1
+    backends = [backend] + ([backend.with_members(1)] if backend.kind == "lattice" else [])
     rows = np.random.default_rng(len(trailing)).standard_normal(
         (backend.offsets[-1],) + trailing)
-    assert backend.stack([rows]) is rows
-    (alone,) = backend.unstack(rows)
-    assert alone is rows
-    for j in range(backend.grid.steps + 1):
-        count = backend.scenario_count(j)
-        for flag in (True, False):
-            mask = np.array([flag])
-            np.testing.assert_array_equal(backend.member_rows(j, mask), np.full(count, flag))
-            if view is not None:
+    for view in backends:
+        assert view.members == 1
+        assert view.offsets == backend.offsets
+        assert view.stack([rows]) is rows
+        (alone,) = view.unstack(rows)
+        assert alone is rows
+        for j in range(backend.grid.steps + 1):
+            count = backend.scenario_count(j)
+            assert view.scenario_count(j) == count
+            for flag in (True, False):
+                mask = np.array([flag])
                 np.testing.assert_array_equal(view.member_rows(j, mask), np.full(count, flag))
-        assert [backend.scenario_of(row) for row in range(count)] == list(range(count))
-        if view is not None:
             assert [view.scenario_of(row) for row in range(count)] == list(range(count))
             step = rows[backend.offsets[j]:backend.offsets[j + 1]]
-            assert view.expect(j, step).tobytes() == backend.expect(j, step).tobytes()
-    if view is not None:
-        np.testing.assert_array_equal(view.stack([rows]), rows)
-        np.testing.assert_array_equal(view.unstack(rows)[0], rows)
-        shapes = ((2,), (2, 1))
-        for (part, owners), (want_part, want_owners) in zip(
-                _runs(backend, *shapes), _runs(view, *shapes), strict=True):
-            assert part == want_part
-            np.testing.assert_array_equal(owners, want_owners)
+            got, plain = view.expect(j, step), backend.expect(j, step)
+            assert got.shape == plain.shape == trailing
+            assert got.tobytes() == plain.tobytes()
+            assert view.brownian(j).tobytes() == backend.brownian(j).tobytes()
+            if j < backend.grid.steps and backend.kind == "lattice":
+                nxt = rows[backend.offsets[j + 1]:backend.offsets[j + 2]]
+                for op in ("cond_exp", "cond_exp_increment"):
+                    got, _ = getattr(view, op)(j, nxt)
+                    assert got.tobytes() == getattr(backend, op)(j, nxt)[0].tobytes()
+    shapes = ((2,), (2, 1))
+    for (part, owners), (want_part, want_owners) in zip(
+            _runs(backend, *shapes), _runs(backends[-1], *shapes), strict=True):
+        assert part == want_part
+        np.testing.assert_array_equal(owners, want_owners)

@@ -20,7 +20,6 @@ from fbsdegames import (
     solve_adjoints,
     solve_fbsde,
 )
-from fbsdegames.drivers import MemberLattice
 from fbsdegames.fbsde import _pair_views, _start_pair, damped_picard, solve_members
 from fbsdegames.problem import validate_problem
 
@@ -226,7 +225,7 @@ def test_iteration_cap_returns_the_best_iterate(solver, prefix, strength, dampin
 
 
 def _member_batch(problem, backend, profiles):
-    view = MemberLattice(backend, len(profiles))
+    view = backend.with_members(len(profiles))
     steps = range(backend.grid.steps)
     u = ControlProcess(
         u1=tuple(view.stack([p.u1[j] for p in profiles]) for j in steps),

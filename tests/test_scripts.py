@@ -61,3 +61,14 @@ def test_artifact_digests_repeat_and_cover_every_artifact(tmp_path, capsys):
         "oracle/oracle.json", "solve/controls.csv", "solve/history.csv", "solve/report.json",
         "solve/trajectory.csv", "verify/certificate.json"]
     assert all(len(v) == 64 for k, v in digests.items() if "/" in k)
+
+
+def test_convergence_study_reads_first_order_ratios(capsys):
+    module = _load("convergence_study")
+    module.backward_table()
+    module.duality_table()
+    # a table row ends in its ratio, 8 wide and blank on each table's first grid
+    rows = [line for line in capsys.readouterr().out.splitlines() if line[:6].strip().isdigit()]
+    ratios = [float(line[-8:]) for line in rows if line[-8:].strip()]
+    assert len(ratios) == 4 + 3  # every grid after the first of each table
+    assert all(1.9 <= r <= 2.1 for r in ratios), ratios

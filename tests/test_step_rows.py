@@ -28,7 +28,7 @@ from fbsdegames import (
     vi_residual,
 )
 from fbsdegames.adjoint import _costate_matrix, _step_partials
-from fbsdegames.drivers import MemberLattice, StepArray
+from fbsdegames.drivers import StepArray
 from fbsdegames.fbsde import _update_metric, solve_members
 from fbsdegames.hamiltonian import _control_grid, _value
 
@@ -215,7 +215,7 @@ def test_costs_are_the_per_step_loop(name):
 ])
 def test_costate_matrices_are_the_per_step_evaluation(name, players):
     problem, backend, u, traj, _ = _solved(name)
-    view = backend if len(players) == 1 else MemberLattice(backend, len(players))
+    view = backend if len(players) == 1 else backend.with_members(len(players))
     forward, backward = _step_partials(problem, traj, u, players, view)
     assert len(forward) == len(backward) == backend.grid.steps
     for j, (fwd, bwd) in enumerate(zip(forward, backward)):
@@ -247,7 +247,7 @@ def test_member_lattice_metric_and_costs_are_the_per_step_loop():
     # two control profiles stacked node-major on one lattice, as the oracle does
     problem, backend = lq_to_problem(coupled_lq_spec()), lattice(8)
     profiles = [random_controls(problem, backend, seed) for seed in (0, 1)]
-    view = MemberLattice(backend, 2)
+    view = backend.with_members(2)
     u = ControlProcess(
         u1=[view.stack([p.u1[j] for p in profiles]) for j in range(backend.grid.steps)],
         u2=[view.stack([p.u2[j] for p in profiles]) for j in range(backend.grid.steps)],
