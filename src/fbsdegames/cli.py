@@ -94,7 +94,6 @@ from .fbsde import (
 from .hamiltonian import (
     CertificateOptions,
     build_certificate,
-    certificate_as_dict,
     vi_residual,
 )
 from .lq import AffineMap, LQGameSpec, QuadraticCost, lq_to_problem
@@ -322,28 +321,29 @@ def _parse_box(obj, k: int, where: str) -> ControlBox:
 
 def _parse_grid(obj, where: str, box: ControlBox) -> np.ndarray:
     k = box.dim
-    if k == 0:
-        return np.zeros((1, 0))
-    if obj is None:
-        obj = {"points": 5}
-    obj = _require_mapping(obj, where)
+    obj = _require_mapping({"points": 5} if obj is None else obj, where)
     if "values" in obj:
         _reject_unknown(obj, where, {"values"})
-        return _as_array(obj["values"], (None, k), f"{where}.values")
-    _reject_unknown(obj, where, {"points", "lower", "upper"})
-    points = _as_int(obj.get("points", 5), f"{where}.points", minimum=2)
-    if "lower" in obj or "upper" in obj:
-        if "lower" not in obj or "upper" not in obj:
-            raise ConfigError(where, "give both 'lower' and 'upper' or neither")
-        lower = _as_array(obj["lower"], (k,), f"{where}.lower")
-        upper = _as_array(obj["upper"], (k,), f"{where}.upper")
+        grid = _as_array(obj["values"], (None, k), f"{where}.values")
     else:
-        lower, upper = box.lower, box.upper
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ConfigError(where, "unbounded box: grid needs explicit 'lower'/'upper'")
-    axes = [np.linspace(lower[c], upper[c], points) for c in range(k)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+        _reject_unknown(obj, where, {"points", "lower", "upper"})
+        points = _as_int(obj.get("points", 5), f"{where}.points", minimum=2)
+        if "lower" in obj or "upper" in obj:
+            if "lower" not in obj or "upper" not in obj:
+                raise ConfigError(where, "give both 'lower' and 'upper' or neither")
+            lower = _as_array(obj["lower"], (k,), f"{where}.lower")
+            upper = _as_array(obj["upper"], (k,), f"{where}.upper")
+        else:
+            lower, upper = box.lower, box.upper
+            if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+                raise ConfigError(where, "unbounded box: grid needs explicit 'lower'/'upper'")
+        if k == 0:
+            return np.zeros((1, 0))
+        axes = [np.linspace(lower[c], upper[c], points) for c in range(k)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        grid = np.stack([m.ravel() for m in mesh], axis=1)
+    # an inert player (k = 0) has one candidate, the empty control
+    return grid if k else np.zeros((1, 0))
 
 
 _TOP_KEYS = {
@@ -505,6 +505,19 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def plain(value):
+    """`value` as JSON data: a dataclass becomes a dict of its fields, less
+    those declared `field(repr=False)` (per-row arrays and histories), a
+    tuple or list becomes a list, and an array or NumPy scalar its `tolist()`."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value) if f.repr}
+    if isinstance(value, (tuple, list)):
+        return [plain(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
+
+
 def _metadata(cfg: RunConfig) -> dict:
     return {
         "version": __version__,
@@ -664,16 +677,6 @@ def read_controls(path: Path, problem: GameProblem, backend: Backend) -> Control
                                     backend.offsets[: backend.grid.steps + 1])
 
 
-def _diag_dict(diag) -> dict:
-    return {
-        "iterations": diag.iterations,
-        "final_residual": diag.final_residual,
-        "converged": diag.converged,
-        "ridge_fallbacks": diag.ridge_fallbacks,
-        "warnings": list(diag.warnings),
-    }
-
-
 def write_report(path: Path, cfg: RunConfig, report: EquilibriumReport) -> None:
     payload = {
         "metadata": _metadata(cfg),
@@ -685,10 +688,10 @@ def write_report(path: Path, cfg: RunConfig, report: EquilibriumReport) -> None:
         "stderr2": report.stderr2,
         "rho1": report.rho1,
         "rho2": report.rho2,
-        "certificate": certificate_as_dict(report.certificate),
+        "certificate": plain(report.certificate),
         "verdict": report.certificate.verdict,
-        "fbsde": _diag_dict(report.fbsde_diagnostics),
-        "adjoint": [_diag_dict(d) for d in report.adjoint_diagnostics],
+        "fbsde": plain(report.fbsde_diagnostics),
+        "adjoint": plain(report.adjoint_diagnostics),
         "warnings": list(report.warnings),
     }
     _write_json(path, payload)
@@ -712,19 +715,17 @@ def write_history(path: Path, report: EquilibriumReport) -> None:
 
 
 def _out_dir(args) -> Path:
+    """The --out directory, made just before the first artifact is written,
+    so a rejected input or a failed solve leaves none."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _prepare(args) -> tuple[RunConfig, Backend, Path]:
-    cfg = load_config(args.config, args.seed)
-    return cfg, build_backend(cfg), _out_dir(args)
-
-
 def cmd_solve(args) -> int:
     started = time.perf_counter()
-    cfg, backend, out = _prepare(args)
+    cfg = load_config(args.config, args.seed)
+    backend = build_backend(cfg)
     report = solve_nash(
         cfg.problem, backend,
         fbsde_config=cfg.fbsde,
@@ -732,6 +733,7 @@ def cmd_solve(args) -> int:
         certificate_options=cfg.certificate,
     )
     u = report.controls
+    out = _out_dir(args)
     write_report(out / "report.json", cfg, report)
     write_history(out / "history.csv", report)
     write_trajectory(out / "trajectory.csv", cfg.problem, report.trajectory, u, *report.adjoints)
@@ -749,27 +751,21 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
-    cfg, backend, out = _prepare(args)
+    cfg = load_config(args.config, args.seed)
+    backend = build_backend(cfg)
     u = read_controls(Path(args.controls), cfg.problem, backend)
     traj, fdiag = solve_fbsde(cfg.problem, u, backend, cfg.fbsde)
     (adj1, adj2), (d1, d2) = solve_adjoints(cfg.problem, traj, u, backend, cfg.fbsde)
     vi = vi_residual(cfg.problem, traj, adj1, adj2, u)
     certificate = build_certificate(cfg.problem, traj, (adj1, adj2), u, cfg.certificate)
     payload = {
+        **plain(vi),
         "metadata": _metadata(cfg),
-        "rho1": vi.rho1,
-        "rho2": vi.rho2,
-        "inner_min_1": vi.inner_min_1,
-        "inner_min_2": vi.inner_min_2,
-        "convention": vi.convention,
         "verdict": certificate.verdict,
-        "certificate": certificate_as_dict(certificate),
-        "solves": {
-            "fbsde": _diag_dict(fdiag),
-            "adjoint": [_diag_dict(d1), _diag_dict(d2)],
-        },
+        "certificate": plain(certificate),
+        "solves": {"fbsde": plain(fdiag), "adjoint": plain((d1, d2))},
     }
-    _write_json(out / "certificate.json", payload)
+    _write_json(_out_dir(args) / "certificate.json", payload)
     elapsed = time.perf_counter() - started
     print(f"verify: verdict={certificate.verdict} rho=({vi.rho1:.3e}, {vi.rho2:.3e})")
     print(f"wall time: {elapsed:.3f} s")
@@ -800,8 +796,8 @@ def cmd_oracle(args) -> int:
         raise ConfigError("oracle", "the oracle command needs an 'oracle' config block")
     if cfg.backend_kind != "lattice":
         raise ConfigError("backend.kind", "the oracle command needs the lattice backend")
-    backend, out = build_backend(cfg), _out_dir(args)
     solved = _read_solve_report(args.solve_report) if args.solve_report else None
+    backend = build_backend(cfg)
     try:
         result = brute_force_nash(
             cfg.problem, backend,
@@ -830,23 +826,8 @@ def cmd_oracle(args) -> int:
             "p0": solution.values[0].tolist(),
             "predicted_cost": predicted_cost(solution, spec.initial, sigma_const),
         }
-    payload = {
-        "metadata": _metadata(cfg),
-        "equilibrium": result.equilibrium,
-        "cycle_detected": result.cycle_detected,
-        "rounds": result.rounds,
-        "evaluations": result.evaluations,
-        "j1": result.j1,
-        "j2": result.j2,
-        "resolution_bound_1": result.resolution_bound_1,
-        "resolution_bound_2": result.resolution_bound_2,
-        "assignment_1": list(result.assignment_1),
-        "assignment_2": list(result.assignment_2),
-        "u1": [a.tolist() for a in result.u1],
-        "u2": [a.tolist() for a in result.u2],
-        "riccati": riccati_payload,
-    }
-    _write_json(out / "oracle.json", payload)
+    payload = {**plain(result), "metadata": _metadata(cfg), "riccati": riccati_payload}
+    _write_json(_out_dir(args) / "oracle.json", payload)
     if solved is not None:
         gap1 = abs(solved[0] - result.j1)
         gap2 = abs(solved[1] - result.j2)

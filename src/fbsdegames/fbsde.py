@@ -26,7 +26,7 @@ there exactly; ``solve_fbsde`` is its state solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,7 +91,7 @@ class SolveDiagnostics:
     iterations: int
     final_residual: float
     converged: bool
-    residual_history: tuple[float, ...]
+    residual_history: tuple[float, ...] = field(repr=False)
     ridge_fallbacks: int = 0
     warnings: tuple[str, ...] = ()
 

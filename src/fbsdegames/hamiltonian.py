@@ -4,16 +4,16 @@ For player i with costates (p, q, k),
 
     H_i = <p, b> + <q, sigma> - <k, f> + l_i.
 
-The module evaluates H_i with all five gradients, maps a solved trajectory
-plus costates to variational-inequality residuals (zero exactly at
-projected-gradient stationary points of box-constrained controls), and runs
-the two sufficient-condition probes a verdict rests on: pointwise
-minimization of H_i over a control grid and randomized midpoint convexity
-sampling.  Convexity passes are reported as "not refuted", never proved.
-The control gradients, the residuals and the pointwise probe are pointwise
-in (t, scenario), so each runs as one evaluation over the rows of all steps
-(``drivers.StepArray``), with t given per row; only the per-step
-expectations go step by step.  The pointwise probe evaluates H_i over
+The module evaluates H_i (its gradients are `adjoint.costate_combination`),
+maps a solved trajectory plus costates to variational-inequality residuals
+(zero exactly at projected-gradient stationary points of box-constrained
+controls), and runs the two sufficient-condition probes a verdict rests on:
+pointwise minimization of H_i over a control grid and randomized midpoint
+convexity sampling. Convexity passes are reported as "not refuted", never
+proved. The control gradients, the residuals and the pointwise probe are
+pointwise in (t, scenario), so each runs as one evaluation over the rows of
+all steps (``drivers.StepArray``), with t given per row; only the per-step
+expectations go step by step. The pointwise probe evaluates H_i over
 (candidate, row) pairs in bounded blocks that run across step boundaries,
 keeping the first candidate among equal gains.
 """
@@ -35,41 +35,10 @@ Array = np.ndarray
 CONVENTION_NOTE = "stationarity of player i checked with player i costates (p^i, q^i, k^i)"
 
 
-def _value(problem: GameProblem, player: int, args, p: Array, q: Array, k: Array) -> Array:
-    co = problem.coefficients
-    out = np.einsum("so,so->s", p, co.b(*args))
-    out += np.einsum("soc,soc->s", q, co.sigma(*args))
-    out -= np.einsum("so,so->s", k, co.f(*args))
-    out += problem.costs.running(player)(*args)
-    return out
-
-
-@dataclass(frozen=True)
-class HamiltonianPoint:
-    """H_i and its gradients at one time slice, batched over scenarios."""
-
-    player: int
-    t: float
-    x: Array
-    y: Array
-    z: Array
-    u1: Array
-    u2: Array
-    p: Array
-    q: Array
-    k: Array
-    value: Array
-    grad_x: Array
-    grad_y: Array
-    grad_z: Array
-    grad_u1: Array
-    grad_u2: Array
-
-
 def eval_hamiltonian(
     problem: GameProblem,
     player: int,
-    t: float,
+    t: float | Array,
     x: Array,
     y: Array,
     z: Array,
@@ -78,34 +47,18 @@ def eval_hamiltonian(
     p: Array,
     q: Array,
     k: Array,
-) -> HamiltonianPoint:
-    """Value plus all five gradients; grad_z is reshaped to (S, m, d)."""
+) -> Array:
+    """H_i per row, with t a float or one time per row.  Its gradients are
+    `adjoint.costate_combination`."""
     if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
+    co = problem.coefficients
     args = (t, x, y, z, u1, u2)
-
-    def grad(var: str) -> Array:
-        return costate_combination(problem, player, var, *args, p, q, k)
-
-    gz = grad("z")
-    return HamiltonianPoint(
-        player=player,
-        t=t,
-        x=x,
-        y=y,
-        z=z,
-        u1=u1,
-        u2=u2,
-        p=p,
-        q=q,
-        k=k,
-        value=_value(problem, player, args, p, q, k),
-        grad_x=grad("x"),
-        grad_y=grad("y"),
-        grad_z=gz.reshape(gz.shape[0], problem.dims.m, problem.dims.d),
-        grad_u1=grad("u1"),
-        grad_u2=grad("u2"),
-    )
+    out = np.einsum("so,so->s", p, co.b(*args))
+    out += np.einsum("soc,soc->s", q, co.sigma(*args))
+    out -= np.einsum("so,so->s", k, co.f(*args))
+    out += problem.costs.running(player)(*args)
+    return out
 
 
 def _all_rows(traj: StateTrajectory, adj: AdjointTrajectory, u: ControlProcess):
@@ -140,8 +93,8 @@ class ViResidualReport:
     v in the box (nonnegative at a stationary point, up to sampling).
     """
 
-    grad1: StepArray
-    grad2: StepArray
+    grad1: StepArray = field(repr=False)
+    grad2: StepArray = field(repr=False)
     rho1: float
     rho2: float
     inner_min_1: float
@@ -178,6 +131,28 @@ def _sample_box(box: ControlBox, rng: np.random.Generator) -> Array:
     return rng.uniform(lo, hi, size=(_INNER_SAMPLES, box.dim))
 
 
+def _stationarity(problem, traj, adj, u, player, rng) -> tuple[StepArray, float, float]:
+    """Player i's control gradients, rho_i and inner_min_i (`ViResidualReport`)."""
+    grads = control_gradient(problem, traj, adj, u, player)
+    box = problem.box(player)
+    candidates = _sample_box(box, rng)
+    offsets = u.u1.offsets
+    g, own = grads.rows, u.player(player).rows
+    squared = np.linalg.norm(own - box.project(own - g), axis=1) ** 2
+    worst = 0.0
+    for j in range(len(offsets) - 1):
+        mean = traj.backend.expect(j, squared[offsets[j]:offsets[j + 1]])
+        worst = max(worst, float(np.sqrt(mean)))
+    inner_min = np.inf
+    rows = _block_rows(offsets, _INNER_SAMPLES)
+    for start in range(0, g.shape[0], rows):
+        block = slice(start, start + rows)
+        pairing = g[block] @ candidates.T
+        pairing -= np.einsum("sv,sv->s", g[block], own[block])[:, None]
+        inner_min = min(inner_min, float(pairing.min()))
+    return grads, worst, inner_min
+
+
 def vi_residual(
     problem: GameProblem,
     traj: StateTrajectory,
@@ -185,47 +160,16 @@ def vi_residual(
     adj_2: AdjointTrajectory,
     u: ControlProcess,
 ) -> ViResidualReport:
-    backend = traj.backend
-    offsets = u.u1.offsets
     rng = np.random.default_rng(_INNER_SEED)
-    gradients: dict[int, StepArray] = {}
-    rhos: dict[int, float] = {}
-    inner: dict[int, float] = {}
-    for player, adj in ((1, adj_1), (2, adj_2)):
-        grads = control_gradient(problem, traj, adj, u, player)
-        box = problem.box(player)
-        candidates = _sample_box(box, rng)
-        g, own = grads.rows, u.player(player).rows
-        squared = np.linalg.norm(own - box.project(own - g), axis=1) ** 2
-        worst = 0.0
-        for j in range(len(offsets) - 1):
-            mean = backend.expect(j, squared[offsets[j]:offsets[j + 1]])
-            worst = max(worst, float(np.sqrt(mean)))
-        inner_min = np.inf
-        rows = _block_rows(offsets, _INNER_SAMPLES)
-        for start in range(0, g.shape[0], rows):
-            block = slice(start, start + rows)
-            pairing = g[block] @ candidates.T
-            pairing -= np.einsum("sv,sv->s", g[block], own[block])[:, None]
-            inner_min = min(inner_min, float(pairing.min()))
-        gradients[player] = grads
-        rhos[player] = worst
-        inner[player] = inner_min
-    return ViResidualReport(
-        grad1=gradients[1],
-        grad2=gradients[2],
-        rho1=rhos[1],
-        rho2=rhos[2],
-        inner_min_1=inner[1],
-        inner_min_2=inner[2],
-    )
+    grad1, rho1, inner_min_1 = _stationarity(problem, traj, adj_1, u, 1, rng)
+    grad2, rho2, inner_min_2 = _stationarity(problem, traj, adj_2, u, 2, rng)
+    return ViResidualReport(grad1, grad2, rho1, rho2, inner_min_1, inner_min_2)
 
 
 @dataclass(frozen=True)
 class PointwiseMinReport:
     """Grid search for controls that beat the candidate pointwise."""
 
-    player: int
     passed: bool
     violation: float
     step: int
@@ -247,8 +191,6 @@ def _control_grid(box: ControlBox, density: int, radius: float | None) -> Array:
             raise ValueError("unbounded control box: a truncation radius is required")
         axes.append(np.linspace(lo_eff, hi_eff, density))
     return np.array(list(itertools.product(*axes)))
-
-
 
 
 def _tile_rows(a: Array, count: int) -> Array:
@@ -275,7 +217,7 @@ def check_pointwise_min(
     candidates = _control_grid(problem.box(player), grid_density, radius)
     C = candidates.shape[0]
     (t, x, y, z, u1, u2), (p, q, k) = _all_rows(traj, adj, u)
-    base = _value(problem, player, (t, x, y, z, u1, u2), p, q, k)
+    base = eval_hamiltonian(problem, player, t, x, y, z, u1, u2, p, q, k)
     other = u2 if player == 1 else u1
     rows = base.shape[0]
     row_best = np.full(rows, -np.inf)
@@ -297,7 +239,7 @@ def check_pointwise_min(
             tt, tx, ty, tz, t_other, tp, tq, tk = (a[: chunk.shape[0] * S] for a in tiled)
             cu = np.repeat(chunk, S, axis=0)
             trial_u = (cu, t_other) if player == 1 else (t_other, cu)
-            trial = _value(problem, player, (tt, tx, ty, tz, *trial_u), tp, tq, tk)
+            trial = eval_hamiltonian(problem, player, tt, tx, ty, tz, *trial_u, tp, tq, tk)
             gain = base[sel] - trial.reshape(-1, S)
             idx = np.argmax(gain, axis=0)  # first maximum, as a candidate loop keeps
             chunk_best = gain[idx, np.arange(S)]
@@ -315,7 +257,6 @@ def check_pointwise_min(
             worst_loc = (j, s)
             worst_alt = candidates[best[offsets[j] + s]].copy()
     return PointwiseMinReport(
-        player=player,
         passed=worst <= tol,
         violation=worst,
         step=worst_loc[0],
@@ -362,18 +303,14 @@ def check_convexity(
     gap = np.asarray(fn(0.5 * (a + b))) - 0.5 * (np.asarray(fn(a)) + np.asarray(fn(b)))
     worst = int(np.argmax(gap))
     violation = float(gap[worst])
-    if violation > tol:
-        return ConvexityReport(
-            label=label,
-            passed=False,
-            samples=samples,
-            violation=violation,
-            witness_a=a[worst].copy(),
-            witness_b=b[worst].copy(),
-        )
+    passed = not violation > tol  # a NaN gap is not a witness
     return ConvexityReport(
-        label=label, passed=True, samples=samples, violation=violation,
-        witness_a=None, witness_b=None,
+        label=label,
+        passed=passed,
+        samples=samples,
+        violation=violation,
+        witness_a=None if passed else a[worst].copy(),
+        witness_b=None if passed else b[worst].copy(),
     )
 
 
@@ -460,11 +397,10 @@ def _hamiltonian_section(problem, traj, adj, u, player, options, rng) -> tuple[C
             ui = v[:, n + m + dz:]
             u1 = ui if player == 1 else np.broadcast_to(other, (S, other.size))
             u2 = ui if player == 2 else np.broadcast_to(other, (S, other.size))
-            args = (t, x, y, zf, u1, u2)
             P = np.broadcast_to(pj, (S, pj.size))
             Q = np.broadcast_to(qj, (S,) + qj.shape)
             K = np.broadcast_to(kj, (S, kj.size))
-            return _value(problem, player, args, P, Q, K)
+            return eval_hamiltonian(problem, player, t, x, y, zf, u1, u2, P, Q, K)
 
         reports.append(
             check_convexity(
@@ -480,6 +416,13 @@ def _hamiltonian_section(problem, traj, adj, u, player, options, rng) -> tuple[C
     return tuple(reports)
 
 
+def _witness(player: int, rep: PointwiseMinReport | ConvexityReport) -> str:
+    if isinstance(rep, PointwiseMinReport):
+        return (f"player {player}: control {np.array2string(rep.best_alternative)} "
+                f"lowers H at step {rep.step}, scenario {rep.scenario} by {rep.violation:.3e}")
+    return f"{rep.label}: midpoint gap {rep.violation:.3e}"
+
+
 def build_certificate(
     problem: GameProblem,
     traj: StateTrajectory,
@@ -490,116 +433,54 @@ def build_certificate(
     backend = traj.backend
     N = backend.grid.steps
     rng = np.random.default_rng(options.seed)
+    r = options.sample_radius
+    # the end costs are probed around E[x_N] and E[y_0]
+    x_mean, y_mean = backend.expect(N, traj.x[N]), backend.expect(0, traj.y[0])
     notes = [CONVENTION_NOTE]
     witness: str | None = None
-    inconclusive = False
-    players = {}
+    players = []
     for player, adj in ((1, adjoints[0]), (2, adjoints[1])):
-        box = problem.box(player)
-        if box.bounded or options.radius is not None:
+        pointwise = None
+        if problem.box(player).bounded or options.radius is not None:
             pointwise = check_pointwise_min(
                 problem, traj, adj, u, player,
                 grid_density=options.grid_density,
                 radius=options.radius,
                 tol=options.pointwise_tol,
             )
-            if not pointwise.passed and witness is None:
-                witness = (
-                    f"player {player}: control {np.array2string(pointwise.best_alternative)} "
-                    f"lowers H at step {pointwise.step}, scenario {pointwise.scenario} "
-                    f"by {pointwise.violation:.3e}"
-                )
         else:
-            pointwise = None
-            inconclusive = True
             notes.append(
                 f"player {player}: pointwise minimization skipped, unbounded box without radius"
             )
         ham = _hamiltonian_section(problem, traj, adj, u, player, options, rng)
-        for rep in ham:
-            if not rep.passed and witness is None:
-                witness = f"{rep.label}: midpoint gap {rep.violation:.3e}"
-        r = options.sample_radius
-        x_center = backend.expect(N, traj.x[N])
-        y_center = backend.expect(0, traj.y[0])
-        terminal = check_convexity(
-            problem.costs.terminal(player),
-            x_center - r,
-            x_center + r,
-            samples=options.convexity_samples,
-            seed=int(rng.integers(0, 2**31)),
-            tol=options.convexity_tol,
-            label=f"terminal cost {player} convexity",
+        costs = problem.costs
+        terminal, initial = (
+            check_convexity(
+                cost,
+                center - r,
+                center + r,
+                samples=options.convexity_samples,
+                seed=int(rng.integers(0, 2**31)),
+                tol=options.convexity_tol,
+                label=f"{name} cost {player} convexity",
+            )
+            for name, cost, center in (("terminal", costs.terminal(player), x_mean),
+                                       ("initial", costs.initial(player), y_mean))
         )
-        initial = check_convexity(
-            problem.costs.initial(player),
-            y_center - r,
-            y_center + r,
-            samples=options.convexity_samples,
-            seed=int(rng.integers(0, 2**31)),
-            tol=options.convexity_tol,
-            label=f"initial cost {player} convexity",
-        )
-        for rep in (terminal, initial):
-            if not rep.passed and witness is None:
-                witness = f"{rep.label}: midpoint gap {rep.violation:.3e}"
-        players[player] = PlayerChecks(
-            pointwise=pointwise,
-            hamiltonian_convexity=ham,
-            terminal_convexity=terminal,
-            initial_convexity=initial,
-        )
-    refuted = witness is not None
-    if refuted:
+        for rep in (pointwise, *ham, terminal, initial):
+            if witness is None and rep is not None and not rep.passed:
+                witness = _witness(player, rep)
+        players.append(PlayerChecks(pointwise, ham, terminal, initial))
+    if witness is not None:
         verdict = "refuted"
-    elif inconclusive:
+    elif any(checks.pointwise is None for checks in players):
         verdict = "inconclusive"
     else:
         verdict = "certified"
     return VerificationCertificate(
         verdict=verdict,
-        player1=players[1],
-        player2=players[2],
+        player1=players[0],
+        player2=players[1],
         notes=tuple(notes),
         witness=witness,
     )
-
-
-def certificate_as_dict(cert: VerificationCertificate) -> dict:
-    """JSON-ready view of a certificate (arrays become lists)."""
-
-    def convexity(rep: ConvexityReport) -> dict:
-        return {
-            "label": rep.label,
-            "passed": rep.passed,
-            "samples": rep.samples,
-            "violation": rep.violation,
-            "witness_a": None if rep.witness_a is None else rep.witness_a.tolist(),
-            "witness_b": None if rep.witness_b is None else rep.witness_b.tolist(),
-        }
-
-    def player(checks: PlayerChecks) -> dict:
-        pw = checks.pointwise
-        return {
-            "pointwise": None if pw is None else {
-                "passed": pw.passed,
-                "violation": pw.violation,
-                "step": pw.step,
-                "scenario": pw.scenario,
-                "best_alternative": None if pw.best_alternative is None
-                else pw.best_alternative.tolist(),
-                "tol": pw.tol,
-                "grid_points": pw.grid_points,
-            },
-            "hamiltonian_convexity": [convexity(r) for r in checks.hamiltonian_convexity],
-            "terminal_convexity": convexity(checks.terminal_convexity),
-            "initial_convexity": convexity(checks.initial_convexity),
-        }
-
-    return {
-        "verdict": cert.verdict,
-        "player1": player(cert.player1),
-        "player2": player(cert.player2),
-        "notes": list(cert.notes),
-        "witness": cert.witness,
-    }

@@ -22,6 +22,7 @@ from fbsdegames import (
     GradientConfig,
     build_certificate,
     brute_force_nash,
+    costate_combination,
     duality_residual,
     eval_cost,
     eval_hamiltonian,
@@ -97,15 +98,10 @@ def _hamiltonian_fd_error(problem, player, rng, samples=120, h=1e-4):
         "q": rng.normal(0.0, 0.7, (S, dims.n, dims.d)),
         "k": rng.normal(0.0, 0.7, (S, dims.m)),
     }
-    point = eval_hamiltonian(problem, player, t, **args)
     worst = 0.0
-    gradients = (
-        ("x", point.grad_x), ("y", point.grad_y), ("z", point.grad_z),
-        ("u1", point.grad_u1), ("u2", point.grad_u2),
-    )
-    for name, grad in gradients:
+    for name in ("x", "y", "z", "u1", "u2"):
         base = args[name]
-        claimed = grad.reshape(S, -1)
+        claimed = costate_combination(problem, player, name, t, **args)
         for c in range(claimed.shape[1]):
             bump = np.zeros((S, base[0].size))
             bump[:, c] = h
@@ -113,8 +109,8 @@ def _hamiltonian_fd_error(problem, player, rng, samples=120, h=1e-4):
             plus = dict(args, **{name: base + bump})
             minus = dict(args, **{name: base - bump})
             fd = (
-                eval_hamiltonian(problem, player, t, **plus).value
-                - eval_hamiltonian(problem, player, t, **minus).value
+                eval_hamiltonian(problem, player, t, **plus)
+                - eval_hamiltonian(problem, player, t, **minus)
             ) / (2.0 * h)
             worst = max(worst, float(_scaled_gap(claimed[:, c], fd).max()))
     return worst

@@ -23,6 +23,7 @@ from fbsdegames.cli import (
     build_backend,
     load_config,
     main,
+    plain,
 )
 from fbsdegames.equilibrium import solve_nash
 
@@ -371,6 +372,19 @@ class TestVerify:
         assert "Traceback" not in done.stderr
         assert "finite" in done.stderr
 
+    @pytest.mark.parametrize("content", [None, "step,scenario_id,u1_1\n0,0,0.0\n"])
+    def test_rejected_controls_make_no_out_dir(self, tmp_path, capsys, content):
+        # a missing file, then one whose header lacks u2
+        path = write_config(tmp_path, base_config())
+        controls = tmp_path / "controls.csv"
+        if content is not None:
+            controls.write_text(content)
+        vout = tmp_path / "v"
+        code = run("verify", "--config", path, "--out", str(vout), "--controls", str(controls))
+        assert code == EXIT_CONFIG
+        assert "controls" in capsys.readouterr().err
+        assert not vout.exists()
+
     def test_svd_failure_is_a_solver_failure(self, tmp_path):
         # finite controls near 1e300 make the Monte Carlo regressors overflow
         # to values the least-squares SVD cannot factor; a child interpreter,
@@ -646,16 +660,32 @@ class TestOracle:
         [{"j2": 0.1}, {"j1": 0.1}, {"j1": "0.1", "j2": 0.1}, {"j1": 0.1, "j2": None}, [0.1, 0.2],
          b"\xff\xfe{}", {"j1": float("inf"), "j2": 0.1}, {"j1": 0.1, "j2": float("nan")}],
     )
-    def test_malformed_solve_report_exits_64(self, tmp_path, capsys, report):
+    def test_malformed_solve_report_exits_64(self, tmp_path, capsys, monkeypatch, report):
+        # the report is read before the backend is built or --out is made
+        def refuse(cfg):
+            raise AssertionError("oracle built a backend")
+
         path = write_config(tmp_path, self._tiny_cfg())
         solved = tmp_path / "report.json"
         solved.write_bytes(report if isinstance(report, bytes) else json.dumps(report).encode())
-        code = run(
-            "oracle", "--config", path, "--out", str(tmp_path / "o"),
-            "--solve-report", str(solved),
-        )
+        monkeypatch.setattr(cli, "build_backend", refuse)
+        out = tmp_path / "o"
+        code = run("oracle", "--config", path, "--out", str(out), "--solve-report", str(solved))
         assert code == EXIT_CONFIG
         assert "report.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_inert_player_grid_block_is_validated(self, tmp_path, capsys):
+        # k2 = 0: the block still has to be a valid grid block before the
+        # player gets its one (empty) candidate
+        config = Path(__file__).resolve().parents[1] / "configs" / "single_player_lqr.json"
+        cfg = json.loads(config.read_text())
+        grid1 = {"points": 3, "lower": [-1.0], "upper": [1.0]}
+        cfg["oracle"] = {"grid1": grid1, "grid2": {"bogus": 1}}
+        assert run("check", "--config", write_config(tmp_path, cfg)) == EXIT_CONFIG
+        assert "oracle.grid2.bogus" in capsys.readouterr().err
+        cfg["oracle"]["grid2"] = {"points": 3}
+        assert load_config(write_config(tmp_path, cfg)).oracle.grid2.shape == (1, 0)
 
 
 class TestCheck:
@@ -706,3 +736,98 @@ class TestCheck:
         path = write_config(tmp_path, cfg)
         assert run("check", "--config", path) == EXIT_CONFIG
         assert "check.corrupt" in capsys.readouterr().err
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    value: np.float64
+    rows: np.ndarray = dataclasses.field(repr=False)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outer:
+    inner: _Inner
+    pair: tuple
+    table: np.ndarray
+    count: np.int64
+    flag: np.bool_
+    label: str
+    missing: None
+    history: tuple = dataclasses.field(repr=False, default=())
+
+
+def test_plain_turns_results_into_json_data():
+    outer = _Outer(
+        inner=_Inner(np.float64(0.5), rows=np.ones(3)),
+        pair=(np.arange(2), [_Inner(np.float64(-1.0), rows=np.zeros(1))]),
+        table=np.eye(2),
+        count=np.int64(7),
+        flag=np.bool_(True),
+        label="x",
+        missing=None,
+        history=(1.0, 2.0),
+    )
+    got = plain(outer)
+    assert got == {
+        "inner": {"value": 0.5},
+        "pair": [[0, 1], [{"value": -1.0}]],
+        "table": [[1.0, 0.0], [0.0, 1.0]],
+        "count": 7,
+        "flag": True,
+        "label": "x",
+        "missing": None,
+    }
+    assert [type(v) for v in (got["inner"]["value"], got["count"], got["flag"])] == [
+        float, int, bool]
+    json.dumps(got)
+
+
+# The keys of each JSON artifact, pinned: a result field that is added,
+# removed or renamed shows up here.
+DIAGNOSTICS_KEYS = {"iterations", "final_residual", "converged", "ridge_fallbacks", "warnings"}
+CONVEXITY_KEYS = {"label", "passed", "samples", "violation", "witness_a", "witness_b"}
+POINTWISE_KEYS = {"passed", "violation", "step", "scenario", "best_alternative", "tol",
+                  "grid_points"}
+PLAYER_KEYS = {"pointwise", "hamiltonian_convexity", "terminal_convexity", "initial_convexity"}
+CERTIFICATE_KEYS = {"verdict", "player1", "player2", "notes", "witness"}
+REPORT_KEYS = {"metadata", "converged", "iterations", "j1", "j2", "stderr1", "stderr2", "rho1",
+               "rho2", "certificate", "verdict", "fbsde", "adjoint", "warnings"}
+VERIFY_KEYS = {"metadata", "rho1", "rho2", "inner_min_1", "inner_min_2", "convention",
+               "verdict", "certificate", "solves"}
+ORACLE_KEYS = {"metadata", "equilibrium", "cycle_detected", "rounds", "evaluations", "j1", "j2",
+               "resolution_bound_1", "resolution_bound_2", "assignment_1", "assignment_2",
+               "u1", "u2", "riccati"}
+
+
+def _assert_certificate_keys(certificate):
+    assert certificate.keys() == CERTIFICATE_KEYS
+    for player in ("player1", "player2"):
+        checks = certificate[player]
+        assert checks.keys() == PLAYER_KEYS
+        assert checks["pointwise"].keys() == POINTWISE_KEYS
+        for rep in (*checks["hamiltonian_convexity"], checks["terminal_convexity"],
+                    checks["initial_convexity"]):
+            assert rep.keys() == CONVEXITY_KEYS
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_artifact_keys(tmp_path, config):
+    path = Path(__file__).resolve().parents[1] / config
+    out, vout, oout = tmp_path / "solve", tmp_path / "verify", tmp_path / "oracle"
+    assert run("solve", "--config", str(path), "--out", str(out)) == EXIT_OK
+    assert run("verify", "--config", str(path), "--out", str(vout),
+               "--controls", str(out / "controls.csv")) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report.keys() == REPORT_KEYS
+    _assert_certificate_keys(report["certificate"])
+    for diag in (report["fbsde"], *report["adjoint"]):
+        assert diag.keys() == DIAGNOSTICS_KEYS
+    verified = json.loads((vout / "certificate.json").read_text())
+    assert verified.keys() == VERIFY_KEYS
+    _assert_certificate_keys(verified["certificate"])
+    assert verified["solves"].keys() == {"fbsde", "adjoint"}
+    for diag in (verified["solves"]["fbsde"], *verified["solves"]["adjoint"]):
+        assert diag.keys() == DIAGNOSTICS_KEYS
+    if json.loads(path.read_text()).get("oracle") is not None:
+        assert run("oracle", "--config", str(path), "--out", str(oout)) == EXIT_OK
+        assert json.loads((oout / "oracle.json").read_text()).keys() == ORACLE_KEYS

@@ -14,10 +14,10 @@ from fbsdegames import (
     Dims,
     FbsdeConfig,
     build_certificate,
-    certificate_as_dict,
     check_convexity,
     check_pointwise_min,
     control_gradient,
+    costate_combination,
     eval_hamiltonian,
     lq_to_problem,
     random_lq_spec,
@@ -26,6 +26,7 @@ from fbsdegames import (
     vi_residual,
 )
 from fbsdegames import hamiltonian
+from fbsdegames.cli import plain
 from fbsdegames.hamiltonian import CONVENTION_NOTE, _control_grid
 
 from conftest import (
@@ -65,8 +66,7 @@ def _fd_grad(problem, player, point, var, step=1e-6):
             bumped = flat.copy()
             bumped[:, c] += sign * step
             base[var] = bumped.reshape(target.shape)
-            hp = eval_hamiltonian(problem, player, **base)
-            cols.append(hp.value)
+            cols.append(eval_hamiltonian(problem, player, **base))
     base[var] = target
     up = np.stack(cols[0::2], axis=1)
     dn = np.stack(cols[1::2], axis=1)
@@ -78,9 +78,7 @@ def _fd_grad(problem, player, point, var, step=1e-6):
 def test_hamiltonian_gradients_match_finite_differences(player, var):
     problem = lq_to_problem(coupled_lq_spec())
     point = _random_point(problem, seed=17 + player)
-    hp = eval_hamiltonian(problem, player, **point)
-    claimed = getattr(hp, f"grad_{var}")
-    claimed = claimed.reshape(claimed.shape[0], -1)
+    claimed = costate_combination(problem, player, var, **point)
     fd = _fd_grad(problem, player, point, var)
     np.testing.assert_allclose(claimed, fd, rtol=1e-6, atol=1e-8)
 
@@ -96,14 +94,14 @@ def test_hamiltonian_value_assembles_inner_products():
         l1=lambda t, x, y, z, u1, u2: np.zeros(x.shape[0]),
     )
     stripped = dataclasses.replace(problem, costs=zero_costs)
-    hp = eval_hamiltonian(stripped, 1, **point)
+    value = eval_hamiltonian(stripped, 1, **point)
     b = problem.coefficients.b(
         point["t"], point["x"], point["y"], point["z"], point["u1"], point["u2"]
     )
-    np.testing.assert_allclose(hp.value, np.einsum("sn,sn->s", point["p"], b), atol=1e-13)
+    np.testing.assert_allclose(value, np.einsum("sn,sn->s", point["p"], b), atol=1e-13)
 
 
-def test_control_gradient_agrees_with_hamiltonian_point():
+def test_control_gradient_agrees_with_costate_combination():
     backend = lattice(8)
     problem = lq_to_problem(coupled_lq_spec())
     u = ControlProcess.constant(backend, 0.4, -0.3)
@@ -111,12 +109,12 @@ def test_control_gradient_agrees_with_hamiltonian_point():
     adj, _ = solve_adjoint(problem, traj, u, 1, backend)
     grads = control_gradient(problem, traj, adj, u, 1)
     j = 5
-    hp = eval_hamiltonian(
-        problem, 1, float(backend.grid.knots[j]),
+    grad_u1 = costate_combination(
+        problem, 1, "u1", float(backend.grid.knots[j]),
         traj.x[j], traj.y[j], traj.z[j], u.u1[j], u.u2[j],
         adj.p[j], adj.q[j], adj.k[j],
     )
-    np.testing.assert_allclose(grads[j], hp.grad_u1, atol=1e-13)
+    np.testing.assert_allclose(grads[j], grad_u1, atol=1e-13)
 
 
 def _constant_gradient_problem(c: float):
@@ -278,7 +276,7 @@ class TestCertificate:
         )
         assert cert.verdict == "certified"
         assert CONVENTION_NOTE in cert.notes
-        payload = certificate_as_dict(cert)
+        payload = plain(cert)
         assert payload["verdict"] == "certified"
         assert payload["player1"]["pointwise"]["passed"]
 
@@ -332,22 +330,21 @@ class TestCertificate:
 
 def _candidate_loop(problem, traj, adj, u, player, candidates):
     """check_pointwise_min's search as one Hamiltonian call per candidate."""
-    from fbsdegames.hamiltonian import _value
-
     grid = traj.backend.grid
     worst, worst_loc, worst_alt, per_step = -np.inf, (0, 0), None, []
     for j in range(grid.steps):
         t = float(grid.knots[j])
         x, y, z, u1, u2 = traj.x[j], traj.y[j], traj.z[j], u.u1[j], u.u2[j]
         pj, qj, kj = adj.p[j], adj.q[j], adj.k[j]
-        base = _value(problem, player, (t, x, y, z, u1, u2), pj, qj, kj)
+        base = eval_hamiltonian(problem, player, t, x, y, z, u1, u2, pj, qj, kj)
         step_best = np.full(base.shape, -np.inf)
         step_alt = np.zeros((base.shape[0], candidates.shape[1]))
         for c in candidates:
             cu = np.broadcast_to(c, (base.shape[0], c.shape[0]))
             trial_u1 = cu if player == 1 else u1
             trial_u2 = cu if player == 2 else u2
-            gain = base - _value(problem, player, (t, x, y, z, trial_u1, trial_u2), pj, qj, kj)
+            gain = base - eval_hamiltonian(problem, player, t, x, y, z, trial_u1, trial_u2,
+                                           pj, qj, kj)
             better = gain > step_best
             step_best = np.where(better, gain, step_best)
             step_alt[better] = c

@@ -30,7 +30,7 @@ from fbsdegames import (
 from fbsdegames.adjoint import _costate_matrix, _step_partials
 from fbsdegames.drivers import StepArray
 from fbsdegames.fbsde import _update_metric, solve_members
-from fbsdegames.hamiltonian import _control_grid, _value
+from fbsdegames.hamiltonian import _control_grid, eval_hamiltonian
 
 from conftest import coupled_lq_spec, lattice, montecarlo, nonlinear_problem, random_controls
 
@@ -159,13 +159,14 @@ def _pointwise_loop(problem, traj, adj, u, player, candidates):
     for j in range(traj.backend.grid.steps):
         t, x, y, z, u1, u2 = _state(traj, u, j)
         costates = (adj.p[j], adj.q[j], adj.k[j])
-        base = _value(problem, player, (t, x, y, z, u1, u2), *costates)
+        base = eval_hamiltonian(problem, player, t, x, y, z, u1, u2, *costates)
         S, C = base.shape[0], candidates.shape[0]
         tiled = [np.tile(a, (C,) + (1,) * (a.ndim - 1)) for a in (x, y, z, u1, u2, *costates)]
         tx, ty, tz, tu1, tu2, tp, tq, tk = tiled
         cu = np.repeat(candidates, S, axis=0)
         trial_u = (cu, tu2) if player == 1 else (tu1, cu)
-        gain = base - _value(problem, player, (t, tx, ty, tz, *trial_u), tp, tq, tk).reshape(C, S)
+        trial = eval_hamiltonian(problem, player, t, tx, ty, tz, *trial_u, tp, tq, tk)
+        gain = base - trial.reshape(C, S)
         idx = np.argmax(gain, axis=0)
         step_best = gain[idx, np.arange(S)]
         per_step.append(step_best)
