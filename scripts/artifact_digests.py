@@ -5,15 +5,17 @@
 For each config (default: the three configs under configs/ and
 perfbench/configs/coupled_mc.json) it runs, at seed 0, `solve`, `verify` on
 the controls.csv that solve wrote, and `oracle` when the config has an
-"oracle" block, each into a fresh temporary directory, and prints
-{config: {"<command>/<artifact>": sha256, "<command>.exit": code}}.  The
-configs are only read.  The package comes from PYTHONPATH, so pointing it at
+"oracle" block, each into a fresh temporary directory, and `check`, whose
+stdout less its `wall time:` line stands in as the artifact "check/stdout".
+It prints {config: {"<command>/<artifact>": sha256, "<command>.exit": code}}.
+The configs are only read.  The package comes from PYTHONPATH, so pointing it at
 another checkout's src/ digests that checkout, and a byte-identity check
 between two commits is a diff of two outputs.  CLI output goes to stderr.
 """
 
 import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -42,11 +44,24 @@ def _run(command: str, config: Path, out: Path, *extra: str) -> dict:
     return digests
 
 
+def _check(config: Path) -> dict:
+    with contextlib.redirect_stdout(io.StringIO()) as buffer:
+        code = cli_main(["check", "--config", str(config), "--seed", SEED])
+    text = buffer.getvalue()
+    sys.stderr.write(text)
+    # the wall time is the one line that differs between runs
+    kept = "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("wall time:"))
+    return {"check.exit": code, "check/stdout": hashlib.sha256(kept.encode()).hexdigest()}
+
+
 def digests(config: Path) -> dict:
-    """Exit codes and artifact digests of solve, verify and (if configured) oracle."""
+    """Exit codes and artifact digests of solve, verify, (if configured)
+    oracle, and check."""
+    out = _check(config)
     with tempfile.TemporaryDirectory() as tmp:
         solved = Path(tmp) / "solve"
-        out = _run("solve", config, solved)
+        out.update(_run("solve", config, solved))
         out.update(_run("verify", config, Path(tmp) / "verify",
                         "--controls", str(solved / "controls.csv")))
         # a config solve rejected (exit 64) need not be valid JSON

@@ -850,10 +850,9 @@ def cmd_check(args) -> int:
         probe_radius=cfg.check.probe_radius,
     )
     status = "PASS" if report.passed else "FAIL"
-    checks = [c for r in report.derivative_reports for c in r.checks]
     print(f"derivative check: {status} "
-          f"({len(checks)} partials, {cfg.check.samples} samples)")
-    for check in checks:
+          f"({len(report.checks)} partials, {cfg.check.samples} samples)")
+    for check in report.checks:
         marker = "ok " if check.passed else "BAD"
         print(f"  [{marker}] {check.function}/{check.partial}: "
               f"max scaled error {check.max_error:.3e}")

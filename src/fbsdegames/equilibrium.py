@@ -120,10 +120,6 @@ class IterationRecord:
     state_passes: int
     costate_passes: int
 
-    @property
-    def merit(self) -> float:
-        return max(self.rho1, self.rho2)
-
 
 @dataclass(frozen=True)
 class EquilibriumReport:

@@ -125,17 +125,11 @@ _INNER_SEED = 0
 _INNER_RADIUS = 10.0
 
 
-def _sample_box(box: ControlBox, rng: np.random.Generator) -> Array:
-    lo = np.maximum(box.lower, -_INNER_RADIUS)
-    hi = np.minimum(box.upper, _INNER_RADIUS)
-    return rng.uniform(lo, hi, size=(_INNER_SAMPLES, box.dim))
-
-
 def _stationarity(problem, traj, adj, u, player, rng) -> tuple[StepArray, float, float]:
     """Player i's control gradients, rho_i and inner_min_i (`ViResidualReport`)."""
     grads = control_gradient(problem, traj, adj, u, player)
     box = problem.box(player)
-    candidates = _sample_box(box, rng)
+    candidates = box.sample(rng, _INNER_SAMPLES, _INNER_RADIUS)
     offsets = u.u1.offsets
     g, own = grads.rows, u.player(player).rows
     squared = np.linalg.norm(own - box.project(own - g), axis=1) ** 2
@@ -177,7 +171,7 @@ class PointwiseMinReport:
     best_alternative: Array | None
     tol: float
     grid_points: int
-    per_step_violation: tuple[Array, ...] = field(repr=False)
+    per_step_violation: StepArray = field(repr=False)
 
 
 def _control_grid(box: ControlBox, density: int, radius: float | None) -> Array:
@@ -246,7 +240,7 @@ def check_pointwise_min(
             better = chunk_best > span_best  # strict: earlier blocks win ties
             span_best[better] = chunk_best[better]
             span_idx[better] = c0 + idx[better]
-    per_step = tuple(row_best[a:b] for a, b in zip(offsets, offsets[1:]))
+    per_step = StepArray(row_best, offsets)
     worst = -np.inf
     worst_loc = (0, 0)
     worst_alt: Array | None = None

@@ -120,6 +120,12 @@ class ControlBox:
     def contains(self, u: Array, tol: float = 0.0) -> bool:
         return bool(np.all(u >= self.lower - tol) and np.all(u <= self.upper + tol))
 
+    def sample(self, rng: np.random.Generator, size: int, radius: float) -> Array:
+        """`size` points drawn uniformly from the box clipped to [-radius, radius]."""
+        lo = np.maximum(self.lower, -radius)
+        hi = np.minimum(self.upper, radius)
+        return rng.uniform(lo, hi, size=(size, self.dim))
+
     def midpoint(self) -> Array:
         """Center of the box; 0 on coordinates with an infinite end."""
         mid = np.zeros(self.dim)
@@ -250,63 +256,17 @@ class GameProblem:
 
 
 @dataclass(frozen=True)
-class PartialSpec:
-    """One claimed partial derivative inside a FunctionBundle.
-
-    The callable must return shape (S, *value_shape, dim_v) where dim_v is
-    the flattened size of the differentiated argument.
-    """
-
-    name: str
-    arg_index: int
-    fn: Coeff
-
-
-@dataclass(frozen=True)
-class FunctionBundle:
-    """A batched function together with its claimed partial derivatives.
-
-    `value(t, *args)` takes arrays shaped (S, *arg_shapes[i]) and returns
-    (S, *anything).  Samplers, when given, override the default uniform
-    sampling of an argument (signature rng, size -> (size, *shape)).
-    """
-
-    name: str
-    value: Coeff
-    arg_shapes: tuple[tuple[int, ...], ...]
-    partials: tuple[PartialSpec, ...]
-    samplers: tuple[Callable | None, ...] = ()
-
-
-@dataclass(frozen=True)
 class PartialCheck:
+    """The worst scaled finite-difference error of one claimed partial."""
+
     function: str
     partial: str
     max_error: float
-    worst_time: float
-    worst_sample: int
     passed: bool
-    nonfinite: bool = False
 
 
-@dataclass(frozen=True)
-class DerivativeReport:
-    checks: tuple[PartialCheck, ...]
-    samples: int
-    step: float
-    rtol: float
-    seed: int
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def worst(self) -> PartialCheck:
-        return max(self.checks, key=lambda c: c.max_error)
-
-
-def _central_difference(value: Coeff, t: float, args: list[Array], idx: int, step: float) -> Array:
-    base = args[idx]
+def _central_difference(m: _Map, t: float, point: dict[str, Array], v: str, step: float) -> Array:
+    base = point[v]
     flat = base.reshape(base.shape[0], -1)
     cols = []
     for c in range(flat.shape[1]):
@@ -314,11 +274,9 @@ def _central_difference(value: Coeff, t: float, args: list[Array], idx: int, ste
         dn = flat.copy()
         up[:, c] += step
         dn[:, c] -= step
-        plus = list(args)
-        minus = list(args)
-        plus[idx] = up.reshape(base.shape)
-        minus[idx] = dn.reshape(base.shape)
-        cols.append((value(t, *plus) - value(t, *minus)) / (2.0 * step))
+        plus = m.at(m.fn, t, dict(point, **{v: up.reshape(base.shape)}))
+        minus = m.at(m.fn, t, dict(point, **{v: dn.reshape(base.shape)}))
+        cols.append((plus - minus) / (2.0 * step))
     return np.stack(cols, axis=-1)
 
 
@@ -347,62 +305,6 @@ _FD_BOUND = 10.0
 _FD_ROUNDS = 4
 
 
-def check_derivatives(
-    bundle: FunctionBundle,
-    samples: int,
-    seed: int,
-    horizon: float,
-) -> DerivativeReport:
-    """Compare claimed partials of a bundle against central differences.
-
-    Points are sampled uniformly with every coordinate in
-    [-_FD_BOUND, _FD_BOUND] (or by the bundle's samplers), spread over
-    `_FD_ROUNDS` time values.
-    """
-    rng = np.random.default_rng(seed)
-    per_round = max(1, int(np.ceil(samples / _FD_ROUNDS)))
-    total = per_round * _FD_ROUNDS
-    worst: dict[str, tuple[float, float, int, bool]] = {
-        p.name: (0.0, 0.0, -1, False) for p in bundle.partials
-    }
-    samplers = bundle.samplers or (None,) * len(bundle.arg_shapes)
-    for _ in range(_FD_ROUNDS):
-        t = float(rng.uniform(0.0, horizon))
-        args: list[Array] = []
-        for shape, sampler in zip(bundle.arg_shapes, samplers):
-            if sampler is not None:
-                args.append(np.asarray(sampler(rng, per_round), dtype=float))
-            else:
-                args.append(rng.uniform(-_FD_BOUND, _FD_BOUND, size=(per_round,) + shape))
-        for spec in bundle.partials:
-            claimed = np.asarray(spec.fn(t, *args), dtype=float)
-            fd = _central_difference(bundle.value, t, args, spec.arg_index, _FD_STEP)
-            if claimed.shape != fd.shape:
-                raise ShapeValidationError(
-                    f"{bundle.name}: partial {spec.name} has shape {claimed.shape}, "
-                    f"expected {fd.shape}"
-                )
-            bad = ~(np.isfinite(claimed).all() and np.isfinite(fd).all())
-            err = _scaled_error(claimed, fd)
-            s = int(np.argmax(err))
-            prev = worst[spec.name]
-            if bad or err[s] > prev[0]:
-                worst[spec.name] = (float(err[s]), t, s, bool(bad or prev[3]))
-    checks = tuple(
-        PartialCheck(
-            function=bundle.name,
-            partial=name,
-            max_error=e,
-            worst_time=t,
-            worst_sample=s,
-            passed=bool(e <= _FD_RTOL and not nf),
-            nonfinite=nf,
-        )
-        for name, (e, t, s, nf) in worst.items()
-    )
-    return DerivativeReport(checks=checks, samples=total, step=_FD_STEP, rtol=_FD_RTOL, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # whole-problem validation
 # ---------------------------------------------------------------------------
@@ -410,27 +312,17 @@ def check_derivatives(
 
 @dataclass(frozen=True)
 class ValidationReport:
-    derivative_reports: tuple[DerivativeReport, ...]
+    checks: tuple[PartialCheck, ...]
     warnings: tuple[str, ...]
     samples: int
     seed: int
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.derivative_reports)
+        return all(c.passed for c in self.checks)
 
     def failures(self) -> tuple[PartialCheck, ...]:
-        return tuple(c for r in self.derivative_reports for c in r.checks if not c.passed)
-
-
-def _box_sampler(box: ControlBox):
-    lo = np.maximum(box.lower, -_FD_BOUND)
-    hi = np.minimum(box.upper, _FD_BOUND)
-
-    def sample(rng: np.random.Generator, size: int) -> Array:
-        return rng.uniform(lo, hi, size=(size, box.dim))
-
-    return sample
+        return tuple(c for c in self.checks if not c.passed)
 
 
 # the arguments after t of b, sigma, f and l_i, in call order
@@ -489,25 +381,44 @@ def _maps(problem: GameProblem) -> list[_Map]:
     return maps
 
 
-def _bundles(problem: GameProblem) -> list[FunctionBundle]:
-    """The finite-difference bundles, one per map.  A partial in an empty
-    control has no column to difference: it is shape-checked only."""
-    shapes = _arg_shapes(problem.dims)
-    samplers = {"u1": _box_sampler(problem.u1_box), "u2": _box_sampler(problem.u2_box)}
+def _check_partials(
+    m: _Map, shapes: dict[str, tuple[int, ...]], boxes: dict[str, ControlBox],
+    samples: int, seed: int, horizon: float,
+) -> list[PartialCheck]:
+    """Compare the claimed partials of one map against central differences.
 
-    def sigma_adapter(fn):
-        # stored layout (S, d, n, dim_v), finite differences produce (S, n, d, dim_v)
-        return lambda t, *args: np.swapaxes(np.asarray(fn(t, *args)), 1, 2)
-
-    return [
-        FunctionBundle(
-            m.name, m.fn, tuple(shapes[v] for v in m.args),
-            tuple(PartialSpec(name, i, sigma_adapter(fn) if m.name == "sigma" else fn)
-                  for i, (name, fn, shape) in enumerate(m.partials) if shape[-1] > 0),
-            tuple(samplers.get(v) for v in m.args),
-        )
-        for m in _maps(problem)
-    ]
+    Each argument is drawn uniformly with every coordinate in
+    [-_FD_BOUND, _FD_BOUND], a control from its box clipped to that bound,
+    at `_FD_ROUNDS` time values.  A partial in an empty control has no
+    column to difference: it is shape-checked only (`_check_shapes`).
+    """
+    rng = np.random.default_rng(seed)
+    per_round = max(1, int(np.ceil(samples / _FD_ROUNDS)))
+    # per partial: the worst error, and whether a value was ever non-finite
+    worst = {name: (0.0, False) for name, _, shape in m.partials if shape[-1] > 0}
+    for _ in range(_FD_ROUNDS):
+        t = float(rng.uniform(0.0, horizon))
+        point = {v: boxes[v].sample(rng, per_round, _FD_BOUND) if v in boxes
+                 else rng.uniform(-_FD_BOUND, _FD_BOUND, size=(per_round,) + shapes[v])
+                 for v in m.args}
+        for v, (name, fn, _) in zip(m.args, m.partials):
+            if name not in worst:
+                continue
+            claimed = np.asarray(m.at(fn, t, point), dtype=float)
+            if m.name == "sigma":
+                # stored layout (S, d, n, dim_v), finite differences produce (S, n, d, dim_v)
+                claimed = np.swapaxes(claimed, 1, 2)
+            fd = _central_difference(m, t, point, v, _FD_STEP)
+            if claimed.shape != fd.shape:
+                raise ShapeValidationError(
+                    f"{m.name}: partial {name} has shape {claimed.shape}, expected {fd.shape}"
+                )
+            bad = not (np.isfinite(claimed).all() and np.isfinite(fd).all())
+            err = float(_scaled_error(claimed, fd).max())
+            if bad or err > worst[name][0]:
+                worst[name] = (err, bad or worst[name][1])
+    return [PartialCheck(m.name, name, e, bool(e <= _FD_RTOL and not nonfinite))
+            for name, (e, nonfinite) in worst.items()]
 
 
 def _check_shapes(problem: GameProblem) -> None:
@@ -586,13 +497,11 @@ def validate_problem(
     disagreements are collected in the report.  Deterministic given seed.
     """
     _check_shapes(problem)
-    reports = tuple(
-        check_derivatives(bundle, samples=samples, seed=seed, horizon=problem.horizon)
-        for bundle in _bundles(problem)
-    )
+    shapes = _arg_shapes(problem.dims)
+    boxes = {"u1": problem.u1_box, "u2": problem.u2_box}
+    checks = tuple(c for m in _maps(problem)
+                   for c in _check_partials(m, shapes, boxes, samples, seed, problem.horizon))
     warnings: tuple[str, ...] = ()
     if probe_radius is not None:
         warnings = _probe_growth(problem, probe_radius, seed)
-    return ValidationReport(
-        derivative_reports=reports, warnings=warnings, samples=samples, seed=seed
-    )
+    return ValidationReport(checks=checks, warnings=warnings, samples=samples, seed=seed)

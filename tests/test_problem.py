@@ -12,12 +12,11 @@ from fbsdegames import (
     Dims,
     ShapeValidationError,
     TerminalData,
-    check_derivatives,
     lq_to_problem,
     random_lq_spec,
     validate_problem,
 )
-from fbsdegames.problem import FunctionBundle, PartialSpec
+from fbsdegames.problem import _check_partials, _Map
 
 from conftest import coupled_lq_spec
 
@@ -79,35 +78,26 @@ def test_terminal_constant():
     np.testing.assert_array_equal(out[3], [0.3, -0.1])
 
 
+def _fd_checks(name, value, partial, samples, seed):
+    """The finite-difference checks of a map of one scalar argument x."""
+    m = _Map(name, value, ("x",), (), (("dx", partial, (1,)),), ())
+    return _check_partials(m, {"x": (1,)}, {}, samples=samples, seed=seed, horizon=1.0)
+
+
 def test_fd_catches_half_unit_derivative_error():
     # claim d/dx (x^2/2) = x + 0.5; the scaled error saturates at 0.5 on
     # any sample with |x| <= 1 and the default cloud always contains one
-    bundle = FunctionBundle(
-        name="halfsquare",
-        value=lambda t, x: 0.5 * x[:, 0] ** 2,
-        arg_shapes=((1,),),
-        partials=(
-            PartialSpec(name="dx", arg_index=0, fn=lambda t, x: x + 0.5),
-        ),
-    )
-    report = check_derivatives(bundle, samples=120, seed=0, horizon=1.0)
-    (check,) = report.checks
+    (check,) = _fd_checks("halfsquare", lambda t, x: 0.5 * x[:, 0] ** 2,
+                          lambda t, x: x + 0.5, samples=120, seed=0)
     assert not check.passed
     assert check.max_error == pytest.approx(0.5, abs=1e-6)
 
 
 def test_fd_passes_exact_cubic():
-    bundle = FunctionBundle(
-        name="cubic",
-        value=lambda t, x: x[:, 0] ** 3,
-        arg_shapes=((1,),),
-        partials=(
-            PartialSpec(name="dx", arg_index=0, fn=lambda t, x: 3.0 * x**2),
-        ),
-    )
-    report = check_derivatives(bundle, samples=200, seed=1, horizon=1.0)
-    assert report.passed
-    assert report.worst().max_error < 1e-5
+    (check,) = _fd_checks("cubic", lambda t, x: x[:, 0] ** 3,
+                          lambda t, x: 3.0 * x**2, samples=200, seed=1)
+    assert check.passed
+    assert check.max_error < 1e-5
 
 
 def test_validate_passes_consistent_nonlinear_drift():
@@ -187,8 +177,8 @@ def test_validate_is_deterministic_in_seed():
     problem = lq_to_problem(coupled_lq_spec())
     r1 = validate_problem(problem, samples=40, seed=9, probe_radius=None)
     r2 = validate_problem(problem, samples=40, seed=9, probe_radius=None)
-    worst1 = [(c.partial, c.max_error) for rep in r1.derivative_reports for c in rep.checks]
-    worst2 = [(c.partial, c.max_error) for rep in r2.derivative_reports for c in rep.checks]
+    worst1 = [(c.partial, c.max_error) for c in r1.checks]
+    worst2 = [(c.partial, c.max_error) for c in r2.checks]
     assert worst1 == worst2
 
 

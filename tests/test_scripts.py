@@ -56,10 +56,10 @@ def test_artifact_digests_repeat_and_cover_every_artifact(tmp_path, capsys):
     assert runs[0] == runs[1]
     digests = runs[0][str(path)]
     assert {k: v for k, v in digests.items() if k.endswith(".exit")} == {
-        "solve.exit": 0, "verify.exit": 0, "oracle.exit": 0}
+        "solve.exit": 0, "verify.exit": 0, "oracle.exit": 0, "check.exit": 0}
     assert sorted(k for k in digests if "/" in k) == [
-        "oracle/oracle.json", "solve/controls.csv", "solve/history.csv", "solve/report.json",
-        "solve/trajectory.csv", "verify/certificate.json"]
+        "check/stdout", "oracle/oracle.json", "solve/controls.csv", "solve/history.csv",
+        "solve/report.json", "solve/trajectory.csv", "verify/certificate.json"]
     assert all(len(v) == 64 for k, v in digests.items() if "/" in k)
 
 
