@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python3 scripts/artifact_digests.py [CONFIG ...]
 
-For each config (default: the three configs under configs/ and
-perfbench/configs/coupled_mc.json) it runs, at seed 0, `solve`, `verify` on
+For each config (default: the three configs under configs/,
+perfbench/configs/coupled_mc.json and a 2-D Monte Carlo game written to a
+temporary config, `random_game_config`) it runs, at seed 0, `solve`, `verify` on
 the controls.csv that solve wrote, and `oracle` when the config has an
 "oracle" block, each into a fresh temporary directory, and `check`, whose
 stdout less its `wall time:` line stands in as the artifact "check/stdout".
@@ -21,7 +22,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from fbsdegames.cli import EXIT_CONFIG
+from fbsdegames import Dims, random_lq_spec
+from fbsdegames.cli import EXIT_CONFIG, plain
 from fbsdegames.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,6 +34,26 @@ DEFAULT_CONFIGS = (
     "perfbench/configs/coupled_mc.json",
 )
 SEED = "0"
+RANDOM_GAME = "random_lq_spec(11, Dims(2, 2, 2, 2, 2)), montecarlo, 1024 paths, 8 steps"
+
+
+def random_game_config() -> dict:
+    """RANDOM_GAME as a config.  The shipped configs are all 1-D, so they
+    cannot show a change in how a sum over several columns rounds."""
+    spec = random_lq_spec(11, Dims(2, 2, 2, 2, 2))
+    return {
+        "name": "random_2d",
+        "horizon": spec.horizon,
+        "steps": 8,
+        "dims": plain(spec.dims),
+        "backend": {"kind": "montecarlo", "paths": 1024},
+        "initial": plain(spec.initial),
+        "terminal": {"constant": plain(spec.xi)},
+        **{key: plain(getattr(spec, key))
+           for key in ("drift", "diffusion", "driver", "cost1", "cost2")},
+        "box1": {"radius": float(spec.u1_box.upper[0])},
+        "box2": {"radius": float(spec.u2_box.upper[0])},
+    }
 
 
 def _run(command: str, config: Path, out: Path, *extra: str) -> dict:
@@ -73,8 +95,13 @@ def digests(config: Path) -> dict:
 
 def main(argv=None) -> int:
     names = sys.argv[1:] if argv is None else list(argv)
-    configs = {n: Path(n) for n in names} or {n: ROOT / n for n in DEFAULT_CONFIGS}
-    print(json.dumps({n: digests(p) for n, p in configs.items()}, indent=2, sort_keys=True))
+    configs = {n: Path(n) for n in names}
+    with tempfile.TemporaryDirectory() as tmp:
+        if not configs:
+            configs = {n: ROOT / n for n in DEFAULT_CONFIGS}
+            configs[RANDOM_GAME] = Path(tmp) / "random_2d.json"
+            configs[RANDOM_GAME].write_text(json.dumps(random_game_config()))
+        print(json.dumps({n: digests(p) for n, p in configs.items()}, indent=2, sort_keys=True))
     return 0
 
 

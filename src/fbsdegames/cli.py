@@ -55,6 +55,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -678,34 +679,15 @@ def read_controls(path: Path, problem: GameProblem, backend: Backend) -> Control
 
 
 def write_report(path: Path, cfg: RunConfig, report: EquilibriumReport) -> None:
-    payload = {
-        "metadata": _metadata(cfg),
-        "converged": report.converged,
-        "iterations": report.iterations,
-        "j1": report.j1,
-        "j2": report.j2,
-        "stderr1": report.stderr1,
-        "stderr2": report.stderr2,
-        "rho1": report.rho1,
-        "rho2": report.rho2,
-        "certificate": plain(report.certificate),
-        "verdict": report.certificate.verdict,
-        "fbsde": plain(report.fbsde_diagnostics),
-        "adjoint": plain(report.adjoint_diagnostics),
-        "warnings": list(report.warnings),
-    }
-    _write_json(path, payload)
+    _write_json(path, {**plain(report), "metadata": _metadata(cfg),
+                       "iterations": report.iterations, "verdict": report.certificate.verdict})
 
 
 def write_history(path: Path, report: EquilibriumReport) -> None:
     header = ["iteration", "J1", "J2", "rho1", "rho2", "alpha", "evaluations", "extrapolated",
               "state_passes", "costate_passes"]
-    block = np.array(
-        [(rec.iteration, rec.j1, rec.j2, rec.rho1, rec.rho2, rec.step_size,
-          rec.evaluations, rec.extrapolated, rec.state_passes, rec.costate_passes)
-         for rec in report.history],
-        dtype=float,
-    ).reshape(-1, len(header))
+    block = np.array([dataclasses.astuple(rec) for rec in report.history],
+                     dtype=float).reshape(-1, len(header))
     _write_csv(path, header, [_format_rows("%d" + _cells(5) + ",%d,%d,%d,%d\n", block)])
 
 
@@ -891,7 +873,20 @@ def main(argv=None) -> int:
         # the solvers check for non-finite values themselves and end in one
         # `solver failure` line; NumPy's floating-point warnings would print first
         with np.errstate(all="ignore"):
-            return args.fn(args)
+            code = args.fn(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout closed early (`| head`): send what is left to the null device
+        # so the interpreter's last flush does not fail again
+        try:
+            stdout = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            stdout = None
+        if stdout is None:  # an in-process caller's stdout has no descriptor
+            raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
+        return EXIT_SOLVER_FAILURE
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG

@@ -27,7 +27,7 @@ bit for bit, the solve its profile would get alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,23 +124,24 @@ class IterationRecord:
 @dataclass(frozen=True)
 class EquilibriumReport:
     """The returned controls with the state and costates they were certified
-    along: rho_i, the certificate and the diagnostics all belong to
-    `trajectory` and `adjoints`."""
+    along: rho_i, the certificate and the state (`fbsde`) and costate
+    (`adjoint`) solve diagnostics all belong to `trajectory` and `adjoints`.
+    The per-row processes and the history stay out of report.json."""
 
-    controls: ControlProcess
+    controls: ControlProcess = field(repr=False)
     j1: float
     j2: float
     stderr1: float
     stderr2: float
     rho1: float
     rho2: float
-    history: tuple[IterationRecord, ...]
+    history: tuple[IterationRecord, ...] = field(repr=False)
     certificate: VerificationCertificate
     converged: bool
-    fbsde_diagnostics: SolveDiagnostics
-    adjoint_diagnostics: tuple[SolveDiagnostics, SolveDiagnostics]
-    trajectory: StateTrajectory
-    adjoints: tuple[AdjointTrajectory, AdjointTrajectory]
+    fbsde: SolveDiagnostics
+    adjoint: tuple[SolveDiagnostics, SolveDiagnostics]
+    trajectory: StateTrajectory = field(repr=False)
+    adjoints: tuple[AdjointTrajectory, AdjointTrajectory] = field(repr=False)
     warnings: tuple[str, ...] = ()
 
     @property
@@ -470,8 +471,8 @@ def solve_nash(
         history=tuple(history),
         certificate=certificate,
         converged=converged,
-        fbsde_diagnostics=state.fbsde_diag,
-        adjoint_diagnostics=state.adj_diag,
+        fbsde=state.fbsde_diag,
+        adjoint=state.adj_diag,
         trajectory=state.traj,
         adjoints=(state.adj1, state.adj2),
         warnings=tuple(warnings),

@@ -277,7 +277,7 @@ def backward_pass(problem: GameProblem, u: ControlProcess, xs, backend: Backend)
     def driver(j, y, z):
         return co.f(float(knots[j]), xs[j], y, z, u.u1[j], u.u2[j])
 
-    terminal = np.asarray(problem.terminal.xi(backend.brownian(backend.grid.steps)), dtype=float)
+    terminal = np.asarray(problem.xi(backend.brownian(backend.grid.steps)), dtype=float)
     return _backward_sweep(backend, terminal, xs, driver)
 
 

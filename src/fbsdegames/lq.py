@@ -10,19 +10,12 @@ do not depend on how many rows are passed together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .problem import (
-    CoefficientSet,
-    ControlBox,
-    CostSet,
-    Dims,
-    GameProblem,
-    TerminalData,
-)
+from .problem import _ARGS, CoefficientSet, Coeff, ControlBox, CostSet, Dims, GameProblem
 
 Array = np.ndarray
 
@@ -34,6 +27,14 @@ def _mat(value, shape: tuple[int, ...], name: str) -> Array:
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
+
+
+def _validated(value, zero, name: str):
+    """`value` with every array field a read-only copy checked at its shape
+    in the zero instance `zero`, and every float field a float."""
+    return {f.name: float(getattr(value, f.name)) if isinstance(getattr(zero, f.name), float)
+            else _mat(getattr(value, f.name), getattr(zero, f.name).shape, f"{name}.{f.name}")
+            for f in fields(zero)}
 
 
 def _sum_products(terms: Sequence[tuple[Array, Array]], const: Array | None = None) -> Array:
@@ -84,20 +85,43 @@ class AffineMap:
         )
 
     def validated(self, rows: int, dims: Dims, name: str) -> "AffineMap":
-        return AffineMap(
-            A=_mat(self.A, (rows, dims.n), f"{name}.A"),
-            B=_mat(self.B, (rows, dims.m), f"{name}.B"),
-            C=_mat(self.C, (rows, dims.dz), f"{name}.C"),
-            D1=_mat(self.D1, (rows, dims.k1), f"{name}.D1"),
-            D2=_mat(self.D2, (rows, dims.k2), f"{name}.D2"),
-            const=_mat(self.const, (rows,), f"{name}.const"),
-        )
+        return AffineMap(**_validated(self, AffineMap.zeros(rows, dims), name))
+
+    @property
+    def blocks(self) -> tuple[Array, ...]:
+        """The map's partials, one block per argument in `problem._ARGS` order."""
+        return (self.A, self.B, self.C, self.D1, self.D2)
 
     def __call__(self, x: Array, y: Array, zv: Array, u1: Array, u2: Array) -> Array:
         return _sum_products(
             [(x, self.A), (y, self.B), (zv, self.C), (u1, self.D1), (u2, self.D2)],
             self.const,
         )
+
+
+def _quad(v: Array, M: Array) -> Array:
+    # the two-operand row contraction is row by row; the three-operand one is not
+    return 0.5 * np.einsum("sj,sj->s", _sum_products([(v, M)]), v)
+
+
+def _form(M: Array) -> tuple[Coeff, Coeff]:
+    """v'Mv / 2 per row and its gradient M v, for a symmetric M."""
+    return (lambda v: _quad(v, M)), (lambda v: _sum_products([(v, M)]))
+
+
+def _constant(block: Array) -> Coeff:
+    """A partial equal to `block` on every row, as a read-only stride-0 view."""
+    return lambda t, x, y, z, u1, u2: np.broadcast_to(block, (x.shape[0],) + block.shape)
+
+
+def _linear(k: int, block: Array | None, width: int) -> Coeff:
+    """The gradient block v of a quadratic form in argument k after t, z
+    flattened; zeros of `width` columns when the block is None."""
+    if block is None:
+        return lambda t, *args: np.zeros((args[0].shape[0], width))
+    if k == _ARGS.index("z"):
+        return lambda t, *args: _sum_products([(args[k].reshape(args[k].shape[0], width), block)])
+    return lambda t, *args: _sum_products([(args[k], block)])
 
 
 @dataclass(frozen=True)
@@ -130,16 +154,35 @@ class QuadraticCost:
         )
 
     def validated(self, dims: Dims, own: int, other: int, name: str) -> "QuadraticCost":
-        sym = lambda a: 0.5 * a + 0.5 * a.T  # halve first: a + a.T can overflow
-        return QuadraticCost(
-            Q=sym(_mat(self.Q, (dims.n, dims.n), f"{name}.Q")),
-            R=sym(_mat(self.R, (dims.m, dims.m), f"{name}.R")),
-            S=float(self.S),
-            N=sym(_mat(self.N, (own, own), f"{name}.N")),
-            M=sym(_mat(self.M, (other, other), f"{name}.M")),
-            G=sym(_mat(self.G, (dims.n, dims.n), f"{name}.G")),
-            H=sym(_mat(self.H, (dims.m, dims.m), f"{name}.H")),
-        )
+        values = _validated(self, QuadraticCost.zeros(dims, own, other), name)
+        # halve first: a + a.T can overflow
+        return QuadraticCost(**{key: a if isinstance(a, float) else 0.5 * a + 0.5 * a.T
+                                for key, a in values.items()})
+
+    def callbacks(self, player: int, dz: int) -> dict[str, Coeff]:
+        """Player `player`'s l, its partials in `problem._ARGS` order, phi,
+        h and their gradients, named as `CostSet` fields."""
+        own_first = player == 1
+
+        def l(t, x, y, z, u1, u2):
+            own, other = (u1, u2) if own_first else (u2, u1)
+            zv = z.reshape(z.shape[0], dz)
+            return (
+                _quad(x, self.Q)
+                + _quad(y, self.R)
+                + 0.5 * self.S * np.einsum("sk,sk->s", zv, zv)
+                + _quad(own, self.N)
+                + _quad(other, self.M)
+            )
+
+        S_block = self.S * np.eye(dz) if self.S != 0.0 else None
+        blocks = (self.Q, self.R, S_block) + ((self.N, self.M) if own_first else (self.M, self.N))
+        out = {f"l{player}": l}
+        out.update((f"l{player}_{v}", _linear(k, block, dz))
+                   for k, (v, block) in enumerate(zip(_ARGS, blocks)))
+        out[f"phi{player}"], out[f"phi{player}_x"] = _form(self.G)
+        out[f"h{player}"], out[f"h{player}_y"] = _form(self.H)
+        return out
 
 
 @dataclass(frozen=True)
@@ -184,151 +227,47 @@ class LQGameSpec:
         object.__setattr__(self, "cost2", self.cost2.validated(d, d.k2, d.k1, "cost2"))
 
 
-def _quad(v: Array, M: Array) -> Array:
-    # the two-operand row contraction is row by row; the three-operand one is not
-    return 0.5 * np.einsum("sj,sj->s", _sum_products([(v, M)]), v)
-
-
 def lq_to_problem(spec: LQGameSpec) -> GameProblem:
-    """Assemble batched callbacks with exact constant derivatives."""
-    dims = spec.dims
-    dz = dims.dz
-    drift = spec.drift
-    cols = spec.diffusion
-    driver = spec.driver
-
-    def flat(z: Array) -> Array:
-        return z.reshape(z.shape[0], dz)
+    """Assemble batched callbacks with exact constant derivatives: each
+    partial of b, sigma and f is its map's block for that argument (sigma's
+    the columns' blocks stacked first, (d, n, dim_v)), and each player's
+    costs come from its `QuadraticCost`."""
+    dz = spec.dims.dz
+    drift, cols, driver = spec.drift, spec.diffusion, spec.driver
 
     def b(t, x, y, z, u1, u2):
-        return drift(x, y, flat(z), u1, u2)
+        return drift(x, y, z.reshape(z.shape[0], dz), u1, u2)
 
     def sigma(t, x, y, z, u1, u2):
-        zv = flat(z)
+        zv = z.reshape(z.shape[0], dz)
         return np.stack([c(x, y, zv, u1, u2) for c in cols], axis=-1)
 
     def f(t, x, y, z, u1, u2):
-        return driver(x, y, flat(z), u1, u2)
+        return driver(x, y, z.reshape(z.shape[0], dz), u1, u2)
 
-    def const_jac(matrix: Array):
-        def fn(t, x, y, z, u1, u2, _m=matrix):
-            return np.broadcast_to(_m, (x.shape[0],) + _m.shape)
+    sigma_blocks = [np.stack(blocks, axis=0) for blocks in zip(*(c.blocks for c in cols))]
+    coefficients = {}
+    for name, value, blocks in (("b", b, drift.blocks), ("sigma", sigma, sigma_blocks),
+                                ("f", f, driver.blocks)):
+        coefficients[name] = value
+        coefficients.update((f"{name}_{v}", _constant(block)) for v, block in zip(_ARGS, blocks))
 
-        return fn
-
-    def sigma_jac(attr: str):
-        stacked = np.stack([getattr(c, attr) for c in cols], axis=0)  # (d, n, dim)
-
-        def fn(t, x, y, z, u1, u2, _m=stacked):
-            return np.broadcast_to(_m, (x.shape[0],) + _m.shape)
-
-        return fn
-
-    coefficients = CoefficientSet(
-        b=b,
-        sigma=sigma,
-        f=f,
-        b_x=const_jac(drift.A),
-        b_y=const_jac(drift.B),
-        b_z=const_jac(drift.C),
-        b_u1=const_jac(drift.D1),
-        b_u2=const_jac(drift.D2),
-        sigma_x=sigma_jac("A"),
-        sigma_y=sigma_jac("B"),
-        sigma_z=sigma_jac("C"),
-        sigma_u1=sigma_jac("D1"),
-        sigma_u2=sigma_jac("D2"),
-        f_x=const_jac(driver.A),
-        f_y=const_jac(driver.B),
-        f_z=const_jac(driver.C),
-        f_u1=const_jac(driver.D1),
-        f_u2=const_jac(driver.D2),
-    )
-
-    def running(cost: QuadraticCost, own_first: bool):
-        def l(t, x, y, z, u1, u2, _c=cost):
-            own, other = (u1, u2) if own_first else (u2, u1)
-            zv = flat(z)
-            return (
-                _quad(x, _c.Q)
-                + _quad(y, _c.R)
-                + 0.5 * _c.S * np.einsum("sk,sk->s", zv, zv)
-                + _quad(own, _c.N)
-                + _quad(other, _c.M)
-            )
-
-        return l
-
-    def grad(matrix: Array, pick: str):
-        # gradient of a symmetric quadratic form, or the S|z|^2 term for z
-        def fn(t, x, y, z, u1, u2):
-            v = {"x": x, "y": y, "z": flat(z), "u1": u1, "u2": u2}[pick]
-            return _sum_products([(v, matrix)])
-
-        return fn
-
-    def zero_grad(dim: int):
-        def fn(t, x, y, z, u1, u2):
-            return np.zeros((x.shape[0], dim))
-
-        return fn
-
-    c1, c2 = spec.cost1, spec.cost2
-
-    def l_grads(cost: QuadraticCost, own_first: bool):
-        own_mat, other_mat = cost.N, cost.M
-        g_u1 = grad(own_mat, "u1") if own_first else grad(other_mat, "u1")
-        g_u2 = grad(other_mat, "u2") if own_first else grad(own_mat, "u2")
-        return {
-            "x": grad(cost.Q, "x"),
-            "y": grad(cost.R, "y"),
-            "z": grad(cost.S * np.eye(dz), "z") if cost.S != 0.0 else zero_grad(dz),
-            "u1": g_u1,
-            "u2": g_u2,
-        }
-
-    g1, g2 = l_grads(c1, True), l_grads(c2, False)
-
-    def phi(G: Array):
-        return lambda x, _G=G: _quad(x, _G)
-
-    def phi_x(G: Array):
-        return lambda x, _G=G: _sum_products([(x, _G)])
-
-    def h(H: Array):
-        return lambda y, _H=H: _quad(y, _H)
-
-    def h_y(H: Array):
-        return lambda y, _H=H: _sum_products([(y, _H)])
-
-    costs = CostSet(
-        l1=running(c1, True),
-        l2=running(c2, False),
-        l1_x=g1["x"], l1_y=g1["y"], l1_z=g1["z"], l1_u1=g1["u1"], l1_u2=g1["u2"],
-        l2_x=g2["x"], l2_y=g2["y"], l2_z=g2["z"], l2_u1=g2["u1"], l2_u2=g2["u2"],
-        phi1=phi(c1.G), phi2=phi(c2.G),
-        phi1_x=phi_x(c1.G), phi2_x=phi_x(c2.G),
-        h1=h(c1.H), h2=h(c2.H),
-        h1_y=h_y(c1.H), h2_y=h_y(c2.H),
-    )
-
-    if spec.xi_linear is None:
-        terminal = TerminalData.constant(spec.xi)
+    c, L = spec.xi, spec.xi_linear
+    if L is None:
+        # a read-only stride-0 broadcast, which the Monte Carlo fits read as given
+        def xi(bt: Array) -> Array:
+            return np.broadcast_to(c, (bt.shape[0], c.shape[0]))
     else:
-        L, c = spec.xi_linear, spec.xi
-
-        def _xi(bt: Array, _L=L, _c=c) -> Array:
-            return _sum_products([(bt, _L)], _c)
-
-        terminal = TerminalData(xi=_xi)
+        def xi(bt: Array) -> Array:
+            return _sum_products([(bt, L)], c)
 
     return GameProblem(
-        dims=dims,
+        dims=spec.dims,
         horizon=spec.horizon,
         initial=spec.initial,
-        terminal=terminal,
-        coefficients=coefficients,
-        costs=costs,
+        xi=xi,
+        coefficients=CoefficientSet(**coefficients),
+        costs=CostSet(**spec.cost1.callbacks(1, dz), **spec.cost2.callbacks(2, dz)),
         u1_box=spec.u1_box,
         u2_box=spec.u2_box,
     )

@@ -40,7 +40,7 @@ equal its rows at each time alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -206,30 +206,14 @@ class CostSet:
 
 
 @dataclass(frozen=True)
-class TerminalData:
-    """Terminal condition y(T) = xi(B(T)); batched (S, d) -> (S, m)."""
-
-    xi: Callable[[Array], Array]
-
-    @classmethod
-    def constant(cls, value: Sequence[float]) -> "TerminalData":
-        vec = np.atleast_1d(np.asarray(value, dtype=float))
-        vec.setflags(write=False)
-
-        def _xi(bt: Array) -> Array:
-            return np.broadcast_to(vec, (bt.shape[0], vec.shape[0]))
-
-        return cls(_xi)
-
-
-@dataclass(frozen=True)
 class GameProblem:
-    """A two-player game over a fully coupled forward-backward system."""
+    """A two-player game over a fully coupled forward-backward system with
+    terminal condition y(T) = xi(B(T))."""
 
     dims: Dims
     horizon: float
     initial: Array
-    terminal: TerminalData
+    xi: Coeff
     coefficients: CoefficientSet
     costs: CostSet
     u1_box: ControlBox
@@ -457,7 +441,7 @@ def _check_shapes(problem: GameProblem) -> None:
                 raise ShapeValidationError(
                     f"{name}: rows at per-row times t differ from its rows at each time alone"
                 )
-    expect("xi", problem.terminal.xi(bt), (S, dims.m))
+    expect("xi", problem.xi(bt), (S, dims.m))
 
 
 def _probe_growth(problem: GameProblem, radius: float, seed: int) -> tuple[str, ...]:

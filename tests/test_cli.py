@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file formats, reproducibility."""
 
 import dataclasses
+import io
 import json
 import os
 import re
@@ -60,15 +61,16 @@ def run(*argv) -> int:
     return main(list(argv))
 
 
-def run_process(*argv, module=True) -> subprocess.CompletedProcess:
+def run_process(*argv, module=True, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """The command line (or, with module=False, bare interpreter arguments)
-    in a child interpreter, so stderr shows any traceback."""
+    in a child interpreter, so stderr shows any traceback; stdout is
+    captured unless given."""
     src = str(Path(fbsdegames.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, *(["-m", "fbsdegames"] if module else []), *argv],
-        capture_output=True, text=True, env=env, timeout=300,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=300,
     )
 
 
@@ -736,6 +738,34 @@ class TestCheck:
         path = write_config(tmp_path, cfg)
         assert run("check", "--config", path) == EXIT_CONFIG
         assert "check.corrupt" in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_closed_pipe_exits_1_without_traceback(self, tmp_path, command):
+        # as `| head -1` does, but with the read end closed before the run, so
+        # every run meets the broken pipe
+        path = write_config(tmp_path, dict(base_config(), steps=2))
+        out = ["--out", str(tmp_path / "run")] if command == "solve" else []
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = run_process(command, "--config", path, *out, stdout=write)
+        finally:
+            os.close(write)
+        assert done.returncode == EXIT_SOLVER_FAILURE
+        assert done.stderr == ""
+        if command == "solve":  # the artifacts are written before the summary
+            assert (tmp_path / "run" / "report.json").exists()
+
+    def test_in_process_stdout_without_descriptor_still_raises(self, tmp_path, monkeypatch):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        with pytest.raises(BrokenPipeError):
+            run("check", "--config", write_config(tmp_path, base_config()))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -37,6 +37,7 @@ from conftest import (
     coupled_lq_spec,
     lattice,
     montecarlo,
+    nonlinear_problem,
     riccati_spec,
     two_step_spec,
     zero_spec,
@@ -593,3 +594,19 @@ def test_resolution_bounds_survive_a_huge_grid_spacing():
         report = oracle(problem, backend, grid, grid)
     assert np.isfinite(report.j1) and np.isfinite(report.j2)
     assert np.isfinite(report.resolution_bound_1) and np.isfinite(report.resolution_bound_2)
+
+
+@pytest.mark.parametrize("points", [5, 9])
+def test_nonlinear_game_lands_within_the_oracle_resolution_bounds(points):
+    # the solver against exhaustive search on a game beyond LQ: the smooth
+    # terms in b and sigma make every cost non-quadratic in the controls
+    problem, backend = nonlinear_problem(), lattice(2, horizon=0.5)
+    fb = FbsdeConfig(tol=1e-12)
+    grid = np.linspace(-2.0, 2.0, points).reshape(points, 1)
+    result = brute_force_nash(
+        problem, backend, grid, grid, OracleOptions.budget, OracleOptions.max_rounds, fb)
+    assert result.equilibrium and not result.cycle_detected
+    report = solve_nash(problem, backend, fbsde_config=fb)
+    assert report.converged
+    assert abs(report.j1 - result.j1) <= result.resolution_bound_1
+    assert abs(report.j2 - result.j2) <= result.resolution_bound_2

@@ -11,7 +11,6 @@ from fbsdegames import (
     ControlBox,
     Dims,
     ShapeValidationError,
-    TerminalData,
     lq_to_problem,
     random_lq_spec,
     validate_problem,
@@ -72,10 +71,12 @@ def test_projection_is_idempotent_and_feasible(lo, width, point):
 
 
 def test_terminal_constant():
-    term = TerminalData.constant(np.array([0.3, -0.1]))
-    out = term.xi(np.zeros((5, 2)))
+    spec = dataclasses.replace(random_lq_spec(0, Dims(1, 2, 2, 1, 1)), xi=np.array([0.3, -0.1]))
+    out = lq_to_problem(spec).xi(np.zeros((5, 2)))
     assert out.shape == (5, 2)
     np.testing.assert_array_equal(out[3], [0.3, -0.1])
+    # a read-only broadcast: the Monte Carlo fits round it as given
+    assert out.strides[0] == 0 and not out.flags.writeable
 
 
 def _fd_checks(name, value, partial, samples, seed):
@@ -202,7 +203,7 @@ def test_lq_value_callbacks_act_row_by_row(dims):
                          ("l1", costs.l1), ("l2", costs.l2))
     }
     calls.update(phi1=lambda rows: costs.phi1(x[rows]), h2=lambda rows: costs.h2(y[rows]),
-                 xi=lambda rows: problem.terminal.xi(bt[rows]))
+                 xi=lambda rows: problem.xi(bt[rows]))
     for name, call in calls.items():
         together = call(slice(None))
         for start, stop in ((0, 1), (5, 7), (10, 13), (17, 300)):
