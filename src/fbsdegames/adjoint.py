@@ -328,6 +328,11 @@ class DualityReport:
         return self.initial_term - self.integral_gy - self.integral_gz - self.integral_kf
 
 
+def _pairing(a: Array, b: Array) -> Array:
+    """<a, b> per row, over the flattened trailing axes."""
+    return np.einsum("sv,sv->s", a.reshape(a.shape[0], -1), b.reshape(b.shape[0], -1))
+
+
 def duality_residual(
     problem: GameProblem,
     traj: StateTrajectory,
@@ -343,49 +348,23 @@ def duality_residual(
     terminal map.  Left-endpoint quadrature throughout; expectations use the
     backend's scenario weights.
     """
-    grid = backend.grid
-    N, dt = grid.steps, grid.dt
+    N, dt = backend.grid.steps, backend.grid.dt
     if len(traj.x) != N + 1 or len(traj_bar.x) != N + 1:
         raise ValueError("trajectory length does not match the backend grid")
     for j in range(N + 1):
         if traj.x[j].shape != traj_bar.x[j].shape:
             raise ValueError(f"scenario mismatch between trajectories at step {j}")
     co = problem.coefficients
-    player = adj_bar.player
-    int_gx = int_gy = int_gz = int_pb = int_qs = int_kf = 0.0
-    for j in range(N):
-        t = float(grid.knots[j])
-        dx = traj.x[j] - traj_bar.x[j]
-        dy = traj.y[j] - traj_bar.y[j]
-        dz = traj.z[j] - traj_bar.z[j]
-        args = (t, traj.x[j], traj.y[j], traj.z[j], u.u1[j], u.u2[j])
-        args_bar = (t, traj_bar.x[j], traj_bar.y[j], traj_bar.z[j], u_bar.u1[j], u_bar.u2[j])
-        pb, qb, kb = adj_bar.p[j], adj_bar.q[j], adj_bar.k[j]
-        gx = costate_combination(problem, player, "x", *args_bar, pb, qb, kb)
-        gy = costate_combination(problem, player, "y", *args_bar, pb, qb, kb)
-        gz = costate_combination(problem, player, "z", *args_bar, pb, qb, kb)
-        gz_mat = gz.reshape(gz.shape[0], problem.dims.m, backend.d)
-        db = co.b(*args) - co.b(*args_bar)
-        dsigma = co.sigma(*args) - co.sigma(*args_bar)
-        df = co.f(*args) - co.f(*args_bar)
-        int_gx += dt * float(backend.expect(j, np.einsum("sv,sv->s", gx, dx)))
-        int_gy += dt * float(backend.expect(j, np.einsum("sv,sv->s", gy, dy)))
-        int_gz += dt * float(backend.expect(j, np.einsum("svc,svc->s", gz_mat, dz)))
-        int_pb += dt * float(backend.expect(j, np.einsum("sv,sv->s", pb, db)))
-        int_qs += dt * float(backend.expect(j, np.einsum("svc,svc->s", qb, dsigma)))
-        int_kf += dt * float(backend.expect(j, np.einsum("sv,sv->s", kb, df)))
-    dx_T = traj.x[N] - traj_bar.x[N]
-    dy_0 = traj.y[0] - traj_bar.y[0]
-    terminal = float(backend.expect(N, np.einsum("sv,sv->s", adj_bar.p[N], dx_T)))
-    initial = float(backend.expect(0, np.einsum("sv,sv->s", adj_bar.k[0], dy_0)))
-    residual = (
-        terminal
-        - initial
-        + int_gx
-        + int_gy
-        + int_gz
-        - (int_pb + int_qs - int_kf)
-    )
+    args, args_bar = _state_rows(traj, u), _state_rows(traj_bar, u_bar)
+    costates = [adj_bar.p.leading(N), adj_bar.q.rows, adj_bar.k.leading(N)]
+    grads = [costate_combination(problem, adj_bar.player, v, *args_bar, *costates) for v in "xyz"]
+    deltas = [a - b for a, b in zip(args[1:4], args_bar[1:4])]
+    deltas += [getattr(co, m)(*args) - getattr(co, m)(*args_bar) for m in ("b", "sigma", "f")]
+    int_gx, int_gy, int_gz, int_pb, int_qs, int_kf = (
+        float(backend.integrate(_pairing(a, b))) for a, b in zip(grads + costates, deltas))
+    terminal = float(backend.expect(N, _pairing(adj_bar.p[N], traj.x[N] - traj_bar.x[N])))
+    initial = float(backend.expect(0, _pairing(adj_bar.k[0], traj.y[0] - traj_bar.y[0])))
+    residual = terminal - initial + int_gx + int_gy + int_gz - (int_pb + int_qs - int_kf)
     return DualityReport(
         residual=residual,
         dt=dt,

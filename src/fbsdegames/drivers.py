@@ -20,7 +20,8 @@ over all (step, scenario) rows, step j at rows offsets[j]:offsets[j + 1]
 of the backend's `offsets` (lattice step j has j + 1 rows per member,
 Monte Carlo always P).  Work that does not depend on earlier steps runs
 as one call over all rows, with `row_times` giving each row's t; only the
-sweeps in time and the per-step expectations go step by step.
+sweeps in time and the per-step expectations go step by step, the latter
+through `expectations` and `integrate`.
 """
 
 from __future__ import annotations
@@ -207,7 +208,8 @@ class _Rows:
     rows of one or more consecutive steps between per-member arrays and
     the backend's rows (one member's array passes through), `member_rows`
     selects the rows of chosen members, and `scenario_of` names a row's
-    scenario within its member.
+    scenario within its member.  `expectations` and `integrate` are the one
+    place a process's rows are cut by step for `expect`.
     """
 
     offsets: tuple[int, ...]
@@ -240,6 +242,18 @@ class _Rows:
 
     def scenario_of(self, row: int) -> int:
         return row // self.members
+
+    def expectations(self, rows: Array) -> list:
+        """Each step's `expect` over `rows`, the rows of steps 0..K-1."""
+        offsets = self.offsets[: self.offsets.index(rows.shape[0]) + 1]
+        return [self.expect(j, rows[a:b]) for j, (a, b) in enumerate(zip(offsets, offsets[1:]))]
+
+    def integrate(self, rows: Array):
+        """dt * E_j over the rows of steps 0..K-1, summed step by step from step 0."""
+        total = 0.0
+        for mean in self.expectations(rows):
+            total = total + self.grid.dt * mean
+        return total
 
     @functools.cached_property
     def row_times(self) -> Array:

@@ -164,7 +164,6 @@ def eval_cost(
     """
     backend = traj.backend
     N, dt = backend.grid.steps, backend.grid.dt
-    offsets = backend.offsets
     phi = problem.costs.terminal(player)
     h = problem.costs.initial(player)
     # the running cost of every row in one call; the sums over steps go step by step
@@ -177,9 +176,7 @@ def eval_cost(
         P = total.shape[0]
         stderr = float(total.std(ddof=1) / np.sqrt(P)) if P > 1 else 0.0
         return float(total.mean()), stderr
-    value = 0.0
-    for j in range(N):
-        value = value + dt * backend.expect(j, running[offsets[j]:offsets[j + 1]])
+    value = backend.integrate(running)
     value = value + backend.expect(N, phi(traj.x[N]))
     value = value + backend.expect(0, h(traj.y[0]))
     return (float(value) if np.ndim(value) == 0 else value), 0.0
@@ -227,12 +224,8 @@ def gateaux_derivative(
     if not adiag.converged:
         raise NonConvergenceError("costate solve did not converge", adiag)
     grads = control_gradient(problem, traj, adj, u, player)
-    pairing = np.einsum("sv,sv->s", grads.rows, direction.rows)
+    adjoint_form = float(backend.integrate(np.einsum("sv,sv->s", grads.rows, direction.rows)))
     offsets = direction.offsets
-    adjoint_form = 0.0
-    for j in range(len(offsets) - 1):
-        step = pairing[offsets[j]:offsets[j + 1]]
-        adjoint_form += backend.grid.dt * float(backend.expect(j, step))
     box = problem.box(player)
     own = u.player(player).rows
     plus, minus = own + epsilon * direction.rows, own - epsilon * direction.rows

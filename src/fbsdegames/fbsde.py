@@ -301,10 +301,8 @@ def _update_metric(backend: Backend, ys_new, zs_new, ys_old, zs_old) -> Array:
             dz = dz.reshape(dz.shape[0], -1)
             total[start:start + dz.shape[0]] += np.einsum("sk,sk->s", dz, dz)
     worst = np.zeros(backend.members)
-    offsets = ys_new.offsets
-    for j in range(len(offsets) - 1):
-        # a NaN mean leaves worst
-        np.fmax(worst, backend.expect(j, total[offsets[j]:offsets[j + 1]]), out=worst)
+    for mean in backend.expectations(total):
+        np.fmax(worst, mean, out=worst)  # a NaN mean leaves worst
     return worst
 
 

@@ -88,9 +88,11 @@ class ViResidualReport:
     rho_i is the sup over steps of the root mean square of the per-point
     residual |u_i - Proj(u_i - grad)|.  grad_i holds player i's control
     gradients, step j of shape (S_j, k_i), from which the residuals were
-    computed; the search steps along them.  inner_min_i is the sampled form
-    of the first-order condition: the smallest <grad, v - u_i> over candidate
-    v in the box (nonnegative at a stationary point, up to sampling).
+    computed; the search steps along them.  inner_min_i is the first-order
+    condition, exact: the smallest <grad, v - u_i> over v in the box clipped
+    to +-`_INNER_RADIUS`, each coordinate of v at the better of its two ends.
+    It is exactly 0 at a stationary point, and negative where a feasible
+    direction lowers H_i on some row.
     """
 
     grad1: StepArray = field(repr=False)
@@ -102,9 +104,9 @@ class ViResidualReport:
     convention: str = CONVENTION_NOTE
 
 
-# Pairs per call of a (candidate, row) search, in check_pointwise_min and
-# vi_residual's sampled pairing: memory stays bounded when the control grid
-# has density**k points or the rows are many.
+# Pairs per call of a (candidate, row) search in check_pointwise_min: memory
+# stays bounded when the control grid has density**k points or the rows are
+# many.
 _POINTWISE_ROWS = 1 << 16
 
 
@@ -117,34 +119,25 @@ def _block_rows(offsets: tuple[int, ...], candidates: int) -> int:
     return max(1, limit // candidates)
 
 
-# The sampled first-order condition in vi_residual: this many candidates per
-# player, drawn from the box clipped to [-_INNER_RADIUS, _INNER_RADIUS] by a
-# generator seeded with _INNER_SEED, so the report is deterministic.
-_INNER_SAMPLES = 32
-_INNER_SEED = 0
+# vi_residual's first-order condition is taken over the box clipped to
+# [-_INNER_RADIUS, _INNER_RADIUS], so that it is finite on an unbounded box.
 _INNER_RADIUS = 10.0
 
 
-def _stationarity(problem, traj, adj, u, player, rng) -> tuple[StepArray, float, float]:
+def _stationarity(problem, traj, adj, u, player) -> tuple[StepArray, float, float]:
     """Player i's control gradients, rho_i and inner_min_i (`ViResidualReport`)."""
     grads = control_gradient(problem, traj, adj, u, player)
     box = problem.box(player)
-    candidates = box.sample(rng, _INNER_SAMPLES, _INNER_RADIUS)
-    offsets = u.u1.offsets
     g, own = grads.rows, u.player(player).rows
     squared = np.linalg.norm(own - box.project(own - g), axis=1) ** 2
     worst = 0.0
-    for j in range(len(offsets) - 1):
-        mean = traj.backend.expect(j, squared[offsets[j]:offsets[j + 1]])
+    for mean in traj.backend.expectations(squared):
         worst = max(worst, float(np.sqrt(mean)))
-    inner_min = np.inf
-    rows = _block_rows(offsets, _INNER_SAMPLES)
-    for start in range(0, g.shape[0], rows):
-        block = slice(start, start + rows)
-        pairing = g[block] @ candidates.T
-        pairing -= np.einsum("sv,sv->s", g[block], own[block])[:, None]
-        inner_min = min(inner_min, float(pairing.min()))
-    return grads, worst, inner_min
+    # <g, v - u> is separable in v, so its minimum over the clipped box
+    # takes each coordinate at the better of its two ends
+    lo, hi = np.maximum(box.lower, -_INNER_RADIUS), np.minimum(box.upper, _INNER_RADIUS)
+    inner = np.minimum(g * (lo - own), g * (hi - own)).sum(axis=1)
+    return grads, worst, float(inner.min())
 
 
 def vi_residual(
@@ -154,9 +147,8 @@ def vi_residual(
     adj_2: AdjointTrajectory,
     u: ControlProcess,
 ) -> ViResidualReport:
-    rng = np.random.default_rng(_INNER_SEED)
-    grad1, rho1, inner_min_1 = _stationarity(problem, traj, adj_1, u, 1, rng)
-    grad2, rho2, inner_min_2 = _stationarity(problem, traj, adj_2, u, 2, rng)
+    grad1, rho1, inner_min_1 = _stationarity(problem, traj, adj_1, u, 1)
+    grad2, rho2, inner_min_2 = _stationarity(problem, traj, adj_2, u, 2)
     return ViResidualReport(grad1, grad2, rho1, rho2, inner_min_1, inner_min_2)
 
 

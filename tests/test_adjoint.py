@@ -199,6 +199,41 @@ class TestDuality:
             rep.forward_identity - rep.backward_identity, abs=1e-14
         )
 
+    @pytest.mark.parametrize("spec, make_backend", [
+        (coupled_lq_spec(), lambda: montecarlo(8, paths=512)),
+        (random_lq_spec(3, Dims(2, 2, 2, 2, 2)), lambda: montecarlo(8, paths=512, d=2)),
+    ], ids=["coupled", "random-2d"])
+    def test_monte_carlo_matches_the_per_step_sums(self, spec, make_backend):
+        # duality_residual evaluates every pairing over all rows at once;
+        # here each step's pairings are evaluated and averaged on their own
+        backend = make_backend()
+        problem = lq_to_problem(spec)
+        u, u_bar = (random_controls(problem, backend, seed=s) for s in (1, 2))
+        traj, traj_bar = (solve_fbsde(problem, c, backend, FbsdeConfig(tol=1e-12))[0]
+                          for c in (u, u_bar))
+        adj_bar, _ = solve_adjoint(problem, traj_bar, u_bar, 2, backend)
+        report = duality_residual(problem, traj, traj_bar, adj_bar, u, u_bar, backend)
+        co, knots, dt = problem.coefficients, backend.grid.knots, backend.grid.dt
+        sums = np.zeros(6)
+        for j in range(backend.grid.steps):
+            args = (float(knots[j]), traj.x[j], traj.y[j], traj.z[j], u.u1[j], u.u2[j])
+            args_bar = (float(knots[j]), traj_bar.x[j], traj_bar.y[j], traj_bar.z[j],
+                        u_bar.u1[j], u_bar.u2[j])
+            costates = (adj_bar.p[j], adj_bar.q[j], adj_bar.k[j])
+            grads = [costate_combination(problem, 2, var, *args_bar, *costates).reshape(a.shape)
+                     for var, a in zip("xyz", args[1:4])]
+            terms = [g * (a - b) for g, a, b in zip(grads, args[1:4], args_bar[1:4])]
+            terms += [c * (getattr(co, name)(*args) - getattr(co, name)(*args_bar))
+                      for c, name in zip(costates, ("b", "sigma", "f"))]
+            sums += [dt * float(backend.expect(j, term.reshape(term.shape[0], -1).sum(axis=1)))
+                     for term in terms]
+        got = [report.integral_gx, report.integral_gy, report.integral_gz,
+               report.integral_pb, report.integral_qsigma, report.integral_kf]
+        _close(np.array(got), sums)
+        gx, gy, gz, pb, qs, kf = sums
+        want = report.terminal_term - report.initial_term + gx + gy + gz - (pb + qs - kf)
+        _close(np.array([report.residual]), np.array([want]))
+
     def test_shape_guard(self):
         backend = lattice(16)
         other = lattice(8)

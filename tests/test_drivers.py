@@ -373,3 +373,27 @@ def test_plain_backends_are_one_member_backends(make_backend, trailing):
             _runs(backend, *shapes), _runs(backends[-1], *shapes), strict=True):
         assert part == want_part
         np.testing.assert_array_equal(owners, want_owners)
+
+
+@pytest.mark.parametrize("make_backend", [
+    lambda: lattice(6),
+    lambda: lattice(6).with_members(3),
+    lambda: montecarlo(steps=4, paths=64, seed=5),
+], ids=["lattice", "lattice-3-members", "montecarlo"])
+@pytest.mark.parametrize("steps", ["all", "controls"])
+def test_expectations_and_integrate_are_the_per_step_loop(make_backend, steps):
+    # the one place a process's rows are cut by step: bit for bit the loop
+    # over steps 0..K-1 that each caller wrote for itself
+    backend = make_backend()
+    N, dt, offsets = backend.grid.steps, backend.grid.dt, backend.offsets
+    K = N + 1 if steps == "all" else N
+    rows = np.random.default_rng(K).standard_normal(offsets[K])
+    means = backend.expectations(rows)
+    assert len(means) == K
+    total = 0.0
+    for j, mean in enumerate(means):
+        want = backend.expect(j, rows[offsets[j]:offsets[j + 1]])
+        assert np.shape(mean) == np.shape(want) == ((3,) if backend.members == 3 else ())
+        assert np.asarray(mean).tobytes() == np.asarray(want).tobytes()
+        total = total + dt * want
+    assert np.asarray(backend.integrate(rows)).tobytes() == np.asarray(total).tobytes()

@@ -1,6 +1,7 @@
 """Hamiltonian evaluation, stationarity residuals, pointwise checks, certificates."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -165,6 +166,39 @@ def test_vi_invariant_to_constant_cost_shift():
     b = _vi_at(shifted, lattice(4), 0.25)
     assert a.rho1 == b.rho1
     assert a.inner_min_1 == b.inner_min_1
+
+
+@pytest.mark.parametrize("c", [0.5, -1.25])
+@pytest.mark.parametrize("u", [-1.0, -0.3, 0.0, 0.7, 1.0])
+def test_vi_inner_min_takes_the_better_end_of_the_box(c, u):
+    # H_1u1 = c on the box [-1, 1]: the first-order condition is exact
+    vi = _vi_at(_constant_gradient_problem(c), lattice(4), u)
+    assert vi.inner_min_1 == min(c * (-1.0 - u), c * (1.0 - u))
+    assert vi.inner_min_2 == 0.0
+
+
+def test_vi_inner_min_is_the_least_vertex_of_the_clipped_box():
+    # k = 3 with one unbounded coordinate, clipped to +-_INNER_RADIUS; some
+    # controls on that coordinate lie beyond the clip
+    spec = random_lq_spec(5, Dims(1, 1, 1, 3, 1))
+    box = ControlBox(np.array([-1.0, -0.5, -np.inf]), np.array([1.0, 2.0, np.inf]))
+    problem = lq_to_problem(dataclasses.replace(spec, u1_box=box))
+    backend = lattice(6)
+    u = random_controls(problem, backend, seed=4)
+    u.u1.rows[:, 2] *= 15.0
+    traj, _ = solve_fbsde(problem, u, backend, FbsdeConfig(tol=1e-12))
+    adj1, _ = solve_adjoint(problem, traj, u, 1, backend)
+    adj2, _ = solve_adjoint(problem, traj, u, 2, backend)
+    vi = vi_residual(problem, traj, adj1, adj2, u)
+    radius = hamiltonian._INNER_RADIUS
+    ends = zip(np.maximum(box.lower, -radius), np.minimum(box.upper, radius))
+    g, own = vi.grad1.rows, u.u1.rows
+    assert np.abs(own[:, 2]).max() > radius
+    by_vertex = [(g * (np.array(v) - own)).sum(axis=1) for v in itertools.product(*ends)]
+    assert len(by_vertex) == 8
+    # each term is one of the two ends' terms, and a sum in a fixed order
+    # rounds monotonically, so the least vertex is met exactly
+    assert vi.inner_min_1 == np.min(by_vertex)
 
 
 @given(
