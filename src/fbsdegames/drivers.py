@@ -192,7 +192,9 @@ class _Projection:
         return self.gram is not None
 
     def fit(self, targets: Array) -> Array:
-        coef = self.basis.T @ targets
+        # contiguous, so that a broadcast (stride-0) target takes the same
+        # matrix product, and rounds the same, as its copy
+        coef = self.basis.T @ np.ascontiguousarray(targets)
         if self.gram is not None:
             coef = np.linalg.solve(self.gram, coef)
         return self.basis @ coef

@@ -244,17 +244,13 @@ def _backward_sweep(backend: Backend, terminal: Array, xs, driver):
     a = StepArray(np.empty((offsets[N + 1],) + terminal.shape[1:]), offsets)
     b = StepArray(np.empty((offsets[N],) + terminal.shape[1:] + (backend.d,)), offsets[: N + 1])
     a[N][...] = terminal
-    # step N - 1 fits terminal as given: a regression's matrix product
-    # rounds a broadcast terminal differently from its contiguous copy
-    later = terminal
     ridge_events = 0
     for j in range(N - 1, -1, -1):
-        increment, r1 = backend.cond_exp_increment(j, later, xs[j])
-        mean, r2 = backend.cond_exp(j, later, xs[j])
+        increment, r1 = backend.cond_exp_increment(j, a[j + 1], xs[j])
+        mean, r2 = backend.cond_exp(j, a[j + 1], xs[j])
         np.divide(increment, dt, out=b[j])
         np.add(mean, driver(j, mean, b[j]) * dt, out=a[j])
         ridge_events += r1 + r2
-        later = a[j]
     return a, b, ridge_events
 
 

@@ -254,7 +254,6 @@ def lq_to_problem(spec: LQGameSpec) -> GameProblem:
 
     c, L = spec.xi, spec.xi_linear
     if L is None:
-        # a read-only stride-0 broadcast, which the Monte Carlo fits read as given
         def xi(bt: Array) -> Array:
             return np.broadcast_to(c, (bt.shape[0], c.shape[0]))
     else:

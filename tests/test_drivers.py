@@ -247,6 +247,22 @@ def test_mc_projection_is_independent_of_earlier_fits():
             assert got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("case", ["full-rank", "collinear"])
+@pytest.mark.parametrize("width", [1, 2])
+def test_mc_projection_fits_a_broadcast_target_as_its_copy(case, width):
+    # a constant terminal is a read-only stride-0 broadcast; the fit must
+    # not round it differently from the same values laid out contiguously
+    paths = 4096
+    regressors = _regression_cases(paths)[case]
+    broadcast = np.broadcast_to(np.array([0.3, -1.7][:width]), (paths, width))
+    for method in ("cond_exp", "cond_exp_increment"):
+        backend = montecarlo(steps=4, paths=paths, seed=3, degree=2)
+        got, got_ridge = getattr(backend, method)(1, broadcast, regressors)
+        ref, ref_ridge = getattr(backend, method)(1, broadcast.copy(), regressors)
+        assert got_ridge == ref_ridge == (case != "full-rank")
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_mc_projection_follows_regressors_refilled_in_place():
     paths = 256
     backend = montecarlo(steps=4, paths=paths, seed=3, degree=2)
