@@ -320,7 +320,9 @@ def _parse_box(obj, k: int, where: str) -> ControlBox:
     return ControlBox(lower, upper)
 
 
-def _parse_grid(obj, where: str, box: ControlBox) -> np.ndarray:
+def _parse_grid(obj, where: str, box: ControlBox, budget) -> np.ndarray:
+    """The candidate controls of one player, one per row.  A points grid
+    with more rows than the raw `budget` (an integer >= 1) is not built."""
     k = box.dim
     obj = _require_mapping({"points": 5} if obj is None else obj, where)
     if "values" in obj:
@@ -340,6 +342,11 @@ def _parse_grid(obj, where: str, box: ControlBox) -> np.ndarray:
                 raise ConfigError(where, "unbounded box: grid needs explicit 'lower'/'upper'")
         if k == 0:
             return np.zeros((1, 0))
+        if isinstance(budget, int) and 1 <= budget < points**k:
+            # a best response enumerates rows**nodes candidates, each a cost
+            # evaluation, so the oracle refuses this grid by its row count
+            # before it reads a value: only the shape is kept, in no memory
+            return np.broadcast_to(np.nan, (budget + 1, k))
         axes = [np.linspace(lower[c], upper[c], points) for c in range(k)]
         mesh = np.meshgrid(*axes, indexing="ij")
         grid = np.stack([m.ravel() for m in mesh], axis=1)
@@ -423,6 +430,9 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         u2_box=box2,
     )
 
+    # the grids are read before the budget is checked, so they see it raw
+    oracle = raw.get("oracle")
+    budget = oracle.get("budget", OracleOptions.budget) if isinstance(oracle, dict) else None
     return RunConfig(
         seed=seed,
         steps=steps,
@@ -435,10 +445,10 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         gradient=_read_options(GradientConfig, raw.get("gradient", {}), "gradient"),
         certificate=_read_options(CertificateOptions, raw.get("certificate", {}), "certificate"),
         # "oracle": null is an absent block
-        oracle=None if raw.get("oracle") is None else _read_options(
-            OracleOptions, raw["oracle"], "oracle",
-            grid1=lambda obj, where: _parse_grid(obj, where, box1),
-            grid2=lambda obj, where: _parse_grid(obj, where, box2),
+        oracle=None if oracle is None else _read_options(
+            OracleOptions, oracle, "oracle",
+            grid1=lambda obj, where: _parse_grid(obj, where, box1, budget),
+            grid2=lambda obj, where: _parse_grid(obj, where, box2, budget),
         ),
         check=_read_options(CheckOptions, raw.get("check", {}), "check"),
         echo=raw,

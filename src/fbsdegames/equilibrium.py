@@ -563,8 +563,8 @@ def brute_force_nash(
     a chunk fails, its profiles are solved again one at a time, in order, and
     the first failure is raised as the unbatched loop would raise it.  Past
     the budget, the profiles that fit are evaluated and then
-    BudgetExceededError is raised; a best response with more candidates than
-    the whole budget raises it before anything is enumerated.  Candidates
+    BudgetExceededError is raised; a grid whose best response has more
+    candidates than the whole budget raises it before anything is enumerated.  Candidates
     are enumerated lazily, `_ORACLE_MEMBERS` at a time.  A non-finite cost
     raises NonFiniteCostError.
     """
@@ -607,10 +607,6 @@ def brute_force_nash(
 
     def best_response(player: int, frozen: tuple[int, ...]) -> tuple[int, ...]:
         G = grid1.shape[0] if player == 1 else grid2.shape[0]
-        if G**node_count > budget:
-            # the cache holds at most `budget` profiles, so some candidate
-            # would have to be evaluated past the budget
-            raise BudgetExceededError(exhausted)
         cands = itertools.product(range(G), repeat=node_count)
         best_a: tuple[int, ...] | None = None
         best_j = np.inf
@@ -625,6 +621,11 @@ def brute_force_nash(
         assert best_a is not None
         return best_a
 
+    if max(grid1.shape[0], grid2.shape[0]) ** node_count > budget:
+        # the cache holds at most `budget` profiles, so some candidate of a
+        # best response would have to be evaluated past the budget; checked
+        # before any grid value is read
+        raise BudgetExceededError(exhausted)
     a1 = tuple([0] * node_count)
     a2 = tuple([0] * node_count)
     seen = {(a1, a2)}

@@ -629,6 +629,39 @@ class TestOracle:
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("oracle budget exceeded: enumeration budget of 1000000")
 
+    @pytest.mark.parametrize("grid", ["grid1", "grid2"])
+    def test_grid_beyond_the_budget_is_never_built(self, tmp_path, grid):
+        # 10**9 points cost 7.5 GiB, over the address-space cap; more points
+        # than the budget can never be enumerated, so the oracle exits 65
+        # with its budget message and the other commands run as without it
+        config = Path(__file__).resolve().parents[1] / "configs" / "two_step_oracle.json"
+        cfg = json.loads(config.read_text())
+        cfg["oracle"][grid] = {"points": 10**9}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        commands = [
+            ["check", "--config", path],
+            ["solve", "--config", path, "--out", str(out / "solve")],
+            ["verify", "--config", path, "--out", str(out / "verify"),
+             "--controls", str(out / "solve" / "controls.csv")],
+            ["oracle", "--config", path, "--out", str(out / "oracle")],
+        ]
+        limit = 1 << 30
+        code = (
+            "import contextlib, io, resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from fbsdegames.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {commands!r}]\n"
+            "print(codes)\n"
+        )
+        done = run_process("-c", code, module=False)
+        assert "Traceback" not in done.stderr
+        assert done.returncode == 0
+        assert done.stdout.strip() == str([EXIT_OK, EXIT_OK, EXIT_OK, EXIT_BUDGET])
+        assert done.stderr.startswith("oracle budget exceeded: enumeration budget of 1000000")
+        assert not (out / "oracle").exists()
+
     def test_riccati_section_and_gap_printing(self, tmp_path, capsys):
         cfg = self._tiny_cfg()
         cfg["dims"] = {"n": 1, "m": 1, "d": 1, "k1": 1, "k2": 0}
