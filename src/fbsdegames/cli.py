@@ -321,8 +321,6 @@ def _parse_box(obj, k: int, where: str) -> ControlBox:
 
 
 def _parse_grid(obj, where: str, box: ControlBox, budget) -> np.ndarray:
-    """The candidate controls of one player, one per row.  A points grid
-    with more rows than the raw `budget` (an integer >= 1) is not built."""
     k = box.dim
     obj = _require_mapping({"points": 5} if obj is None else obj, where)
     if "values" in obj:
@@ -343,9 +341,8 @@ def _parse_grid(obj, where: str, box: ControlBox, budget) -> np.ndarray:
         if k == 0:
             return np.zeros((1, 0))
         if isinstance(budget, int) and 1 <= budget < points**k:
-            # a best response enumerates rows**nodes candidates, each a cost
-            # evaluation, so the oracle refuses this grid by its row count
-            # before it reads a value: only the shape is kept, in no memory
+            # more points than the (raw) budget: the oracle refuses the grid
+            # by its row count alone, so only a shape is kept, in no memory
             return np.broadcast_to(np.nan, (budget + 1, k))
         axes = [np.linspace(lower[c], upper[c], points) for c in range(k)]
         mesh = np.meshgrid(*axes, indexing="ij")

@@ -192,8 +192,7 @@ class _Projection:
         return self.gram is not None
 
     def fit(self, targets: Array) -> Array:
-        # contiguous, so that a broadcast (stride-0) target takes the same
-        # matrix product, and rounds the same, as its copy
+        # contiguous: a broadcast (stride-0) target then rounds as its copy does
         coef = self.basis.T @ np.ascontiguousarray(targets)
         if self.gram is not None:
             coef = np.linalg.solve(self.gram, coef)
@@ -210,8 +209,8 @@ class _Rows:
     rows of one or more consecutive steps between per-member arrays and
     the backend's rows (one member's array passes through), `member_rows`
     selects the rows of chosen members, and `scenario_of` names a row's
-    scenario within its member.  `expectations` and `integrate` are the one
-    place a process's rows are cut by step for `expect`.
+    scenario within its member.  `expectations` and `integrate` cut a
+    process's rows by step for `expect`.
     """
 
     offsets: tuple[int, ...]

@@ -232,25 +232,20 @@ def check_pointwise_min(
             better = chunk_best > span_best  # strict: earlier blocks win ties
             span_best[better] = chunk_best[better]
             span_idx[better] = c0 + idx[better]
-    per_step = StepArray(row_best, offsets)
-    worst = -np.inf
-    worst_loc = (0, 0)
-    worst_alt: Array | None = None
-    for j, step_best in enumerate(per_step):
-        s = int(np.argmax(step_best))
-        if step_best[s] > worst:
-            worst = float(step_best[s])
-            worst_loc = (j, s)
-            worst_alt = candidates[best[offsets[j] + s]].copy()
+    # the first maximum, at the earliest step and scenario; row_best holds
+    # no NaN, since a NaN gain never passes the strict comparison above
+    r = int(np.argmax(row_best))
+    worst = float(row_best[r])
+    step = int(np.searchsorted(offsets, r, side="right")) - 1
     return PointwiseMinReport(
         passed=worst <= tol,
         violation=worst,
-        step=worst_loc[0],
-        scenario=worst_loc[1],
-        best_alternative=worst_alt,
+        step=step,
+        scenario=r - offsets[step],
+        best_alternative=candidates[best[r]].copy() if worst > -np.inf else None,
         tol=tol,
         grid_points=candidates.shape[0],
-        per_step_violation=per_step,
+        per_step_violation=StepArray(row_best, offsets),
     )
 
 

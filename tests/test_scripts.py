@@ -72,3 +72,34 @@ def test_convergence_study_reads_first_order_ratios(capsys):
     ratios = [float(line[-8:]) for line in rows if line[-8:].strip()]
     assert len(ratios) == 4 + 3  # every grid after the first of each table
     assert all(1.9 <= r <= 2.1 for r in ratios), ratios
+
+
+def test_design_size_counts_lines_and_settable_values(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "def f(x, y=1, *, z=2, w):\n"
+        "    return lambda v=3: v\n"
+        "@dataclass(frozen=True)\n"
+        "class C:\n"
+        "    a: int\n"
+        "    b: int = 0\n"
+        "    c: list = field(repr=False)\n"
+        "    d: list = field(default_factory=list)\n"
+        "class Plain:\n"
+        "    e: int = 5\n"
+    )
+    (tmp_path / "b.py").write_text("x = 1\n")
+    module = _load("design_size")
+    assert module.main([str(tmp_path)]) == 0
+    rows = {line[:20].strip(): line[20:] for line in capsys.readouterr().out.splitlines()}
+    assert int(rows["a.py"]) == 11 and int(rows["b.py"]) == 1 and int(rows["total"]) == 12
+    # y and z of the def (not the lambda's v), b, c and d of the dataclass
+    # (not the plain class's e), c being a field() without a default
+    assert rows["settable values"].split("(")[0].strip() == "5"
+    assert "2 defaulted def parameters, 3 dataclass fields with '=', 1 of them" in (
+        rows["settable values"])
+    # the package itself: the module lines add up to the total
+    assert module.main() == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    total = int(rows[-2][20:])
+    assert sum(int(line[20:]) for line in rows[:-2]) == total
