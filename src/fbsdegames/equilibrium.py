@@ -564,9 +564,9 @@ def brute_force_nash(
     the first failure is raised as the unbatched loop would raise it.  Past
     the budget, the profiles that fit are evaluated and then
     BudgetExceededError is raised; a grid whose best response has more
-    candidates than the whole budget raises it before anything is enumerated.  Candidates
-    are enumerated lazily, `_ORACLE_MEMBERS` at a time.  A non-finite cost
-    raises NonFiniteCostError.
+    candidates than the whole budget raises it before anything is
+    enumerated.  Candidates are enumerated lazily, `_ORACLE_MEMBERS` at a
+    time.  A non-finite cost raises NonFiniteCostError.
     """
     if backend.kind != "lattice":
         raise ValueError("the enumeration oracle requires the lattice backend")
