@@ -94,9 +94,15 @@ class StepArray(tuple):
         return self.rows[: self.offsets[steps]]
 
 
-def _path_generator(seed: int, path: int) -> np.random.Generator:
-    # stream keyed by (seed, path) only, immune to path count and scheduling
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(path)))
+def _reseed(bits: np.random.Philox, seed: int, path: int) -> None:
+    """Put `bits` at the start of the (seed, path) stream: the state of a
+    fresh `Philox(key=(seed << 64) | path)`, whose two little-endian key
+    words are (path, seed), at counter 0 with an empty buffer."""
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([path, seed], np.uint64)},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
 
 
 @dataclass(frozen=True)
@@ -123,13 +129,24 @@ class PathEnsemble:
 
 
 def sample_ensemble(grid: TimeGrid, paths: int, d: int, seed: int) -> PathEnsemble:
-    """Draw N(0, dt) increments; path p depends on (seed, p) only."""
+    """Draw N(0, dt) increments; path p depends on (seed, p) only.
+
+    Path p is sqrt(dt) times the first (N, d) standard normals of
+    `Generator(Philox(key=(seed << 64) | p))`, whatever the path count.
+    Philox is counter-based, so one bit generator reset to each path's key
+    draws the same numbers as a fresh generator per path.
+    """
     if paths < 1 or d < 1:
         raise ValueError("paths and d must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     scale = np.sqrt(grid.dt)
+    bits = np.random.Philox()
+    draw = np.random.Generator(bits).standard_normal
     inc = np.empty((grid.steps, paths, d))
     for p in range(paths):
-        inc[:, p, :] = scale * _path_generator(seed, p).standard_normal((grid.steps, d))
+        _reseed(bits, seed, p)
+        inc[:, p, :] = scale * draw((grid.steps, d))
     inc.setflags(write=False)
     return PathEnsemble(grid=grid, increments=inc, seed=int(seed))
 

@@ -10,7 +10,7 @@ from fbsdegames import (
     TimeGrid,
     sample_ensemble,
 )
-from fbsdegames.drivers import polynomial_design
+from fbsdegames.drivers import _reseed, polynomial_design
 from fbsdegames.fbsde import _runs
 
 from conftest import lattice, member, montecarlo
@@ -33,6 +33,38 @@ def test_substreams_do_not_depend_on_path_count():
     small = sample_ensemble(grid, 5, 2, seed=42)
     large = sample_ensemble(grid, 9, 2, seed=42)
     np.testing.assert_array_equal(small.increments, large.increments[:, :5, :])
+
+
+def _path_generator(seed, path):
+    """The reference stream of path `path`: a fresh generator keyed by (seed, path)."""
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | path))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("d", [1, 3])
+def test_ensemble_is_the_per_path_reference_stream(seed, d):
+    grid = TimeGrid(1.0, 5)
+    ens = sample_ensemble(grid, 6, d, seed)
+    for p in range(6):
+        path = np.sqrt(grid.dt) * _path_generator(seed, p).standard_normal((5, d))
+        assert ens.increments[:, p, :].tobytes() == path.tobytes()
+
+
+def test_reseed_splits_the_key_into_path_and_seed_words():
+    bits = np.random.Philox()
+    np.random.Generator(bits).standard_normal(7)  # leave a counter and a buffer behind
+    seed, path = 2**64 - 2, 2**40 + 3
+    _reseed(bits, seed, path)
+    fresh = np.random.Philox(key=(seed << 64) | path)
+    assert bits.state["state"]["key"].tolist() == [path, seed]
+    assert np.random.Generator(bits).standard_normal(9).tobytes() == (
+        np.random.Generator(fresh).standard_normal(9).tobytes())
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_ensemble_seed_outside_64_bits_is_rejected(seed):
+    with pytest.raises(ValueError, match="seed"):
+        sample_ensemble(TimeGrid(1.0, 2), 2, 1, seed)
 
 
 def test_ensemble_seed_determinism():
