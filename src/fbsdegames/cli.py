@@ -53,9 +53,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -298,9 +300,19 @@ class RunConfig:
     fbsde: FbsdeConfig
     gradient: GradientConfig
     certificate: CertificateOptions
-    oracle: OracleOptions | None
     check: CheckOptions
     echo: dict
+
+    @functools.cached_property
+    def oracle(self) -> OracleOptions | None:
+        """The oracle block of `echo`, its points grids built on first read,
+        so that only the oracle builds them.  The best responses run on the
+        lattice, whose steps before the last hold steps(steps + 1)/2 nodes."""
+        block = self.echo.get("oracle")
+        if block is None:
+            return None
+        budget = block.get("budget", OracleOptions.budget)
+        return _parse_oracle(block, self.spec, budget, self.steps * (self.steps + 1) // 2)
 
 
 def _parse_box(obj, k: int, where: str) -> ControlBox:
@@ -320,7 +332,15 @@ def _parse_box(obj, k: int, where: str) -> ControlBox:
     return ControlBox(lower, upper)
 
 
-def _parse_grid(obj, where: str, box: ControlBox, budget) -> np.ndarray:
+def _parse_grid(obj, where: str, box: ControlBox, budget: int, nodes: int) -> np.ndarray:
+    """The candidate rows of grid block `obj`, one per row.
+
+    A points grid of G rows is built only if the G**nodes candidates of a
+    best response on a tree of `nodes` nodes fit `budget`.  Otherwise the
+    oracle refuses it by its row count alone, so only its shape is kept, at
+    most budget + 1 rows, in no memory.  Budget 0 builds no points grid and
+    only validates the block.
+    """
     k = box.dim
     obj = _require_mapping({"points": 5} if obj is None else obj, where)
     if "values" in obj:
@@ -340,15 +360,24 @@ def _parse_grid(obj, where: str, box: ControlBox, budget) -> np.ndarray:
                 raise ConfigError(where, "unbounded box: grid needs explicit 'lower'/'upper'")
         if k == 0:
             return np.zeros((1, 0))
-        if isinstance(budget, int) and 1 <= budget < points**k:
-            # more points than the (raw) budget: the oracle refuses the grid
-            # by its row count alone, so only a shape is kept, in no memory
-            return np.broadcast_to(np.nan, (budget + 1, k))
+        rows = points**k
+        # G >= 2, so G**nodes passes the budget once nodes reach its bit length
+        if nodes >= budget.bit_length() or rows**nodes > budget:
+            return np.broadcast_to(np.nan, (min(rows, budget + 1), k))
         axes = [np.linspace(lower[c], upper[c], points) for c in range(k)]
         mesh = np.meshgrid(*axes, indexing="ij")
         grid = np.stack([m.ravel() for m in mesh], axis=1)
     # an inert player (k = 0) has one candidate, the empty control
     return grid if k else np.zeros((1, 0))
+
+
+def _parse_oracle(obj, spec: LQGameSpec, budget: int, nodes: int) -> OracleOptions:
+    """Oracle block `obj`, its grids read by `_parse_grid` at `budget` and `nodes`."""
+    def grid(box: ControlBox):
+        return lambda value, where: _parse_grid(value, where, box, budget, nodes)
+
+    return _read_options(OracleOptions, obj, "oracle",
+                         grid1=grid(spec.u1_box), grid2=grid(spec.u2_box))
 
 
 _TOP_KEYS = {
@@ -427,9 +456,9 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         u2_box=box2,
     )
 
-    # the grids are read before the budget is checked, so they see it raw
     oracle = raw.get("oracle")
-    budget = oracle.get("budget", OracleOptions.budget) if isinstance(oracle, dict) else None
+    if oracle is not None:  # "oracle": null is an absent block
+        _parse_oracle(oracle, spec, budget=0, nodes=1)  # checked here, built by `RunConfig.oracle`
     return RunConfig(
         seed=seed,
         steps=steps,
@@ -441,12 +470,6 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         fbsde=_read_options(FbsdeConfig, raw.get("fbsde", {}), "fbsde"),
         gradient=_read_options(GradientConfig, raw.get("gradient", {}), "gradient"),
         certificate=_read_options(CertificateOptions, raw.get("certificate", {}), "certificate"),
-        # "oracle": null is an absent block
-        oracle=None if oracle is None else _read_options(
-            OracleOptions, oracle, "oracle",
-            grid1=lambda obj, where: _parse_grid(obj, where, box1, budget),
-            grid2=lambda obj, where: _parse_grid(obj, where, box2, budget),
-        ),
         check=_read_options(CheckOptions, raw.get("check", {}), "check"),
         echo=raw,
     )
@@ -602,9 +625,14 @@ def write_controls(path: Path, problem: GameProblem, backend: Backend, u: Contro
     ))
 
 
-# controls.csv rows converted at a time: one chunk's cells as Python strings
-# are the reader's largest allocation.
-_CONTROLS_CHUNK = 4096
+def _controls_rows(lines: list[str], width: int) -> np.ndarray:
+    """`lines` read by NumPy's C tokenizer as (step, scenario, values)
+    records: step and scenario are integer literals that fit int64, each
+    value a float literal; either may have surrounding whitespace.  Raises
+    ValueError on a malformed cell or a line of another width; skips
+    blank lines."""
+    record = np.dtype([("step", np.int64), ("scenario", np.int64), ("values", float, (width - 2,))])
+    return np.loadtxt(lines, dtype=record, delimiter=",", comments=None, ndmin=1)
 
 
 def _controls_table(body: list[str], width: int, counts: list[int]) -> np.ndarray | None:
@@ -613,22 +641,13 @@ def _controls_table(body: list[str], width: int, counts: list[int]) -> np.ndarra
     Checks all lines: column count, integer step and scenario, finite
     values, inside the grid, and each (step, scenario) exactly once.
     """
-    if any(line.count(",") != width - 1 for line in body):
+    try:
+        table = _controls_rows(body, width)
+    except ValueError:
         return None
-    steps = np.empty(len(body), dtype=np.int64)
-    scenarios = np.empty(len(body), dtype=np.int64)
-    values = np.empty((len(body), width - 2))
-    for start in range(0, len(body), _CONTROLS_CHUNK):
-        chunk = body[start:start + _CONTROLS_CHUNK]
-        span = slice(start, start + len(chunk))
-        # an object array of str casts cell by cell with int() and float()
-        table = np.array(",".join(chunk).split(","), dtype=object).reshape(len(chunk), width)
-        try:
-            steps[span] = table[:, 0].astype(np.int64)
-            scenarios[span] = table[:, 1].astype(np.int64)
-            values[span] = table[:, 2:].astype(float)
-        except (ValueError, OverflowError):
-            return None
+    if len(table) != len(body):  # a blank line
+        return None
+    steps, scenarios, values = table["step"], table["scenario"], table["values"]
     if not ((steps >= 0) & (steps < len(counts))).all():
         return None
     sizes = np.array(counts)
@@ -642,22 +661,41 @@ def _controls_table(body: list[str], width: int, counts: list[int]) -> np.ndarra
     return ordered
 
 
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _controls_line(line: str, width: int) -> tuple[int, int, np.ndarray] | None:
+    """(step, scenario, values) of one line as `_controls_rows` reads it, or
+    None if a cell is malformed.  A step or scenario literal beyond int64
+    is read as a Python int, which lies outside every grid."""
+    try:
+        (row,) = _controls_rows([line], width)
+        return int(row["step"]), int(row["scenario"]), row["values"]
+    except ValueError:
+        pass
+    cells = line.split(",")
+    if not all(_INTEGER.fullmatch(c) for c in cells[:2]):
+        return None
+    try:
+        values = np.loadtxt([line], delimiter=",", comments=None, ndmin=2)[0, 2:]
+        return int(cells[0]), int(cells[1]), values
+    except ValueError:  # a malformed value, or a literal longer than int() converts
+        return None
+
+
 def _first_controls_error(
     path: Path, body: list[str], width: int, counts: list[int]
 ) -> ConfigError:
     """The error of the first offending line in file order, else the coverage error."""
     seen: dict[tuple[int, int], int] = {}
     for ln, line in enumerate(body, start=2):
-        cells = line.split(",")
-        if len(cells) != width:
+        if line.count(",") != width - 1:
             return ConfigError(f"{path}:{ln}", "wrong column count")
-        try:
-            j = int(cells[0])
-            s = int(cells[1])
-            values = [float(c) for c in cells[2:]]
-        except ValueError:
+        row = _controls_line(line, width)
+        if row is None:
             return ConfigError(f"{path}:{ln}", "malformed numeric cell")
-        if not all(math.isfinite(v) for v in values):
+        j, s, values = row
+        if not np.isfinite(values).all():
             return ConfigError(f"{path}:{ln}", "control values must be finite")
         if not 0 <= j < len(counts) or not 0 <= s < counts[j]:
             return ConfigError(f"{path}:{ln}", f"step/scenario ({j}, {s}) outside the grid")

@@ -629,14 +629,14 @@ class TestOracle:
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("oracle budget exceeded: enumeration budget of 1000000")
 
-    @pytest.mark.parametrize("grid", ["grid1", "grid2"])
-    def test_grid_beyond_the_budget_is_never_built(self, tmp_path, grid):
-        # 10**9 points cost 7.5 GiB, over the address-space cap; more points
-        # than the budget can never be enumerated, so the oracle exits 65
-        # with its budget message and the other commands run as without it
+    @staticmethod
+    def _four_commands_capped(tmp_path, oracle_block):
+        """check, solve, verify and oracle on two_step_oracle.json with the
+        given oracle keys, in a child interpreter under a 1 GiB address-space
+        cap; (child process, --out root)."""
         config = Path(__file__).resolve().parents[1] / "configs" / "two_step_oracle.json"
         cfg = json.loads(config.read_text())
-        cfg["oracle"][grid] = {"points": 10**9}
+        cfg["oracle"].update(oracle_block)
         path = write_config(tmp_path, cfg)
         out = tmp_path / "o"
         commands = [
@@ -655,11 +655,31 @@ class TestOracle:
             f"    codes = [main(argv) for argv in {commands!r}]\n"
             "print(codes)\n"
         )
-        done = run_process("-c", code, module=False)
+        return run_process("-c", code, module=False), out
+
+    @pytest.mark.parametrize("grid", ["grid1", "grid2"])
+    def test_grid_beyond_the_budget_is_never_built(self, tmp_path, grid):
+        # 10**9 points cost 7.5 GiB, over the address-space cap; more points
+        # than the budget can never be enumerated, so the oracle exits 65
+        # with its budget message and the other commands run as without it
+        done, out = self._four_commands_capped(tmp_path, {grid: {"points": 10**9}})
         assert "Traceback" not in done.stderr
         assert done.returncode == 0
         assert done.stdout.strip() == str([EXIT_OK, EXIT_OK, EXIT_OK, EXIT_BUDGET])
         assert done.stderr.startswith("oracle budget exceeded: enumeration budget of 1000000")
+        assert not (out / "oracle").exists()
+
+    def test_grid_within_the_budget_is_built_by_the_oracle_alone(self, tmp_path):
+        # 10**9 points fit a budget of 10**9, but a best response on the
+        # 3-node tree has 10**27 candidates: the oracle refuses the grid
+        # without building it, and check, solve and verify never read it
+        done, out = self._four_commands_capped(
+            tmp_path, {"budget": 10**9, "grid1": {"points": 10**9}})
+        assert "Traceback" not in done.stderr
+        assert done.returncode == 0
+        assert done.stdout.strip() == str([EXIT_OK, EXIT_OK, EXIT_OK, EXIT_BUDGET])
+        assert done.stderr.startswith(
+            "oracle budget exceeded: enumeration budget of 1000000000 ")
         assert not (out / "oracle").exists()
 
     def test_riccati_section_and_gap_printing(self, tmp_path, capsys):

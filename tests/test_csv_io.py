@@ -176,26 +176,28 @@ def test_controls_round_trip_bit_for_bit(tmp_path, case):
         assert read.shape == wrote.shape and read.tobytes() == wrote.tobytes()
 
 
+LONG_STEPS = 100  # a lattice of 5050 rows
+
+
 def _long_controls(tmp_path):
-    """controls.csv of a lattice with more rows than one reader chunk."""
-    problem, backend = lq_to_problem(coupled_lq_spec()), lattice(100)
-    assert sum(backend.scenario_count(j) for j in range(100)) > cli._CONTROLS_CHUNK
+    """controls.csv of a lattice with thousands of rows."""
+    problem, backend = lq_to_problem(coupled_lq_spec()), lattice(LONG_STEPS)
     u = random_controls(problem, backend, seed=4)
     path = tmp_path / "controls.csv"
     write_controls(path, problem, backend, u)
     return problem, backend, u, path
 
 
-def test_controls_longer_than_one_chunk_round_trip_bit_for_bit(tmp_path):
+def test_long_controls_round_trip_bit_for_bit(tmp_path):
     problem, backend, u, path = _long_controls(tmp_path)
     back = read_controls(path, problem, backend)
     for wrote, read in zip(u.u1 + u.u2, back.u1 + back.u2):
         assert read.shape == wrote.shape and read.tobytes() == wrote.tobytes()
 
 
-def test_bad_cell_in_the_second_chunk_names_its_line(tmp_path):
+def test_bad_cell_deep_in_a_long_file_names_its_line(tmp_path):
     problem, backend, _, path = _long_controls(tmp_path)
-    line = cli._CONTROLS_CHUNK + 500  # line 1 is the header
+    line = 4596  # line 1 is the header
     lines = path.read_text().splitlines()
     cells = lines[line - 1].split(",")
     lines[line - 1] = ",".join(cells[:2] + ["0x1"] + cells[3:])
@@ -203,6 +205,20 @@ def test_bad_cell_in_the_second_chunk_names_its_line(tmp_path):
     with pytest.raises(ConfigError) as err:
         read_controls(path, problem, backend)
     assert str(err.value) == f"config error at '{path}:{line}': malformed numeric cell"
+
+
+# the writer prints -0.0 as 0, so it comes back as 0.0
+EXTREMES = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0, 0.1, 1 / 3]
+
+
+def test_extreme_values_round_trip_bit_for_bit(tmp_path):
+    problem, backend = lq_to_problem(coupled_lq_spec()), lattice(STEPS)
+    rows = np.array(EXTREMES)[:, None]
+    u = ControlProcess.from_rows(rows, -rows, backend.offsets[: STEPS + 1])
+    write_controls(tmp_path / "controls.csv", problem, backend, u)
+    back = read_controls(tmp_path / "controls.csv", problem, backend)
+    assert np.concatenate(back.u1).tobytes() == (rows + 0.0).tobytes()
+    assert np.concatenate(back.u2).tobytes() == (-rows + 0.0).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +238,62 @@ def _lines():
 def test_reader_accepts_any_row_order_and_loose_spellings(tmp_path):
     problem, backend = lq_to_problem(coupled_lq_spec()), lattice(STEPS)
     rows = _lines()[:0:-1]
-    rows[0] = "+2, 2 ,0.5, -1_0.0 "
+    rows[0] = "+2, 2 ,0.5, -1e1 "
     path = tmp_path / "controls.csv"
     path.write_text("\n" + "\n".join([HEADER] + rows) + "\n\n")
     u = read_controls(path, problem, backend)
     assert [a[:, 0].tolist() for a in u.u1] == [[0.0], [0.25, 0.25], [0.5, 0.5, 0.5]]
     assert [a[:, 0].tolist() for a in u.u2] == [[0.0], [0.0, -0.5], [0.0, -0.5, -10.0]]
+
+
+# one outcome per spelling of a step cell and of a value cell (the reader is
+# NumPy's tokenizer, which takes no digit underscores, unlike int() and float())
+SPELLINGS = [
+    ("+1", "step", None),
+    (" 1 ", "step", None),
+    ("1_0", "step", "malformed numeric cell"),
+    ("1e400", "step", "malformed numeric cell"),
+    ("+1", "value", None),
+    (" 1 ", "value", None),
+    ("1_0", "value", "malformed numeric cell"),
+    ("1e400", "value", "control values must be finite"),
+]
+
+
+@pytest.mark.parametrize("cell, where, message", SPELLINGS,
+                         ids=[f"{where}:{cell}" for cell, where, _ in SPELLINGS])
+def test_reader_pins_one_outcome_per_spelling(tmp_path, cell, where, message):
+    problem, backend = lq_to_problem(coupled_lq_spec()), lattice(STEPS)
+    lines = _lines()
+    lines[2] = f"{cell},0,0.25,0.0" if where == "step" else f"1,0,{cell},0.0"  # line 3
+    path = tmp_path / "controls.csv"
+    path.write_text("\n".join(lines) + "\n")
+    if message is None:
+        u = read_controls(path, problem, backend)
+        assert u.u1[1][0, 0] == (0.25 if where == "step" else 1.0)
+    else:
+        with pytest.raises(ConfigError) as err:
+            read_controls(path, problem, backend)
+        assert str(err.value) == f"config error at '{path}:3': {message}"
+
+
+ODD_CELLS = ["1_0", "1e400", "0x1", "\u0661", "1.0", "99999999999999999999", "-0", "\ufeff1",
+             "1\x00", "nan", "", " ", "+-1", "1 1", "\xa01\t"]
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_a_line_the_table_rejects_is_named(column):
+    # the per-line search reports a fault wherever the bulk read finds one,
+    # never the coverage error of a file whose lines are all sound
+    counts = [j + 1 for j in range(STEPS)]
+    for cell in ODD_CELLS:
+        lines = _lines()[1:]
+        cells = lines[3].split(",")  # (2, 0) on line 5
+        cells[column] = cell
+        lines[3] = ",".join(cells)
+        if cli._controls_table(lines, 4, counts) is None:
+            err = cli._first_controls_error("c.csv", lines, 4, counts)
+            assert err.where.startswith("c.csv:"), cell  # a line, not the file
 
 
 def _edit(lines, line, text):
