@@ -663,24 +663,45 @@ def _controls_table(body: list[str], width: int, counts: list[int]) -> np.ndarra
 
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 
+# lines the search for the first bad line reads at a time; a block that
+# does not read whole is read again line by line
+_CONTROLS_BLOCK = 1024
 
-def _controls_line(line: str, width: int) -> tuple[int, int, np.ndarray] | None:
+
+def _controls_line(line: str, width: int) -> tuple[int, int, list[float]] | str:
     """(step, scenario, values) of one line as `_controls_rows` reads it, or
-    None if a cell is malformed.  A step or scenario literal beyond int64
-    is read as a Python int, which lies outside every grid."""
+    why it cannot be read.  A step or scenario literal beyond int64 is read
+    as a Python int, which lies outside every grid."""
+    if line.count(",") != width - 1:
+        return "wrong column count"
     try:
         (row,) = _controls_rows([line], width)
-        return int(row["step"]), int(row["scenario"]), row["values"]
+        return int(row["step"]), int(row["scenario"]), row["values"].tolist()
     except ValueError:
         pass
     cells = line.split(",")
-    if not all(_INTEGER.fullmatch(c) for c in cells[:2]):
-        return None
-    try:
-        values = np.loadtxt([line], delimiter=",", comments=None, ndmin=2)[0, 2:]
-        return int(cells[0]), int(cells[1]), values
-    except ValueError:  # a malformed value, or a literal longer than int() converts
-        return None
+    if all(_INTEGER.fullmatch(c) for c in cells[:2]):
+        try:
+            values = np.loadtxt([line], delimiter=",", comments=None, ndmin=2)[0, 2:]
+            return int(cells[0]), int(cells[1]), values.tolist()
+        except ValueError:  # a malformed value, or a literal longer than int() converts
+            pass
+    return "malformed numeric cell"
+
+
+def _controls_lines(body: list[str], width: int):
+    """(line number, `_controls_line` of the line) for each line of `body`."""
+    for start in range(0, len(body), _CONTROLS_BLOCK):
+        block = body[start:start + _CONTROLS_BLOCK]
+        try:
+            table = _controls_rows(block, width)
+        except ValueError:
+            table = ()
+        if len(table) == len(block):
+            rows = zip(*(table[name].tolist() for name in ("step", "scenario", "values")))
+        else:
+            rows = (_controls_line(line, width) for line in block)
+        yield from enumerate(rows, start=start + 2)
 
 
 def _first_controls_error(
@@ -688,14 +709,11 @@ def _first_controls_error(
 ) -> ConfigError:
     """The error of the first offending line in file order, else the coverage error."""
     seen: dict[tuple[int, int], int] = {}
-    for ln, line in enumerate(body, start=2):
-        if line.count(",") != width - 1:
-            return ConfigError(f"{path}:{ln}", "wrong column count")
-        row = _controls_line(line, width)
-        if row is None:
-            return ConfigError(f"{path}:{ln}", "malformed numeric cell")
+    for ln, row in _controls_lines(body, width):
+        if isinstance(row, str):
+            return ConfigError(f"{path}:{ln}", row)
         j, s, values = row
-        if not np.isfinite(values).all():
+        if not all(map(math.isfinite, values)):
             return ConfigError(f"{path}:{ln}", "control values must be finite")
         if not 0 <= j < len(counts) or not 0 <= s < counts[j]:
             return ConfigError(f"{path}:{ln}", f"step/scenario ({j}, {s}) outside the grid")
