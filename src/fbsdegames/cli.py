@@ -380,6 +380,11 @@ def _parse_oracle(obj, spec: LQGameSpec, budget: int, nodes: int) -> OracleOptio
                          grid1=grid(spec.u1_box), grid2=grid(spec.u2_box))
 
 
+# The most points of a player's control grid, which the certificate's
+# pointwise probe builds whole: 2**22 rows of k columns.
+_CERTIFICATE_POINTS = 1 << 22
+
+
 _TOP_KEYS = {
     "name", "seed", "horizon", "steps", "dims", "backend", "initial", "terminal",
     "drift", "diffusion", "driver", "cost1", "cost2", "box1", "box2",
@@ -459,6 +464,12 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     oracle = raw.get("oracle")
     if oracle is not None:  # "oracle": null is an absent block
         _parse_oracle(oracle, spec, budget=0, nodes=1)  # checked here, built by `RunConfig.oracle`
+    certificate = _read_options(CertificateOptions, raw.get("certificate", {}), "certificate")
+    for player, k in ((1, dims.k1), (2, dims.k2)):
+        points = certificate.grid_density**k
+        if points > _CERTIFICATE_POINTS:
+            raise ConfigError("certificate.grid_density", f"player {player}'s control grid has "
+                              f"{points} points, more than {_CERTIFICATE_POINTS}")
     return RunConfig(
         seed=seed,
         steps=steps,
@@ -469,7 +480,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         problem=lq_to_problem(spec),
         fbsde=_read_options(FbsdeConfig, raw.get("fbsde", {}), "fbsde"),
         gradient=_read_options(GradientConfig, raw.get("gradient", {}), "gradient"),
-        certificate=_read_options(CertificateOptions, raw.get("certificate", {}), "certificate"),
+        certificate=certificate,
         check=_read_options(CheckOptions, raw.get("check", {}), "check"),
         echo=raw,
     )

@@ -10,24 +10,24 @@ maps a solved trajectory plus costates to variational-inequality residuals
 controls), and runs the two sufficient-condition probes a verdict rests on:
 pointwise minimization of H_i over a control grid and randomized midpoint
 convexity sampling. Convexity passes are reported as "not refuted", never
-proved. The control gradients, the residuals and the pointwise probe are
-pointwise in (t, scenario), so each runs as one evaluation over the rows of
-all steps (``drivers.StepArray``), with t given per row; only the per-step
-expectations go step by step. The pointwise probe evaluates H_i over
-(candidate, row) pairs in bounded blocks that run across step boundaries,
-keeping the first candidate among equal gains.
+proved. The control gradients and the residuals are pointwise in
+(t, scenario), so each runs as one evaluation over the rows of all steps
+(``drivers.StepArray``), with t given per row; only the per-step
+expectations go step by step. The pointwise probe walks the same rows in
+blocks that run across step boundaries and evaluates H_i there at bounded
+batches of (candidate, row) pairs, keeping the first candidate among equal
+gains; a NaN gain is never a row's best.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .adjoint import AdjointTrajectory, costate_combination
 from .drivers import StepArray
-from .fbsde import ControlProcess, StateTrajectory, _state_rows
+from .fbsde import ControlProcess, NonFiniteStateError, StateTrajectory, _state_rows
 from .problem import ControlBox, GameProblem
 
 Array = np.ndarray
@@ -104,19 +104,10 @@ class ViResidualReport:
     convention: str = CONVENTION_NOTE
 
 
-# Pairs per call of a (candidate, row) search in check_pointwise_min: memory
+# Pairs per call of the (candidate, row) search in check_pointwise_min: memory
 # stays bounded when the control grid has density**k points or the rows are
-# many.
-_POINTWISE_ROWS = 1 << 16
-
-
-def _block_rows(offsets: tuple[int, ...], candidates: int) -> int:
-    """Rows per call of a search of `candidates` candidates over the rows
-    of steps laid out at offsets: at most `_POINTWISE_ROWS` pairs, and no
-    more than a search step by step makes at its largest step, so a search
-    over all steps peaks no higher in memory than that one."""
-    limit = min(_POINTWISE_ROWS, candidates * int(np.diff(offsets).max()))
-    return max(1, limit // candidates)
+# many, and a call's arrays stay near the cache.
+_POINTWISE_ROWS = 1 << 14
 
 
 # vi_residual's first-order condition is taken over the box clipped to
@@ -129,6 +120,12 @@ def _stationarity(problem, traj, adj, u, player) -> tuple[StepArray, float, floa
     grads = control_gradient(problem, traj, adj, u, player)
     box = problem.box(player)
     g, own = grads.rows, u.player(player).rows
+    bad = ~np.isfinite(g).all(axis=1)
+    if bad.any():  # a NaN step would drop out of the max that makes rho
+        row = int(np.argmax(bad))
+        step = int(np.searchsorted(grads.offsets, row, side="right")) - 1
+        raise NonFiniteStateError(step, traj.backend.scenario_of(row - grads.offsets[step]),
+                                  row=row, what=f"control gradient of player {player}")
     squared = np.linalg.norm(own - box.project(own - g), axis=1) ** 2
     worst = 0.0
     for mean in traj.backend.expectations(squared):
@@ -176,7 +173,10 @@ def _control_grid(box: ControlBox, density: int, radius: float | None) -> Array:
         if not np.isfinite(lo_eff) or not np.isfinite(hi_eff):
             raise ValueError("unbounded control box: a truncation radius is required")
         axes.append(np.linspace(lo_eff, hi_eff, density))
-    return np.array(list(itertools.product(*axes)))
+    # the product of the axes, the last varying fastest; an inert player's
+    # one candidate is the empty control
+    mesh = np.array(np.meshgrid(*axes, indexing="ij", copy=False))
+    return mesh.reshape(len(axes), density ** len(axes)).T
 
 
 def _tile_rows(a: Array, count: int) -> Array:
@@ -198,10 +198,13 @@ def check_pointwise_min(
 
     A positive violation means some grid point achieves a strictly lower
     Hamiltonian at the same (state, costate) slice.  The rows of all steps
-    are searched together, in calls of `_block_rows` rows.
+    are walked in blocks of at most `_POINTWISE_ROWS` rows, each searched in
+    calls of at most `_POINTWISE_ROWS` (candidate, row) pairs: a block that
+    many rows long takes one candidate per call, broadcast over its rows,
+    and a shorter one takes as many candidates as fill it, its rows tiled.
     """
     candidates = _control_grid(problem.box(player), grid_density, radius)
-    C = candidates.shape[0]
+    C, width = candidates.shape
     (t, x, y, z, u1, u2), (p, q, k) = _all_rows(traj, adj, u)
     base = eval_hamiltonian(problem, player, t, x, y, z, u1, u2, p, q, k)
     other = u2 if player == 1 else u1
@@ -209,29 +212,34 @@ def check_pointwise_min(
     row_best = np.full(rows, -np.inf)
     best = np.zeros(rows, dtype=int)
     offsets = u.u1.offsets
-    # as many candidates per call as fit: picking a row's best candidate
-    # costs per row and call, not per pair
-    span = min(rows, _block_rows(offsets, C))
-    block = min(C, max(1, _POINTWISE_ROWS // span))
+    span = min(rows, _POINTWISE_ROWS)
+    block = min(C, _POINTWISE_ROWS // span)  # candidates per call
     for r0 in range(0, rows, span):
         sel = slice(r0, r0 + span)
         S = base[sel].shape[0]
-        # (candidate c, row s) at index c * S + s; a block's tiled slice is
-        # a prefix of the first block's
-        tiled = [_tile_rows(a[sel], block) for a in (t, x, y, z, other, p, q, k)]
+        # (candidate c, row s) at index c * S + s; a call's rows are a prefix
+        # of these, the block's own rows when a call takes one candidate
+        tiled = [a[sel] if block == 1 else _tile_rows(a[sel], block)
+                 for a in (t, x, y, z, other, p, q, k)]
         span_best, span_idx = row_best[sel], best[sel]
         for c0 in range(0, C, block):
             chunk = candidates[c0 : c0 + block]
-            tt, tx, ty, tz, t_other, tp, tq, tk = (a[: chunk.shape[0] * S] for a in tiled)
-            cu = np.repeat(chunk, S, axis=0)
+            n = chunk.shape[0]
+            tt, tx, ty, tz, t_other, tp, tq, tk = (a[: n * S] for a in tiled)
+            # each candidate on S rows: stride 0 over the rows, a view when n == 1
+            cu = np.broadcast_to(chunk[:, None], (n, S, width)).reshape(n * S, width)
             trial_u = (cu, t_other) if player == 1 else (t_other, cu)
             trial = eval_hamiltonian(problem, player, tt, tx, ty, tz, *trial_u, tp, tq, tk)
-            gain = base[sel] - trial.reshape(-1, S)
-            idx = np.argmax(gain, axis=0)  # first maximum, as a candidate loop keeps
-            chunk_best = gain[idx, np.arange(S)]
-            better = chunk_best > span_best  # strict: earlier blocks win ties
-            span_best[better] = chunk_best[better]
-            span_idx[better] = c0 + idx[better]
+            gain = base[sel] - trial.reshape(n, S)
+            idx = 0
+            if n > 1:
+                # each row's first maximum over the call, never a NaN gain
+                gain[np.isnan(gain)] = -np.inf
+                idx = np.argmax(gain, axis=0)
+                gain = np.take_along_axis(gain, idx[None], axis=0)
+            better = gain[0] > span_best  # strict: earlier candidates win ties, NaN never
+            np.copyto(span_best, gain[0], where=better)
+            np.copyto(span_idx, c0 + idx, where=better)
     # the first maximum, at the earliest step and scenario; row_best holds
     # no NaN, since a NaN gain never passes the strict comparison above
     r = int(np.argmax(row_best))

@@ -83,6 +83,21 @@ SHIPPED_CONFIGS = [
 ]
 
 
+def run_capped(commands) -> subprocess.CompletedProcess:
+    """The command lines `commands` one after another in a child interpreter
+    under a 1 GiB address-space cap; its stdout is the list of exit codes."""
+    limit = 1 << 30
+    code = (
+        "import contextlib, io, resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from fbsdegames.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {commands!r}]\n"
+        "print(codes)\n"
+    )
+    return run_process("-c", code, module=False)
+
+
 def _zero_controls(tmp_path, steps: int) -> str:
     """A lattice controls.csv with every control zero."""
     path = tmp_path / "zero.csv"
@@ -259,6 +274,46 @@ class TestConfigValidation:
         path = write_config(tmp_path, cfg)
         assert run("solve", "--config", path, "--out", str(tmp_path / "o")) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error at '{where}': {message}")
+
+    @staticmethod
+    def _coupled_game(steps: int, k1: int = 1) -> dict:
+        """configs/coupled_game.json at `steps` steps, player 1 with k1
+        controls that enter as its one control does, each alone in its cost."""
+        path = Path(__file__).resolve().parents[1] / "configs" / "coupled_game.json"
+        cfg = json.loads(path.read_text())
+        cfg["steps"] = steps
+        cfg["dims"]["k1"] = k1
+        for key in ("drift", "driver"):
+            cfg[key]["D1"] = [cfg[key]["D1"][0] * k1]
+        cfg["cost1"]["N"] = np.eye(k1).tolist()
+        return cfg
+
+    @pytest.mark.parametrize("density, k1, points", [(10**8, 1, 10**8), (33, 5, 33**5)])
+    def test_certificate_grid_beyond_its_cap_exits_64(self, tmp_path, density, k1, points):
+        # the pointwise probe builds a player's grid whole: 33**5 = 39.1 M
+        # points or 10**8 ran the search, then ended in a MemoryError
+        # traceback under the cap; parse_config refuses them
+        cfg = self._coupled_game(4, k1)
+        cfg["certificate"] = {"grid_density": density}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        done = run_capped([["solve", "--config", path, "--out", str(out)]])
+        assert "Traceback" not in done.stderr
+        assert done.stdout.strip() == str([EXIT_CONFIG])
+        assert done.stderr == (f"config error at 'certificate.grid_density': player 1's control "
+                               f"grid has {points} points, more than 4194304\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("density, k1, accepted", [
+        (33, 4, True), (2048, 2, True), (2049, 2, False), (3, 13, True), (3, 14, False)])
+    def test_certificate_grid_cap_is_2_to_the_22_points(self, density, k1, accepted):
+        cfg = self._coupled_game(4, k1)
+        cfg["certificate"] = {"grid_density": density}
+        if accepted:
+            assert cli.parse_config(cfg).certificate.grid_density == density
+        else:
+            with pytest.raises(cli.ConfigError, match=f"has {density**k1} points"):
+                cli.parse_config(cfg)
 
     def test_integer_arrays_read_as_floats(self, tmp_path):
         cfg = base_config()
@@ -646,16 +701,7 @@ class TestOracle:
              "--controls", str(out / "solve" / "controls.csv")],
             ["oracle", "--config", path, "--out", str(out / "oracle")],
         ]
-        limit = 1 << 30
-        code = (
-            "import contextlib, io, resource, sys\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-            "from fbsdegames.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    codes = [main(argv) for argv in {commands!r}]\n"
-            "print(codes)\n"
-        )
-        return run_process("-c", code, module=False), out
+        return run_capped(commands), out
 
     @pytest.mark.parametrize("grid", ["grid1", "grid2"])
     def test_grid_beyond_the_budget_is_never_built(self, tmp_path, grid):

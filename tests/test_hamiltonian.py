@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fbsdegames import (
     ControlProcess,
     Dims,
     FbsdeConfig,
+    NonFiniteStateError,
     build_certificate,
     check_convexity,
     check_pointwise_min,
@@ -267,6 +269,14 @@ class TestPointwiseMin:
         assert out.violation > 0.05
         assert out.best_alternative is not None
 
+    def test_grid_is_the_product_of_the_axes_in_order(self):
+        # the order sets which of tied candidates a search keeps
+        box = ControlBox(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 3.0]))
+        axes = [np.linspace(lo, hi, 4) for lo, hi in zip(box.lower, box.upper)]
+        np.testing.assert_array_equal(_control_grid(box, 4, None),
+                                      np.array(list(itertools.product(*axes))))
+        assert _control_grid(ControlBox.unbounded(0), 4, None).shape == (1, 0)
+
     def test_unbounded_box_needs_radius(self):
         box = ControlBox.unbounded(1)
         with pytest.raises(ValueError, match="radius"):
@@ -407,6 +417,7 @@ def _assert_matches_candidate_loop(problem, backend, player, density):
     np.testing.assert_array_equal(out.best_alternative, alt)
     for got, ref in zip(out.per_step_violation, per_step, strict=True):
         np.testing.assert_allclose(got, ref, **close)
+    return out
 
 
 @pytest.mark.parametrize("spec, make_backend", reference_cases())
@@ -418,8 +429,9 @@ def test_batched_pointwise_min_matches_candidate_loop(spec, make_backend, player
 
 
 def test_pointwise_min_blocks_at_default_density_match_candidate_loop():
-    # k = 2 at the default density: 33**2 candidates x 512 paths is 8.5 times
-    # _POINTWISE_ROWS, so each step runs in blocks of 128 candidates
+    # k = 2 at the default density: 33**2 candidates x 2,048 rows (4 steps of
+    # 512 paths) is 136 times _POINTWISE_ROWS, so the rows of all steps run
+    # together in calls of 8 candidates, the last call of one
     problem = lq_to_problem(random_lq_spec(3, Dims(2, 2, 2, 2, 2)))
     backend = montecarlo(4, paths=512, d=2)
     assert 33**2 * 512 > hamiltonian._POINTWISE_ROWS
@@ -450,3 +462,85 @@ def test_pointwise_min_ties_keep_the_first_candidate(monkeypatch, rows):
     assert _candidate_loop(problem, traj, adj1, u, 1, candidates)[2] == candidates[0]
     assert (out.violation, out.step, out.scenario) == (0.0, 0, 0)
     np.testing.assert_array_equal(out.best_alternative, candidates[0])
+
+
+def _nan_at_candidate(problem, player, value):
+    """problem with H_i NaN where player i's control is `value` and t >= 0.5."""
+    running = problem.costs.running(player)
+
+    def l(t, x, y, z, u1, u2):
+        own = u1 if player == 1 else u2
+        hit = (own[:, 0] == value) & (np.asarray(t) >= 0.5)
+        return np.where(hit, np.nan, running(t, x, y, z, u1, u2))
+
+    return dataclasses.replace(problem, costs=dataclasses.replace(problem.costs, **{f"l{player}": l}))
+
+
+@pytest.mark.parametrize("rows", [None, 40])
+def test_pointwise_min_nan_candidate_leaves_the_others_in_the_search(monkeypatch, rows):
+    # the candidate that beats the stored control on some row has H_1 NaN on
+    # the later steps; their rows keep the best of the other candidates, as
+    # a candidate loop does, whether a call takes all 21 candidates on the
+    # lattice's 136 rows or one candidate broadcast over 40 rows
+    if rows is not None:
+        monkeypatch.setattr(hamiltonian, "_POINTWISE_ROWS", rows)
+    clean = lq_to_problem(coupled_lq_spec())
+    backend = lattice(16)
+    u = random_controls(clean, backend, seed=1)
+    traj, adj1, _ = _resolve(clean, u, backend)
+    before = check_pointwise_min(clean, traj, adj1, u, 1, grid_density=21, radius=None, tol=1e-8)
+    problem = _nan_at_candidate(clean, 1, before.best_alternative[0])
+    out = _assert_matches_candidate_loop(problem, backend, 1, 21)
+    assert np.isfinite(out.per_step_violation.rows).all()
+    assert not np.array_equal(out.per_step_violation.rows, before.per_step_violation.rows)
+
+
+# Bytes a call of check_pointwise_min may hold per (candidate, row) pair on
+# random_lq_spec's Dims(2, 2, 2, 2, 2): 19 floats of tiled rows, the
+# candidate's 2 and H_i's temporaries, with room to spare
+_PAIR_BYTES = 64 * 8
+
+
+@pytest.mark.parametrize("paths", [1024, 8192])
+def test_pointwise_min_peak_memory_is_bounded_by_its_calls(paths):
+    # k = 2 at the default density, 1,089 candidates: on 2 steps of 1,024
+    # paths a call tiles 8 candidates, on 2 steps of 8,192 it takes one over
+    # all 16,384 rows.  Beyond H_i at the stored control (its evaluation's
+    # peak), row_best and best, the search holds no more than one call's pairs
+    problem = lq_to_problem(random_lq_spec(3, Dims(2, 2, 2, 2, 2)))
+    backend = montecarlo(2, paths=paths, d=2)
+    u = random_controls(problem, backend)
+    traj, adj1, _ = _resolve(problem, u, backend)
+    args, costates = hamiltonian._all_rows(traj, adj1, u)
+    rows = args[1].shape[0]
+    tracemalloc.start()
+    try:
+        eval_hamiltonian(problem, 1, *args, *costates)
+        base_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        check_pointwise_min(problem, traj, adj1, u, 1, grid_density=33, radius=None, tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base_peak - 2 * 8 * rows <= _PAIR_BYTES * hamiltonian._POINTWISE_ROWS
+
+
+def test_non_finite_control_gradient_is_a_solver_failure():
+    # a NaN gradient on one row used to drop out of rho's max over steps,
+    # leaving rho_1 at its clean value
+    backend = lattice(8)
+    problem = lq_to_problem(coupled_lq_spec())
+    grad = problem.costs.l1_u1
+
+    def poisoned(t, x, y, z, u1, u2):
+        out = np.array(grad(t, x, y, z, u1, u2))
+        out[20] = np.nan  # row 20 of steps 0..7 is step 5, scenario 5
+        return out
+
+    problem = dataclasses.replace(
+        problem, costs=dataclasses.replace(problem.costs, l1_u1=poisoned))
+    u = ControlProcess.constant(backend, 0.4, -0.3)
+    traj, adj1, adj2 = _resolve(problem, u, backend)
+    with pytest.raises(NonFiniteStateError,
+                       match=r"^non-finite control gradient of player 1 at step 5, scenario 5$"):
+        vi_residual(problem, traj, adj1, adj2, u)
