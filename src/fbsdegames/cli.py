@@ -60,6 +60,7 @@ import os
 import re
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -174,23 +175,24 @@ def _as_str(value, where: str, choices: tuple[str, ...] | None = None) -> str:
     return value
 
 
-def _numbers_only(value) -> bool:
-    """Every leaf of the nested lists is an int or a float (a bool is neither)."""
+def _numbers_only(value, depth: int) -> bool:
+    """Every leaf of the nested lists is an int or a float (a bool is
+    neither), no leaf more than `depth` lists deep."""
     if type(value) is list:
-        return all(map(_numbers_only, value))
+        return depth > 0 and all(_numbers_only(v, depth - 1) for v in value)
     return type(value) in (int, float)
 
 
 def _as_array(value, shape: tuple[int | None, ...], where: str) -> np.ndarray:
     """A finite float array of the given shape; a None entry matches any length."""
-    if not _numbers_only(value):
-        raise ConfigError(where, "expected a numeric array")
+    expected = ", ".join("*" if w is None else str(w) for w in shape)
+    if not _numbers_only(value, len(shape)):
+        raise ConfigError(where, f"expected a numeric array of shape [{expected}]")
     try:
         arr = np.asarray(value, dtype=float)
     except (ValueError, OverflowError):  # ragged lists, an integer beyond float
-        raise ConfigError(where, "expected a numeric array") from None
+        raise ConfigError(where, f"expected a numeric array of shape [{expected}]") from None
     if arr.ndim != len(shape) or any(w is not None and a != w for a, w in zip(arr.shape, shape)):
-        expected = ", ".join("*" if w is None else str(w) for w in shape)
         raise ConfigError(where, f"expected shape [{expected}], got {list(arr.shape)}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ConfigError(where, "entries must be finite")
@@ -352,21 +354,15 @@ def _parse_grid(obj, where: str, box: ControlBox, budget: int, nodes: int) -> np
         if "lower" in obj or "upper" in obj:
             if "lower" not in obj or "upper" not in obj:
                 raise ConfigError(where, "give both 'lower' and 'upper' or neither")
-            lower = _as_array(obj["lower"], (k,), f"{where}.lower")
-            upper = _as_array(obj["upper"], (k,), f"{where}.upper")
-        else:
-            lower, upper = box.lower, box.upper
-            if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-                raise ConfigError(where, "unbounded box: grid needs explicit 'lower'/'upper'")
-        if k == 0:
-            return np.zeros((1, 0))
+            box = ControlBox(_as_array(obj["lower"], (k,), f"{where}.lower"),
+                             _as_array(obj["upper"], (k,), f"{where}.upper"))
+        elif not box.bounded:
+            raise ConfigError(where, "unbounded box: grid needs explicit 'lower'/'upper'")
         rows = points**k
         # G >= 2, so G**nodes passes the budget once nodes reach its bit length
-        if nodes >= budget.bit_length() or rows**nodes > budget:
+        if k and (nodes >= budget.bit_length() or rows**nodes > budget):
             return np.broadcast_to(np.nan, (min(rows, budget + 1), k))
-        axes = [np.linspace(lower[c], upper[c], points) for c in range(k)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = np.stack([m.ravel() for m in mesh], axis=1)
+        grid = box.grid(points)
     # an inert player (k = 0) has one candidate, the empty control
     return grid if k else np.zeros((1, 0))
 
@@ -497,7 +493,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         raise ConfigError(
             str(path), f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    except ValueError as exc:  # an integer literal longer than int() will convert
+    except (ValueError, RecursionError) as exc:  # a too long integer, too deep nesting
         raise ConfigError(str(path), f"invalid JSON: {exc}") from None
     return parse_config(raw, seed_override)
 
@@ -636,118 +632,119 @@ def write_controls(path: Path, problem: GameProblem, backend: Backend, u: Contro
     ))
 
 
-def _controls_rows(lines: list[str], width: int) -> np.ndarray:
+def _controls_rows(lines: list[str], width: int) -> np.ndarray | None:
     """`lines` read by NumPy's C tokenizer as (step, scenario, values)
-    records: step and scenario are integer literals that fit int64, each
-    value a float literal; either may have surrounding whitespace.  Raises
-    ValueError on a malformed cell or a line of another width; skips
-    blank lines."""
+    records, or None if a line reads as none.  Step and scenario are integer
+    literals that fit int64, each value a float literal, either with
+    surrounding whitespace; a line of another width or an empty line reads
+    as none."""
     record = np.dtype([("step", np.int64), ("scenario", np.int64), ("values", float, (width - 2,))])
-    return np.loadtxt(lines, dtype=record, delimiter=",", comments=None, ndmin=1)
-
-
-def _controls_table(body: list[str], width: int, counts: list[int]) -> np.ndarray | None:
-    """The values of every line in step-major order, or None if a line is bad.
-
-    Checks all lines: column count, integer step and scenario, finite
-    values, inside the grid, and each (step, scenario) exactly once.
-    """
     try:
-        table = _controls_rows(body, width)
+        with warnings.catch_warnings():  # loadtxt skips empty lines, warning if all are
+            warnings.simplefilter("ignore")
+            table = np.loadtxt(lines, dtype=record, delimiter=",", comments=None, ndmin=1)
     except ValueError:
         return None
-    if len(table) != len(body):  # a blank line
-        return None
-    steps, scenarios, values = table["step"], table["scenario"], table["values"]
-    if not ((steps >= 0) & (steps < len(counts))).all():
-        return None
-    sizes = np.array(counts)
-    if not ((scenarios >= 0) & (scenarios < sizes[steps])).all():
-        return None
-    rows = np.cumsum(sizes)[steps] - sizes[steps] + scenarios
-    if not (np.isfinite(values).all() and (np.bincount(rows, minlength=sizes.sum()) == 1).all()):
-        return None
-    ordered = np.empty_like(values)
-    ordered[rows] = values
-    return ordered
+    return table if len(table) == len(lines) else None
+
+
+def _controls_records(body: list[str], width: int) -> tuple[np.ndarray, int | None]:
+    """The records of `body` before its first line that reads as none, and
+    that line's index (None if there is none).  A body that does not read is
+    bisected, keeping each first half that reads: about one more parse."""
+    table = _controls_rows(body, width)
+    if table is not None:
+        return table, None
+    parts, lo, hi = [_controls_rows([], width)], 0, len(body)
+    while hi - lo > 1:  # body[:lo] reads, body[lo:hi] does not
+        mid = (lo + hi) // 2
+        part = _controls_rows(body[lo:mid], width)
+        if part is None:
+            hi = mid
+        else:
+            parts.append(part)
+            lo = mid
+    return np.concatenate(parts), lo
 
 
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
-
-# lines the search for the first bad line reads at a time; a block that
-# does not read whole is read again line by line
-_CONTROLS_BLOCK = 1024
+_INT64 = range(-(1 << 63), 1 << 63)
 
 
-def _controls_line(line: str, width: int) -> tuple[int, int, list[float]] | str:
-    """(step, scenario, values) of one line as `_controls_rows` reads it, or
-    why it cannot be read.  A step or scenario literal beyond int64 is read
-    as a Python int, which lies outside every grid."""
+def _controls_line(line: str, width: int) -> str:
+    """Why `_controls_rows` reads no record from `line`.  A step or scenario
+    beyond int64 is read as a Python int, which lies outside every grid."""
     if line.count(",") != width - 1:
         return "wrong column count"
-    try:
-        (row,) = _controls_rows([line], width)
-        return int(row["step"]), int(row["scenario"]), row["values"].tolist()
-    except ValueError:
-        pass
     cells = line.split(",")
     if all(_INTEGER.fullmatch(c) for c in cells[:2]):
         try:
+            step, scenario = int(cells[0]), int(cells[1])
             values = np.loadtxt([line], delimiter=",", comments=None, ndmin=2)[0, 2:]
-            return int(cells[0]), int(cells[1]), values.tolist()
         except ValueError:  # a malformed value, or a literal longer than int() converts
-            pass
+            return "malformed numeric cell"
+        if not np.isfinite(values).all():
+            return "control values must be finite"
+        if step not in _INT64 or scenario not in _INT64:
+            return f"step/scenario ({step}, {scenario}) outside the grid"
     return "malformed numeric cell"
 
 
-def _controls_lines(body: list[str], width: int):
-    """(line number, `_controls_line` of the line) for each line of `body`."""
-    for start in range(0, len(body), _CONTROLS_BLOCK):
-        block = body[start:start + _CONTROLS_BLOCK]
-        try:
-            table = _controls_rows(block, width)
-        except ValueError:
-            table = ()
-        if len(table) == len(block):
-            rows = zip(*(table[name].tolist() for name in ("step", "scenario", "values")))
-        else:
-            rows = (_controls_line(line, width) for line in block)
-        yield from enumerate(rows, start=start + 2)
-
-
-def _first_controls_error(
-    path: Path, body: list[str], width: int, counts: list[int]
-) -> ConfigError:
-    """The error of the first offending line in file order, else the coverage error."""
-    seen: dict[tuple[int, int], int] = {}
-    for ln, row in _controls_lines(body, width):
-        if isinstance(row, str):
-            return ConfigError(f"{path}:{ln}", row)
-        j, s, values = row
-        if not all(map(math.isfinite, values)):
-            return ConfigError(f"{path}:{ln}", "control values must be finite")
-        if not 0 <= j < len(counts) or not 0 <= s < counts[j]:
-            return ConfigError(f"{path}:{ln}", f"step/scenario ({j}, {s}) outside the grid")
-        if (j, s) in seen:
-            return ConfigError(
-                f"{path}:{ln}", f"step/scenario ({j}, {s}) repeats line {seen[j, s]}")
-        seen[j, s] = ln
-    return ConfigError(str(path), "controls file does not cover every (step, scenario)")
+def _controls_table(path: Path, body: list[str], first: int, width: int,
+                    counts: list[int]) -> np.ndarray:
+    """The values of the lines `body`, the first on file line `first`, in
+    step-major order.  Raises ConfigError naming the first line whose values
+    are not finite, whose (step, scenario) lies outside the grid or repeats
+    an earlier line's (checked in that order), or that reads as no record;
+    else naming the file if a (step, scenario) has no line."""
+    table, unread = _controls_records(body, width)
+    steps, scenarios, values = table["step"], table["scenario"], table["values"]
+    sizes = np.array(counts)
+    total = int(sizes.sum())
+    inside = (steps >= 0) & (steps < len(sizes))
+    known = np.where(inside, steps, 0)
+    inside &= (scenarios >= 0) & (scenarios < sizes[known])
+    # a row outside the grid counts in the extra bin `total`
+    rows = np.where(inside, (np.cumsum(sizes) - sizes)[known] + scenarios, total)
+    tally = np.bincount(rows, minlength=total + 1)[:total]
+    fault = ~inside
+    if not np.isfinite(values).all():  # per row only then: it is the slow reduction
+        fault |= ~np.isfinite(values).all(axis=1)
+    if tally.max() > 1:  # some (step, scenario) repeats
+        _, head, group = np.unique(rows, return_index=True, return_inverse=True)
+        earlier = head[group]
+        fault |= earlier < np.arange(len(rows))
+    if fault.any():
+        i = int(np.argmax(fault))
+        where, pair = f"{path}:{first + i}", f"({steps[i]}, {scenarios[i]})"
+        if not np.isfinite(values[i]).all():
+            raise ConfigError(where, "control values must be finite")
+        if not inside[i]:
+            raise ConfigError(where, f"step/scenario {pair} outside the grid")
+        raise ConfigError(where, f"step/scenario {pair} repeats line {first + earlier[i]}")
+    if unread is not None:
+        raise ConfigError(f"{path}:{first + unread}", _controls_line(body[unread], width))
+    if not (tally == 1).all():
+        raise ConfigError(str(path), "controls file does not cover every (step, scenario)")
+    ordered = np.empty_like(values)
+    ordered[rows] = values
+    return ordered
 
 
 def read_controls(path: Path, problem: GameProblem, backend: Backend) -> ControlProcess:
     k1 = problem.dims.k1
     header = _controls_header(problem.dims)
     try:
-        lines = Path(path).read_text().strip().splitlines()
+        text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read controls: {exc}") from None
+    start = len(text) - len(text.lstrip())  # the blank lines before the header and its indent
+    lines = text[start:].rstrip().splitlines()
     if not lines or lines[0].split(",") != header:
         raise ConfigError(str(path), "controls header does not match the configured dimensions")
+    first = len(text[:start + 1].splitlines()) + 1  # the line number of lines[1]
     counts = [backend.scenario_count(j) for j in range(backend.grid.steps)]
-    ordered = _controls_table(lines[1:], len(header), counts)
-    if ordered is None:
-        raise _first_controls_error(path, lines[1:], len(header), counts)
+    ordered = _controls_table(path, lines[1:], first, len(header), counts)
     return ControlProcess.from_rows(ordered[:, :k1], ordered[:, k1:],
                                     backend.offsets[: backend.grid.steps + 1])
 
@@ -836,7 +833,7 @@ def _read_solve_report(path: str) -> tuple[float, float]:
     """(j1, j2) from a solve run's report.json; ConfigError if unusable."""
     try:
         solved = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(path, f"cannot read solve report: {exc}") from None
     solved = _require_mapping(solved, path)
     return (

@@ -132,8 +132,8 @@ def _stationarity(problem, traj, adj, u, player) -> tuple[StepArray, float, floa
         worst = max(worst, float(np.sqrt(mean)))
     # <g, v - u> is separable in v, so its minimum over the clipped box
     # takes each coordinate at the better of its two ends
-    lo, hi = np.maximum(box.lower, -_INNER_RADIUS), np.minimum(box.upper, _INNER_RADIUS)
-    inner = np.minimum(g * (lo - own), g * (hi - own)).sum(axis=1)
+    clip = box.clipped(_INNER_RADIUS)
+    inner = np.minimum(g * (clip.lower - own), g * (clip.upper - own)).sum(axis=1)
     return grads, worst, float(inner.min())
 
 
@@ -164,19 +164,11 @@ class PointwiseMinReport:
 
 
 def _control_grid(box: ControlBox, density: int, radius: float | None) -> Array:
-    if not box.bounded and radius is None:
+    if radius is not None:
+        box = box.clipped(radius)
+    if not box.bounded:
         raise ValueError("unbounded control box: a truncation radius is required")
-    axes = []
-    for lo, hi in zip(box.lower, box.upper):
-        lo_eff = lo if radius is None else max(lo, -radius)
-        hi_eff = hi if radius is None else min(hi, radius)
-        if not np.isfinite(lo_eff) or not np.isfinite(hi_eff):
-            raise ValueError("unbounded control box: a truncation radius is required")
-        axes.append(np.linspace(lo_eff, hi_eff, density))
-    # the product of the axes, the last varying fastest; an inert player's
-    # one candidate is the empty control
-    mesh = np.array(np.meshgrid(*axes, indexing="ij", copy=False))
-    return mesh.reshape(len(axes), density ** len(axes)).T
+    return box.grid(density)
 
 
 def _tile_rows(a: Array, count: int) -> Array:

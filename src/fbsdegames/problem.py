@@ -81,7 +81,8 @@ class Dims:
 
 @dataclass(frozen=True)
 class ControlBox:
-    """Axis-aligned admissible set, coordinates may be infinite."""
+    """Axis-aligned admissible set, coordinates may be infinite.  A config's
+    box has lower <= upper; a clipped box or an oracle grid's may not."""
 
     lower: Array
     upper: Array
@@ -91,8 +92,6 @@ class ControlBox:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box bounds must be 1-d arrays of equal length")
-        if np.any(lo > hi):
-            raise ValueError("box has lower > upper")
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "lower", lo)
@@ -120,11 +119,21 @@ class ControlBox:
     def contains(self, u: Array, tol: float = 0.0) -> bool:
         return bool(np.all(u >= self.lower - tol) and np.all(u <= self.upper + tol))
 
+    def clipped(self, radius: float) -> "ControlBox":
+        """The box cut to [-radius, radius] on every coordinate."""
+        return ControlBox(np.maximum(self.lower, -radius), np.minimum(self.upper, radius))
+
+    def grid(self, points: int) -> Array:
+        """The product of `points` evenly spaced values per axis, one per row,
+        the last axis fastest; with no axes, one row: the empty control."""
+        axes = [np.linspace(lo, hi, points) for lo, hi in zip(self.lower, self.upper)]
+        mesh = np.array(np.meshgrid(*axes, indexing="ij", copy=False))
+        return mesh.reshape(self.dim, points**self.dim).T
+
     def sample(self, rng: np.random.Generator, size: int, radius: float) -> Array:
         """`size` points drawn uniformly from the box clipped to [-radius, radius]."""
-        lo = np.maximum(self.lower, -radius)
-        hi = np.minimum(self.upper, radius)
-        return rng.uniform(lo, hi, size=(size, self.dim))
+        box = self.clipped(radius)
+        return rng.uniform(box.lower, box.upper, size=(size, self.dim))
 
     def midpoint(self) -> Array:
         """Center of the box; 0 on coordinates with an infinite end."""

@@ -227,6 +227,7 @@ class TestConfigValidation:
         (b"{not json", "line 1"),
         (b"\xff\xfe{}", "cannot read config"),
         (b'{"steps": ' + b"1" * 5000 + b"}", "invalid JSON: Exceeds the limit"),
+        (b"[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
     ])
     def test_unreadable_config_exits_64(self, tmp_path, capsys, content, needle):
         path = tmp_path / "broken.json"
@@ -274,6 +275,19 @@ class TestConfigValidation:
         path = write_config(tmp_path, cfg)
         assert run("solve", "--config", path, "--out", str(tmp_path / "o")) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error at '{where}': {message}")
+
+    @pytest.mark.parametrize("depth", [2, 500])
+    def test_nesting_deeper_than_the_shape_exits_64(self, tmp_path, capsys, depth):
+        # the leaf check stops at the shape's depth, before Python's recursion limit
+        cfg = base_config()
+        value = 0.5
+        for _ in range(depth):
+            value = [value]
+        cfg["initial"] = value
+        path = write_config(tmp_path, cfg)
+        assert run("solve", "--config", path, "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error at 'initial': expected a numeric array of shape [1]\n")
 
     @staticmethod
     def _coupled_game(steps: int, k1: int = 1) -> dict:
@@ -759,7 +773,8 @@ class TestOracle:
     @pytest.mark.parametrize(
         "report",
         [{"j2": 0.1}, {"j1": 0.1}, {"j1": "0.1", "j2": 0.1}, {"j1": 0.1, "j2": None}, [0.1, 0.2],
-         b"\xff\xfe{}", {"j1": float("inf"), "j2": 0.1}, {"j1": 0.1, "j2": float("nan")}],
+         b"\xff\xfe{}", {"j1": float("inf"), "j2": 0.1}, {"j1": 0.1, "j2": float("nan")},
+         b"[" * 100_000, b'{"j1": ' + b"1" * 5000 + b', "j2": 0.1}'],
     )
     def test_malformed_solve_report_exits_64(self, tmp_path, capsys, monkeypatch, report):
         # the report is read before the backend is built or --out is made
@@ -787,6 +802,12 @@ class TestOracle:
         assert "oracle.grid2.bogus" in capsys.readouterr().err
         cfg["oracle"]["grid2"] = {"points": 3}
         assert load_config(write_config(tmp_path, cfg)).oracle.grid2.shape == (1, 0)
+
+    def test_grid_bounds_may_run_downwards(self, tmp_path):
+        cfg = self._tiny_cfg()
+        cfg["oracle"]["grid1"] = {"points": 3, "lower": [1.0], "upper": [-1.0]}
+        grid = load_config(write_config(tmp_path, cfg)).oracle.grid1
+        np.testing.assert_array_equal(grid, [[1.0], [0.0], [-1.0]])
 
 
 class TestCheck:

@@ -207,6 +207,17 @@ def test_bad_cell_deep_in_a_long_file_names_its_line(tmp_path):
     assert str(err.value) == f"config error at '{path}:{line}': malformed numeric cell"
 
 
+def test_blank_line_deep_in_a_long_file_names_its_line(tmp_path):
+    problem, backend, _, path = _long_controls(tmp_path)
+    line = 3811  # line 1 is the header
+    lines = path.read_text().splitlines()
+    lines[line - 1] = ""
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as err:
+        read_controls(path, problem, backend)
+    assert str(err.value) == f"config error at '{path}:{line}': wrong column count"
+
+
 # the writer prints -0.0 as 0, so it comes back as 0.0
 EXTREMES = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0, 0.1, 1 / 3]
 
@@ -282,18 +293,21 @@ ODD_CELLS = ["1_0", "1e400", "0x1", "\u0661", "1.0", "99999999999999999999", "-0
 
 
 @pytest.mark.parametrize("column", [0, 1, 2])
-def test_a_line_the_table_rejects_is_named(column):
-    # the per-line search reports a fault wherever the bulk read finds one,
-    # never the coverage error of a file whose lines are all sound
-    counts = [j + 1 for j in range(STEPS)]
+def test_a_line_the_table_rejects_is_named(tmp_path, column):
+    # a fault in one line is named by that line wherever the bulk read
+    # finds it, never by the coverage error of the whole file
+    problem, backend = lq_to_problem(coupled_lq_spec()), lattice(STEPS)
+    path = tmp_path / "controls.csv"
     for cell in ODD_CELLS:
-        lines = _lines()[1:]
-        cells = lines[3].split(",")  # (2, 0) on line 5
+        lines = _lines()
+        cells = lines[4].split(",")  # (2, 0) on line 5
         cells[column] = cell
-        lines[3] = ",".join(cells)
-        if cli._controls_table(lines, 4, counts) is None:
-            err = cli._first_controls_error("c.csv", lines, 4, counts)
-            assert err.where.startswith("c.csv:"), cell  # a line, not the file
+        lines[4] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            read_controls(path, problem, backend)
+        except ConfigError as err:
+            assert err.where.startswith(f"{path}:"), cell  # a line, not the file
 
 
 def _edit(lines, line, text):
@@ -329,6 +343,14 @@ REJECTIONS = [
      "step/scenario (0, 0) repeats line 2"),
     ("first bad line wins", _edit(_edit(_lines(), 7, "2,2,nan,0.0"), 4, "1,9,0.0,0.0"), 4,
      "step/scenario (1, 9) outside the grid"),
+    ("row outside the grid before a malformed line",
+     _edit(_edit(_lines(), 6, "2,1,abc,0.0"), 3, "1,5,0.0,0.0"), 3,
+     "step/scenario (1, 5) outside the grid"),
+    ("malformed line before a repeat", _edit(_edit(_lines(), 6, "0,0,0.0,0.0"), 4, "1,1,abc,0.0"),
+     4, "malformed numeric cell"),
+    ("blank lines before the header", ["", ""] + _edit(_lines(), 3, "1,0,abc,0.0"), 5,
+     "malformed numeric cell"),
+    ("header only", _lines()[:1], None, "controls file does not cover every (step, scenario)"),
 ]
 
 
@@ -340,6 +362,7 @@ def test_reader_rejects_a_file_that_is_not_text(tmp_path):
         read_controls(path, problem, backend)
 
 
+@pytest.mark.filterwarnings("error")  # the reader adds nothing to stderr
 @pytest.mark.parametrize("lines, line, message", [r[1:] for r in REJECTIONS],
                          ids=[r[0] for r in REJECTIONS])
 def test_reader_rejects_with_line_and_message(tmp_path, capsys, lines, line, message):

@@ -45,6 +45,15 @@ def test_box_projection_examples():
     assert box.bounded
 
 
+def test_a_box_beyond_the_radius_clips_and_grids_in_the_order_given():
+    # the clip may leave lower > upper; the grid then runs from lower down
+    box = ControlBox(np.array([5.0, -np.inf]), np.array([6.0, 1.0])).clipped(2.0)
+    np.testing.assert_array_equal(box.lower, [5.0, -2.0])
+    np.testing.assert_array_equal(box.upper, [2.0, 1.0])
+    axes = [np.linspace(5.0, 2.0, 3), np.linspace(-2.0, 1.0, 3)]
+    np.testing.assert_array_equal(box.grid(3), [[a, b] for a in axes[0] for b in axes[1]])
+
+
 def test_unbounded_box_midpoint_is_zero():
     box = ControlBox.unbounded(2)
     np.testing.assert_array_equal(box.midpoint(), [0.0, 0.0])
