@@ -735,16 +735,14 @@ def read_controls(path: Path, problem: GameProblem, backend: Backend) -> Control
     k1 = problem.dims.k1
     header = _controls_header(problem.dims)
     try:
-        text = Path(path).read_text()
+        lines = Path(path).read_text().rstrip().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read controls: {exc}") from None
-    start = len(text) - len(text.lstrip())  # the blank lines before the header and its indent
-    lines = text[start:].rstrip().splitlines()
-    if not lines or lines[0].split(",") != header:
+    top = next((i for i, line in enumerate(lines) if line.strip()), 0)  # the header's index
+    if not lines or lines[top].lstrip().split(",") != header:
         raise ConfigError(str(path), "controls header does not match the configured dimensions")
-    first = len(text[:start + 1].splitlines()) + 1  # the line number of lines[1]
     counts = [backend.scenario_count(j) for j in range(backend.grid.steps)]
-    ordered = _controls_table(path, lines[1:], first, len(header), counts)
+    ordered = _controls_table(path, lines[top + 1:], top + 2, len(header), counts)
     return ControlProcess.from_rows(ordered[:, :k1], ordered[:, k1:],
                                     backend.offsets[: backend.grid.steps + 1])
 

@@ -7,7 +7,7 @@ import types
 import numpy as np
 import pytest
 
-from fbsdegames import Dims, cli, lq_to_problem, random_lq_spec, solve_adjoint, solve_fbsde
+from fbsdegames import Dims, lq_to_problem, random_lq_spec, solve_adjoint, solve_fbsde
 from fbsdegames.cli import (
     EXIT_CONFIG,
     ConfigError,
