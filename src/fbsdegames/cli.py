@@ -52,12 +52,15 @@ significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
 import re
+import signal
 import sys
 import time
 import warnings
@@ -118,6 +121,22 @@ class ConfigError(ValueError):
     def __init__(self, where: str, message: str):
         super().__init__(f"config error at '{where}': {message}")
         self.where = where
+
+
+class WriteError(Exception):
+    """An artifact or the --out directory could not be written."""
+
+    def __init__(self, path, reason: str):
+        super().__init__(f"cannot write {path}: {reason}")
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Raises an OSError of the block as a WriteError naming `path`."""
+    try:
+        yield
+    except OSError as exc:
+        raise WriteError(path, exc.strerror or str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +553,14 @@ def _scenario_block(*columns: np.ndarray) -> np.ndarray:
 
 def _write_csv(path: Path, header: list[str], blocks) -> None:
     """The header line, then each text block as it is produced."""
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(blocks)
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _writing(path):
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def plain(value):
@@ -574,18 +594,12 @@ def _vector_header(prefix: str, k: int) -> list[str]:
     return [f"{prefix}_{i + 1}" for i in range(k)]
 
 
-def write_trajectory(
-    path: Path,
-    problem: GameProblem,
-    traj,
-    u: ControlProcess,
-    adj1: AdjointTrajectory,
-    adj2: AdjointTrajectory,
-) -> None:
+def _trajectory_table(problem: GameProblem, traj, u: ControlProcess, adj1: AdjointTrajectory,
+                      adj2: AdjointTrajectory):
+    """trajectory.csv's header and `step_block(j)`, the lines of step j = 0..N."""
     dims = problem.dims
-    backend = traj.backend
-    N = backend.grid.steps
-    knots = backend.grid.knots
+    N = traj.backend.grid.steps
+    knots = traj.backend.grid.knots
     header = (
         ["step", "t", "scenario_id"]
         + _vector_header("x", dims.n)
@@ -617,7 +631,109 @@ def write_trajectory(
                        adj1.k[j], adj1.p[j], adj1.q[j], adj2.k[j], adj2.p[j], adj2.q[j])
         return _format_rows(template, _scenario_block(*columns))
 
-    _write_csv(path, header, map(step_block, range(N + 1)))
+    return header, step_block
+
+
+def write_trajectory(
+    path: Path,
+    problem: GameProblem,
+    traj,
+    u: ControlProcess,
+    adj1: AdjointTrajectory,
+    adj2: AdjointTrajectory,
+    tail: _Tail | None,
+) -> None:
+    """Steps 0..N if `tail` is None, else the steps before `tail.start` and
+    then the text of `tail`."""
+    header, step_block = _trajectory_table(problem, traj, u, adj1, adj2)
+    stop = traj.backend.grid.steps + 1 if tail is None else tail.start
+    _write_csv(path, header, itertools.chain(map(step_block, range(stop)), tail or ()))
+
+
+# The fewest float cells a solve formats before a second process formats
+# the tail of its trajectory.csv: a fork costs more than it saves below it.
+_SPLIT_CELLS = 1 << 17
+
+
+def _tail_start(problem: GameProblem, backend: Backend) -> int:
+    """The first step of trajectory.csv that a second process formats; N + 1
+    for none.  The step balances the float cells each process formats,
+    counting controls.csv's on this side.  There is no second process below
+    `_SPLIT_CELLS` cells, without `os.fork`, or when this process may run on
+    one CPU only."""
+    dims, N = problem.dims, backend.grid.steps
+    rows = np.array([backend.scenario_count(j) for j in range(N + 1)])
+    last = 3 * (dims.n + dims.m)  # x, y and each player's k and p
+    width = last + (dims.m + 2 * dims.n) * dims.d + dims.k1 + dims.k2
+    cells = rows * np.r_[np.full(N, width), last]
+    controls = (dims.k1 + dims.k2) * rows[:N].sum()
+    if (controls + cells.sum() < _SPLIT_CELLS or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2):
+        return N + 1
+    before = np.cumsum(cells) - cells  # the cells of steps 0..h-1 for h = 0..N
+    return int(np.argmin(np.abs(controls + 2 * before - cells.sum())))
+
+
+@dataclass
+class _Tail:
+    """Steps `start`..N of the trajectory.csv at `path`, formatted by the
+    forked child `pid` into the hidden file `part`."""
+
+    path: Path
+    start: int
+    pid: int
+    part: Path
+    reaped: bool
+
+    def __iter__(self):
+        """Waits for the child, then yields its text 1 MiB at a time."""
+        status = os.waitpid(self.pid, 0)[1]
+        self.reaped = True
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
+            raise WriteError(self.path, f"the formatting process {how}")
+        with open(self.part) as fh:
+            yield from iter(lambda: fh.read(1 << 20), "")
+
+
+@contextlib.contextmanager
+def _trajectory_tail(path: Path, problem: GameProblem, traj, u: ControlProcess,
+                     adj1: AdjointTrajectory, adj2: AdjointTrajectory):
+    """A `_Tail` of the trajectory.csv at `path` from `_tail_start`, or None.
+
+    The child formats the tail while this process writes the other
+    artifacts.  On leaving, however, a child still running is killed and
+    reaped and the part file is removed.  If no process can be forked, the
+    tail is None and this process formats every step.
+    """
+    N = traj.backend.grid.steps
+    start = _tail_start(problem, traj.backend)
+    pid = None
+    if start <= N:
+        part = path.with_name(f".{path.name}.{os.getpid()}.part")
+        with contextlib.suppress(OSError):
+            pid = os.fork()
+    if pid is None:
+        yield None
+        return
+    if pid == 0:
+        code = 1
+        try:
+            _, step_block = _trajectory_table(problem, traj, u, adj1, adj2)
+            with open(part, "w") as fh:
+                fh.writelines(map(step_block, range(start, N + 1)))
+            code = 0
+        finally:  # whatever happened, the child ends here and never returns to the caller
+            os._exit(code)
+    tail = _Tail(path, start, pid, part, reaped=False)
+    try:
+        yield tail
+    finally:
+        if not tail.reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        part.unlink(missing_ok=True)
 
 
 def _controls_header(dims: Dims) -> list[str]:
@@ -632,39 +748,41 @@ def write_controls(path: Path, problem: GameProblem, backend: Backend, u: Contro
     ))
 
 
-def _controls_rows(lines: list[str], width: int) -> np.ndarray | None:
-    """`lines` read by NumPy's C tokenizer as (step, scenario, values)
-    records, or None if a line reads as none.  Step and scenario are integer
-    literals that fit int64, each value a float literal, either with
-    surrounding whitespace; a line of another width or an empty line reads
-    as none."""
+def _controls_rows(source, width: int, rows: int) -> np.ndarray | None:
+    """The lines of `source`, a list of lines or an open file, read by NumPy's
+    C tokenizer as (step, scenario, values) records, or None unless they read
+    as `rows` records.  Step and scenario are integer literals that fit
+    int64, each value a float literal, either with surrounding whitespace; a
+    line of another width reads as none, and so does an empty line, which
+    the tokenizer skips."""
     record = np.dtype([("step", np.int64), ("scenario", np.int64), ("values", float, (width - 2,))])
     try:
-        with warnings.catch_warnings():  # loadtxt skips empty lines, warning if all are
+        with warnings.catch_warnings():  # loadtxt warns if it finds no line
             warnings.simplefilter("ignore")
-            table = np.loadtxt(lines, dtype=record, delimiter=",", comments=None, ndmin=1)
+            table = np.loadtxt(source, dtype=record, delimiter=",", comments=None, ndmin=1)
     except ValueError:
         return None
-    return table if len(table) == len(lines) else None
+    return table if len(table) == rows else None
 
 
-def _controls_records(body: list[str], width: int) -> tuple[np.ndarray, int | None]:
+def _controls_records(body: list[str], width: int) -> tuple[np.ndarray, tuple[int, str] | None]:
     """The records of `body` before its first line that reads as none, and
-    that line's index (None if there is none).  A body that does not read is
-    bisected, keeping each first half that reads: about one more parse."""
-    table = _controls_rows(body, width)
+    that line's index and the reason (None if there is none).  A body that
+    does not read is bisected, keeping each first half that reads: about
+    one more parse."""
+    table = _controls_rows(body, width, len(body))
     if table is not None:
         return table, None
-    parts, lo, hi = [_controls_rows([], width)], 0, len(body)
+    parts, lo, hi = [_controls_rows([], width, 0)], 0, len(body)
     while hi - lo > 1:  # body[:lo] reads, body[lo:hi] does not
         mid = (lo + hi) // 2
-        part = _controls_rows(body[lo:mid], width)
+        part = _controls_rows(body[lo:mid], width, mid - lo)
         if part is None:
             hi = mid
         else:
             parts.append(part)
             lo = mid
-    return np.concatenate(parts), lo
+    return np.concatenate(parts), (lo, _controls_line(body[lo], width))
 
 
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
@@ -690,14 +808,50 @@ def _controls_line(line: str, width: int) -> str:
     return "malformed numeric cell"
 
 
-def _controls_table(path: Path, body: list[str], first: int, width: int,
+def _controls_lines(path: Path, header: list[str]) -> tuple[list[str], int]:
+    """The lines after the header of `path`, the first non-blank line, and
+    the file line number of the first of them.  Trailing whitespace is cut
+    and lines end where `str.splitlines` ends them."""
+    lines = path.read_text().rstrip().splitlines()
+    top = next((i for i, line in enumerate(lines) if line.strip()), 0)  # the header's index
+    if not lines or lines[top].lstrip().split(",") != header:
+        raise ConfigError(str(path), "controls header does not match the configured dimensions")
+    return lines[top + 1:], top + 2
+
+
+def _plain_controls(path: Path, header: list[str]) -> tuple[np.ndarray, int] | None:
+    """The records of `path` and the file line number of the first, read by
+    one np.loadtxt over the open file after its header; None unless the file
+    is ASCII with no control character but tab and newline (so that its
+    lines are those of `_controls_lines`), its header matches and each of
+    `_controls_lines`'s lines reads as a record."""
+    text = path.read_bytes().rstrip()
+    if not text.isascii():
+        return None
+    codes = np.frombuffer(text, np.uint8)
+    controls = codes[codes < 32]
+    newlines = np.count_nonzero(controls == 10)
+    if newlines + np.count_nonzero(controls == 9) < len(controls):
+        return None
+    with open(path) as fh:
+        top, line = 0, fh.readline()
+        while line and not line.strip():
+            top, line = top + 1, fh.readline()
+        if line.rstrip("\n").lstrip().split(",") != header:
+            return None
+        table = _controls_rows(fh, len(header), newlines - top)
+    return None if table is None else (table, top + 2)
+
+
+def _controls_table(path: Path, table: np.ndarray, first: int, unread: tuple[int, str] | None,
                     counts: list[int]) -> np.ndarray:
-    """The values of the lines `body`, the first on file line `first`, in
-    step-major order.  Raises ConfigError naming the first line whose values
-    are not finite, whose (step, scenario) lies outside the grid or repeats
-    an earlier line's (checked in that order), or that reads as no record;
-    else naming the file if a (step, scenario) has no line."""
-    table, unread = _controls_records(body, width)
+    """The values of `table`, whose records are the lines from file line
+    `first` on, in step-major order; `unread` is the index of a line that
+    read as no record and why, after the records.  Raises ConfigError naming
+    the first line whose values are not finite, whose (step, scenario) lies
+    outside the grid or repeats an earlier line's (checked in that order),
+    or that reads as no record; else naming the file if a (step, scenario)
+    has no line."""
     steps, scenarios, values = table["step"], table["scenario"], table["values"]
     sizes = np.array(counts)
     total = int(sizes.sum())
@@ -723,7 +877,7 @@ def _controls_table(path: Path, body: list[str], first: int, width: int,
             raise ConfigError(where, f"step/scenario {pair} outside the grid")
         raise ConfigError(where, f"step/scenario {pair} repeats line {first + earlier[i]}")
     if unread is not None:
-        raise ConfigError(f"{path}:{first + unread}", _controls_line(body[unread], width))
+        raise ConfigError(f"{path}:{first + unread[0]}", unread[1])
     if not (tally == 1).all():
         raise ConfigError(str(path), "controls file does not cover every (step, scenario)")
     ordered = np.empty_like(values)
@@ -732,17 +886,21 @@ def _controls_table(path: Path, body: list[str], first: int, width: int,
 
 
 def read_controls(path: Path, problem: GameProblem, backend: Backend) -> ControlProcess:
-    k1 = problem.dims.k1
+    """controls.csv at `path`.  A plain file is read in one pass; any other,
+    and every file that does not read whole, is split into lines first."""
+    path, k1 = Path(path), problem.dims.k1
     header = _controls_header(problem.dims)
     try:
-        lines = Path(path).read_text().rstrip().splitlines()
+        plain = _plain_controls(path, header)
+        if plain is None:
+            body, first = _controls_lines(path, header)
+            table, unread = _controls_records(body, len(header))
+        else:
+            (table, first), unread = plain, None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read controls: {exc}") from None
-    top = next((i for i, line in enumerate(lines) if line.strip()), 0)  # the header's index
-    if not lines or lines[top].lstrip().split(",") != header:
-        raise ConfigError(str(path), "controls header does not match the configured dimensions")
     counts = [backend.scenario_count(j) for j in range(backend.grid.steps)]
-    ordered = _controls_table(path, lines[top + 1:], top + 2, len(header), counts)
+    ordered = _controls_table(path, table, first, unread, counts)
     return ControlProcess.from_rows(ordered[:, :k1], ordered[:, k1:],
                                     backend.offsets[: backend.grid.steps + 1])
 
@@ -769,7 +927,8 @@ def _out_dir(args) -> Path:
     """The --out directory, made just before the first artifact is written,
     so a rejected input or a failed solve leaves none."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -785,10 +944,13 @@ def cmd_solve(args) -> int:
     )
     u = report.controls
     out = _out_dir(args)
-    write_report(out / "report.json", cfg, report)
-    write_history(out / "history.csv", report)
-    write_trajectory(out / "trajectory.csv", cfg.problem, report.trajectory, u, *report.adjoints)
-    write_controls(out / "controls.csv", cfg.problem, backend, u)
+    path = out / "trajectory.csv"
+    columns = (cfg.problem, report.trajectory, u, *report.adjoints)
+    with _trajectory_tail(path, *columns) as tail:
+        write_report(out / "report.json", cfg, report)
+        write_history(out / "history.csv", report)
+        write_controls(out / "controls.csv", cfg.problem, backend, u)
+        write_trajectory(path, *columns, tail)
     elapsed = time.perf_counter() - started
     print(f"solve: converged={report.converged} verdict={report.certificate.verdict} "
           f"J1={report.j1:.6g} J2={report.j2:.6g} rho=({report.rho1:.3e}, {report.rho2:.3e})")
@@ -956,7 +1118,7 @@ def main(argv=None) -> int:
             raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
         return EXIT_SOLVER_FAILURE
-    except ConfigError as exc:
+    except (ConfigError, WriteError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
     except (PicardDivergenceError, NonConvergenceError) as exc:

@@ -201,6 +201,137 @@ class TestSolve:
             assert diag["ridge_fallbacks"] == 2 * diag["iterations"] > 0
 
 
+ARTIFACTS = ("controls.csv", "history.csv", "report.json", "trajectory.csv")
+
+
+def small_mc_config() -> dict:
+    """A Monte Carlo game small enough to solve many times: 256 paths, 4 steps."""
+    return dict(base_config(), steps=4, backend={"kind": "montecarlo", "paths": 256})
+
+
+def _artifacts(out: Path) -> dict:
+    """Every file in `out` by name, hidden ones included."""
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitWrite:
+    """A large solve formats the tail of trajectory.csv in a forked child."""
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """Every solve splits, as if it were large and had two CPUs; returns
+        the number of forks made so far."""
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(cli, "_SPLIT_CELLS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", counted)
+        return lambda: len(forks)
+
+    def test_every_split_step_writes_the_same_bytes(self, tmp_path, monkeypatch, split):
+        cfg = write_config(tmp_path, small_mc_config())
+        steps = small_mc_config()["steps"]
+        loaded = load_config(cfg)
+        assert cli._tail_start(loaded.problem, build_backend(loaded)) <= steps
+        assert run("solve", "--config", cfg, "--out", str(tmp_path / "natural")) == EXIT_OK
+        assert split() == 1
+        expected = _artifacts(tmp_path / "natural")
+        assert sorted(expected) == list(ARTIFACTS)
+        for start in range(1, steps + 2):
+            monkeypatch.setattr(cli, "_tail_start", lambda problem, backend: start)
+            out = tmp_path / f"h{start}"
+            assert run("solve", "--config", cfg, "--out", str(out)) == EXIT_OK
+            assert _artifacts(out) == expected, start
+        assert split() == 1 + steps  # start = N + 1 forks no child
+        _no_child_left()
+
+    def test_a_failed_child_exits_64_and_leaves_nothing(self, tmp_path, capsys, monkeypatch,
+                                                         split):
+        steps = small_mc_config()["steps"]
+        format_rows = cli._format_rows
+
+        def fail_last_step(template, block):  # the last step is always the child's
+            if template.startswith(f"{steps},"):
+                raise RuntimeError("formatting failed")
+            return format_rows(template, block)
+
+        monkeypatch.setattr(cli, "_format_rows", fail_last_step)
+        out = tmp_path / "run"
+        code = run("solve", "--config", write_config(tmp_path, small_mc_config()),
+                   "--out", str(out))
+        assert code == EXIT_CONFIG and split() == 1
+        assert capsys.readouterr().err == (
+            f"cannot write {out / 'trajectory.csv'}: "
+            "the formatting process exited with status 1\n")
+        assert not [name for name in os.listdir(out) if name.startswith(".")]
+        _no_child_left()
+
+    def test_a_failed_parent_write_kills_the_child(self, tmp_path, capsys, monkeypatch, split):
+        def full(path, *args):
+            raise cli.WriteError(path, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_controls", full)
+        out = tmp_path / "run"
+        code = run("solve", "--config", write_config(tmp_path, small_mc_config()),
+                   "--out", str(out))
+        assert code == EXIT_CONFIG and split() == 1
+        assert capsys.readouterr().err == (
+            f"cannot write {out / 'controls.csv'}: No space left on device\n")
+        assert not [name for name in os.listdir(out) if name.startswith(".")]
+        _no_child_left()
+
+    def test_a_failed_fork_formats_every_step_here(self, tmp_path, monkeypatch, split):
+        cfg = write_config(tmp_path, small_mc_config())
+        assert run("solve", "--config", cfg, "--out", str(tmp_path / "two")) == EXIT_OK
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run("solve", "--config", cfg, "--out", str(tmp_path / "one")) == EXIT_OK
+        assert _artifacts(tmp_path / "one") == _artifacts(tmp_path / "two")
+
+    def test_one_cpu_never_forks(self, tmp_path, monkeypatch, split):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        cfg = write_config(tmp_path, small_mc_config())
+        assert run("solve", "--config", cfg, "--out", str(tmp_path / "run")) == EXIT_OK
+        assert split() == 0
+
+    @pytest.mark.parametrize("config", ["configs/two_step_oracle.json",
+                                        "configs/coupled_game.json"])
+    def test_small_solves_never_fork(self, tmp_path, monkeypatch, config):
+        def no_fork():
+            raise RuntimeError("a small solve forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        root = Path(__file__).resolve().parents[1]
+        out = tmp_path / "run"
+        assert run("solve", "--config", str(root / config), "--out", str(out)) == EXIT_OK
+        assert sorted(os.listdir(out)) == list(ARTIFACTS)
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "oracle"])
+    @pytest.mark.parametrize("sub, reason", [("", "File exists"), ("sub", "Not a directory")])
+    def test_an_unwritable_out_exits_64(self, tmp_path, capsys, command, sub, reason):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / sub if sub else blocker
+        config = Path(__file__).resolve().parents[1] / "configs" / "two_step_oracle.json"
+        extra = ["--controls", _zero_controls(tmp_path, 2)] if command == "verify" else []
+        code = run(command, "--config", str(config), "--out", str(out), *extra)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"cannot write {out}: {reason}\n"
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "mutate, needle",

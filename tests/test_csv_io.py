@@ -139,7 +139,7 @@ CASES = {
 def test_writers_match_the_per_cell_reference(tmp_path, case):
     problem, traj, u, adj1, adj2 = CASES[case]()
     backend = traj.backend
-    write_trajectory(tmp_path / "trajectory.csv", problem, traj, u, adj1, adj2)
+    write_trajectory(tmp_path / "trajectory.csv", problem, traj, u, adj1, adj2, None)
     write_controls(tmp_path / "controls.csv", problem, backend, u)
     assert (tmp_path / "trajectory.csv").read_text() == reference_trajectory(
         problem.dims, traj, u, adj1, adj2)
@@ -157,7 +157,7 @@ def test_history_matches_the_per_cell_reference(tmp_path):
 
 def test_special_values_print_as_expected(tmp_path):
     problem, traj, u, adj1, adj2 = _special_case()
-    write_trajectory(tmp_path / "trajectory.csv", problem, traj, u, adj1, adj2)
+    write_trajectory(tmp_path / "trajectory.csv", problem, traj, u, adj1, adj2, None)
     cells = {c for line in (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
              for c in line.split(",")[3:]}
     assert "-0" not in cells and "0" in cells and "" in cells
@@ -324,6 +324,8 @@ REJECTIONS = [
     ("extra cell", _edit(_lines(), 4, "1,1,0.25,-0.5,0.0"), 4, "wrong column count"),
     ("missing cell", _edit(_lines(), 6, "2,1,0.5"), 6, "wrong column count"),
     ("blank line", _edit(_lines(), 3, ""), 3, "wrong column count"),
+    # str.splitlines ends a line at a form feed, which NumPy reads as a space
+    ("form feed in a line", _edit(_lines(), 4, "1,1,0.25\x0c,-0.5"), 4, "wrong column count"),
     ("word in a value", _edit(_lines(), 5, "2,0,abc,0.0"), 5, "malformed numeric cell"),
     ("float step", _edit(_lines(), 3, "1.0,0,0.25,0.0"), 3, "malformed numeric cell"),
     ("empty scenario", _edit(_lines(), 2, "0,,0.0,0.0"), 2, "malformed numeric cell"),
