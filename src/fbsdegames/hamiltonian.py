@@ -16,7 +16,11 @@ proved. The control gradients and the residuals are pointwise in
 expectations go step by step. The pointwise probe walks the same rows in
 blocks that run across step boundaries and evaluates H_i there at bounded
 batches of (candidate, row) pairs, keeping the first candidate among equal
-gains; a NaN gain is never a row's best.
+gains; a NaN gain is never a row's best, and a non-finite H_i at the stored
+control is a solver failure. When every callback of H_i has a `split` (the
+LQ family's, ``lq``), the terms free of player i's control are summed once
+per block, and a batch adds only its candidates' terms, in the order of the
+whole evaluation, so the gains are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -52,12 +56,23 @@ def eval_hamiltonian(
     `adjoint.costate_combination`."""
     if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
+    return _combine(p, q, k, _terms(problem, player), t, x, y, z, u1, u2)
+
+
+def _terms(problem: GameProblem, player: int) -> tuple:
+    """The callbacks b, sigma, f and l_i that H_i combines."""
     co = problem.coefficients
-    args = (t, x, y, z, u1, u2)
-    out = np.einsum("so,so->s", p, co.b(*args))
-    out += np.einsum("soc,soc->s", q, co.sigma(*args))
-    out -= np.einsum("so,so->s", k, co.f(*args))
-    out += problem.costs.running(player)(*args)
+    return co.b, co.sigma, co.f, problem.costs.running(player)
+
+
+def _combine(p: Array, q: Array, k: Array, terms, *args) -> Array:
+    """<p, b> + <q, sigma> - <k, f> + l_i with each of `terms` (b, sigma, f,
+    l_i) called on `args`."""
+    b, sigma, f, l = terms
+    out = np.einsum("so,so->s", p, b(*args))
+    out += np.einsum("soc,soc->s", q, sigma(*args))
+    out -= np.einsum("so,so->s", k, f(*args))
+    out += l(*args)
     return out
 
 
@@ -115,17 +130,24 @@ _POINTWISE_ROWS = 1 << 14
 _INNER_RADIUS = 10.0
 
 
+def _refuse_non_finite(values: Array, offsets: Array, traj: StateTrajectory, what: str) -> None:
+    """Raise `NonFiniteStateError` at the first row of `values` (rows of all
+    steps, split at `offsets`) holding a value that is not finite."""
+    bad = ~np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        step = int(np.searchsorted(offsets, row, side="right")) - 1
+        raise NonFiniteStateError(step, traj.backend.scenario_of(row - offsets[step]),
+                                  row=row, what=what)
+
+
 def _stationarity(problem, traj, adj, u, player) -> tuple[StepArray, float, float]:
     """Player i's control gradients, rho_i and inner_min_i (`ViResidualReport`)."""
     grads = control_gradient(problem, traj, adj, u, player)
     box = problem.box(player)
     g, own = grads.rows, u.player(player).rows
-    bad = ~np.isfinite(g).all(axis=1)
-    if bad.any():  # a NaN step would drop out of the max that makes rho
-        row = int(np.argmax(bad))
-        step = int(np.searchsorted(grads.offsets, row, side="right")) - 1
-        raise NonFiniteStateError(step, traj.backend.scenario_of(row - grads.offsets[step]),
-                                  row=row, what=f"control gradient of player {player}")
+    # a NaN step would drop out of the max that makes rho
+    _refuse_non_finite(g, grads.offsets, traj, f"control gradient of player {player}")
     squared = np.linalg.norm(own - box.project(own - g), axis=1) ** 2
     worst = 0.0
     for mean in traj.backend.expectations(squared):
@@ -189,39 +211,55 @@ def check_pointwise_min(
     """Compare H_i at the stored control against a grid over the control box.
 
     A positive violation means some grid point achieves a strictly lower
-    Hamiltonian at the same (state, costate) slice.  The rows of all steps
+    Hamiltonian at the same (state, costate) slice.  A non-finite H_i at the
+    stored control is a solver failure (`NonFiniteStateError`); a NaN at a
+    grid point leaves its row to the other points.  The rows of all steps
     are walked in blocks of at most `_POINTWISE_ROWS` rows, each searched in
     calls of at most `_POINTWISE_ROWS` (candidate, row) pairs: a block that
     many rows long takes one candidate per call, broadcast over its rows,
     and a shorter one takes as many candidates as fill it, its rows tiled.
+    When b, sigma, f and l_i each offer a `split` (the LQ callbacks of
+    `lq_to_problem` do), a call evaluates only the terms in player i's
+    control, on top of the rest summed once per block, bit for bit H_i
+    there; otherwise it evaluates H_i whole.
     """
     candidates = _control_grid(problem.box(player), grid_density, radius)
     C, width = candidates.shape
     (t, x, y, z, u1, u2), (p, q, k) = _all_rows(traj, adj, u)
     base = eval_hamiltonian(problem, player, t, x, y, z, u1, u2, p, q, k)
+    offsets = u.u1.offsets
+    _refuse_non_finite(base, offsets, traj, f"Hamiltonian of player {player}")
+    terms = _terms(problem, player)
+    split = all(hasattr(term, "split") for term in terms)
     other = u2 if player == 1 else u1
     rows = base.shape[0]
     row_best = np.full(rows, -np.inf)
     best = np.zeros(rows, dtype=int)
-    offsets = u.u1.offsets
     span = min(rows, _POINTWISE_ROWS)
     block = min(C, _POINTWISE_ROWS // span)  # candidates per call
     for r0 in range(0, rows, span):
         sel = slice(r0, r0 + span)
         S = base[sel].shape[0]
+        parts = None  # the last block's partial sums go before this block's are made
         # (candidate c, row s) at index c * S + s; a call's rows are a prefix
         # of these, the block's own rows when a call takes one candidate
         tiled = [a[sel] if block == 1 else _tile_rows(a[sel], block)
-                 for a in (t, x, y, z, other, p, q, k)]
+                 for a in (p, q, k) + (() if split else (t, x, y, z, other))]
+        if split:
+            parts = [term.split(player, *(a[sel] for a in (t, x, y, z, other))) for term in terms]
         span_best, span_idx = row_best[sel], best[sel]
         for c0 in range(0, C, block):
             chunk = candidates[c0 : c0 + block]
             n = chunk.shape[0]
-            tt, tx, ty, tz, t_other, tp, tq, tk = (a[: n * S] for a in tiled)
-            # each candidate on S rows: stride 0 over the rows, a view when n == 1
-            cu = np.broadcast_to(chunk[:, None], (n, S, width)).reshape(n * S, width)
-            trial_u = (cu, t_other) if player == 1 else (t_other, cu)
-            trial = eval_hamiltonian(problem, player, tt, tx, ty, tz, *trial_u, tp, tq, tk)
+            tp, tq, tk, *state = (a[: n * S] for a in tiled)
+            if split:
+                trial = _combine(tp, tq, tk, parts, chunk)
+            else:
+                tt, tx, ty, tz, t_other = state
+                # each candidate on S rows: stride 0 over the rows, a view when n == 1
+                cu = np.broadcast_to(chunk[:, None], (n, S, width)).reshape(n * S, width)
+                trial_u = (cu, t_other) if player == 1 else (t_other, cu)
+                trial = _combine(tp, tq, tk, terms, tt, tx, ty, tz, *trial_u)
             gain = base[sel] - trial.reshape(n, S)
             idx = 0
             if n > 1:

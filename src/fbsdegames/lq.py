@@ -5,7 +5,10 @@ running costs are pure quadratic forms.  z_vec is z flattened C-order.
 
 The value and gradient callbacks act row by row bit for bit (see
 ``problem``): every matrix product goes through `_sum_products`, whose sums
-do not depend on how many rows are passed together.
+do not depend on how many rows are passed together.  The values of b,
+sigma, f and l_i are C-contiguous whatever their inputs' strides, since
+`einsum` rounds by stride; each also has a `split` for the certificate's
+pointwise search (`AffineMap.split`, `hamiltonian.check_pointwise_min`).
 """
 
 from __future__ import annotations
@@ -98,9 +101,38 @@ class AffineMap:
             self.const,
         )
 
+    def split(self, player: int, x: Array, y: Array, zv: Array, other: Array):
+        """The map on S rows with player `player`'s control free: a function
+        of n candidates (n, k_i) giving the value on the rows tiled once per
+        candidate, (n S, len(const)), as `__call__` sums it there.  The terms
+        before the free one are summed here; those after it (u2's, when u1 is
+        free) are multiplied out on each call, so that a block holds no more
+        than its partial sums."""
+        free = self.D1 if player == 1 else self.D2
+        before = _sum_products([(x, self.A), (y, self.B), (zv, self.C)]
+                               + ([(other, self.D1)] if player == 2 else [])).T
+        after = [(self.D2[:, j:j + 1], other[:, j]) for j in range(self.D2.shape[1] if player == 1 else 0)]
+
+        def value(chunk: Array) -> Array:
+            # a candidate's products are the same on every row
+            own = [(free[:, j:j + 1] * chunk[:, j])[:, :, None] for j in range(free.shape[1])]
+            out = (before[:, None, :] + own[0] if own
+                   else np.repeat(before[:, None, :], chunk.shape[0], axis=1))
+            for product in own[1:]:
+                out += product
+            for M, v in after:
+                out += (M * v)[:, None, :]
+            out += self.const[:, None, None]
+            return np.ascontiguousarray(out.reshape(self.const.shape[0], -1).T)
+
+        return value
+
 
 def _quad(v: Array, M: Array) -> Array:
-    # the two-operand row contraction is row by row; the three-operand one is not
+    # the two-operand row contraction is row by row; the three-operand one is
+    # not.  Its sum over a row's columns rounds by their stride, so v goes in
+    # C-contiguous, a copy only when it is strided or broadcast
+    v = np.ascontiguousarray(v)
     return 0.5 * np.einsum("sj,sj->s", _sum_products([(v, M)]), v)
 
 
@@ -162,27 +194,58 @@ class QuadraticCost:
     def callbacks(self, player: int, dz: int) -> dict[str, Coeff]:
         """Player `player`'s l, its partials in `problem._ARGS` order, phi,
         h and their gradients, named as `CostSet` fields."""
-        own_first = player == 1
-
-        def l(t, x, y, z, u1, u2):
-            own, other = (u1, u2) if own_first else (u2, u1)
-            zv = z.reshape(z.shape[0], dz)
-            return (
-                _quad(x, self.Q)
-                + _quad(y, self.R)
-                + 0.5 * self.S * np.einsum("sk,sk->s", zv, zv)
-                + _quad(own, self.N)
-                + _quad(other, self.M)
-            )
-
         S_block = self.S * np.eye(dz) if self.S != 0.0 else None
-        blocks = (self.Q, self.R, S_block) + ((self.N, self.M) if own_first else (self.M, self.N))
-        out = {f"l{player}": l}
+        blocks = (self.Q, self.R, S_block) + ((self.N, self.M) if player == 1 else (self.M, self.N))
+        out = {f"l{player}": _RunningCost(self, player, dz)}
         out.update((f"l{player}_{v}", _linear(k, block, dz))
                    for k, (v, block) in enumerate(zip(_ARGS, blocks)))
         out[f"phi{player}"], out[f"phi{player}_x"] = _form(self.G)
         out[f"h{player}"], out[f"h{player}_y"] = _form(self.H)
         return out
+
+
+class _RunningCost:
+    """l_i of a `QuadraticCost`, summed in the order x, y, z, own control,
+    other control; `split` leaves the own control free (`AffineMap.split`)."""
+
+    def __init__(self, cost: QuadraticCost, player: int, dz: int) -> None:
+        self.cost, self.player, self.dz = cost, player, dz
+
+    def _fixed(self, x: Array, y: Array, z: Array) -> Array:
+        zv = np.ascontiguousarray(z.reshape(z.shape[0], self.dz))  # as in `_quad`
+        c = self.cost
+        return _quad(x, c.Q) + _quad(y, c.R) + 0.5 * c.S * np.einsum("sk,sk->s", zv, zv)
+
+    def __call__(self, t, x, y, z, u1, u2) -> Array:
+        own, other = (u1, u2) if self.player == 1 else (u2, u1)
+        return self._fixed(x, y, z) + _quad(own, self.cost.N) + _quad(other, self.cost.M)
+
+    def split(self, player: int, t, x, y, z, other):
+        if player != self.player:
+            raise ValueError(f"l{self.player} leaves only player {self.player}'s control free")
+        fixed, after = self._fixed(x, y, z), _quad(other, self.cost.M)
+        # a candidate's own term is one value, the same on every row
+        return lambda chunk: ((fixed + _quad(chunk, self.cost.N)[:, None]) + after).reshape(-1)
+
+
+class _MapValue:
+    """b or f from its map, or sigma from its columns' maps stacked last;
+    `split` splits each map (`AffineMap.split`)."""
+
+    def __init__(self, maps: Sequence[AffineMap], dz: int, stacked: bool) -> None:
+        self.maps, self.dz, self.stacked = tuple(maps), dz, stacked
+
+    def _join(self, values: list[Array]) -> Array:
+        return np.stack(values, axis=-1) if self.stacked else values[0]
+
+    def __call__(self, t, x, y, z, u1, u2) -> Array:
+        zv = z.reshape(z.shape[0], self.dz)
+        return self._join([m(x, y, zv, u1, u2) for m in self.maps])
+
+    def split(self, player: int, t, x, y, z, other):
+        zv = z.reshape(z.shape[0], self.dz)
+        parts = [m.split(player, x, y, zv, other) for m in self.maps]
+        return lambda chunk: self._join([part(chunk) for part in parts])
 
 
 @dataclass(frozen=True)
@@ -234,22 +297,11 @@ def lq_to_problem(spec: LQGameSpec) -> GameProblem:
     costs come from its `QuadraticCost`."""
     dz = spec.dims.dz
     drift, cols, driver = spec.drift, spec.diffusion, spec.driver
-
-    def b(t, x, y, z, u1, u2):
-        return drift(x, y, z.reshape(z.shape[0], dz), u1, u2)
-
-    def sigma(t, x, y, z, u1, u2):
-        zv = z.reshape(z.shape[0], dz)
-        return np.stack([c(x, y, zv, u1, u2) for c in cols], axis=-1)
-
-    def f(t, x, y, z, u1, u2):
-        return driver(x, y, z.reshape(z.shape[0], dz), u1, u2)
-
     sigma_blocks = [np.stack(blocks, axis=0) for blocks in zip(*(c.blocks for c in cols))]
     coefficients = {}
-    for name, value, blocks in (("b", b, drift.blocks), ("sigma", sigma, sigma_blocks),
-                                ("f", f, driver.blocks)):
-        coefficients[name] = value
+    for name, maps, blocks in (("b", [drift], drift.blocks), ("sigma", cols, sigma_blocks),
+                               ("f", [driver], driver.blocks)):
+        coefficients[name] = _MapValue(maps, dz, stacked=name == "sigma")
         coefficients.update((f"{name}_{v}", _constant(block)) for v, block in zip(_ARGS, blocks))
 
     c, L = spec.xi, spec.xi_linear

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -493,6 +494,107 @@ def test_pointwise_min_nan_candidate_leaves_the_others_in_the_search(monkeypatch
     out = _assert_matches_candidate_loop(problem, backend, 1, 21)
     assert np.isfinite(out.per_step_violation.rows).all()
     assert not np.array_equal(out.per_step_violation.rows, before.per_step_violation.rows)
+
+
+def test_non_finite_hamiltonian_at_the_stored_control_is_a_solver_failure():
+    # l1 NaN where t >= 0.5 and u1 >= 0: 51 of the 136 rows have H_1 NaN at
+    # the stored control, which used to leave them at -inf, out of the check
+    clean = lq_to_problem(coupled_lq_spec())
+    backend = lattice(16)
+    u = random_controls(clean, backend, seed=1)
+    traj, adj1, _ = _resolve(clean, u, backend)
+    running = clean.costs.l1
+
+    def l1(t, x, y, z, u1, u2):
+        hit = (u1[:, 0] >= 0.0) & (np.asarray(t) >= 0.5)
+        return np.where(hit, np.nan, running(t, x, y, z, u1, u2))
+
+    problem = dataclasses.replace(clean, costs=dataclasses.replace(clean.costs, l1=l1))
+    # step 8 is t = 0.5, where scenario 0 has u1 < 0 and scenario 1 u1 >= 0
+    assert u.u1[8][0, 0] < 0.0 <= u.u1[8][1, 0]
+    with pytest.raises(NonFiniteStateError,
+                       match=r"^non-finite Hamiltonian of player 1 at step 8, scenario 1$"):
+        check_pointwise_min(problem, traj, adj1, u, 1, grid_density=21, radius=None, tol=1e-8)
+
+
+def _generic(problem):
+    """problem with b, sigma, f, l1 and l2 wrapped in plain functions, which
+    offer no split: the search evaluates H_i whole."""
+    co, costs = problem.coefficients, problem.costs
+
+    def plain(fn):
+        return lambda *args: fn(*args)
+
+    return dataclasses.replace(
+        problem,
+        coefficients=dataclasses.replace(co, **{n: plain(getattr(co, n)) for n in ("b", "sigma", "f")}),
+        costs=dataclasses.replace(costs, l1=plain(costs.l1), l2=plain(costs.l2)),
+    )
+
+
+def _assert_split_is_whole(problem, backend, player, density, radius=None):
+    u = random_controls(problem, backend, seed=player)
+    traj, adj1, adj2 = _resolve(problem, u, backend)
+    adj = adj1 if player == 1 else adj2
+    running = type(problem.costs.running(player))
+    with mock.patch.object(running, "split", autospec=True, side_effect=running.split) as spy:
+        split, whole = (check_pointwise_min(p, traj, adj, u, player, grid_density=density,
+                                            radius=radius, tol=1e-8)
+                        for p in (problem, _generic(problem)))
+    assert spy.called  # the LQ callbacks took the split path, the wrapped ones did not
+    assert np.array_equal(split.violation, whole.violation)
+    assert (split.step, split.scenario) == (whole.step, whole.scenario)
+    assert np.array_equal(split.best_alternative, whole.best_alternative)
+    assert np.array_equal(split.per_step_violation.rows, whole.per_step_violation.rows)
+    return split
+
+
+@pytest.mark.parametrize("spec, make_backend", reference_cases())
+@pytest.mark.parametrize("player", [1, 2])
+def test_split_search_is_the_whole_hamiltonian_bit_for_bit(spec, make_backend, player):
+    problem = lq_to_problem(spec)
+    density = 9 if problem.dims.control_dim(player) > 1 else 21
+    _assert_split_is_whole(problem, make_backend(), player, density)
+
+
+@pytest.mark.parametrize("player", [1, 2])
+def test_split_search_on_the_2d_game_at_default_density(player):
+    # 1,089 candidates on 1,024 rows: calls of 16 candidates, rows tiled
+    problem = lq_to_problem(random_lq_spec(11, Dims(2, 2, 2, 2, 2)))
+    _assert_split_is_whole(problem, montecarlo(2, paths=512, d=2), player, 33)
+
+
+@pytest.mark.parametrize("player", [1, 2])
+def test_split_search_with_an_inert_player(player):
+    problem = lq_to_problem(random_lq_spec(3, Dims(2, 2, 1, 0, 2)))
+    _assert_split_is_whole(problem, lattice(8), player, 7)
+
+
+def test_split_search_on_a_box_truncated_by_a_radius():
+    spec = random_lq_spec(3, Dims(2, 2, 1, 2, 2))
+    problem = lq_to_problem(dataclasses.replace(spec, u1_box=ControlBox.unbounded(2)))
+    _assert_split_is_whole(problem, lattice(16), 1, 7, radius=1.5)
+
+
+@pytest.mark.parametrize("rows", [1, 40, 100])
+@pytest.mark.parametrize("player", [1, 2])
+def test_split_search_in_small_blocks(monkeypatch, rows, player):
+    monkeypatch.setattr(hamiltonian, "_POINTWISE_ROWS", rows)
+    problem = lq_to_problem(random_lq_spec(3, Dims(2, 2, 1, 2, 2)))
+    _assert_split_is_whole(problem, lattice(16), player, 7)
+
+
+def test_split_search_keeps_the_first_of_tied_candidates():
+    out = _assert_split_is_whole(lq_to_problem(zero_spec()), lattice(4), 1, 5)
+    assert out.violation == 0.0
+    np.testing.assert_array_equal(out.best_alternative, [-1.0])
+
+
+def test_running_cost_splits_off_its_own_control_only():
+    # l_1 sums u1's term before u2's: with u2 free its split would reorder them
+    rows = np.zeros((3, 1))
+    with pytest.raises(ValueError, match="l1"):
+        lq_to_problem(coupled_lq_spec()).costs.l1.split(2, 0.0, rows, rows, rows[:, :, None], rows)
 
 
 # Bytes a call of check_pointwise_min may hold per (candidate, row) pair on

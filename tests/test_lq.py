@@ -79,3 +79,28 @@ def test_callbacks_are_the_spec_algebra(linear_terminal):
     np.testing.assert_allclose(xi, np.broadcast_to(expected, (S, DIMS.m)), rtol=1e-13, atol=1e-13)
     if not linear_terminal:
         assert xi.strides[0] == 0 and not xi.flags.writeable
+
+
+@pytest.mark.parametrize("layout", ["strided", "stride-0"])
+def test_values_are_c_contiguous_whatever_the_input_strides(layout):
+    # einsum rounds a contraction differently on differently strided
+    # operands, so H_i is the same bit for bit only if b, sigma, f and l_i
+    # hand it the same C-contiguous arrays however their inputs are laid out
+    rng = np.random.default_rng(5)
+    problem = lq_to_problem(random_lq_spec(7, DIMS))
+    S = 64  # enough rows that a last-bit difference shows in the sums
+    shapes = [(DIMS.n,), (DIMS.m,), (DIMS.m, DIMS.d), (DIMS.k1,), (DIMS.k2,)]
+    if layout == "strided":
+        # every other row and every other entry of the last axis, so that
+        # z flattened is a view with strided columns
+        args = [rng.standard_normal((2 * S,) + s[:-1] + (2 * s[-1],))[::2, ..., ::2]
+                for s in shapes]
+    else:
+        args = [np.broadcast_to(rng.standard_normal(s), (S,) + s) for s in shapes]
+    assert not any(a.flags.c_contiguous for a in args)
+    contiguous = [np.ascontiguousarray(a) for a in args]
+    for name in ("b", "sigma", "f", "l1", "l2"):
+        fn = getattr(problem.coefficients, name, None) or getattr(problem.costs, name)
+        got = fn(0.4, *args)
+        assert got.flags.c_contiguous, name
+        assert np.array_equal(got, fn(0.4, *contiguous)), name
