@@ -221,8 +221,7 @@ class _RunningCost:
         return self._fixed(x, y, z) + _quad(own, self.cost.N) + _quad(other, self.cost.M)
 
     def split(self, player: int, t, x, y, z, other):
-        if player != self.player:
-            raise ValueError(f"l{self.player} leaves only player {self.player}'s control free")
+        # player is this cost's own: H_i pairs l_i with player i's search
         fixed, after = self._fixed(x, y, z), _quad(other, self.cost.M)
         # a candidate's own term is one value, the same on every row
         return lambda chunk: ((fixed + _quad(chunk, self.cost.N)[:, None]) + after).reshape(-1)

@@ -590,13 +590,6 @@ def test_split_search_keeps_the_first_of_tied_candidates():
     np.testing.assert_array_equal(out.best_alternative, [-1.0])
 
 
-def test_running_cost_splits_off_its_own_control_only():
-    # l_1 sums u1's term before u2's: with u2 free its split would reorder them
-    rows = np.zeros((3, 1))
-    with pytest.raises(ValueError, match="l1"):
-        lq_to_problem(coupled_lq_spec()).costs.l1.split(2, 0.0, rows, rows, rows[:, :, None], rows)
-
-
 # Bytes a call of check_pointwise_min may hold per (candidate, row) pair on
 # random_lq_spec's Dims(2, 2, 2, 2, 2): 19 floats of tiled rows, the
 # candidate's 2 and H_i's temporaries, with room to spare
