@@ -3,8 +3,9 @@
     PYTHONPATH=src python3 scripts/artifact_digests.py [CONFIG ...]
 
 For each config (default: the three configs under configs/,
-perfbench/configs/coupled_mc.json and a 2-D Monte Carlo game written to a
-temporary config, `random_game_config`) it runs, at seed 0, `solve`, `verify` on
+perfbench/configs/coupled_mc.json and two multi-column games written to
+temporary configs, `RANDOM_GAMES`: a 2-D one on Monte Carlo and one on the
+lattice) it runs, at seed 0, `solve`, `verify` on
 the controls.csv that solve wrote, and `oracle` when the config has an
 "oracle" block, each into a fresh temporary directory, and `check`, whose
 stdout less its `wall time:` line stands in as the artifact "check/stdout".
@@ -34,19 +35,26 @@ DEFAULT_CONFIGS = (
     "perfbench/configs/coupled_mc.json",
 )
 SEED = "0"
-RANDOM_GAME = "random_lq_spec(11, Dims(2, 2, 2, 2, 2)), montecarlo, 1024 paths, 8 steps"
+# name: (random_lq_spec seed, dims, backend block); the shipped configs are
+# all 1-D, so only these show a change in how a sum over several columns
+# rounds, on each backend
+RANDOM_GAMES = {
+    "random_lq_spec(11, Dims(2, 2, 2, 2, 2)), montecarlo, 1024 paths, 8 steps":
+        (11, Dims(2, 2, 2, 2, 2), {"kind": "montecarlo", "paths": 1024}),
+    "random_lq_spec(11, Dims(2, 2, 1, 2, 2)), lattice, 8 steps":
+        (11, Dims(2, 2, 1, 2, 2), {"kind": "lattice"}),
+}
 
 
-def random_game_config() -> dict:
-    """RANDOM_GAME as a config.  The shipped configs are all 1-D, so they
-    cannot show a change in how a sum over several columns rounds."""
-    spec = random_lq_spec(11, Dims(2, 2, 2, 2, 2))
+def random_game_config(seed: int, dims: Dims, backend: dict) -> dict:
+    """`random_lq_spec(seed, dims)` on `backend` with 8 steps, as a config."""
+    spec = random_lq_spec(seed, dims)
     return {
-        "name": "random_2d",
+        "name": f"random_{dims.d}d_{backend['kind']}",
         "horizon": spec.horizon,
         "steps": 8,
         "dims": plain(spec.dims),
-        "backend": {"kind": "montecarlo", "paths": 1024},
+        "backend": backend,
         "initial": plain(spec.initial),
         "terminal": {"constant": plain(spec.xi)},
         **{key: plain(getattr(spec, key))
@@ -99,8 +107,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         if not configs:
             configs = {n: ROOT / n for n in DEFAULT_CONFIGS}
-            configs[RANDOM_GAME] = Path(tmp) / "random_2d.json"
-            configs[RANDOM_GAME].write_text(json.dumps(random_game_config()))
+            for k, (name, game) in enumerate(RANDOM_GAMES.items()):
+                configs[name] = Path(tmp) / f"random_{k}.json"
+                configs[name].write_text(json.dumps(random_game_config(*game)))
         print(json.dumps({n: digests(p) for n, p in configs.items()}, indent=2, sort_keys=True))
     return 0
 

@@ -25,6 +25,7 @@ there exactly; ``solve_fbsde`` is its state solve.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -156,6 +157,13 @@ class ControlProcess:
     def steps(self) -> int:
         return len(self.u1)
 
+    @functools.cached_property
+    def _stages(self) -> dict:
+        """The sweep forms' control stages made for these controls, by
+        (callback, backend) (`_sweeps`); they stay valid since nothing
+        writes into the buffer."""
+        return {}
+
 
 @dataclass(frozen=True)
 class StateTrajectory:
@@ -224,9 +232,8 @@ def _forward_sweep(backend: Backend, start: Array, coefficients) -> StepArray:
     vs = StepArray(np.empty((backend.offsets[-1],) + start.shape[1:]), backend.offsets)
     vs[0][...] = start
     for j in range(backend.grid.steps):
-        nxt = backend.step_forward(j, vs[j], *coefficients(j, vs[j]))
-        _check_finite(backend, j + 1, nxt)
-        vs[j + 1][...] = nxt
+        backend.step_forward(j, vs[j], *coefficients(j, vs[j]), out=vs[j + 1])
+        _check_finite(backend, j + 1, vs[j + 1])
     return vs
 
 
@@ -254,24 +261,52 @@ def _backward_sweep(backend: Backend, terminal: Array, xs, driver):
     return a, b, ridge_events
 
 
-def forward_pass(problem: GameProblem, u: ControlProcess, ys, zs, backend: Backend) -> StepArray:
-    """The state's forward sweep for x given the current backward guess."""
-    co, knots = problem.coefficients, backend.grid.knots
+def _sweeps(backend: Backend, u: ControlProcess, callbacks, *fixed):
+    """Each callback's per-step evaluation from its sweep form (`lq`), given
+    the state arguments (x, y, z) a pass holds fixed, None for the swept
+    ones; or None when some callback has no `sweep`.  A form's control
+    stage is made once per callback and backend, and kept on u."""
+    if not all(hasattr(c, "sweep") for c in callbacks):
+        return None
+    N = backend.grid.steps
+    rows = [None if a is None else StepArray.of(a).leading(N) for a in fixed]
+    forms = []
+    for c in callbacks:
+        stage = u._stages.get((c, backend))
+        if stage is None:
+            stage = u._stages[c, backend] = c.sweep(backend.offsets, backend.grid.knots,
+                                                    u.u1.rows, u.u2.rows)
+        forms.append(stage(*rows))
+    return forms
 
-    def coefficients(j, x):
-        args = (float(knots[j]), x, ys[j], zs[j], u.u1[j], u.u2[j])
-        return co.b(*args), co.sigma(*args)
+
+def forward_pass(problem: GameProblem, u: ControlProcess, ys, zs, backend: Backend) -> StepArray:
+    """The state's forward sweep for x given the current backward guess,
+    through b's and sigma's sweep forms when both offer one."""
+    co, knots = problem.coefficients, backend.grid.knots
+    sweeps = _sweeps(backend, u, (co.b, co.sigma), None, ys, zs)
+    if sweeps is not None:
+        def coefficients(j, x):
+            return sweeps[0](j, x), sweeps[1](j, x)
+    else:
+        def coefficients(j, x):
+            args = (float(knots[j]), x, ys[j], zs[j], u.u1[j], u.u2[j])
+            return co.b(*args), co.sigma(*args)
 
     start = np.broadcast_to(problem.initial, (backend.scenario_count(0), problem.dims.n))
     return _forward_sweep(backend, start, coefficients)
 
 
 def backward_pass(problem: GameProblem, u: ControlProcess, xs, backend: Backend):
-    """The state's backward sweep for (y, z) given x, from y[N] = xi(B_T)."""
+    """The state's backward sweep for (y, z) given x, from y[N] = xi(B_T),
+    through f's sweep form when it offers one."""
     co, knots = problem.coefficients, backend.grid.knots
-
-    def driver(j, y, z):
-        return co.f(float(knots[j]), xs[j], y, z, u.u1[j], u.u2[j])
+    sweeps = _sweeps(backend, u, (co.f,), xs, None, None)
+    if sweeps is not None:
+        driver = sweeps[0]
+    else:
+        def driver(j, y, z):
+            return co.f(float(knots[j]), xs[j], y, z, u.u1[j], u.u2[j])
 
     terminal = np.asarray(problem.xi(backend.brownian(backend.grid.steps)), dtype=float)
     return _backward_sweep(backend, terminal, xs, driver)
@@ -604,6 +639,9 @@ def solve_members(
     member's own solve; a plain backend is one member.
     """
     m, d = problem.dims.m, problem.dims.d
+    # the passes run on their own view of the controls, so the control
+    # stages kept on it (`_sweeps`) last this solve only
+    u = ControlProcess.from_flat(u.flat, u.u1.offsets, u.u1.rows.shape[1], u.u2.rows.shape[1])
     # the sweeps look forward_pass and backward_pass up at call time, so a
     # wrapper rebound over either module name sees every pass
     xs, ys, zs, diagnostics = damped_picard(

@@ -9,6 +9,11 @@ do not depend on how many rows are passed together.  The values of b,
 sigma, f and l_i are C-contiguous whatever their inputs' strides, since
 `einsum` rounds by stride; each also has a `split` for the certificate's
 pointwise search (`AffineMap.split`, `hamiltonian.check_pointwise_min`).
+b, sigma and f also have a sweep form, `_MapValue.sweep`, for the state
+sweeps (`fbsde.forward_pass`, `fbsde.backward_pass`): the products of the
+arguments a sweep holds fixed are made once for the rows of all steps, and
+each step adds its slice of them in `_sum_products`' order, so a step's
+value is bit for bit the callback's there.
 """
 
 from __future__ import annotations
@@ -101,31 +106,21 @@ class AffineMap:
             self.const,
         )
 
-    def split(self, player: int, x: Array, y: Array, zv: Array, other: Array):
-        """The map on S rows with player `player`'s control free: a function
-        of n candidates (n, k_i) giving the value on the rows tiled once per
-        candidate, (n S, len(const)), as `__call__` sums it there.  The terms
-        before the free one are summed here; those after it (u2's, when u1 is
-        free) are multiplied out on each call, so that a block holds no more
-        than its partial sums."""
-        free = self.D1 if player == 1 else self.D2
-        before = _sum_products([(x, self.A), (y, self.B), (zv, self.C)]
-                               + ([(other, self.D1)] if player == 2 else [])).T
-        after = [(self.D2[:, j:j + 1], other[:, j]) for j in range(self.D2.shape[1] if player == 1 else 0)]
-
-        def value(chunk: Array) -> Array:
-            # a candidate's products are the same on every row
-            own = [(free[:, j:j + 1] * chunk[:, j])[:, :, None] for j in range(free.shape[1])]
-            out = (before[:, None, :] + own[0] if own
-                   else np.repeat(before[:, None, :], chunk.shape[0], axis=1))
-            for product in own[1:]:
-                out += product
-            for M, v in after:
-                out += (M * v)[:, None, :]
-            out += self.const[:, None, None]
-            return np.ascontiguousarray(out.reshape(self.const.shape[0], -1).T)
-
-        return value
+    def split(self, free: Sequence[int], *args: Array | None):
+        """The map with the arguments at positions `free` (consecutive, in
+        `blocks` order) left open, the others given in `args` on R rows:
+        (before, after).  before is the sum of the terms ahead of the first
+        free argument as `_sum_products` builds it, transposed to
+        (len(const), R), or None when the first argument is free; after
+        lists the (block column, argument column) factors of each term
+        behind the last free one, in `_sum_products`' order, up to the last
+        argument given.  before, plus the free terms column by column, plus
+        each of after's products and those of the arguments not given,
+        plus const, is `__call__`'s sum bit for bit."""
+        pairs = list(zip(args, self.blocks))
+        before = _sum_products(pairs[:free[0]]).T if free[0] else None
+        after = [(M[:, j:j + 1], v[:, j]) for v, M in pairs[free[-1] + 1:] for j in range(M.shape[1])]
+        return before, after
 
 
 def _quad(v: Array, M: Array) -> Array:
@@ -228,23 +223,94 @@ class _RunningCost:
 
 
 class _MapValue:
-    """b or f from its map, or sigma from its columns' maps stacked last;
-    `split` splits each map (`AffineMap.split`)."""
+    """b, sigma or f from one map whose output rows are the value's entries
+    in C order (sigma's (i, c), column c of row i), reshaped to `shape` per
+    row.  `split` leaves a player's control free for the certificate and
+    `sweep` the swept arguments for the state sweeps (`AffineMap.split`)."""
 
-    def __init__(self, maps: Sequence[AffineMap], dz: int, stacked: bool) -> None:
-        self.maps, self.dz, self.stacked = tuple(maps), dz, stacked
+    def __init__(self, amap: AffineMap, shape: tuple[int, ...], dz: int) -> None:
+        self.map, self.shape, self.dz = amap, shape, dz
+        # each block's columns, the first factors of its products
+        self.columns = [[M[:, c:c + 1] for c in range(M.shape[1])] for M in amap.blocks]
 
-    def _join(self, values: list[Array]) -> Array:
-        return np.stack(values, axis=-1) if self.stacked else values[0]
+    def _zv(self, z: Array | None) -> Array | None:
+        return None if z is None else z.reshape(z.shape[0], self.dz)
+
+    def _shaped(self, value: Array) -> Array:
+        return value.reshape(value.shape[:1] + self.shape)
 
     def __call__(self, t, x, y, z, u1, u2) -> Array:
-        zv = z.reshape(z.shape[0], self.dz)
-        return self._join([m(x, y, zv, u1, u2) for m in self.maps])
+        return self._shaped(self.map(x, y, self._zv(z), u1, u2))
 
     def split(self, player: int, t, x, y, z, other):
-        zv = z.reshape(z.shape[0], self.dz)
-        parts = [m.split(player, x, y, zv, other) for m in self.maps]
-        return lambda chunk: self._join([part(chunk) for part in parts])
+        """The value on S rows with player `player`'s control free: a
+        function of n candidates (n, k_i) giving the value on the rows tiled
+        once per candidate, (n S, ...), as `__call__` sums it there.  The
+        terms before the free one are summed here; those after it (u2's,
+        when u1 is free) are multiplied out on each call, so that a block
+        holds no more than its partial sums."""
+        free = 3 if player == 1 else 4
+        fixed = (x, y, self._zv(z)) + ((other, None) if player == 2 else (None, other))
+        before, after = self.map.split([free], *fixed)
+        const = self.map.const
+
+        def value(chunk: Array) -> Array:
+            # a candidate's products are the same on every row
+            own = [(M * chunk[:, j])[:, :, None] for j, M in enumerate(self.columns[free])]
+            out = (before[:, None, :] + own[0] if own
+                   else np.repeat(before[:, None, :], chunk.shape[0], axis=1))
+            for product in own[1:]:
+                out += product
+            for M, v in after:
+                out += (M * v)[:, None, :]
+            out += const[:, None, None]
+            return self._shaped(np.ascontiguousarray(out.reshape(const.shape[0], -1).T))
+
+        return value
+
+    def sweep(self, offsets: Sequence[int], t, u1: Array, u2: Array):
+        """The sweep form on the rows of steps 0..N-1, step j at rows
+        offsets[j]:offsets[j + 1] and time t[j], in two stages
+        (`AffineMap.split`).
+
+        Given the controls on those rows, which a solve holds fixed, it
+        keeps their column products and returns `fixed`.  Given the state
+        arguments a pass holds fixed on those rows, and None for the swept
+        ones, `fixed` sums the terms before the first swept argument once,
+        keeps the column products of the later ones, and returns `value`.
+        value(j, *swept) takes the swept arguments' rows of step j; it adds
+        their products, then step j's slice of each kept product, then
+        const, so it is `__call__` there bit for bit.
+        """
+        controls = [M * v[:, c] for v, cols in zip((u1, u2), self.columns[3:])
+                    for c, M in enumerate(cols)]
+        const = self.map.const[:, None]
+
+        def fixed(x: Array | None, y: Array | None, z: Array | None):
+            args = (x, y, self._zv(z))
+            free = [k for k, a in enumerate(args) if a is None]
+            before, after = self.map.split(free, *args)
+            kept = [M * v for M, v in after] + controls
+            swept_columns = [self.columns[k] for k in free]
+
+            def value(j: int, *swept: Array) -> Array:
+                rows = slice(offsets[j], offsets[j + 1])
+                products = []
+                for v, cols in zip(swept, swept_columns):
+                    v = v.reshape(v.shape[0], len(cols))
+                    products += [M * v[:, c] for c, M in enumerate(cols)]
+                # a new array: before stays as summed
+                out = products[0] if before is None else before[:, rows] + products[0]
+                for product in products[1:]:
+                    out += product
+                for product in kept:
+                    out += product[:, rows]
+                out += const
+                return self._shaped(np.ascontiguousarray(out.T))
+
+            return value
+
+        return fixed
 
 
 @dataclass(frozen=True)
@@ -293,14 +359,18 @@ def lq_to_problem(spec: LQGameSpec) -> GameProblem:
     """Assemble batched callbacks with exact constant derivatives: each
     partial of b, sigma and f is its map's block for that argument (sigma's
     the columns' blocks stacked first, (d, n, dim_v)), and each player's
-    costs come from its `QuadraticCost`."""
-    dz = spec.dims.dz
+    costs come from its `QuadraticCost`.  sigma's value is one map, the
+    columns' maps stacked row by row: its row i d + c is column c's row i."""
+    n, d, dz = spec.dims.n, spec.dims.d, spec.dims.dz
     drift, cols, driver = spec.drift, spec.diffusion, spec.driver
     sigma_blocks = [np.stack(blocks, axis=0) for blocks in zip(*(c.blocks for c in cols))]
+    sigma = AffineMap(**{f.name: np.stack([getattr(c, f.name) for c in cols], axis=1).reshape(
+        (n * d,) + getattr(drift, f.name).shape[1:]) for f in fields(AffineMap)})
     coefficients = {}
-    for name, maps, blocks in (("b", [drift], drift.blocks), ("sigma", cols, sigma_blocks),
-                               ("f", [driver], driver.blocks)):
-        coefficients[name] = _MapValue(maps, dz, stacked=name == "sigma")
+    for name, amap, shape, blocks in (("b", drift, (n,), drift.blocks),
+                                      ("sigma", sigma, (n, d), sigma_blocks),
+                                      ("f", driver, (spec.dims.m,), driver.blocks)):
+        coefficients[name] = _MapValue(amap, shape, dz)
         coefficients.update((f"{name}_{v}", _constant(block)) for v, block in zip(_ARGS, blocks))
 
     c, L = spec.xi, spec.xi_linear

@@ -35,6 +35,12 @@ rows must give what one call per step gives.  The LQ family satisfies it
 BLAS, whose rounding depends on the row count).  `validate_problem`
 checks the time contract: each callback's rows at per-row times must
 equal its rows at each time alone.
+
+A callback may also offer a sweep form, as the LQ b, sigma and f do
+(`lq._MapValue.sweep`): the state sweeps then evaluate it step by step
+from the products of the arguments they hold fixed, made once for the
+rows of all steps, and must get, bit for bit, what a call per step gets.
+Callbacks without one are called once per step.
 """
 
 from __future__ import annotations

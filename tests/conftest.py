@@ -271,6 +271,23 @@ def reference_cases():
     ]
 
 
+def plain_callbacks(problem):
+    """problem with b, sigma, f, l1 and l2 wrapped in plain functions, which
+    offer neither a `split` nor a sweep form: the certificate's search
+    evaluates H_i whole, and the state sweeps call b, sigma and f once per
+    step."""
+    co, costs = problem.coefficients, problem.costs
+
+    def plain(fn):
+        return lambda *args: fn(*args)
+
+    return dataclasses.replace(
+        problem,
+        coefficients=dataclasses.replace(co, **{n: plain(getattr(co, n)) for n in ("b", "sigma", "f")}),
+        costs=dataclasses.replace(costs, l1=plain(costs.l1), l2=plain(costs.l2)),
+    )
+
+
 def random_controls(problem, backend, seed: int = 0) -> ControlProcess:
     """Per-scenario controls drawn uniformly from [-1, 1]."""
     rng = np.random.default_rng(seed)

@@ -38,6 +38,7 @@ from conftest import (
     coupled_lq_spec,
     lattice,
     montecarlo,
+    plain_callbacks,
     random_controls,
     reference_cases,
     zero_spec,
@@ -517,21 +518,6 @@ def test_non_finite_hamiltonian_at_the_stored_control_is_a_solver_failure():
         check_pointwise_min(problem, traj, adj1, u, 1, grid_density=21, radius=None, tol=1e-8)
 
 
-def _generic(problem):
-    """problem with b, sigma, f, l1 and l2 wrapped in plain functions, which
-    offer no split: the search evaluates H_i whole."""
-    co, costs = problem.coefficients, problem.costs
-
-    def plain(fn):
-        return lambda *args: fn(*args)
-
-    return dataclasses.replace(
-        problem,
-        coefficients=dataclasses.replace(co, **{n: plain(getattr(co, n)) for n in ("b", "sigma", "f")}),
-        costs=dataclasses.replace(costs, l1=plain(costs.l1), l2=plain(costs.l2)),
-    )
-
-
 def _assert_split_is_whole(problem, backend, player, density, radius=None):
     u = random_controls(problem, backend, seed=player)
     traj, adj1, adj2 = _resolve(problem, u, backend)
@@ -540,7 +526,7 @@ def _assert_split_is_whole(problem, backend, player, density, radius=None):
     with mock.patch.object(running, "split", autospec=True, side_effect=running.split) as spy:
         split, whole = (check_pointwise_min(p, traj, adj, u, player, grid_density=density,
                                             radius=radius, tol=1e-8)
-                        for p in (problem, _generic(problem)))
+                        for p in (problem, plain_callbacks(problem)))
     assert spy.called  # the LQ callbacks took the split path, the wrapped ones did not
     assert np.array_equal(split.violation, whole.violation)
     assert (split.step, split.scenario) == (whole.step, whole.scenario)

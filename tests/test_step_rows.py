@@ -15,11 +15,14 @@ from fbsdegames import (
     ControlProcess,
     Dims,
     FbsdeConfig,
+    NonFiniteStateError,
     ShapeValidationError,
+    backward_pass,
     check_pointwise_min,
     control_gradient,
     costate_combination,
     eval_cost,
+    forward_pass,
     lq_to_problem,
     random_lq_spec,
     solve_adjoints,
@@ -27,12 +30,20 @@ from fbsdegames import (
     validate_problem,
     vi_residual,
 )
+from fbsdegames import lq
 from fbsdegames.adjoint import _costate_matrix, _step_partials
 from fbsdegames.drivers import StepArray
 from fbsdegames.fbsde import _update_metric, solve_members
 from fbsdegames.hamiltonian import _control_grid, eval_hamiltonian
 
-from conftest import coupled_lq_spec, lattice, montecarlo, nonlinear_problem, random_controls
+from conftest import (
+    coupled_lq_spec,
+    lattice,
+    montecarlo,
+    nonlinear_problem,
+    plain_callbacks,
+    random_controls,
+)
 
 
 def _time_dependent_problem():
@@ -270,6 +281,74 @@ def test_control_rows_are_one_buffer_player_by_player():
     assert np.shares_memory(u.u1[2], u.flat) and np.shares_memory(u.u2[3], u.flat)
     steps = [a.ravel() for a in u.u1] + [a.ravel() for a in u.u2]
     _same(u.flat, np.concatenate(steps))
+
+
+# ---------------------------------------------------------------------------
+# the state sweeps through the LQ callbacks' sweep forms
+
+
+SWEEP_CASES = {
+    **{name: CASES[name] for name in ("lattice", "lattice-2d", "montecarlo", "montecarlo-2d")},
+    "lattice-3-members": lambda: (lq_to_problem(random_lq_spec(3, Dims(2, 2, 1, 2, 2))),
+                                  lattice(8).with_members(3)),
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_CASES)
+def test_state_sweeps_through_the_sweep_forms_are_the_per_step_calls(name):
+    problem, backend = SWEEP_CASES[name]()
+    u = random_controls(problem, backend)
+    per_step = plain_callbacks(problem)
+    traj, _ = solve_members(problem, u, backend, FbsdeConfig(tol=1e-12))
+    want, _ = solve_members(per_step, u, backend, FbsdeConfig(tol=1e-12))
+    for field in ("x", "y", "z"):
+        _same(getattr(traj, field).rows, getattr(want, field).rows)
+    # one pass each way at a pair that is not the fixed point
+    ys, zs = (StepArray(np.sin(3.0 * a.rows), a.offsets) for a in (traj.y, traj.z))
+    _same(forward_pass(problem, u, ys, zs, backend).rows,
+          forward_pass(per_step, u, ys, zs, backend).rows)
+    xs = StepArray(np.cos(2.0 * traj.x.rows), traj.x.offsets)
+    got, wanted = backward_pass(problem, u, xs, backend), backward_pass(per_step, u, xs, backend)
+    for a, b in zip(got[:2], wanted[:2]):
+        _same(a.rows, b.rows)
+    assert got[2] == wanted[2]
+
+
+def test_state_sweeps_make_no_per_step_call_of_the_lq_values(monkeypatch):
+    calls = []
+    original = lq._MapValue.__call__
+
+    def counted(self, *args):
+        calls.append(self)
+        return original(self, *args)
+
+    monkeypatch.setattr(lq._MapValue, "__call__", counted)
+    problem, backend = lq_to_problem(coupled_lq_spec()), lattice(8)
+    u = random_controls(problem, backend)
+    solve_fbsde(problem, u, backend)
+    assert calls == []
+    solve_fbsde(plain_callbacks(problem), u, backend)
+    co = problem.coefficients
+    assert {id(c) for c in calls} == {id(co.b), id(co.sigma), id(co.f)}
+
+
+@pytest.mark.parametrize("backend", [lattice(8), lattice(8).with_members(3), montecarlo(8, paths=64)],
+                         ids=["lattice", "lattice-3-members", "montecarlo"])
+def test_state_overflow_is_named_alike_on_both_paths(backend):
+    spec = coupled_lq_spec()
+    problem = lq_to_problem(dataclasses.replace(spec, drift=dataclasses.replace(spec.drift, A=[[1e200]])))
+    u = random_controls(problem, backend)
+    N = backend.grid.steps
+    ys = StepArray(np.zeros((backend.offsets[N + 1], 1)), backend.offsets)
+    zs = StepArray(np.zeros((backend.offsets[N], 1, 1)), backend.offsets[: N + 1])
+    named = []
+    for p in (problem, plain_callbacks(problem)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as err:
+                forward_pass(p, u, ys, zs, backend)
+        named.append((err.value.step, err.value.scenario, err.value.row))
+    assert named[0] == named[1]
+    assert named[0][0] >= 1
 
 
 # ---------------------------------------------------------------------------
