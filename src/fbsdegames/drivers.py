@@ -357,10 +357,9 @@ class LatticeBackend(_Rows):
         v, B = np.asarray(values_next), self.members
         return (0.5 * self._root_dt * (v[B:] - v[:-B]))[..., None], False
 
-    def step_forward(self, j: int, state: Array, drift: Array, diffusion: Array,
-                     out: Array | None = None) -> Array:
+    def step_forward(self, j: int, state: Array, drift: Array, diffusion: Array, out: Array) -> Array:
         """Push a level-j node process one step with arrival-weighted recombination,
-        into `out` (level j + 1's rows) when given.
+        into `out` (level j + 1's rows).
 
         Candidates x + drift dt +/- diffusion sqrt(dt) land on level j + 1;
         a node there averages its incoming edge values with the conditional
@@ -371,10 +370,7 @@ class LatticeBackend(_Rows):
         shift = diffusion[..., 0] * self._root_dt
         up = base + shift  # from node l to node l+1
         down = base - shift  # from node l to node l
-        if out is None:
-            out = np.zeros((rows + B,) + state.shape[1:])
-        else:
-            out[...] = 0.0
+        out[...] = 0.0
         shape = (rows + B,) + (1,) * (state.ndim - 1)
         w_up, w_down = (w[j + 1].reshape(shape) for w in self._arrival)
         out[B:] += w_up[B:] * up
@@ -432,11 +428,10 @@ class MonteCarloBackend(_Rows):
         prod = v[..., None] * db.reshape((v.shape[0],) + (1,) * (v.ndim - 1) + (self.d,))
         return self._fit(j, prod, regressors)
 
-    def step_forward(self, j: int, state: Array, drift: Array, diffusion: Array,
-                     out: Array | None = None) -> Array:
-        """The Euler step x + drift dt + diffusion dB_j, into `out` when given."""
+    def step_forward(self, j: int, state: Array, drift: Array, diffusion: Array, out: Array) -> Array:
+        """The Euler step x + drift dt + diffusion dB_j, into `out`."""
         db = self.ensemble.increments[j]
-        out = np.add(state, drift * self.grid.dt, out=out)
+        np.add(state, drift * self.grid.dt, out=out)
         out += np.einsum("s...d,sd->s...", diffusion, db)
         return out
 

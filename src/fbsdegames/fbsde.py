@@ -25,7 +25,6 @@ there exactly; ``solve_fbsde`` is its state solve.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -157,13 +156,6 @@ class ControlProcess:
     def steps(self) -> int:
         return len(self.u1)
 
-    @functools.cached_property
-    def _stages(self) -> dict:
-        """The sweep forms' control stages made for these controls, by
-        (callback, backend) (`_sweeps`); they stay valid since nothing
-        writes into the buffer."""
-        return {}
-
 
 @dataclass(frozen=True)
 class StateTrajectory:
@@ -261,23 +253,15 @@ def _backward_sweep(backend: Backend, terminal: Array, xs, driver):
     return a, b, ridge_events
 
 
-def _sweeps(backend: Backend, u: ControlProcess, callbacks, *fixed):
+def _sweeps(backend: Backend, u: ControlProcess, callbacks, x, y, z):
     """Each callback's per-step evaluation from its sweep form (`lq`), given
-    the state arguments (x, y, z) a pass holds fixed, None for the swept
-    ones; or None when some callback has no `sweep`.  A form's control
-    stage is made once per callback and backend, and kept on u."""
+    the state arguments a pass holds fixed, None for the swept ones; or None
+    when some callback has no `sweep`."""
     if not all(hasattr(c, "sweep") for c in callbacks):
         return None
     N = backend.grid.steps
-    rows = [None if a is None else StepArray.of(a).leading(N) for a in fixed]
-    forms = []
-    for c in callbacks:
-        stage = u._stages.get((c, backend))
-        if stage is None:
-            stage = u._stages[c, backend] = c.sweep(backend.offsets, backend.grid.knots,
-                                                    u.u1.rows, u.u2.rows)
-        forms.append(stage(*rows))
-    return forms
+    rows = [None if a is None else StepArray.of(a).leading(N) for a in (x, y, z)]
+    return [c.sweep(backend.offsets, *rows, u.u1.rows, u.u2.rows) for c in callbacks]
 
 
 def forward_pass(problem: GameProblem, u: ControlProcess, ys, zs, backend: Backend) -> StepArray:
@@ -639,9 +623,6 @@ def solve_members(
     member's own solve; a plain backend is one member.
     """
     m, d = problem.dims.m, problem.dims.d
-    # the passes run on their own view of the controls, so the control
-    # stages kept on it (`_sweeps`) last this solve only
-    u = ControlProcess.from_flat(u.flat, u.u1.offsets, u.u1.rows.shape[1], u.u2.rows.shape[1])
     # the sweeps look forward_pass and backward_pass up at call time, so a
     # wrapper rebound over either module name sees every pass
     xs, ys, zs, diagnostics = damped_picard(

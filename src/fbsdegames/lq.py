@@ -268,49 +268,41 @@ class _MapValue:
 
         return value
 
-    def sweep(self, offsets: Sequence[int], t, u1: Array, u2: Array):
+    def sweep(self, offsets: Sequence[int], x: Array | None, y: Array | None, z: Array | None,
+              u1: Array, u2: Array):
         """The sweep form on the rows of steps 0..N-1, step j at rows
-        offsets[j]:offsets[j + 1] and time t[j], in two stages
-        (`AffineMap.split`).
+        offsets[j]:offsets[j + 1] (`AffineMap.split`).
 
-        Given the controls on those rows, which a solve holds fixed, it
-        keeps their column products and returns `fixed`.  Given the state
-        arguments a pass holds fixed on those rows, and None for the swept
-        ones, `fixed` sums the terms before the first swept argument once,
-        keeps the column products of the later ones, and returns `value`.
-        value(j, *swept) takes the swept arguments' rows of step j; it adds
-        their products, then step j's slice of each kept product, then
-        const, so it is `__call__` there bit for bit.
+        Given the arguments a pass holds fixed on those rows, and None for
+        the swept ones, it sums the terms before the first swept argument
+        once, keeps the column products of the later ones, and returns
+        value(j, *swept), which takes the swept arguments' rows of step j.
+        value adds their products, then step j's slice of each kept
+        product, then const, so it is `__call__` there bit for bit.
         """
-        controls = [M * v[:, c] for v, cols in zip((u1, u2), self.columns[3:])
-                    for c, M in enumerate(cols)]
+        args = (x, y, self._zv(z), u1, u2)
+        free = [k for k, a in enumerate(args) if a is None]
+        before, after = self.map.split(free, *args)
+        kept = [M * v for M, v in after]
+        swept_columns = [self.columns[k] for k in free]
         const = self.map.const[:, None]
 
-        def fixed(x: Array | None, y: Array | None, z: Array | None):
-            args = (x, y, self._zv(z))
-            free = [k for k, a in enumerate(args) if a is None]
-            before, after = self.map.split(free, *args)
-            kept = [M * v for M, v in after] + controls
-            swept_columns = [self.columns[k] for k in free]
+        def value(j: int, *swept: Array) -> Array:
+            rows = slice(offsets[j], offsets[j + 1])
+            products = []
+            for v, cols in zip(swept, swept_columns):
+                v = v.reshape(v.shape[0], len(cols))
+                products += [M * v[:, c] for c, M in enumerate(cols)]
+            # a new array: before stays as summed
+            out = products[0] if before is None else before[:, rows] + products[0]
+            for product in products[1:]:
+                out += product
+            for product in kept:
+                out += product[:, rows]
+            out += const
+            return self._shaped(np.ascontiguousarray(out.T))
 
-            def value(j: int, *swept: Array) -> Array:
-                rows = slice(offsets[j], offsets[j + 1])
-                products = []
-                for v, cols in zip(swept, swept_columns):
-                    v = v.reshape(v.shape[0], len(cols))
-                    products += [M * v[:, c] for c, M in enumerate(cols)]
-                # a new array: before stays as summed
-                out = products[0] if before is None else before[:, rows] + products[0]
-                for product in products[1:]:
-                    out += product
-                for product in kept:
-                    out += product[:, rows]
-                out += const
-                return self._shaped(np.ascontiguousarray(out.T))
-
-            return value
-
-        return fixed
+        return value
 
 
 @dataclass(frozen=True)

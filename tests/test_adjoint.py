@@ -288,7 +288,7 @@ def test_solved_costates_satisfy_recursions_of_costate_combination(
         p, q, k = adj.p[j], adj.q[j], adj.k[j]
         gy = costate_combination(problem, player, "y", *state, p, q, k)
         gz = costate_combination(problem, player, "z", *state, p, q, k)
-        k_next = backend.step_forward(j, k, -gy, -gz.reshape(-1, m, d))
+        k_next = backend.step_forward(j, k, -gy, -gz.reshape(-1, m, d), np.empty_like(adj.k[j + 1]))
         _close(adj.k[j + 1], k_next)
         qv, _ = backend.cond_exp_increment(j, adj.p[j + 1], regressors[j])
         p_hat, _ = backend.cond_exp(j, adj.p[j + 1], regressors[j])

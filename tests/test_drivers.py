@@ -130,7 +130,7 @@ def test_lattice_step_forward_tracks_brownian():
     state = backend.brownian(0)
     for j in range(6):
         ones = np.ones((j + 1, 1, 1))
-        state = backend.step_forward(j, state, np.zeros((j + 1, 1)), ones)
+        state = backend.step_forward(j, state, np.zeros((j + 1, 1)), ones, np.empty((j + 2, 1)))
         np.testing.assert_allclose(state, backend.brownian(j + 1), atol=1e-13)
 
 
@@ -139,7 +139,7 @@ def test_lattice_step_forward_constant_drift():
     state = np.full((1, 1), 2.0)
     for j in range(4):
         state = backend.step_forward(
-            j, state, np.full((j + 1, 1), 3.0), np.zeros((j + 1, 1, 1))
+            j, state, np.full((j + 1, 1), 3.0), np.zeros((j + 1, 1, 1)), np.empty((j + 2, 1))
         )
     np.testing.assert_allclose(state, 2.0 + 3.0 * 1.0, rtol=1e-13)
 
@@ -210,7 +210,7 @@ def test_mc_step_forward_matches_euler():
     state = np.zeros((16, 1))
     drift = np.full((16, 1), 0.5)
     diffusion = np.ones((16, 1, 1))
-    out = backend.step_forward(0, state, drift, diffusion)
+    out = backend.step_forward(0, state, drift, diffusion, np.empty((16, 1)))
     expected = 0.5 * backend.grid.dt + backend.ensemble.increments[0]
     np.testing.assert_allclose(out, expected)
 
@@ -346,13 +346,15 @@ def test_member_lattice_gives_each_member_its_lattice_values(steps, members, tra
         diffusion = [rng.standard_normal((j + 1,) + trailing + (1,)) for _ in range(members)]
         cond, _ = view.cond_exp(j, view.stack(nxt))
         incr, _ = view.cond_exp_increment(j, view.stack(nxt))
-        stepped = view.step_forward(j, rows, view.stack(drift), view.stack(diffusion))
+        stepped = view.step_forward(j, rows, view.stack(drift), view.stack(diffusion),
+                                    np.empty_like(view.stack(nxt)))
         for b in range(members):
             np.testing.assert_array_equal(member(view, cond, b), base.cond_exp(j, nxt[b])[0])
             np.testing.assert_array_equal(
                 member(view, incr, b), base.cond_exp_increment(j, nxt[b])[0])
             np.testing.assert_array_equal(
-                member(view, stepped, b), base.step_forward(j, alone[b], drift[b], diffusion[b]))
+                member(view, stepped, b),
+                base.step_forward(j, alone[b], drift[b], diffusion[b], np.empty_like(nxt[b])))
         for b, own in enumerate(view.unstack(stepped)):
             np.testing.assert_array_equal(own, member(view, stepped, b))
 
