@@ -3,9 +3,10 @@
     PYTHONPATH=src python3 scripts/artifact_digests.py [CONFIG ...]
 
 For each config (default: the three configs under configs/,
-perfbench/configs/coupled_mc.json and two multi-column games written to
+perfbench/configs/coupled_mc.json, two multi-column games written to
 temporary configs, `RANDOM_GAMES`: a 2-D one on Monte Carlo and one on the
-lattice) it runs, at seed 0, `solve`, `verify` on
+lattice, and `ORACLE_GAMES`' multi-chunk oracle, also written to a
+temporary config) it runs, at seed 0, `solve`, `verify` on
 the controls.csv that solve wrote, and `oracle` when the config has an
 "oracle" block, each into a fresh temporary directory, and `check`, whose
 stdout less its `wall time:` line stands in as the artifact "check/stdout".
@@ -44,6 +45,22 @@ RANDOM_GAMES = {
     "random_lq_spec(11, Dims(2, 2, 1, 2, 2)), lattice, 8 steps":
         (11, Dims(2, 2, 1, 2, 2), {"kind": "lattice"}),
 }
+
+
+# name: (shipped config, top-level keys replaced); the shipped oracle's best
+# responses fit in one chunk of batched members, and 3 steps with 3-point
+# grids (729 candidates per best response, 2,185 evaluations) span several
+ORACLE_GAMES = {
+    "configs/two_step_oracle.json, 3 steps, horizon 0.75, 3-point grids":
+        ("configs/two_step_oracle.json",
+         {"steps": 3, "horizon": 0.75,
+          "oracle": {"grid1": {"points": 3}, "grid2": {"points": 3}, "budget": 1000000}}),
+}
+
+
+def oracle_game_config(path: str, changes: dict) -> dict:
+    """The config at `path` with its top-level keys in `changes` replaced."""
+    return {**json.loads((ROOT / path).read_text()), **changes}
 
 
 def random_game_config(seed: int, dims: Dims, backend: dict) -> dict:
@@ -110,6 +127,9 @@ def main(argv=None) -> int:
             for k, (name, game) in enumerate(RANDOM_GAMES.items()):
                 configs[name] = Path(tmp) / f"random_{k}.json"
                 configs[name].write_text(json.dumps(random_game_config(*game)))
+            for k, (name, game) in enumerate(ORACLE_GAMES.items()):
+                configs[name] = Path(tmp) / f"oracle_{k}.json"
+                configs[name].write_text(json.dumps(oracle_game_config(*game)))
         print(json.dumps({n: digests(p) for n, p in configs.items()}, indent=2, sort_keys=True))
     return 0
 

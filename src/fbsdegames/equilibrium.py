@@ -512,30 +512,31 @@ _ORACLE_FAILURES = (
 
 
 def _profile_costs(problem, backend, profiles, config) -> list[tuple[float, float]]:
-    """Both players' costs of each (u1, u2) profile, from one member-batched solve.
+    """Both players' costs of each profile, from one member-batched solve.
 
-    Any member that fails (divergence, a non-finite state, a non-finite cost
-    or no convergence) fails the whole call.  A one-member call fails as that
-    profile's own `solve_fbsde` does, then with NonFiniteCostError when a
-    cost is not finite, and else with NonConvergenceError when it stopped
-    unconverged: a cost that overflows is the cause, whatever the solve did.
+    `profiles` is (u1, u2): each player's control at every node before the
+    final step, per profile, as a (profiles, nodes, k_i) array.  Any member
+    that fails (divergence, a non-finite state, a non-finite cost or no
+    convergence) fails the whole call, the first non-finite cost named by
+    its (J1, J2) pair.  A one-member call fails as that profile's own
+    `solve_fbsde` does, then with NonFiniteCostError when a cost is not
+    finite, and else with NonConvergenceError when it stopped unconverged:
+    a cost that overflows is the cause, whatever the solve did.
     """
-    view = backend.with_members(len(profiles))
-    u = ControlProcess.from_rows(
-        *(view.stack([StepArray.of(p[i]).rows for p in profiles]) for i in (0, 1)),
-        view.offsets[: backend.grid.steps + 1],
-    )
+    view = backend.with_members(profiles[0].shape[0])
+    u = ControlProcess.from_rows(*map(view.stack, profiles),
+                                 view.offsets[: backend.grid.steps + 1])
     traj, diagnostics = solve_members(problem, u, view, config)
-    j1, _ = eval_cost(problem, traj, u, 1)
-    j2, _ = eval_cost(problem, traj, u, 2)
-    costs = list(zip(np.atleast_1d(j1).tolist(), np.atleast_1d(j2).tolist()))
-    for a, b in costs:
-        if not (np.isfinite(a) and np.isfinite(b)):
-            raise NonFiniteCostError(f"oracle cost is not finite (J1={a}, J2={b})")
+    j1, j2 = (np.atleast_1d(eval_cost(problem, traj, u, player)[0]) for player in (1, 2))
+    finite = np.isfinite(j1) & np.isfinite(j2)
+    if not finite.all():
+        m = int(np.argmin(finite))
+        raise NonFiniteCostError(f"oracle cost is not finite (J1={float(j1[m])}, "
+                                 f"J2={float(j2[m])})")
     for diag in diagnostics:
         if not diag.converged:
             raise NonConvergenceError("oracle cost evaluation did not converge", diag)
-    return costs
+    return list(zip(j1.tolist(), j2.tolist()))
 
 
 def brute_force_nash(
@@ -582,9 +583,6 @@ def brute_force_nash(
     exhausted = (f"enumeration budget of {budget} cost evaluations exhausted; "
                  "use a smaller grid or fewer steps")
 
-    def controls_for(assignment: tuple[int, ...], grid: Array) -> StepArray:
-        return StepArray(grid[list(assignment)], offsets)
-
     def solve(keys) -> None:
         """Fill the cache for keys, evaluating the uncached ones in order."""
         nonlocal evaluations
@@ -592,14 +590,17 @@ def brute_force_nash(
         fitting = missing[:max(budget - evaluations, 0)]
         for start in range(0, len(fitting), _ORACLE_MEMBERS):
             chunk = fitting[start:start + _ORACLE_MEMBERS]
-            profiles = [(controls_for(a1, grid1), controls_for(a2, grid2)) for a1, a2 in chunk]
+            # each player's grid row at each node, per profile: (profiles, 2, nodes)
+            assigned = np.array(chunk, dtype=np.intp)
+            profiles = (grid1[assigned[:, 0]], grid2[assigned[:, 1]])
             try:
                 costs = _profile_costs(problem, backend, profiles, fbsde_config)
             except _ORACLE_FAILURES:
                 costs = None
             if costs is None:
                 # one at a time, in order: the first failing profile raises as it would alone
-                costs = [_profile_costs(problem, backend, [p], fbsde_config)[0] for p in profiles]
+                costs = [_profile_costs(problem, backend, tuple(u[m:m + 1] for u in profiles),
+                                        fbsde_config)[0] for m in range(len(chunk))]
             cache.update(zip(chunk, costs))
             evaluations += len(chunk)
         if len(fitting) < len(missing):
@@ -702,8 +703,8 @@ def brute_force_nash(
     bound1 = bound_for(1)
     bound2 = bound_for(2)
     return BruteForceReport(
-        u1=tuple(controls_for(a1, grid1)),
-        u2=tuple(controls_for(a2, grid2)),
+        u1=tuple(StepArray(grid1[list(a1)], offsets)),
+        u2=tuple(StepArray(grid2[list(a2)], offsets)),
         j1=j1,
         j2=j2,
         equilibrium=settled and not cycle,

@@ -528,86 +528,95 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
     members = backend.members
     x, a_shape, b_shape = start
     mixing = _Mixing(x, a_shape, b_shape, backend, config.damping)
-    histories: list[list[float]] = [[] for _ in range(members)]
-    warnings: list[list[str]] = [[] for _ in range(members)]
-    best = [np.inf] * members
-    converged = [False] * members
-    running = list(range(members))
-    ridge_counts = [0] * members
+    # per member, over the member axis: pass k's residual in row k - 1, the
+    # passes it ran, its lowest residual, its ridge fallbacks, whether it
+    # converged and whether it still runs; warnings only of those that warn
+    history = np.empty((config.max_picard, members))
+    passes = np.zeros(members, dtype=int)
+    best = np.empty(members)
+    ridge_counts = np.zeros(members, dtype=int)
+    converged = np.zeros(members, dtype=bool)
+    running = np.ones(members, dtype=bool)
+    warnings: dict[int, list[str]] = {}
     best_a = best_b = None
 
-    def pick(chosen: list[int], new: StepArray, old: StepArray) -> StepArray:
-        """The rows of the chosen members from new, the rest from old."""
-        if len(chosen) == members:
+    def warn(mask: Array, text) -> None:
+        """Append text(b) to the warnings of each member b where mask holds."""
+        for b in mask.nonzero()[0].tolist():
+            warnings.setdefault(b, []).append(text(b))
+
+    def pick(mask: Array, new: StepArray, old: StepArray) -> StepArray:
+        """The rows of the members where mask holds from new, the rest from old."""
+        chosen = np.count_nonzero(mask)
+        if chosen == members:
             return new
         if not chosen:
             return old
-        mask = np.zeros(members, dtype=bool)
-        mask[chosen] = True
         rows = np.concatenate([backend.member_rows(j, mask) for j in range(len(new))])
         rows = rows.reshape((-1,) + (1,) * (new.rows.ndim - 1))
         return StepArray(np.where(rows, new.rows, old.rows), new.offsets)
 
-    def diagnostics(b: int) -> SolveDiagnostics:
-        return SolveDiagnostics(
-            iterations=len(histories[b]),
-            final_residual=histories[b][-1],
-            converged=converged[b],
-            residual_history=tuple(histories[b]),
-            ridge_fallbacks=ridge_counts[b],
-            warnings=tuple(warnings[b]),
+    def diagnostics() -> tuple[SolveDiagnostics, ...]:
+        """Each member's SolveDiagnostics, from its column of the history."""
+        columns = zip(history[: passes.max()].T.tolist(), passes.tolist(),
+                      converged.tolist(), ridge_counts.tolist())
+        return tuple(
+            SolveDiagnostics(
+                iterations=n,
+                final_residual=column[n - 1],
+                converged=done,
+                residual_history=tuple(column[:n]),
+                ridge_fallbacks=ridges,
+                warnings=tuple(warnings.get(b, ())),
+            )
+            for b, (column, n, done, ridges) in enumerate(columns)
         )
 
     for it in range(1, config.max_picard + 1):
         a_in, b_in = _pair_views(backend, mixing.x, a_shape, b_shape)
         a_out, b_out, ridge = backward(forward(a_in, b_in))
-        for b in running:  # only the members still running count this pass
-            ridge_counts[b] += int(ridge)
-        residual = _update_metric(backend, a_out, b_out, a_in, b_in).tolist()
-        improved, still = [], []
-        for b in running:
-            r, history = residual[b], histories[b]
-            if history and r > history[-1]:
-                warnings[b].append(f"{label} residual non-monotone at iteration {it}")
-            history.append(r)
-            # a stopping member's residual is its lowest (every earlier one
-            # was above tol), so its best output is the one it stops at
-            if it == 1 or r < best[b]:
-                best[b] = r
-                improved.append(b)
-            if r <= config.tol:
-                converged[b] = True
-            elif it == 1 and r == math.inf:
-                # no later residual exceeds 10x an infinite first one, so
-                # the divergence check below could never stop this member
-                warnings[b].append(f"{label} residual infinite at iteration 1")
-            else:
-                still.append(b)
+        # only the members still running count this pass
+        if ridge:
+            ridge_counts[running] += int(ridge)
+        passes += running
+        residual = history[it - 1] = _update_metric(backend, a_out, b_out, a_in, b_in)
+        if it > 1:
+            warn(running & (residual > history[it - 2]),
+                 lambda b: f"{label} residual non-monotone at iteration {it}")
+        # a stopping member's residual is its lowest (every earlier one was
+        # above tol), so its best output is the one it stops at
+        improved = running if it == 1 else running & (residual < best)
+        np.copyto(best, residual, where=improved)
         best_a = pick(improved, a_out, best_a)
         best_b = pick(improved, b_out, best_b)
-        running = still
-        for b in running:
-            first = histories[b][0]
-            if first > 0.0 and histories[b][-1] > 10.0 * first:
-                raise PicardDivergenceError(diagnostics(b))
-        if not running or it == config.max_picard:
+        done = running & (residual <= config.tol)
+        converged |= done
+        running = running & ~done
+        if it == 1:
+            # no later residual exceeds 10x an infinite first one, so the
+            # divergence check below could never stop these members
+            infinite = running & (residual == math.inf)
+            warn(infinite, lambda b: f"{label} residual infinite at iteration 1")
+            running &= ~infinite
+            # divergence: a residual above 10x a positive first one
+            ceiling = np.where(residual > 0.0, 10.0 * residual, math.inf)
+        diverged = (running & (residual > ceiling)).nonzero()[0]
+        if diverged.size:
+            raise PicardDivergenceError(diagnostics()[diverged[0]])
+        if not np.count_nonzero(running) or it == config.max_picard:
             break
-        mask = np.zeros(members, dtype=bool)
-        mask[running] = True
-        moved = mixing.advance((a_out, b_out), mask)
+        moved = mixing.advance((a_out, b_out), running)
         # an input that did not move in floating point would repeat this
         # pass's output bit for bit: the solve is as converged as it can get
-        for b in running:
-            if not moved[b]:
-                converged[b] = True
-                warnings[b].append(
-                    f"{label} iterate stalled at residual {histories[b][-1]:.3e} "
-                    f"at iteration {it}")
-        running = [b for b in running if moved[b]]
-        if not running:
+        stalled = running & ~moved
+        converged |= stalled
+        warn(stalled, lambda b: (f"{label} iterate stalled at residual {float(residual[b]):.3e} "
+                                 f"at iteration {it}"))
+        running &= moved
+        if not np.count_nonzero(running):
             break
     del mixing  # the last forward sweep runs without the history
-    return forward(best_a, best_b), best_a, best_b, tuple(diagnostics(b) for b in range(members))
+    return forward(best_a, best_b), best_a, best_b, diagnostics()
 
 
 def solve_members(

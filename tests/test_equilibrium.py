@@ -30,7 +30,7 @@ from fbsdegames import (
     solve_nash,
     vi_residual,
 )
-from fbsdegames import adjoint, equilibrium, fbsde, hamiltonian
+from fbsdegames import adjoint, drivers, equilibrium, fbsde, hamiltonian
 from fbsdegames.cli import OracleOptions, build_backend, load_config, main, plain
 
 from conftest import (
@@ -459,10 +459,13 @@ _batched_costs = equilibrium._profile_costs
 
 
 def _sequential_costs(problem, backend, profiles, config):
-    """The unbatched oracle's evaluation: one solve_fbsde and eval_cost per profile."""
+    """The unbatched oracle's evaluation: one solve_fbsde and eval_cost per
+    profile, each player's node controls taken from its (profiles, nodes, k)
+    array."""
     out = []
-    for u1, u2 in profiles:
-        u = ControlProcess(u1=tuple(u1), u2=tuple(u2))
+    offsets = backend.offsets[: backend.grid.steps + 1]
+    for u1, u2 in zip(*profiles):
+        u = ControlProcess.from_rows(u1, u2, offsets)
         traj, diag = solve_fbsde(problem, u, backend, config)
         if not diag.converged:
             raise NonConvergenceError("oracle cost evaluation did not converge", diag)
@@ -476,8 +479,7 @@ def _recorded(monkeypatch, costs_fn, log):
 
     def recording(problem, backend, profiles, config):
         out = costs_fn(problem, backend, profiles, config)
-        log.append([(tuple(a.tobytes() for half in p for a in half), c)
-                    for p, c in zip(profiles, out)])
+        log.append([((u1.tobytes(), u2.tobytes()), c) for u1, u2, c in zip(*profiles, out)])
         return out
 
     monkeypatch.setattr(equilibrium, "_profile_costs", recording)
@@ -539,6 +541,20 @@ def test_budget_covers_exactly_the_evaluations(monkeypatch, members):
     with pytest.raises(BudgetExceededError):
         _config_oracle(372)
     assert sum(len(call) for call in log) == 372  # the profiles that fit, then the error
+
+
+def test_oracle_builds_no_step_array_per_profile(monkeypatch):
+    made = []
+    original = drivers.StepArray.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(cls)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(drivers.StepArray, "__new__", counting)
+    report = _config_oracle(OracleOptions.budget)
+    assert report.evaluations == 373
+    assert len(made) < report.evaluations
 
 
 def _failing_case(kind):

@@ -33,6 +33,7 @@ from conftest import (
     montecarlo,
     nonlinear_problem,
     random_controls,
+    two_step_spec,
     zero_spec,
 )
 
@@ -338,6 +339,66 @@ def test_member_solve_raises_the_first_divergence():
     with pytest.raises(PicardDivergenceError) as batched:
         solve_members(problem, u, view, config)
     assert batched.value.diagnostics == min(first, key=lambda item: item[:2])[2]
+
+
+def _node_profiles(backend, values):
+    """One ControlProcess per (u1, u2) pair of per-node control values."""
+    offsets = backend.offsets[: backend.grid.steps + 1]
+    return [ControlProcess.from_rows(np.array(v1, float)[:, None], np.array(v2, float)[:, None],
+                                     offsets) for v1, v2 in values]
+
+
+def test_every_way_a_member_stops_in_one_batch():
+    # per member of one batch, how its solve alone stops: by the tolerance
+    # at two different passes, by a stalled iterate (1e154 controls make
+    # updates below an ulp of y), with an infinite first residual (a 1e308
+    # control), and at max_picard
+    problem, backend = lq_to_problem(two_step_spec()), lattice(2, horizon=0.5)
+    huge = [1e154] * 3
+    profiles = _node_profiles(backend, [
+        ([0.0] * 3, [0.0] * 3),
+        ([30.0, -30.0, 30.0], [0.0] * 3),
+        ([1e154, -1e154, 1e154], huge),
+        ([1e308, 0.0, 0.0], [0.0] * 3),
+        (huge, huge),
+    ])
+    config = FbsdeConfig(tol=1e-12, max_picard=10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = [solve_fbsde(problem, u, backend, config) for u in profiles]
+        view, u = _member_batch(problem, backend, profiles)
+        traj, diagnostics = solve_members(problem, u, view, config)
+    endings = [(d.iterations, d.converged, d.warnings) for _, d in alone]
+    assert endings[0][1:] == endings[1][1:] == (True, ()) and endings[0][0] != endings[1][0]
+    assert endings[2][1] and endings[2][2][-1].startswith("picard iterate stalled")
+    assert endings[3] == (1, False, ("picard residual infinite at iteration 1",))
+    assert endings[4][:2] == (config.max_picard, False)
+    for b, (ref_traj, ref_diag) in enumerate(alone):
+        # every field: iterations, residual_history, final_residual,
+        # converged, warnings and ridge_fallbacks
+        assert diagnostics[b] == ref_diag
+        for field in ("x", "y", "z"):
+            for got, want in zip(getattr(traj, field), getattr(ref_traj, field), strict=True):
+                np.testing.assert_array_equal(member(view, got, b), want)
+
+
+def test_member_solve_raises_the_lower_member_of_one_pass():
+    # both profiles diverge at the second pass, with different residuals:
+    # the batch raises its lower-indexed member's divergence, in either order
+    problem = _opposed_coupling_problem(8.0)
+    backend = lattice(3, horizon=2.0)
+    profiles = _scaled_profiles(problem, backend)[1:3]
+    config = FbsdeConfig()
+    alone = []
+    for u in profiles:
+        with pytest.raises(PicardDivergenceError) as err:
+            solve_fbsde(problem, u, backend, config)
+        alone.append(err.value.diagnostics)
+    assert alone[0].iterations == alone[1].iterations and alone[0] != alone[1]
+    for order in ([0, 1], [1, 0]):
+        view, u = _member_batch(problem, backend, [profiles[b] for b in order])
+        with pytest.raises(PicardDivergenceError) as batched:
+            solve_members(problem, u, view, config)
+        assert batched.value.diagnostics == alone[order[0]]
 
 
 @pytest.mark.parametrize("outputs", [[1e200], [1.0, 1e200]], ids=["first", "second"])
