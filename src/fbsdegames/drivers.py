@@ -239,12 +239,11 @@ class _Rows:
         return self.offsets[j + 1] - self.offsets[j]
 
     def stack(self, arrays) -> Array:
-        """Rows from each member's array of the same scenarios, in member
-        order: `arrays` is indexed by member, then by scenario."""
+        """Rows from each member's array of the same scenarios, in member order."""
         if self.members == 1:
             (rows,) = arrays
             return np.asarray(rows)
-        nodes = np.swapaxes(np.asarray(arrays), 0, 1)
+        nodes = np.stack(arrays, axis=1)
         # explicit lengths, not -1: a control of an inert player has no columns
         return nodes.reshape((nodes.shape[0] * nodes.shape[1],) + nodes.shape[2:])
 

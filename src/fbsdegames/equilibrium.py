@@ -523,9 +523,12 @@ def _profile_costs(problem, backend, profiles, config) -> list[tuple[float, floa
     finite, and else with NonConvergenceError when it stopped unconverged:
     a cost that overflows is the cause, whatever the solve did.
     """
-    view = backend.with_members(profiles[0].shape[0])
-    u = ControlProcess.from_rows(*map(view.stack, profiles),
-                                 view.offsets[: backend.grid.steps + 1])
+    members, nodes = profiles[0].shape[:2]
+    view = backend.with_members(members)
+    # node l of profile m is row l * members + m: the member view's node-major rows
+    u = ControlProcess.from_rows(
+        *(np.swapaxes(p, 0, 1).reshape(nodes * members, p.shape[2]) for p in profiles),
+        view.offsets[: backend.grid.steps + 1])
     traj, diagnostics = solve_members(problem, u, view, config)
     j1, j2 = (np.atleast_1d(eval_cost(problem, traj, u, player)[0]) for player in (1, 2))
     finite = np.isfinite(j1) & np.isfinite(j2)
@@ -558,7 +561,9 @@ def brute_force_nash(
 
     A best response, and the neighbours the resolution bounds read, are
     solved in batches: the uncached profiles, in enumeration order, go
-    through one member-batched Picard solve per chunk of `_ORACLE_MEMBERS`.
+    through one member-batched Picard solve per chunk of `_ORACLE_MEMBERS`,
+    whose controls are gathered from one (profiles, nodes) array of grid
+    row indices per player, with nothing built per profile.
     Each member is the solve of its profile alone, bit for bit, so the costs,
     the evaluation count and the result do not depend on the chunking.  When
     a chunk fails, its profiles are solved again one at a time, in order, and

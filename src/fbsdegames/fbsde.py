@@ -524,15 +524,23 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
     the passes the others still need repeat its last output and cannot
     change its result, and they add nothing to its counts.  A plain backend
     is the one-member case, and the only one whose fits fall back to ridge.
+    The members' state is arrays over the member axis (each pass's
+    residuals and which members ran it, best residual, ridge counts,
+    converged and running masks), so a pass decides for all members with
+    mask expressions and loops only over the members that warn; the
+    lowest-indexed member that diverges at a pass is the one raised, and
+    each member's SolveDiagnostics is built once, from its column of the
+    stacked passes.
     """
     members = backend.members
     x, a_shape, b_shape = start
     mixing = _Mixing(x, a_shape, b_shape, backend, config.damping)
-    # per member, over the member axis: pass k's residual in row k - 1, the
-    # passes it ran, its lowest residual, its ridge fallbacks, whether it
-    # converged and whether it still runs; warnings only of those that warn
-    history = np.empty((config.max_picard, members))
-    passes = np.zeros(members, dtype=int)
+    # over the member axis: per pass, each member's residual and whether it
+    # ran the pass; per member, its lowest residual, its ridge fallbacks,
+    # whether it converged and whether it still runs; warnings only of those
+    # that warn
+    history: list[Array] = []
+    ran: list[Array] = []
     best = np.empty(members)
     ridge_counts = np.zeros(members, dtype=int)
     converged = np.zeros(members, dtype=bool)
@@ -558,7 +566,7 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
 
     def diagnostics() -> tuple[SolveDiagnostics, ...]:
         """Each member's SolveDiagnostics, from its column of the history."""
-        columns = zip(history[: passes.max()].T.tolist(), passes.tolist(),
+        columns = zip(np.array(history).T.tolist(), np.count_nonzero(ran, axis=0).tolist(),
                       converged.tolist(), ridge_counts.tolist())
         return tuple(
             SolveDiagnostics(
@@ -576,12 +584,13 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
         a_in, b_in = _pair_views(backend, mixing.x, a_shape, b_shape)
         a_out, b_out, ridge = backward(forward(a_in, b_in))
         # only the members still running count this pass
+        ran.append(running)
         if ridge:
             ridge_counts[running] += int(ridge)
-        passes += running
-        residual = history[it - 1] = _update_metric(backend, a_out, b_out, a_in, b_in)
+        residual = _update_metric(backend, a_out, b_out, a_in, b_in)
+        history.append(residual)
         if it > 1:
-            warn(running & (residual > history[it - 2]),
+            warn(running & (residual > history[-2]),
                  lambda b: f"{label} residual non-monotone at iteration {it}")
         # a stopping member's residual is its lowest (every earlier one was
         # above tol), so its best output is the one it stops at
@@ -590,29 +599,30 @@ def damped_picard(forward, backward, start, backend: Backend, config: FbsdeConfi
         best_a = pick(improved, a_out, best_a)
         best_b = pick(improved, b_out, best_b)
         done = running & (residual <= config.tol)
-        converged |= done
-        running = running & ~done
+        converged = converged | done
+        running = running ^ done  # done only holds where running does
         if it == 1:
             # no later residual exceeds 10x an infinite first one, so the
             # divergence check below could never stop these members
             infinite = running & (residual == math.inf)
             warn(infinite, lambda b: f"{label} residual infinite at iteration 1")
-            running &= ~infinite
+            running = running ^ infinite
             # divergence: a residual above 10x a positive first one
             ceiling = np.where(residual > 0.0, 10.0 * residual, math.inf)
-        diverged = (running & (residual > ceiling)).nonzero()[0]
-        if diverged.size:
-            raise PicardDivergenceError(diagnostics()[diverged[0]])
+        diverged = running & (residual > ceiling)
+        if np.count_nonzero(diverged):
+            raise PicardDivergenceError(diagnostics()[diverged.argmax()])
         if not np.count_nonzero(running) or it == config.max_picard:
             break
         moved = mixing.advance((a_out, b_out), running)
         # an input that did not move in floating point would repeat this
         # pass's output bit for bit: the solve is as converged as it can get
-        stalled = running & ~moved
-        converged |= stalled
+        # (a member that does not run keeps its entries, so moved ones run)
+        stalled = running ^ moved
+        converged = converged | stalled
         warn(stalled, lambda b: (f"{label} iterate stalled at residual {float(residual[b]):.3e} "
                                  f"at iteration {it}"))
-        running &= moved
+        running = moved
         if not np.count_nonzero(running):
             break
     del mixing  # the last forward sweep runs without the history
